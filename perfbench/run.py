@@ -6,10 +6,9 @@ Run from the root of a checkout:
 
 ``--trace 0`` sets the workload up several times, then measures whole passes
 of it for ``--seconds`` and reports the end-to-end metrics of
-``BENCHMARK.json``, its times scaled to a reference host speed by the
-calibration in ``workloads.slowdown``.  ``--trace 1`` runs a fixed amount of
-work twice, first
-untraced and then with every layer wrapped by the span recorder of
+``BENCHMARK.json``; mappings made in this process are timed at a reference
+host speed by ``workloads.Sampler``, everything else in wall time.
+``--trace 1`` runs a fixed amount of work twice, first untraced and then with every layer wrapped by the span recorder of
 ``layers.py``, and reports the per-layer metrics plus the tracing overhead.
 Every metric is printed by name and unit with its sample count and the
 correctness checks; the last line of standard output is one JSON object
@@ -37,13 +36,11 @@ import time
 from pathlib import Path
 
 from layers import ROOT_SPAN, WRAPPED, Recorder, Tracing, layer_metrics
-from workloads import WORKLOADS, child_pids, slowdown
+from workloads import WORKLOADS, child_pids
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".bench_build" / "perfbench"
-#: Set-ups per timed run; ``setup_s`` is their median.
-SETUP_REPS = 3
 #: Counters that must repeat exactly across traced runs with one seed.
 EXACT = ("sat.conflicts", "sat.propagations", "encoder.clauses", "regalloc.calls", "ii_sum")
 #: Below this many samples a run has fewer than ten beyond its p90.
@@ -195,14 +192,12 @@ def main(argv: list[str] | None = None) -> int:
     checks: list[str] = []
     recorder = None
     try:
-        setup_times, raw_setup_times = [], []
-        for _ in range(1 if args.trace else SETUP_REPS):
+        setup_times = []
+        for _ in range(1 if args.trace else workload.setup_reps):
             workload.reset()
-            before = slowdown()
             start = time.perf_counter()
             workload.setup()
-            raw_setup_times.append(time.perf_counter() - start)
-            setup_times.append(raw_setup_times[-1] * 2.0 / (before + slowdown()))
+            setup_times.append(time.perf_counter() - start)
         if args.trace:
             tally, metrics, recorder = traced_run(workload)
             exact = {name: metrics.get(name, 0) for name in EXACT if name != "ii_sum"}
@@ -237,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
     print("provenance " + json.dumps(record["provenance"], sort_keys=True))
     print(f"program import: {import_s:.3f} s in this process")
     print(f"set-up: {len(setup_times)} run(s), median {statistics.median(setup_times):.3f} s "
-          f"at reference speed (wall {', '.join(f'{value:.3f}' for value in raw_setup_times)})")
+          f"wall ({', '.join(f'{value:.3f}' for value in setup_times)})")
     print(f"operations: {tally.attempted} attempted, {tally.failed} failed, "
           f"{tally.passes} pass(es), wall {tally.wall_s:.3f} s")
     for reason, count in tally.reasons.most_common():
@@ -273,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"correct: {correct}")
 
     record.update(
-        metrics=result_metrics, setup_s=setup_times, raw_setup_s=raw_setup_times,
+        metrics=result_metrics, setup_s=setup_times,
         latencies=tally.latencies, raw_latencies=tally.raw_latencies,
         slowdowns=tally.slowdowns, reasons=dict(tally.reasons), checks=checks,
         correct=correct,

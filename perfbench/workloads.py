@@ -29,6 +29,8 @@ nearest rank land on the same problem from run to run.  The oracle
 
 from __future__ import annotations
 
+import bisect
+import contextlib
 import http.client
 import json
 import os
@@ -69,28 +71,98 @@ def _calibration_loop(n: int = 60000) -> int:
     return acc
 
 
-def slowdown() -> float:
-    """How much slower than the reference speed the host runs right now.
+#: Seconds between the samples of a :class:`Sampler`.
+SAMPLE_INTERVAL = 0.05
+
+
+class Sampler:
+    """Host speed sampled on the program's own thread while spans are timed.
 
     The host's speed drifts by tens of percent within seconds when other
     tenants load it, and a fixed pure-Python loop slows down with the
-    mapper.  Calibrated spans are divided by the mean slowdown measured
-    right before and right after them, so reported times are seconds at
-    the reference speed; ``raw_latencies`` keep the wall-clock figures.
+    mapper.  A loop timed before and after a multi-second mapping cannot
+    follow the swings inside it, and one timed on the other vCPU barely
+    follows this one.  While a sampler is open, a SIGALRM every
+    ``SAMPLE_INTERVAL`` runs a short calibration loop on the main thread,
+    between the program's bytecodes.  :meth:`reference_seconds` takes the
+    samples' own time out of a span and divides the rest by the mean
+    slowdown of the samples in and around it, so the result is seconds at
+    the reference speed.  Only workloads that map in this process use it.
     """
-    start = time.perf_counter()
-    _calibration_loop()
-    return (time.perf_counter() - start) / CALIBRATION_S
+
+    #: Calibration-loop iterations per sample (about 1 ms).
+    iterations = 4000
+    #: Samples this close to either end of a span also count toward its
+    #: slowdown, so that a span shorter than the interval still has some.
+    window = 0.1
+
+    def __enter__(self) -> "Sampler":
+        self.samples: list[tuple[float, float]] = []
+        self._previous = signal.signal(signal.SIGALRM, self._sample)
+        signal.setitimer(signal.ITIMER_REAL, SAMPLE_INTERVAL, SAMPLE_INTERVAL)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, self._previous)
+        self._sample()
+
+    def _sample(self, *_) -> None:
+        start = time.perf_counter()
+        _calibration_loop(self.iterations)
+        self.samples.append((start, time.perf_counter()))
+
+    def reference_seconds(self, start: float, end: float) -> float:
+        """The span ``[start, end]`` in seconds at the reference speed."""
+        starts = [sample_start for sample_start, _ in self.samples]
+        first = bisect.bisect_left(starts, start - self.window)
+        last = bisect.bisect_right(starts, end + self.window)
+        near = self.samples[first:last] or [
+            self.samples[min(first, len(self.samples) - 1)]
+        ]
+        reference = CALIBRATION_S * self.iterations / 60000
+        slowdown = sum(b - a for a, b in near) / (len(near) * reference)
+        # A handler runs between bytecodes, so a sample lies wholly inside
+        # the span or wholly outside it.
+        own = sum(b - a for a, b in near if a >= start and b <= end)
+        return (end - start - own) / slowdown
+
+
+class Checkpoints(Sampler):
+    """Host speed measured between operations that run in child processes.
+
+    A sampler on this thread does not see the farm's workers and would take
+    a core from them, so the whole calibration loop (about 15 ms) runs
+    before the first operation and after each one, while nothing else of
+    the benchmark runs.  A span is divided by the mean slowdown of the
+    checkpoints within two seconds of it, which evens out the noise of
+    single checkpoints while following the host's drift between runs.
+    """
+
+    iterations = 60000
+    window = 2.0
+
+    def __enter__(self) -> "Checkpoints":
+        self.samples = []
+        self.mark()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        pass
+
+    def mark(self) -> None:
+        self._sample()
 
 
 @dataclass
 class Tally:
     """What one batch of operations produced."""
 
-    #: Operation latencies at the reference speed (see :func:`slowdown`).
+    #: Operation latencies, at the reference speed where a :class:`Sampler`
+    #: ran, else wall time.
     latencies: list[float] = field(default_factory=list)
     raw_latencies: list[float] = field(default_factory=list)
-    #: Slowdown factors measured during the batch.
+    #: Slowdown factors of the calibrated latencies.
     slowdowns: list[float] = field(default_factory=list)
     attempted: int = 0
     failed: int = 0
@@ -105,6 +177,8 @@ class Tally:
     pass_rates: list[float] = field(default_factory=list)
     #: Workload-specific per-layer numbers (service / farm / baselines).
     layers: Counter = field(default_factory=Counter)
+    #: (start, end) of operations whose latency :meth:`calibrate` records.
+    spans: list[tuple[float, float]] = field(default_factory=list)
 
     def fail(self, reason: str) -> None:
         self.failed += 1
@@ -119,11 +193,21 @@ class Tally:
     def ii_sum(self, problems: list[str]) -> int:
         return sum(self.iis.get(problem, FAILED_II) for problem in problems)
 
-    def add_latency(self, raw: float, before: float, after: float) -> None:
-        """Record one span timed between two slowdown measurements."""
-        self.raw_latencies.append(raw)
-        self.latencies.append(raw * 2.0 / (before + after))
-        self.slowdowns.append((before + after) / 2.0)
+    def samples(self) -> int:
+        return len(self.latencies) + len(self.spans)
+
+    def calibrate(self, sampler: Sampler | None) -> None:
+        """Turn the pending spans into latencies, at the reference speed
+        when a sampler ran during them, else in wall time."""
+        for start, end in self.spans:
+            raw = end - start
+            self.raw_latencies.append(raw)
+            if sampler is None:
+                self.latencies.append(raw)
+            else:
+                self.latencies.append(sampler.reference_seconds(start, end))
+                self.slowdowns.append(raw / self.latencies[-1])
+        self.spans.clear()
 
 
 def _label(kernel: str, rows: int, cols: int) -> str:
@@ -183,6 +267,8 @@ class Workload:
     imports: tuple[str, ...] = ()
     #: Passes in the fixed (traced) work.
     fixed_passes = 1
+    #: Set-ups per timed run; ``setup_s`` is their median.
+    setup_reps = 5
 
     def __init__(self, seed: int, workdir: Path, env: dict) -> None:
         self.seed = seed
@@ -191,8 +277,6 @@ class Workload:
         self.env = env
         #: Process-hygiene failures (leftover children, crashed workers).
         self.problems_found: list[str] = []
-        #: Whether spans are scaled by :func:`slowdown` (timed runs only).
-        self.calibrated = False
 
     def problem_labels(self) -> list[str]:
         return [_label(*problem) for problem in self.problems]
@@ -206,9 +290,11 @@ class Workload:
 
     def setup(self) -> None:
         """Everything up to the first timed operation."""
+        # With a pipe, run() waits for its EOF instead of polling the child
+        # in sleeps of up to 50 ms, which would show in the set-up time.
         subprocess.run(
             [sys.executable, "-c", "import " + ", ".join(self.imports)],
-            env=self.env, check=True, timeout=120,
+            env=self.env, check=True, timeout=120, stdout=subprocess.PIPE,
         )
 
     def run_pass(self, tally: Tally, index: int) -> None:
@@ -223,34 +309,39 @@ class Workload:
     def peak_rss_mb(self) -> float:
         return _rss_mb(resource.RUSAGE_SELF)
 
-    def _slowdown(self) -> float:
-        return slowdown() if self.calibrated else 1.0
+    def sampler(self) -> contextlib.AbstractContextManager[Sampler | None]:
+        """The sampler that calibrates timed spans, if this workload uses one."""
+        return contextlib.nullcontext()
 
     def timed(self, seconds: float) -> Tally:
         """Whole passes until ``seconds`` have elapsed, calibrated."""
-        self.calibrated = True
         tally = Tally()
-        start = time.perf_counter()
-        while True:
-            attempted, spans = tally.attempted, len(tally.latencies)
-            self.run_pass(tally, tally.passes)
-            busy = sum(tally.latencies[spans:])
-            tally.pass_rates.append((tally.attempted - attempted) / busy)
-            tally.passes += 1
-            if time.perf_counter() - start >= seconds:
-                break
-        tally.wall_s = time.perf_counter() - start
+        bounds = []
+        with self.sampler() as sampler:
+            start = time.perf_counter()
+            while True:
+                first = (tally.attempted, tally.samples())
+                self.run_pass(tally, tally.passes)
+                bounds.append((first, (tally.attempted, tally.samples())))
+                tally.passes += 1
+                if time.perf_counter() - start >= seconds:
+                    break
+            tally.wall_s = time.perf_counter() - start
+        tally.calibrate(sampler)
+        for (attempted, sample), (attempted_end, sample_end) in bounds:
+            busy = sum(tally.latencies[sample:sample_end])
+            tally.pass_rates.append((attempted_end - attempted) / busy)
         return tally
 
     def fixed(self) -> Tally:
         """The fixed work of a traced run, in raw wall-clock time."""
-        self.calibrated = False
         tally = Tally()
         start = time.perf_counter()
         for index in range(self.fixed_passes):
             self.run_pass(tally, index)
             tally.passes += 1
         tally.wall_s = time.perf_counter() - start
+        tally.calibrate(None)
         return tally
 
 
@@ -267,6 +358,9 @@ class InProcessMapping(Workload):
         from repro.core.mapper import MapperConfig
 
         return MapperConfig(timeout=MAP_TIMEOUT, random_seed=0, cache_dir=cache_dir)
+
+    def sampler(self) -> Sampler:
+        return Sampler()
 
     def setup(self) -> None:
         super().setup()
@@ -287,7 +381,6 @@ class InProcessMapping(Workload):
         if self.use_cache:
             cache_dir = str(self.workdir / f"cache-pass{index}")
         mapper = SatMapItMapper(self.config(cache_dir))
-        before = self._slowdown()
         for label, kernel, source, cgra in self.rng.sample(self.inputs, len(self.inputs)):
             tally.attempted += 1
             start = time.perf_counter()
@@ -301,10 +394,7 @@ class InProcessMapping(Workload):
                     error = outcome.final_status
             except Exception as exc:
                 error = f"{type(exc).__name__}: {exc}"
-            raw = time.perf_counter() - start
-            after = self._slowdown()
-            tally.add_latency(raw, before, after)
-            before = after
+            tally.spans.append((start, time.perf_counter()))
             if error is None:
                 tally.record_ii(label, outcome.ii)
             else:
@@ -369,6 +459,8 @@ class ServeWarm(Workload):
     )
     #: Requests per client in the fixed (traced) work.
     fixed_requests = 16
+    #: A set-up maps every problem cold, so it is too dear to repeat five times.
+    setup_reps = 3
 
     def __init__(self, seed: int, workdir: Path, env: dict) -> None:
         super().__init__(seed, workdir, env)
@@ -588,6 +680,8 @@ class SweepFarm(Workload):
         super().__init__(seed, workdir, env)
         #: (kernel, size, mapper) -> IIs the farm reported, for the oracle.
         self.reported: dict[tuple[str, int, str], set[int]] = {}
+        #: Set while a timed run measures the host between sweeps.
+        self.checkpoints: Checkpoints | None = None
 
     def _experiment(self, kernels=None, sizes=None):
         from repro.experiments.runner import RAMP, SAT_MAPIT, ExperimentConfig
@@ -611,6 +705,10 @@ class SweepFarm(Workload):
 
         return build_mapper(SAT_MAPIT, self._experiment()).config
 
+    def sampler(self) -> Checkpoints:
+        self.checkpoints = Checkpoints()
+        return self.checkpoints
+
     def run_pass(self, tally: Tally, index: int) -> None:
         from repro.experiments.runner import RAMP, run_sweep
 
@@ -619,12 +717,14 @@ class SweepFarm(Workload):
             self.rng.sample(self.sizes, len(self.sizes)),
         )
         journal = self.workdir / f"journal-{index}"
-        before = self._slowdown()
         start = time.perf_counter()
         result = run_sweep(experiment, jobs=self.jobs, journal_dir=str(journal))
-        wall = time.perf_counter() - start
+        end = time.perf_counter()
+        wall = end - start
         # A sweep is what a farm user waits for, so it is the latency sample.
-        tally.add_latency(wall, before, self._slowdown())
+        tally.spans.append((start, end))
+        if self.checkpoints is not None:
+            self.checkpoints.mark()
         layers = tally.layers
         layers["farm.items"] += result.farm.items
         layers["farm.retries"] += result.farm.retries
