@@ -18,8 +18,11 @@ it back to the paper's protocol:
   300 s timeout.
 
 At the end of the session the collected results are rendered as the Figure-6
-panels, the Tables I–IV mapping times and the Section-V headline, and written
-to ``benchmarks/EXPERIMENTS_generated.md``.
+panels, the Tables I–IV mapping times and the Section-V headline.  The
+deterministic part (II panels, headline, counters) is written to the
+committed ``benchmarks/EXPERIMENTS_generated.md``; the mapping-time tables,
+which change on every run, go to the uncommitted
+``.bench_build/EXPERIMENTS_timings.md``.
 """
 
 from __future__ import annotations
@@ -29,7 +32,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.report import render_markdown_report
+from repro.experiments.report import (
+    ReportOptions,
+    render_markdown_report,
+    render_timing_report,
+)
 from repro.experiments.runner import (
     PATHSEEKER,
     RAMP,
@@ -122,8 +129,13 @@ def _report_at_session_end(request, collector, bench_config):
         )
     print("\n".join(lines))
     output = Path(__file__).parent / "EXPERIMENTS_generated.md"
-    output.write_text(render_markdown_report(sweep), encoding="utf-8")
-    print(f"\nreport written to {output}")
+    output.write_text(
+        render_markdown_report(sweep, ReportOptions(timings=False)), encoding="utf-8"
+    )
+    timings = Path(__file__).parent.parent / ".bench_build" / "EXPERIMENTS_timings.md"
+    timings.parent.mkdir(parents=True, exist_ok=True)
+    timings.write_text(render_timing_report(sweep), encoding="utf-8")
+    print(f"\nreport written to {output}, mapping times to {timings}")
 
 
 def pytest_generate_tests(metafunc):

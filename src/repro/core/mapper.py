@@ -40,7 +40,7 @@ from repro.exceptions import MappingError
 from repro.sat.backend import SolverBackend
 from repro.sat.encodings import AMOEncoding
 from repro.sat.preprocess import Reconstructor, simplify
-from repro.sat.solver import CDCLSolver
+from repro.sat.solver import CDCLSolver, make_solver
 
 
 @dataclass(frozen=True)
@@ -690,7 +690,7 @@ class SatMapItMapper:
                         model_vars=placement_vars,
                     )
                 else:
-                    fresh_solver = CDCLSolver(random_seed=config.random_seed)
+                    fresh_solver = make_solver(random_seed=config.random_seed)
                     probe_result = fresh_solver.solve(
                         encoding.cnf,
                         conflict_limit=probe_budget,
@@ -749,7 +749,7 @@ class SatMapItMapper:
                         model_vars=placement_vars,
                     )
                 elif fresh_solver is None:
-                    fresh_solver = CDCLSolver(random_seed=config.random_seed)
+                    fresh_solver = make_solver(random_seed=config.random_seed)
                     attempt_cnf = encoding.cnf
                     if config.preprocess:
                         # One-shot path: simplify the standalone formula with

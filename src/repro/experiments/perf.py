@@ -36,6 +36,7 @@ from repro.cgra.architecture import CGRA
 from repro.cgra.capabilities import effective_minimum_ii
 from repro.core.mapper import MapperConfig, SatMapItMapper
 from repro.kernels import get_kernel
+from repro.sat import native
 from repro.sat.backend import backend_instrumented
 
 #: Format tag written into the JSON so future schema changes are detectable.
@@ -273,6 +274,10 @@ def run_case(case: BenchCase, repeats: int = 3) -> dict:
             "search": case.search,
             "seeded": case.seeded,
             "backend": case.backend,
+            # Which CDCL engine ran: "native" or "python" (the fallback).
+            # A baseline recorded with one and compared against the other
+            # shows up as a gross speed change on the solve-bound cases.
+            "core": native.status().core,
             "seed_ii": getattr(outcome, "seed_ii", None),
             "status": outcome.final_status,
             "ii": outcome.ii,
@@ -352,6 +357,7 @@ def run_farm_case(repeats: int = 1) -> dict:
             "search": "farm",
             "seeded": False,
             "backend": "cdcl",
+            "core": native.status().core,
             "seed_ii": None,
             "status": "swept",
             "ii": None,
@@ -419,6 +425,7 @@ def run_scale_case(case: ScaleCase) -> dict:
         "kernel": case.kernel,
         "size": case.size,
         "partitions": case.partitions,
+        "core": native.status().core,
         "partition": {
             "status": part.final_status,
             "ii": part.ii,
@@ -581,6 +588,7 @@ def run_suite(
         "repeats": repeats,
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
+        "core": native.status().core,
         "cases": records,
         "totals": {
             "wall_s": round(total_wall, 4),
@@ -634,6 +642,9 @@ def compare(
     """
     lines: list[str] = []
     ok = True
+    base_core, core = baseline.get("core"), current.get("core")
+    if base_core != core:
+        lines.append(f"solver core changed: {base_core} -> {core}")
     base_cases = {c["name"]: c for c in baseline.get("cases", [])}
     for entry in current.get("cases", []):
         name = entry["name"]

@@ -3,8 +3,11 @@
 Renders a complete Markdown report for a sweep: the Figure-6 II comparison
 per mesh size, the Tables I–IV mapping times, the Section-V headline numbers
 and the paper-vs-measured commentary.  The repository's committed
-EXPERIMENTS.md is produced by this module (see ``benchmarks/`` and
-``python -m repro.cli sweep --write-report``).
+``benchmarks/EXPERIMENTS_generated.md`` is produced by this module with
+``ReportOptions(timings=False)``, which leaves out the mapping-time tables
+so the file is byte-stable across re-runs; :func:`render_timing_report`
+renders those tables on their own for an uncommitted artefact (see
+``benchmarks/conftest.py`` and ``python -m repro.cli sweep --write-report``).
 """
 
 from __future__ import annotations
@@ -40,8 +43,9 @@ shapes this reproduction checks:
 
 Absolute IIs and times differ from the paper because the DFGs are produced by
 this repository's own front-end (not the authors' LLVM pass), the SAT backend
-is the bundled pure-Python CDCL solver (not Z3), and the heuristics are
-re-implementations rather than the original binaries (see DESIGN.md).
+is the repository's own CDCL solver (a native C search core with a
+pure-Python fallback, not Z3), and the heuristics are re-implementations
+rather than the original binaries (see DESIGN.md).
 """
 
 
@@ -51,6 +55,9 @@ class ReportOptions:
 
     title: str = "EXPERIMENTS — SAT-MapIt reproduction"
     include_expectations: bool = True
+    #: Include the mapping-time tables (Tables I–IV).  Off for committed
+    #: reports, which must not change when only wall-clock time does.
+    timings: bool = True
 
 
 def solver_reuse_totals(sweep: SweepResult) -> tuple[int, int]:
@@ -352,15 +359,31 @@ def render_markdown_report(sweep: SweepResult, options: ReportOptions | None = N
         )
     for size in config.sizes:
         lines.extend(_markdown_figure6(sweep, size))
-    for size in config.sizes:
-        if size in _TABLE_NUMBERS:
-            lines.extend(_markdown_times(sweep, size))
+    if options.timings:
+        for size in config.sizes:
+            if size in _TABLE_NUMBERS:
+                lines.extend(_markdown_times(sweep, size))
     if len(config.scenarios or ()) > 1:
         for size in config.sizes:
             lines.extend(_markdown_scenarios(sweep, size))
     if config.preprocess:
         for size in config.sizes:
             lines.extend(_markdown_preprocess(sweep, size))
+    return "\n".join(lines) + "\n"
+
+
+def render_timing_report(sweep: SweepResult) -> str:
+    """The wall-clock tables (Tables I–IV) of a sweep on their own."""
+    lines = [
+        "# EXPERIMENTS — mapping times",
+        "",
+        "Wall-clock figures of one run; they change from run to run, so the",
+        "committed report leaves them out.",
+        "",
+    ]
+    for size in sweep.config.sizes:
+        if size in _TABLE_NUMBERS:
+            lines.extend(_markdown_times(sweep, size))
     return "\n".join(lines) + "\n"
 
 

@@ -10,8 +10,10 @@ and answers ``solve(assumptions=...)`` queries incrementally.
 Two backends ship with the repository:
 
 * ``"cdcl"`` — the production engine, a thin stats-keeping adapter over the
-  incremental :class:`repro.sat.solver.CDCLSolver` (clause database, learned
-  clauses, activities and phases persist across calls).
+  incremental CDCL engine from :func:`repro.sat.solver.make_solver` (the
+  native core, or :class:`repro.sat.solver.CDCLSolver` where it cannot be
+  built; clause database, learned clauses, activities and phases persist
+  across calls).
 * ``"dpll"`` — the easy-to-audit reference oracle, replaying the accumulated
   clause set through :class:`repro.sat.dpll.DPLLSolver` on every call.  It is
   not incremental internally but implements the same protocol, which lets the
@@ -32,7 +34,7 @@ from typing import Protocol, runtime_checkable
 from repro.sat.cnf import CNF
 from repro.sat.dpll import DPLLSolver
 from repro.sat.drat import ProofLogger
-from repro.sat.solver import CDCLSolver, SolverResult, SolverStats
+from repro.sat.solver import SolverResult, SolverStats, make_solver
 
 #: Prefix selecting an arbitrary external solver binary: ``external:<path>``.
 EXTERNAL_PREFIX = "external:"
@@ -159,7 +161,7 @@ class CDCLBackend:
         #: with an independently checkable derivation.
         self.proof_path = proof_path
         self._proof = ProofLogger(proof_path) if proof_path is not None else None
-        self._solver = CDCLSolver(proof=self._proof, **solver_kwargs)
+        self._solver = make_solver(proof=self._proof, **solver_kwargs)
         self.stats = BackendStats()
 
     def proof_digest(self) -> str | None:

@@ -1,9 +1,9 @@
 """External SAT solvers as :class:`SolverBackend` implementations.
 
-The pure-Python propagation ceiling (~0.5M props/s, BENCH_solver.json) is the
-repo's hard performance limit; a system Kissat propagates three orders of
-magnitude faster.  :class:`SubprocessBackend` breaks that ceiling without
-giving up the mapper's incremental interface:
+The built-in CDCL engine (a MiniSat-style core, native or pure Python) has
+no inprocessing; a system Kissat is much stronger on hard formulas.
+:class:`SubprocessBackend` reaches such solvers without giving up the
+mapper's incremental interface:
 
 * **Persistent formula accumulation** — clauses accumulate in a
   :class:`~repro.sat.cnf.CNF` exactly like the DPLL oracle backend; the
@@ -72,8 +72,8 @@ __all__ = [
 ]
 
 EXTERNAL_PREFIX = "external:"
-#: The bundled pure-Python solver (always available; used as the CI-free
-#: stand-in for a system solver).
+#: The bundled solver, ``python -m repro.sat.pysolver`` (always available;
+#: the CI-free stand-in for a system solver).
 BUNDLED_BACKEND = "subprocess"
 
 #: Transient launch-failure handling: a loaded machine can refuse a fork

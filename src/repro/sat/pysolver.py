@@ -1,7 +1,7 @@
 """Bundled DIMACS solver executable: ``python -m repro.sat.pysolver``.
 
-A tiny competition-style front end over the repo's own
-:class:`repro.sat.solver.CDCLSolver`.  It exists so the external-solving
+A tiny competition-style front end over the repo's own CDCL engine
+(:func:`repro.sat.solver.make_solver`).  It exists so the external-solving
 pipeline (DIMACS export → subprocess → stdout parse → DRAT proof check) is
 exercisable on any machine with just this repository — no system Kissat or
 MiniSat required.  The ``"subprocess"`` backend name resolves to it, CI's
@@ -29,7 +29,7 @@ import sys
 
 from repro.sat.cnf import CNF
 from repro.sat.drat import ProofLogger
-from repro.sat.solver import CDCLSolver
+from repro.sat.solver import make_solver
 
 _MODEL_LITS_PER_LINE = 20
 
@@ -60,7 +60,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     proof = ProofLogger(paths[1]) if len(paths) == 2 else None
-    solver = CDCLSolver(random_seed=seed, proof=proof)
+    solver = make_solver(random_seed=seed, proof=proof)
     result = solver.solve(cnf, conflict_limit=conflicts)
     if proof is not None:
         proof.close()

@@ -29,8 +29,9 @@ For convenience ``solve`` also accepts a :class:`repro.sat.cnf.CNF`; passing
 one resets the solver and loads the formula, reproducing the classic
 one-shot behaviour the test-suite and the ablation benchmarks rely on.
 
-Data layout (the whole mapper is pure Python and unit propagation is its
-hottest loop, so the layout is flat integer arrays rather than objects):
+Data layout (unit propagation is the hottest loop, so the layout is flat
+integer arrays rather than objects; ``_cdcl.c`` ports this module's search
+loop to C over the same layout, see :func:`make_solver`):
 
 * literals are re-encoded as ``2 * var`` (positive) / ``2 * var + 1``
   (negative); truth values live in a literal-indexed array;
@@ -96,7 +97,7 @@ _DEEP_MINIMISE_THRESHOLD = 200
 
 #: Bit layout of ternary reason codes: ``(other_a << _TERN_SHIFT) |
 #: (other_b << 2) | 2``.  30 bits for the low literal supports half a
-#: billion variables — far beyond anything a pure-Python solver will see.
+#: billion variables — far beyond anything this solver will see.
 _TERN_SHIFT = 32
 _TERN_MASK = (1 << 30) - 1
 
@@ -1554,6 +1555,21 @@ class CDCLSolver:
             assert count % 2 == 0, (
                 f"guarded ternary {clause} registered {count} times (want 2k)"
             )
+
+
+def make_solver(**kwargs) -> "CDCLSolver":
+    """A fresh CDCL engine: the native core when it loads, else :class:`CDCLSolver`.
+
+    This is the one place the engine is chosen.  Both engines take the same
+    keyword arguments and follow the same search path, so the choice never
+    changes a result, only its speed; :func:`repro.sat.native.status`
+    reports which one is in use and, on fallback, why.
+    """
+    from repro.sat import native  # local import: native imports this module
+
+    if native.load() is not None:
+        return native.NativeCDCLSolver(**kwargs)  # type: ignore[return-value]
+    return CDCLSolver(**kwargs)
 
 
 def _luby(index: int) -> int:

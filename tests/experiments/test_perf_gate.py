@@ -29,6 +29,15 @@ class TestCompareGate:
         assert not ok
         assert any("FAIL" in line for line in lines)
 
+    def test_fallback_to_python_core_is_reported_and_caught(self):
+        # A run that fell back to the Python engine is several times slower
+        # on the solve-bound cases, so the slowdown gate fails it.
+        base = dict(_doc([_case("a@3x3", 1.0)]), core="native")
+        current = dict(_doc([_case("a@3x3", 8.0)]), core="python")
+        ok, lines = compare(base, current)
+        assert not ok
+        assert "solver core changed: native -> python" in lines
+
     def test_ii_change_fails(self):
         ok, lines = compare(
             _doc([_case("a@3x3", 1.0, ii=3)]),

@@ -2,8 +2,12 @@
 
 import pytest
 
+import dataclasses
+
 from repro.experiments.report import (
+    ReportOptions,
     render_markdown_report,
+    render_timing_report,
     solver_reuse_totals,
     write_markdown_report,
 )
@@ -242,6 +246,24 @@ class TestReport:
         assert "## Solver reuse (incremental backend)" in text
         assert "retries served without re-encoding: **2**" in text
         assert "learned clauses carried across (II, slack) attempts: **150**" in text
+
+    def test_committed_report_is_byte_stable(self):
+        """Two renders from the same records are byte-identical, and so are
+        renders from records that differ only in mapping time."""
+        sweep = synthetic_sweep()
+        options = ReportOptions(timings=False)
+        first = render_markdown_report(sweep, options)
+        assert render_markdown_report(sweep, options).encode() == first.encode()
+        slower = SweepResult(config=sweep.config)
+        slower.records.extend(
+            dataclasses.replace(record, mapping_time=record.mapping_time * 3 + 0.7)
+            for record in sweep.records
+        )
+        assert render_markdown_report(slower, options).encode() == first.encode()
+        assert "mapping time" not in first
+        timings = render_timing_report(sweep)
+        assert "### Table I — mapping time (seconds) on the 2x2 CGRA" in timings
+        assert render_timing_report(slower) != timings
 
     def test_write_report(self, tmp_path):
         path = tmp_path / "report.md"
