@@ -44,7 +44,6 @@ from repro.experiments.tables import (
     render_figure6,
     render_headline,
     render_mapping_time_table,
-    render_preprocess_table,
     render_scenario_comparison,
 )
 from repro.frontend import compile_loop
@@ -139,7 +138,6 @@ def _cmd_map(args: argparse.Namespace) -> int:
         verbose=args.verbose,
         backend=args.backend,
         amo_encoding=AMOEncoding(args.amo_encoding),
-        preprocess=args.preprocess == "on",
         random_seed=args.seed,
         search=args.search,
         search_jobs=args.jobs,
@@ -214,12 +212,6 @@ def _cmd_map(args: argparse.Namespace) -> int:
         verdict = "hit" if outcome.cache_hit else "miss"
         key = (outcome.cache_key or "")[:12]
         print(f"cache: {verdict} [{key}…] — {outcome.cache_stats.summary()}")
-    if args.preprocess == "on":
-        print(
-            f"preprocessing: -{outcome.pre_clauses_removed} clauses, "
-            f"-{outcome.pre_vars_eliminated} vars in "
-            f"{outcome.preprocess_time:.3f}s"
-        )
     if args.proof and not outcome.cache_hit:
         digests = [
             (attempt.ii, attempt.proof_digest)
@@ -335,7 +327,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         pathseeker_repeats=args.pathseeker_repeats,
         backend=args.backend,
         amo_encoding=AMOEncoding(args.amo_encoding),
-        preprocess=args.preprocess == "on",
         seed=args.seed,
         scenarios=tuple(args.scenarios),
         search=args.search,
@@ -396,10 +387,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for size in config.sizes:
             print()
             print(render_scenario_comparison(sweep, size))
-    if config.preprocess:
-        for size in config.sizes:
-            print()
-            print(render_preprocess_table(sweep, size))
     if args.write_report:
         write_markdown_report(sweep, args.write_report)
         print(f"\nreport written to {args.write_report}")
@@ -509,10 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
                          default=AMOEncoding.AUTO.value,
                          help="at-most-one encoding (default: auto — "
                               "pairwise for small groups, sequential above)")
-    map_cmd.add_argument("--preprocess", choices=["on", "off"], default="off",
-                         help="SatELite-style CNF simplification before "
-                              "solving, with model reconstruction "
-                              "(default: off)")
     map_cmd.add_argument("--search", choices=available_strategies(),
                          default="ladder",
                          help="II search strategy: the paper's sequential "
@@ -633,10 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
                            default=AMOEncoding.AUTO.value,
                            help="at-most-one encoding (default: auto — "
                                 "pairwise for small groups, sequential above)")
-    sweep_cmd.add_argument("--preprocess", choices=["on", "off"], default="off",
-                           help="CNF preprocessing for the SAT-MapIt runs; "
-                                "the sweep then prints the preprocessing "
-                                "ablation table (default: off)")
     sweep_cmd.add_argument("--scenarios", nargs="+", choices=list(SCENARIOS),
                            default=["homogeneous"],
                            help="architecture scenarios to sweep "

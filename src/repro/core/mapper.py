@@ -10,16 +10,14 @@ by default; bisection and a process-parallel portfolio on request) and can
 short-circuit the whole search through the persistent mapping cache
 (``MapperConfig.cache_dir``).
 
-The loop is *incremental* by default: one persistent solver backend serves
-the whole mapping run.  Each (II, slack) attempt encodes its constraint group
-guarded by a fresh selector literal and is solved under the assumption that
-the selector is true; retiring the attempt is an assumption flip plus one
+One persistent solver backend serves the whole mapping run; it is the only
+solving path.  Each (II, slack) attempt encodes its constraint group guarded
+by a fresh selector literal and is solved under the assumption that the
+selector is true; retiring the attempt is an assumption flip plus one
 ``¬selector`` unit.  Register-allocation rejections stay inside the same
 attempt — one blocking clause is added and the backend re-solves with all
 learned clauses, activities and phases intact, with zero re-encoded base
-clauses (the per-attempt stats prove it).  ``MapperConfig.incremental=False``
-restores per-attempt fresh solving, which the test-suite uses as the
-semantic-equivalence reference.
+clauses (the per-attempt stats prove it).
 """
 
 from __future__ import annotations
@@ -39,8 +37,6 @@ from repro.dfg.graph import DFG
 from repro.exceptions import MappingError
 from repro.sat.backend import SolverBackend
 from repro.sat.encodings import AMOEncoding
-from repro.sat.preprocess import Reconstructor, simplify
-from repro.sat.solver import CDCLSolver, make_solver
 
 
 @dataclass(frozen=True)
@@ -85,7 +81,8 @@ class MapperConfig:
     #: several times fewer literals per conflict on the flat-core's
     #: implication lists than a fixed sequential counter.
     amo_encoding: AMOEncoding = AMOEncoding.AUTO
-    #: Two-phase encoding escalation (``AUTO`` + incremental backend only):
+    #: Two-phase encoding escalation (``AUTO`` encoding, instrumented
+    #: backends only):
     #: each (II, slack) attempt is first *probed* with the compact
     #: sequential encoding under this conflict budget — easy attempts
     #: conclude without ever paying the quadratic pairwise emission; an
@@ -97,8 +94,8 @@ class MapperConfig:
     #: production engine, ``"dpll"`` the slow reference oracle.  External
     #: engines (``"kissat"``, ``"minisat"``, the bundled ``"subprocess"``,
     #: or ``"external:<path>"``; see :mod:`repro.sat.external`) solve
-    #: DIMACS exports in a subprocess — they require ``incremental=True``
-    #: and are driven through assumption unit cubes.
+    #: DIMACS exports in a subprocess and are driven through assumption
+    #: unit cubes.
     backend: str = "cdcl"
     #: Directory for DIMACS artefacts (see :mod:`repro.sat.dimacs`).  For
     #: external backends every solve call's formula (and any DRAT proof)
@@ -114,16 +111,6 @@ class MapperConfig:
     #: proof path on their command line.  UNSAT attempts then record a
     #: proof digest and ``MappingOutcome.proof_path`` names the trace.
     proof: bool = False
-    #: Run the SatELite-style preprocessor (see :mod:`repro.sat.preprocess`)
-    #: over every formula before solving.  Selector and placement variables
-    #: are frozen so assumption-based attempt retirement and model decoding
-    #: stay sound; every model is reconstructed before decoding.
-    preprocess: bool = False
-    #: Keep one persistent backend per mapping run and drive the iterative
-    #: loop through assumption-guarded constraint groups.  ``False`` restores
-    #: a fresh solver per (II, slack) attempt (retry rounds within an attempt
-    #: are still incremental — the solver is never rebuilt mid-attempt).
-    incremental: bool = True
     max_iteration_span: int | None = None
     enforce_output_register: bool = False
     symmetry_breaking: bool = True
@@ -215,18 +202,11 @@ class IIAttempt:
     #: retry rounds never re-emit the base encoding (asserted in tests).
     retry_clauses_added: int = 0
     #: Learned clauses alive in the persistent backend when this attempt
-    #: started — inference carried over from earlier attempts (0 in
-    #: non-incremental mode and for the first attempt).
+    #: started — inference carried over from earlier attempts (0 for the
+    #: first attempt).
     learned_carried_in: int = 0
-    #: Assumption literal guarding this attempt's constraint group (``None``
-    #: in non-incremental mode).
+    #: Assumption literal guarding this attempt's constraint group.
     selector: int | None = None
-    #: Preprocessing yield for this attempt's formula (zero when the
-    #: preprocessor is off): net clause/variable reduction and the wall-clock
-    #: time the pipeline spent earning it.
-    pre_clauses_removed: int = 0
-    pre_vars_eliminated: int = 0
-    preprocess_time: float = 0.0
     #: Solver-core counters summed over this attempt's solve calls:
     #: propagations, implications served by the binary/ternary implication
     #: lists, and watch entries dismissed by their blocker literal.
@@ -332,21 +312,6 @@ class MappingOutcome:
         return sum(attempt.learned_carried_in for attempt in self.attempts)
 
     @property
-    def pre_clauses_removed(self) -> int:
-        """Clauses the preprocessor removed, summed over attempts."""
-        return sum(attempt.pre_clauses_removed for attempt in self.attempts)
-
-    @property
-    def pre_vars_eliminated(self) -> int:
-        """Variables the preprocessor removed, summed over attempts."""
-        return sum(attempt.pre_vars_eliminated for attempt in self.attempts)
-
-    @property
-    def preprocess_time(self) -> float:
-        """Wall-clock seconds spent inside the preprocessor, summed."""
-        return sum(attempt.preprocess_time for attempt in self.attempts)
-
-    @property
     def binary_propagations(self) -> int:
         """Implications served by the implication lists, summed."""
         return sum(attempt.binary_propagations for attempt in self.attempts)
@@ -429,32 +394,13 @@ class SatMapItMapper:
         start = time.perf_counter()
         mii = effective_minimum_ii(dfg, cgra)
         first_ii = max(start_ii or mii, 1)
-        backend_name = config.backend
-        from repro.sat.external import is_external_backend
-
-        if is_external_backend(backend_name):
-            # External engines are one-shot subprocesses steered by unit
-            # cubes; the non-incremental path and the preprocessor both
-            # assume an in-process solver.
-            if not config.incremental:
-                raise MappingError(
-                    f"backend {backend_name!r} requires incremental mode"
-                )
-            if config.preprocess:
-                raise MappingError(
-                    f"backend {backend_name!r} does not compose with the "
-                    "preprocessor (the simplifier rewrites the formula the "
-                    "export and any proof must refer to)"
-                )
-        elif config.preprocess and not backend_name.endswith("+preprocess"):
-            backend_name = f"{backend_name}+preprocess"
         strategy = create_strategy(config.search)
         outcome = MappingOutcome(
             success=False,
             dfg_name=dfg.name,
             cgra_name=cgra.name,
             minimum_ii=mii,
-            backend_name=backend_name,
+            backend_name=config.backend,
             search_strategy=strategy.name,
         )
 
@@ -557,7 +503,7 @@ class SatMapItMapper:
         ii: int,
         outcome: MappingOutcome,
         start: float,
-        backend: SolverBackend | None = None,
+        backend: SolverBackend,
     ) -> tuple[Mapping, RegisterAllocation | None] | None:
         """Attempt one II, trying increasing schedule slack before giving up."""
         config = self.config
@@ -586,7 +532,12 @@ class SatMapItMapper:
             kms = KernelMobilitySchedule.build(mobility, ii)
 
             def encode_group(amo: AMOEncoding):
-                """Encode this attempt's constraint group (one per phase)."""
+                """Encode this attempt's constraint group (one per phase).
+
+                The group is emitted into the persistent backend, guarded by
+                a fresh selector literal that is assumed on every solve call
+                and negated at retirement.
+                """
                 encoder_config = EncoderConfig(
                     amo_encoding=amo,
                     max_iteration_span=config.max_iteration_span,
@@ -594,26 +545,11 @@ class SatMapItMapper:
                     symmetry_breaking=config.symmetry_breaking,
                     placement_domains=config.placement_domains,
                 )
-                if backend is not None:
-                    # Incremental path: emit into the persistent backend,
-                    # guarded by a fresh selector literal.  The selector is
-                    # assumed on every solve call and negated at retirement;
-                    # a simplifying backend must never touch it.
-                    group_selector = backend.new_var()
-                    backend.freeze([group_selector])
-                    encoder = MappingEncoder(
-                        dfg, cgra, kms, encoder_config,
-                        sink=backend, selector=group_selector,
-                    )
-                else:
-                    group_selector = None
-                    encoder = MappingEncoder(dfg, cgra, kms, encoder_config)
-                group_encoding = encoder.encode()
-                if backend is not None:
-                    # Placement literals are decoded from models and re-appear
-                    # in register-allocation blocking clauses and retirement
-                    # units — they must survive preprocessing verbatim.
-                    backend.freeze(group_encoding.variables.values())
+                group_selector = backend.new_var()
+                group_encoding = MappingEncoder(
+                    dfg, cgra, kms, encoder_config,
+                    sink=backend, selector=group_selector,
+                ).encode()
                 attempt.num_variables = group_encoding.stats.num_variables
                 attempt.num_clauses = group_encoding.stats.num_clauses
                 attempt.emission_batches += group_encoding.stats.num_batches
@@ -627,26 +563,20 @@ class SatMapItMapper:
             # pay the quadratic pairwise emission (where its propagation
             # advantage dwarfs the encode cost).
             probe_budget = config.amo_probe_conflicts
-            # Probing applies on both solving paths (so incremental and
-            # one-shot runs walk comparable trajectories); the one-shot
-            # preprocessing path is excluded — it would pay the simplifier
-            # twice.
             probing = (
                 config.amo_encoding is AMOEncoding.AUTO
                 and probe_budget is not None
                 and (conflict_limit is None or conflict_limit > probe_budget)
-                and not (backend is None and config.preprocess)
                 # Escalation keys on the probe's *conflict count* reaching
                 # the budget; engines that cannot report conflicts (external
                 # subprocesses, the DPLL oracle) would make every hard probe
                 # look inconclusive-for-free, so they skip probing entirely.
-                and (backend is None or getattr(backend, "instrumented", True))
+                and getattr(backend, "instrumented", True)
             )
             first_amo = AMOEncoding.SEQUENTIAL if probing else config.amo_encoding
             encoding, selector = encode_group(first_amo)
             attempt.selector = selector
-            if backend is not None:
-                attempt.learned_carried_in = backend.stats.learned_in_db
+            attempt.learned_carried_in = backend.stats.learned_in_db
             attempt.encode_time = time.perf_counter() - encode_start
 
             time_limit = self._remaining_time(start)
@@ -663,40 +593,20 @@ class SatMapItMapper:
             # for a structurally different mapping at the same II.  Retry
             # rounds never rebuild the solver or re-emit the base encoding —
             # they add exactly one blocking clause and re-solve.
-            fresh_solver: CDCLSolver | None = None
             retry_baseline: int | None = None
-            reconstructor: Reconstructor | None = None
-            pre_stats = getattr(backend, "preprocess_stats", None)
-            pre_base = (
-                (pre_stats.clauses_removed, pre_stats.variables_removed,
-                 pre_stats.preprocess_time)
-                if pre_stats is not None
-                else (0, 0, 0.0)
-            )
             # The mapper only ever decodes placement literals, so every SAT
             # model is projected onto them instead of materialising the full
             # ``{var: bool}`` dict over the persistent solver's whole
-            # (attempt-accumulating) variable universe.  The one-shot
-            # preprocessing path is the exception: model reconstruction
-            # needs the full simplified-formula model first.
+            # (attempt-accumulating) variable universe.
             placement_vars = list(encoding.variables.values())
             pending_result = None
             if probing:
-                if backend is not None:
-                    probe_result = backend.solve(
-                        assumptions=[selector],
-                        conflict_limit=probe_budget,
-                        time_limit=time_limit,
-                        model_vars=placement_vars,
-                    )
-                else:
-                    fresh_solver = make_solver(random_seed=config.random_seed)
-                    probe_result = fresh_solver.solve(
-                        encoding.cnf,
-                        conflict_limit=probe_budget,
-                        time_limit=time_limit,
-                        model_vars=placement_vars,
-                    )
+                probe_result = backend.solve(
+                    assumptions=[selector],
+                    conflict_limit=probe_budget,
+                    time_limit=time_limit,
+                    model_vars=placement_vars,
+                )
                 attempt.record_solve(probe_result.stats)
                 if (
                     probe_result.status == "UNKNOWN"
@@ -706,10 +616,7 @@ class SatMapItMapper:
                     # Too hard for the probe (the *conflict* budget ran out,
                     # not the clock): drop the sequential group and
                     # re-encode the same attempt pairwise-optimised.
-                    if backend is not None:
-                        self._retire_group(backend, selector)
-                    else:
-                        fresh_solver = None
+                    self._retire_group(backend, selector)
                     attempt.escalated = True
                     self._log(f"II={ii} slack={slack}: escalating to "
                               f"pairwise AMO after {probe_budget} conflicts")
@@ -736,63 +643,21 @@ class SatMapItMapper:
                     # feeds the round below as-is.
                     pending_result = probe_result
             for regalloc_round in range(config.regalloc_retries + 1):
-                consumed_probe = False
                 if pending_result is not None:
                     # The probe's conclusive answer; stats already recorded.
                     result, pending_result = pending_result, None
-                    consumed_probe = True
-                elif backend is not None:
+                else:
                     result = backend.solve(
                         assumptions=[selector],
                         conflict_limit=conflict_limit,
                         time_limit=time_limit,
                         model_vars=placement_vars,
                     )
-                elif fresh_solver is None:
-                    fresh_solver = make_solver(random_seed=config.random_seed)
-                    attempt_cnf = encoding.cnf
-                    if config.preprocess:
-                        # One-shot path: simplify the standalone formula with
-                        # the placement literals frozen (decode and blocking
-                        # clauses reference them after simplification).
-                        attempt_cnf, reconstructor, pstats = simplify(
-                            attempt_cnf, frozen=encoding.variables.values()
-                        )
-                        attempt.pre_clauses_removed = pstats.clauses_removed
-                        attempt.pre_vars_eliminated = pstats.variables_removed
-                        attempt.preprocess_time = pstats.preprocess_time
-                    result = fresh_solver.solve(
-                        attempt_cnf,
-                        conflict_limit=conflict_limit,
-                        time_limit=time_limit,
-                        model_vars=None if reconstructor is not None else placement_vars,
-                    )
-                else:
-                    result = fresh_solver.solve(
-                        conflict_limit=conflict_limit,
-                        time_limit=time_limit,
-                        model_vars=None if reconstructor is not None else placement_vars,
-                    )
-                if not consumed_probe:
                     attempt.record_solve(result.stats)
-                if pre_stats is not None:
-                    # The wrapper flushed (and simplified) the pending
-                    # clauses inside solve (probe included); attribute the
-                    # absolute delta so even a successful early return
-                    # carries the stats.
-                    attempt.pre_clauses_removed = (
-                        pre_stats.clauses_removed - pre_base[0]
-                    )
-                    attempt.pre_vars_eliminated = (
-                        pre_stats.variables_removed - pre_base[1]
-                    )
-                    attempt.preprocess_time = (
-                        pre_stats.preprocess_time - pre_base[2]
-                    )
                 if retry_baseline is None:
                     # Sink clause count after the first solve: everything
                     # added past this point is retry work.
-                    retry_baseline = self._sink_clause_count(backend, fresh_solver)
+                    retry_baseline = backend.stats.clauses_added
 
                 if result.status == "UNKNOWN":
                     attempt.status = "UNKNOWN"
@@ -804,21 +669,15 @@ class SatMapItMapper:
                     break
                 if result.is_unsat:
                     attempt.status = "UNSAT"
-                    self._record_proof(attempt, outcome, backend, fresh_solver)
+                    self._record_proof(attempt, outcome, backend)
                     self._log(f"II={ii} slack={slack}: UNSAT "
                               f"({attempt.num_clauses} clauses)")
                     break
 
                 attempt.status = "SAT"
                 assert result.model is not None
-                model = result.model
-                if reconstructor is not None:
-                    # Reinstate preprocessor-eliminated variables so the
-                    # model satisfies the original, unsimplified formula.
-                    # (The incremental wrapper reconstructs internally.)
-                    model = reconstructor.extend(model)
                 mapping = self._build_mapping(
-                    dfg, cgra, ii, encoding.decode(model)
+                    dfg, cgra, ii, encoding.decode(result.model)
                 )
                 violations = mapping.violations(
                     check_overwrite=config.enforce_output_register
@@ -842,12 +701,10 @@ class SatMapItMapper:
                           f"({allocation.failure_reason})")
                 if regalloc_round < config.regalloc_retries:
                     attempt.blocking_clauses += self._block_overloaded_pe(
-                        encoding, mapping, allocation,
-                        backend if backend is not None else fresh_solver,
+                        encoding, mapping, allocation, backend
                     )
                     attempt.retry_clauses_added = (
-                        self._sink_clause_count(backend, fresh_solver)
-                        - retry_baseline
+                        backend.stats.clauses_added - retry_baseline
                     )
             # Retire the attempt's constraint group: one root-level unit lets
             # the solver satisfy (and effectively ignore) every guarded
@@ -855,8 +712,7 @@ class SatMapItMapper:
             # variables are don't-cares from here on (every clause over them
             # is guarded by the now-false selector), so pin them false too —
             # otherwise every later solve would re-branch over them.
-            if backend is not None:
-                self._retire_group(backend, selector)
+            self._retire_group(backend, selector)
             # Try the next slack level / II.
         return None
 
@@ -868,32 +724,17 @@ class SatMapItMapper:
         every guarded clause) plus a pin for each of the group's variables
         (don't-cares from here on — without the pins every later solve
         would re-branch over them), propagated in a single root sweep.
-        Variables the preprocessor already eliminated are gone from the
-        solver (and unit-pinning them would be an unsound reference to an
-        eliminated variable).
         """
         last_var = backend.num_vars
-        retired = backend.retired_vars
         backend.add_clauses(
             chain(
                 ([-selector],),
-                (
-                    [-dead_var]
-                    for dead_var in range(selector + 1, last_var + 1)
-                    if dead_var not in retired
-                ),
+                ([-dead_var] for dead_var in range(selector + 1, last_var + 1)),
             )
         )
 
     @staticmethod
-    def _sink_clause_count(backend: SolverBackend | None, fresh_solver) -> int:
-        """Lifetime clause submissions of whichever sink serves the attempt."""
-        if backend is not None:
-            return backend.stats.clauses_added
-        return fresh_solver.clauses_added if fresh_solver is not None else 0
-
-    @staticmethod
-    def _record_proof(attempt, outcome, backend, fresh_solver) -> None:
+    def _record_proof(attempt, outcome, backend: SolverBackend) -> None:
         """Attach the backing DRAT evidence to an UNSAT attempt.
 
         Backends that log proofs expose ``proof_digest()`` (the internal
@@ -901,27 +742,28 @@ class SatMapItMapper:
         last emitted trace); attempts and the outcome record digest and
         path so cached lower bounds stay independently checkable.
         """
-        source = backend if backend is not None else fresh_solver
-        digest_fn = getattr(source, "proof_digest", None)
+        digest_fn = getattr(backend, "proof_digest", None)
         if digest_fn is None:
             return
         digest = digest_fn()
         if digest:
             attempt.proof_digest = digest
-        path = getattr(source, "last_proof_path", None) or getattr(
-            source, "proof_path", None
+        path = getattr(backend, "last_proof_path", None) or getattr(
+            backend, "proof_path", None
         )
         if path:
             outcome.proof_path = str(path)
 
     @staticmethod
-    def _block_overloaded_pe(encoding, mapping: Mapping, allocation, sink) -> int:
+    def _block_overloaded_pe(
+        encoding, mapping: Mapping, allocation, backend: SolverBackend
+    ) -> int:
         """Forbid the placement combination that overloaded a register file.
 
-        Adds one clause to ``sink`` (the live backend or the attempt's
-        solver) saying "not all of these nodes on this PE at these cycles
-        again"; the next solve call must produce a mapping that differs on
-        the overloaded PE.  Returns the number of clauses added.
+        Adds one clause to ``backend`` saying "not all of these nodes on this
+        PE at these cycles again"; the next solve call must produce a mapping
+        that differs on the overloaded PE.  Returns the number of clauses
+        added.
         """
         failed_pe = allocation.failed_pe
         literals: list[int] = []
@@ -934,12 +776,11 @@ class SatMapItMapper:
                 literals.append(-var)
         if not literals:
             return 0
-        if encoding.selector is not None:
-            # Guard the blocking clause with the attempt's selector so it is
-            # retired together with the rest of the constraint group (tail
-            # position keeps the watched literals the same as unguarded).
-            literals = literals + [-encoding.selector]
-        sink.add_clause(literals)
+        # Guard the blocking clause with the attempt's selector so it is
+        # retired together with the rest of the constraint group (tail
+        # position keeps the watched literals the same as unguarded).
+        literals.append(-encoding.selector)
+        backend.add_clause(literals)
         return 1
 
     # ------------------------------------------------------------------

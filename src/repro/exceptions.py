@@ -27,11 +27,6 @@ class EncodingError(ReproError):
     """Raised when the CNF encoding of a mapping problem is inconsistent."""
 
 
-class PreprocessError(ReproError):
-    """Raised when CNF preprocessing is used unsoundly (e.g. a clause added
-    after simplification references an eliminated variable)."""
-
-
 class RegisterAllocationError(ReproError):
     """Raised when register allocation fails irrecoverably."""
 

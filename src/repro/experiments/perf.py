@@ -212,7 +212,7 @@ def _case_config(case: BenchCase, dfg, cgra: CGRA) -> tuple[MapperConfig, int | 
         # included), so the measurement is end-to-end honest on both sides
         # of a baseline comparison.
         mii = effective_minimum_ii(dfg, cgra)
-        options = dict(
+        config = MapperConfig(
             timeout=case.timeout,
             max_ii=mii,
             max_extra_slack=0,
@@ -220,32 +220,22 @@ def _case_config(case: BenchCase, dfg, cgra: CGRA) -> tuple[MapperConfig, int | 
             solver_conflict_limit=case.conflict_limit,
             run_register_allocation=False,
             random_seed=BENCH_SEED,
-        )
-        if "amo_probe_conflicts" in MapperConfig.__dataclass_fields__:
             # Probing would spend part of the fixed conflict budget in the
             # sequential phase; the throughput probes measure the escalated
-            # (pairwise-optimised) regime directly.  The guard keeps the
-            # harness runnable against historical trees without the knob.
-            options["amo_probe_conflicts"] = None
-        config = MapperConfig(**options)
+            # (pairwise-optimised) regime directly.
+            amo_probe_conflicts=None,
+        )
         return config, mii
-    options = dict(
+    config = MapperConfig(
         timeout=case.timeout,
         backend=case.backend,
         slack_conflict_limit=None,
         run_register_allocation=False,
         random_seed=BENCH_SEED,
+        search=case.search,
+        search_jobs=case.jobs,
+        seed_heuristic=case.seeded,
     )
-    if "search" in MapperConfig.__dataclass_fields__:
-        # Strategy cases need the search layer; the guard keeps the harness
-        # runnable against historical trees that predate it.
-        options["search"] = case.search
-        options["search_jobs"] = case.jobs
-    if case.seeded and "seed_heuristic" in MapperConfig.__dataclass_fields__:
-        # Same guard: seeded twins degrade to plain runs on trees without
-        # the seeding layer rather than crashing the harness.
-        options["seed_heuristic"] = True
-    config = MapperConfig(**options)
     return config, None
 
 

@@ -20,7 +20,6 @@ from repro.experiments.tables import (
     headline_winrate,
     mapping_time_rows,
     never_worse,
-    preprocess_rows,
     scenario_rows,
 )
 
@@ -186,43 +185,6 @@ def seed_totals(sweep: SweepResult) -> tuple[int, int, int, float, int]:
     return seeded, found, used, seconds, consults
 
 
-def preprocess_totals(sweep: SweepResult) -> tuple[int, int, float]:
-    """Aggregate CNF-preprocessing yield over the SAT-MapIt runs of a sweep.
-
-    Returns ``(clauses_removed, vars_eliminated, preprocess_time)`` summed
-    over every record (all zero when the preprocessor was off).
-    """
-    records = [entry for entry in sweep.records if entry.mapper == SAT_MAPIT]
-    clauses = sum(entry.pre_clauses_removed for entry in records)
-    variables = sum(entry.pre_vars_eliminated for entry in records)
-    seconds = sum(entry.preprocess_time for entry in records)
-    return clauses, variables, seconds
-
-
-def _markdown_preprocess(sweep: SweepResult, size: int) -> list[str]:
-    lines = [
-        f"### Preprocessing ablation — SAT-MapIt on the {size}x{size} CGRA",
-        "",
-        "SatELite-style simplification (unit propagation, pure literals,"
-        " subsumption, self-subsuming resolution, bounded variable"
-        " elimination) applied before every solve; models are reconstructed"
-        " before decoding.",
-        "",
-        "| benchmark | II | clauses removed | vars eliminated | simplify (s) |"
-        " mapping (s) |",
-        "|---|---|---|---|---|---|",
-    ]
-    for row in preprocess_rows(sweep, size):
-        ii = row.ii if row.ii is not None else f"✗ ({row.status})"
-        lines.append(
-            f"| {row.kernel} | {ii} | {row.clauses_removed} | "
-            f"{row.vars_eliminated} | {row.preprocess_time:.3f} | "
-            f"{row.mapping_time:.2f} |"
-        )
-    lines.append("")
-    return lines
-
-
 def render_markdown_report(sweep: SweepResult, options: ReportOptions | None = None) -> str:
     """Render the full Markdown report for one sweep."""
     options = options or ReportOptions()
@@ -230,7 +192,6 @@ def render_markdown_report(sweep: SweepResult, options: ReportOptions | None = N
     wins, total, fraction = headline_winrate(sweep)
     resolves, carried = solver_reuse_totals(sweep)
     bin_props, blocker_skips, arena_bytes, batches, dups = flat_core_totals(sweep)
-    pre_clauses, pre_vars, pre_seconds = preprocess_totals(sweep)
     strategies, cache_hits, cache_misses, launched, cancelled = (
         search_cache_totals(sweep)
     )
@@ -248,7 +209,6 @@ def render_markdown_report(sweep: SweepResult, options: ReportOptions | None = N
             f"* registers per PE: {config.registers_per_pe}, 4-neighbour mesh",
             f"* architecture scenarios: "
             f"{', '.join(config.scenarios or (HOMOGENEOUS,))}",
-            f"* CNF preprocessing: {'on' if config.preprocess else 'off'}",
             f"* II search strategy: {config.search}"
             + (f" ({config.search_jobs} workers)"
                if config.search == "portfolio" else ""),
@@ -346,17 +306,6 @@ def render_markdown_report(sweep: SweepResult, options: ReportOptions | None = N
                 "",
             ]
         )
-    if config.preprocess or pre_clauses or pre_vars:
-        lines.extend(
-            [
-                "## CNF preprocessing (SatELite-style pipeline)",
-                "",
-                f"* clauses removed before solving: **{pre_clauses}**",
-                f"* variables eliminated or fixed: **{pre_vars}**",
-                f"* time spent simplifying: **{pre_seconds:.2f} s**",
-                "",
-            ]
-        )
     for size in config.sizes:
         lines.extend(_markdown_figure6(sweep, size))
     if options.timings:
@@ -366,9 +315,6 @@ def render_markdown_report(sweep: SweepResult, options: ReportOptions | None = N
     if len(config.scenarios or ()) > 1:
         for size in config.sizes:
             lines.extend(_markdown_scenarios(sweep, size))
-    if config.preprocess:
-        for size in config.sizes:
-            lines.extend(_markdown_preprocess(sweep, size))
     return "\n".join(lines) + "\n"
 
 

@@ -83,10 +83,6 @@ class ExperimentConfig:
     backend: str = "cdcl"
     #: At-most-one encoding used by the SAT-MapIt CNF construction.
     amo_encoding: AMOEncoding = AMOEncoding.AUTO
-    #: Run the SatELite-style CNF preprocessor before every SAT-MapIt solve
-    #: (see :mod:`repro.sat.preprocess`); the ablation tables report the
-    #: clause/variable reduction it buys per run.
-    preprocess: bool = False
     #: Random seed forwarded to the SAT-MapIt solver configuration.
     seed: int | None = None
     #: Architecture scenarios to sweep.  ``"homogeneous"`` is the paper's
@@ -147,12 +143,6 @@ class RunRecord:
     #: carried across (II, slack) attempt boundaries.
     incremental_resolves: int = 0
     learned_carried: int = 0
-    #: CNF-preprocessing metrics (SAT-MapIt with ``preprocess=True`` only):
-    #: net clauses/variables the simplifier removed across all attempts, and
-    #: the wall-clock seconds it spent doing so.
-    pre_clauses_removed: int = 0
-    pre_vars_eliminated: int = 0
-    preprocess_time: float = 0.0
     #: Flat-core solver counters (SAT-MapIt only): implications served by
     #: the binary/ternary implication lists, watch entries dismissed by
     #: their blocker literal, and the peak flat clause-store footprint.
@@ -259,7 +249,6 @@ def build_mapper(name: str, config: ExperimentConfig, seed: int | None = None):
                 attempt_time_limit=max(5.0, config.timeout / 5.0),
                 backend=config.backend,
                 amo_encoding=config.amo_encoding,
-                preprocess=config.preprocess,
                 random_seed=config.seed,
                 search=config.search,
                 search_jobs=config.search_jobs,
@@ -316,9 +305,6 @@ def run_single(
         scenario=scenario,
         incremental_resolves=outcome.incremental_resolves,
         learned_carried=outcome.learned_carried,
-        pre_clauses_removed=outcome.pre_clauses_removed,
-        pre_vars_eliminated=outcome.pre_vars_eliminated,
-        preprocess_time=outcome.preprocess_time,
         binary_propagations=getattr(outcome, "binary_propagations", 0),
         blocker_skips=getattr(outcome, "blocker_skips", 0),
         arena_bytes=getattr(outcome, "arena_bytes", 0),

@@ -173,50 +173,6 @@ class ScenarioRow:
         return others[0] - base
 
 
-@dataclass(frozen=True)
-class PreprocessRow:
-    """SAT-MapIt preprocessing yield for one kernel on one mesh size."""
-
-    kernel: str
-    size: int
-    ii: int | None
-    status: str
-    clauses_removed: int
-    vars_eliminated: int
-    preprocess_time: float
-    mapping_time: float
-
-    @property
-    def solve_time_share(self) -> float:
-        """Fraction of the mapping time spent inside the preprocessor."""
-        if self.mapping_time <= 0.0:
-            return 0.0
-        return self.preprocess_time / self.mapping_time
-
-
-def preprocess_rows(sweep: SweepResult, size: int) -> list[PreprocessRow]:
-    """The preprocessing-ablation rows for one mesh size (SAT-MapIt only)."""
-    scenario = _base_scenario(sweep)
-    rows: list[PreprocessRow] = []
-    for kernel in sweep.config.kernels:
-        entry = sweep.record(kernel, size, SAT_MAPIT, scenario)
-        if entry is None:
-            continue
-        rows.append(
-            PreprocessRow(
-                kernel=kernel,
-                size=size,
-                ii=entry.ii,
-                status=entry.status,
-                clauses_removed=entry.pre_clauses_removed,
-                vars_eliminated=entry.pre_vars_eliminated,
-                preprocess_time=entry.preprocess_time,
-                mapping_time=entry.mapping_time,
-            )
-        )
-    return rows
-
-
 def scenario_rows(sweep: SweepResult, size: int) -> list[ScenarioRow]:
     """SAT-MapIt II per kernel and scenario for one mesh size."""
     scenarios = sweep.config.scenarios or (HOMOGENEOUS,)
@@ -312,28 +268,6 @@ def render_scenario_comparison(sweep: SweepResult, size: int) -> str:
     lines.append(
         "legend: ΔII = first heterogeneous scenario minus homogeneous "
         "(capability cost)"
-    )
-    return "\n".join(lines)
-
-
-def render_preprocess_table(sweep: SweepResult, size: int) -> str:
-    """Preprocessing ablation — what the SatELite pipeline removed per run."""
-    rows = preprocess_rows(sweep, size)
-    lines = [
-        f"Preprocessing ablation — SAT-MapIt on a {size}x{size} CGRA",
-        f"{'benchmark':13s} {'II':>4s} {'clauses-':>9s} {'vars-':>7s} "
-        f"{'simplify(s)':>12s} {'map(s)':>9s} {'share':>7s}",
-    ]
-    for row in rows:
-        ii_cell = _ii_cell(row.ii, row.status)
-        lines.append(
-            f"{row.kernel:13s} {ii_cell:>4s} {row.clauses_removed:9d} "
-            f"{row.vars_eliminated:7d} {row.preprocess_time:12.3f} "
-            f"{row.mapping_time:9.2f} {row.solve_time_share:6.1%}"
-        )
-    lines.append(
-        "legend: clauses-/vars- = net CNF reduction, share = simplify time / "
-        "total mapping time"
     )
     return "\n".join(lines)
 

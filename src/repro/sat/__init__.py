@@ -12,12 +12,8 @@ This package is a self-contained SAT toolkit used by the SAT-MapIt core:
   deletion; the clause database persists across ``solve`` calls) used for
   production mapping runs.
 * :mod:`repro.sat.backend` — the pluggable :class:`SolverBackend` protocol
-  plus the ``cdcl``/``dpll`` registry the mapper selects engines from.
-* :mod:`repro.sat.preprocess` — SatELite-style simplification (unit
-  propagation, pure literals, subsumption, self-subsuming resolution,
-  bounded variable elimination) with model reconstruction, available both as
-  a one-shot :func:`simplify` and as the :class:`PreprocessingBackend`
-  registry entries ``cdcl+preprocess`` / ``dpll+preprocess``.
+  plus the ``cdcl``/``dpll`` registry the mapper selects engines from; the
+  mapper drives every solve of a run through one persistent backend.
 * :mod:`repro.sat.dimacs` — named DIMACS export/import (``c varmap``
   comments + sidecar JSON) so encoded attempts round-trip through external
   solvers without losing model projection.
@@ -58,14 +54,6 @@ from repro.sat.encodings import (
     at_most_one,
     exactly_one,
 )
-from repro.sat.preprocess import (
-    PreprocessConfig,
-    PreprocessingBackend,
-    PreprocessStats,
-    Reconstructor,
-    SimplifyResult,
-    simplify,
-)
 from repro.sat.solver import CDCLSolver, SolverResult, SolverStats
 
 __all__ = [
@@ -96,10 +84,4 @@ __all__ = [
     "create_backend",
     "register_backend",
     "validate_backend",
-    "PreprocessConfig",
-    "PreprocessingBackend",
-    "PreprocessStats",
-    "Reconstructor",
-    "SimplifyResult",
-    "simplify",
 ]

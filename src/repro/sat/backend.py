@@ -89,13 +89,6 @@ class SolverBackend(Protocol):
     clause set under the given assumption literals.  The variable/clause
     interface is deliberately identical to :class:`repro.sat.cnf.CNF` so the
     mapping encoder can emit straight into a live backend.
-
-    ``freeze`` / ``retired_vars`` exist for engines that *simplify* the
-    formula (``repro.sat.preprocess.PreprocessingBackend``): callers freeze
-    variables they will reference after future solve calls, and
-    ``retired_vars`` names variables the engine has eliminated.  Engines
-    that never rewrite the formula implement them as no-ops, so the mapper
-    can honour the contract without caring which engine it drives.
     """
 
     name: str
@@ -125,15 +118,6 @@ class SolverBackend(Protocol):
         guard: int | None = None,
     ) -> None:
         """Bulk clause ingestion; see :meth:`CDCLBackend.add_clauses`."""
-        ...
-
-    def freeze(self, variables: Iterable[int]) -> None:
-        """Protect variables from elimination by simplifying engines."""
-        ...
-
-    @property
-    def retired_vars(self) -> frozenset[int]:
-        """Variables the engine has eliminated from the formula."""
         ...
 
     def solve(
@@ -207,14 +191,6 @@ class CDCLBackend:
         before = self._solver.clauses_added
         self._solver.add_clauses(clauses, trusted=trusted, guard=guard)
         self.stats.clauses_added += self._solver.clauses_added - before
-
-    def freeze(self, variables: Iterable[int]) -> None:
-        """No-op: this engine never eliminates variables."""
-
-    @property
-    def retired_vars(self) -> frozenset[int]:
-        """Always empty: this engine never eliminates variables."""
-        return frozenset()
 
     def solve(
         self,
@@ -298,14 +274,6 @@ class DPLLBackend:
         """
         for clause in clauses:
             self.add_clause(clause)
-
-    def freeze(self, variables: Iterable[int]) -> None:
-        """No-op: this engine never eliminates variables."""
-
-    @property
-    def retired_vars(self) -> frozenset[int]:
-        """Always empty: this engine never eliminates variables."""
-        return frozenset()
 
     def solve(
         self,

@@ -294,14 +294,6 @@ class SubprocessBackend:
         for clause in clauses:
             self.add_clause(clause)
 
-    def freeze(self, variables: Iterable[int]) -> None:
-        """No-op: the formula is exported verbatim, never simplified."""
-
-    @property
-    def retired_vars(self) -> frozenset[int]:
-        """Always empty: the export layer never eliminates variables."""
-        return frozenset()
-
     def proof_digest(self) -> str | None:
         """SHA-256 digest of the most recent UNSAT proof, if any."""
         return self._last_proof_digest

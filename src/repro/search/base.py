@@ -81,14 +81,12 @@ class SearchContext:
     def max_ii(self) -> int:
         return self.config.max_ii
 
-    def make_backend(self) -> "SolverBackend | None":
-        """A fresh persistent backend (``None`` in non-incremental mode)."""
+    def make_backend(self) -> "SolverBackend":
+        """A fresh persistent backend for the run's configured engine."""
         from repro.sat.backend import create_backend
         from repro.sat.external import is_external_backend
 
         config = self.config
-        if not config.incremental:
-            return None
         name = self.outcome.backend_name
         kwargs: dict[str, object] = {"random_seed": config.random_seed}
         if is_external_backend(name):
@@ -122,9 +120,7 @@ class SearchContext:
             kwargs["proof_path"] = path
         return create_backend(name, **kwargs)
 
-    def attempt(
-        self, ii: int, backend: "SolverBackend | None"
-    ) -> SearchResult | None:
+    def attempt(self, ii: int, backend: "SolverBackend") -> SearchResult | None:
         """Attempt one II (all slack levels) through the mapper's machinery.
 
         Every (II, slack) attempt is appended to the run's outcome; a

@@ -21,7 +21,7 @@ only IIs already attempted.  On decisive runs (the perf suite, the CI
 equivalence gate) that fallback never triggers and the answer is identical
 to the ladder's.
 
-One persistent backend serves all probes in incremental mode: attempts are
+One persistent backend serves all probes: attempts are
 selector-guarded constraint groups, so probing out of ladder order is sound
 (retiring a group is an assumption flip, independent of II ordering).
 

@@ -99,8 +99,6 @@ SEMANTIC_CONFIG_FIELDS: tuple[str, ...] = (
     "amo_encoding",
     "amo_probe_conflicts",
     "backend",
-    "preprocess",
-    "incremental",
     "max_iteration_span",
     "enforce_output_register",
     "symmetry_breaking",

@@ -1,11 +1,11 @@
 """The paper's sequential II ladder (the default strategy).
 
 Climb from the minimum II one step at a time until an attempt succeeds or a
-bound is hit.  One persistent backend serves the whole climb (in incremental
-mode), so learned clauses, activities and phases carry across II bumps —
-this is behaviour-identical to the loop :meth:`SatMapItMapper.map` ran
-inline before the search layer was factored out, and the test-suite uses it
-as the semantic reference for every other strategy.
+bound is hit.  One persistent backend serves the whole climb, so learned
+clauses, activities and phases carry across II bumps — this is
+behaviour-identical to the loop :meth:`SatMapItMapper.map` ran inline before
+the search layer was factored out, and the test-suite uses it as the
+semantic reference for every other strategy.
 """
 
 from __future__ import annotations

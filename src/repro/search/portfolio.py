@@ -8,7 +8,7 @@ are raced here:
   of II = k and the mapping work of II = k+1 overlap instead of queueing;
 * **across configurations** — each II can additionally be raced by several
   *variants* of the solver configuration (probe-free AUTO, forced pairwise
-  AMO, sequential AMO, CNF preprocessing).  Variant runtimes on a hard
+  AMO, sequential AMO, external solvers).  Variant runtimes on a hard
   instance differ by integer factors and no single variant dominates, which
   is the classic SAT-portfolio observation; the first variant to answer
   settles the II for everyone.
@@ -22,7 +22,7 @@ higher II.  A win above the frontier never returns early — minimality
 requires every II below it to be resolved first, exactly like the ladder.
 
 Soundness across variants: every variant encodes the same mapping problem
-(AMO encodings and CNF preprocessing preserve satisfiability), so a SAT
+(AMO encodings and solver engines preserve satisfiability), so a SAT
 answer from *any* variant is a valid mapping and a decisive all-UNSAT
 answer from any variant is a proof of infeasibility for the II itself.
 Inconclusive failures (conflict- or time-bounded attempts) only fail the II
@@ -71,8 +71,6 @@ PORTFOLIO_VARIANTS: dict[str, dict] = {
     # Forced sequential-counter AMO: smallest encoding, fastest to emit.
     "sequential": {"amo_encoding": AMOEncoding.SEQUENTIAL,
                    "amo_probe_conflicts": None},
-    # SatELite-style CNF simplification before solving.
-    "preprocess": {"preprocess": True},
     # External-solver lanes (see repro.sat.external): the attempt is
     # exported to DIMACS and solved by a subprocess.  They are ordinary
     # lanes to the racing/cancellation machinery and the tuner; their

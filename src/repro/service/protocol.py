@@ -97,8 +97,6 @@ _CONFIG_FIELDS: dict[str, str] = {
     "amo_encoding": "amo",
     "amo_probe_conflicts": "int?",
     "backend": "str",
-    "preprocess": "bool",
-    "incremental": "bool",
     "max_iteration_span": "int?",
     "enforce_output_register": "bool",
     "symmetry_breaking": "bool",

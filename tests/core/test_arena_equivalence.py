@@ -3,8 +3,8 @@
 The arena rewrite changed the solver's entire data layout plus the default
 at-most-one encoding; none of that may change *what* is feasible.  For a
 set of paper kernels the full mapper is run through the configurations the
-refactor touches — incremental vs one-shot solving, AUTO vs sequential vs
-pairwise AMO encodings — and every path must deliver the same II with a
+refactor touches — one persistent backend vs a fresh backend per II, AUTO
+vs sequential vs pairwise AMO encodings — and every path must deliver the same II with a
 simulator-clean mapping.
 """
 
@@ -46,10 +46,10 @@ def test_identical_ii_across_amo_encodings(kernel):
 
 
 @pytest.mark.parametrize("kernel", _KERNELS)
-def test_identical_ii_incremental_vs_one_shot(kernel):
-    """Guarded-group solving equals per-attempt fresh solving."""
-    incremental = _map(kernel, incremental=True)
-    one_shot = _map(kernel, incremental=False)
+def test_identical_ii_incremental_vs_one_shot(kernel, fresh_per_ii):
+    """Guarded-group solving equals a fresh backend per II."""
+    incremental = _map(kernel)
+    one_shot = _map(kernel, search=fresh_per_ii)
     assert incremental.success and one_shot.success
     assert incremental.ii == one_shot.ii
     for outcome in (incremental, one_shot):

@@ -138,14 +138,12 @@ class TestHeterogeneousMapping:
         with pytest.raises(MappingError, match="cannot fit"):
             SatMapItMapper(MapperConfig(timeout=10.0)).map(memory_chain(), cgra)
 
-    def test_incremental_and_fresh_agree_on_heterogeneous_ii(self):
+    def test_incremental_and_fresh_agree_on_heterogeneous_ii(self, fresh_per_ii):
         cgra = mem_edge_4x4()
         dfg = memory_chain()
-        incremental = SatMapItMapper(
-            MapperConfig(timeout=60.0, incremental=True)
-        ).map(dfg, cgra)
+        incremental = SatMapItMapper(MapperConfig(timeout=60.0)).map(dfg, cgra)
         fresh = SatMapItMapper(
-            MapperConfig(timeout=60.0, incremental=False)
+            MapperConfig(timeout=60.0, search=fresh_per_ii)
         ).map(dfg, cgra)
         assert incremental.success and fresh.success
         assert incremental.ii == fresh.ii

@@ -1,10 +1,11 @@
 """Tests for the incremental mapping loop (persistent backend, selectors).
 
 Covers the acceptance criteria of the incremental rework: the persistent
-backend finds the same final II as per-attempt fresh solving, register
-allocation retries are pure incremental re-solves (exactly one blocking
-clause, zero re-encoded base clauses), and the parallel sweep produces the
-same results as the serial one.
+backend finds the same final II as a fresh backend per II (the test-local
+``fresh-per-ii`` strategy from ``conftest.py``), register allocation
+retries are pure incremental re-solves (exactly one blocking clause, zero
+re-encoded base clauses), and the parallel sweep produces the same results
+as the serial one.
 """
 
 import pytest
@@ -19,29 +20,29 @@ from repro.kernels import get_kernel
 
 
 class TestSemanticEquivalence:
-    """Persistent-backend runs match per-attempt fresh solving."""
+    """Persistent-backend runs match fresh-backend-per-II solving."""
 
     @pytest.mark.parametrize("kernel,size", [
         ("srand", 2), ("basicmath", 2), ("stringsearch", 3), ("nw", 3),
         ("gsm", 2),
     ])
-    def test_same_final_ii_as_fresh_solving(self, kernel, size):
+    def test_same_final_ii_as_fresh_solving(self, kernel, size, fresh_per_ii):
         dfg = get_kernel(kernel)
         cgra = CGRA.square(size)
         incremental = SatMapItMapper(MapperConfig(timeout=60)).map(dfg, cgra)
         fresh = SatMapItMapper(
-            MapperConfig(timeout=60, incremental=False)
+            MapperConfig(timeout=60, search=fresh_per_ii)
         ).map(dfg, cgra)
         assert incremental.success and fresh.success
         assert incremental.ii == fresh.ii
         assert incremental.mapping.violations() == []
 
-    def test_same_attempt_statuses_on_running_example(self):
+    def test_same_attempt_statuses_on_running_example(self, fresh_per_ii):
         dfg = paper_running_example()
         cgra = CGRA.square(2)
         incremental = SatMapItMapper(MapperConfig(timeout=60)).map(dfg, cgra)
         fresh = SatMapItMapper(
-            MapperConfig(timeout=60, incremental=False)
+            MapperConfig(timeout=60, search=fresh_per_ii)
         ).map(dfg, cgra)
         assert [(a.ii, a.schedule_slack, a.status) for a in incremental.attempts] == [
             (a.ii, a.schedule_slack, a.status) for a in fresh.attempts
@@ -84,21 +85,25 @@ class TestIncrementalBookkeeping:
         assert len(outcome.attempts) >= 2
         assert outcome.learned_carried > 0
 
-    def test_fresh_mode_records_no_selectors(self):
+    def test_fresh_per_ii_reference_isolates_iis(self, fresh_per_ii):
+        """The reference strategy really isolates IIs from each other."""
         outcome = SatMapItMapper(
-            MapperConfig(timeout=60, incremental=False)
-        ).map(paper_running_example(), CGRA.square(2))
+            MapperConfig(timeout=60, search=fresh_per_ii)
+        ).map(get_kernel("bitcount"), CGRA.square(3))
         assert outcome.success
-        assert all(a.selector is None for a in outcome.attempts)
-        assert outcome.learned_carried == 0
+        assert len({a.ii for a in outcome.attempts}) >= 2
+        first_per_ii = {}
+        for attempt in outcome.attempts:
+            first_per_ii.setdefault(attempt.ii, attempt)
+        assert all(a.learned_carried_in == 0 for a in first_per_ii.values())
 
 
 class TestRegallocRetriesArePureIncremental:
     """The satellite fix: retry rounds add one blocking clause, re-encode nothing."""
 
-    @pytest.mark.parametrize("incremental", [True, False])
+    @pytest.mark.parametrize("persistent", [True, False])
     def test_forced_retries_add_one_blocking_clause_each(
-        self, monkeypatch, incremental
+        self, monkeypatch, fresh_per_ii, persistent
     ):
         real_allocate = mapper_module.allocate_registers
         rejections = 2
@@ -117,7 +122,11 @@ class TestRegallocRetriesArePureIncremental:
 
         monkeypatch.setattr(mapper_module, "allocate_registers", flaky_allocate)
         outcome = SatMapItMapper(
-            MapperConfig(timeout=60, incremental=incremental, regalloc_retries=3)
+            MapperConfig(
+                timeout=60,
+                search="ladder" if persistent else fresh_per_ii,
+                regalloc_retries=3,
+            )
         ).map(paper_running_example(), CGRA.square(2))
         assert outcome.success
         assert calls["n"] == rejections + 1

@@ -1,13 +1,11 @@
 """Differential fuzzing of the SAT stack.
 
 Seeded random CNF instances (varying variable counts, clause counts and
-clause widths) are decided three ways — plain CDCL, the reference DPLL
-oracle, and preprocessed CDCL — and every verdict must agree.  For every SAT
-answer, the model (reconstructed, for the preprocessed path) must satisfy
-the *original* clauses, which is exactly the property an unsound simplifier
-would break first.  A second family drives the incremental
-:class:`PreprocessingBackend` with clause batches and assumptions over
-frozen variables, cross-checked against DPLL on the accumulated formula.
+clause widths) are decided two ways — CDCL and the reference DPLL oracle —
+and the verdicts must agree; every SAT model must satisfy the clauses.  A
+second family drives the persistent :class:`CDCLBackend` with clause
+batches and assumptions, cross-checked against DPLL on the accumulated
+formula.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ import pytest
 from repro.sat.backend import CDCLBackend
 from repro.sat.cnf import CNF
 from repro.sat.dpll import DPLLSolver
-from repro.sat.preprocess import PreprocessingBackend, simplify
 from repro.sat.solver import CDCLSolver
 
 
@@ -62,19 +59,6 @@ def _check_instance(seed: int) -> None:
     if plain.is_sat:
         assert cnf.evaluate(plain.model), f"seed {seed}: CDCL model invalid"
 
-    simplified, reconstructor, stats = simplify(cnf)
-    preprocessed = CDCLSolver().solve(simplified)
-    assert preprocessed.status == plain.status, (
-        f"seed {seed}: preprocessed verdict {preprocessed.status} "
-        f"vs plain {plain.status} (stats: {stats})"
-    )
-    if preprocessed.is_sat:
-        model = reconstructor.extend(preprocessed.model)
-        assert cnf.evaluate(model), (
-            f"seed {seed}: reconstructed model does not satisfy the "
-            f"original clauses (stats: {stats})"
-        )
-
 
 # 200 seeded instances, split into chunks so a failure names its block and
 # the suite stays granular under -x.
@@ -86,7 +70,7 @@ def test_differential_verdicts_and_models(block):
 
 @pytest.mark.parametrize("block", range(4))
 def test_differential_incremental_backend(block):
-    """Batched clauses + assumptions through the preprocessing backend."""
+    """Batched clauses + assumptions through the persistent backend."""
     for seed in range(block * 25, (block + 1) * 25):
         rng = random.Random(90_000 + seed)
         cnf = random_cnf(rng, min_vars=5, max_vars=11)
@@ -97,15 +81,10 @@ def test_differential_incremental_backend(block):
         assume_pool = rng.sample(
             range(1, cnf.num_vars + 1), k=min(3, cnf.num_vars)
         )
-        # The soundness contract: variables referenced after the first
-        # flush (later batches, assumptions) are frozen up front.
-        frozen = {abs(lit) for clause in batches[1] for lit in clause}
-        frozen |= set(assume_pool)
 
-        backend = PreprocessingBackend(CDCLBackend())
+        backend = CDCLBackend()
         for _ in range(cnf.num_vars):
             backend.new_var()
-        backend.freeze(frozen)
 
         accumulated = CNF(num_vars=cnf.num_vars)
         for batch in batches:
@@ -130,7 +109,7 @@ def test_differential_incremental_backend(block):
                         f"seed {seed}: assumption {lit} violated"
                     )
                 assert accumulated.evaluate(model), (
-                    f"seed {seed}: reconstructed incremental model invalid"
+                    f"seed {seed}: incremental model invalid"
                 )
 
 
@@ -144,8 +123,5 @@ def test_differential_extended(block):
         plain = CDCLSolver().solve(cnf)
         oracle = _dpll_status(cnf)
         assert plain.status == oracle, seed
-        simplified, reconstructor, _stats = simplify(cnf)
-        preprocessed = CDCLSolver().solve(simplified)
-        assert preprocessed.status == plain.status, seed
-        if preprocessed.is_sat:
-            assert cnf.evaluate(reconstructor.extend(preprocessed.model)), seed
+        if plain.is_sat:
+            assert cnf.evaluate(plain.model), seed

@@ -23,7 +23,6 @@ import pytest
 
 from repro.core.mapper import MapperConfig, SatMapItMapper
 from repro.cgra.architecture import CGRA
-from repro.exceptions import MappingError
 from repro.kernels import get_kernel
 from repro.sat.backend import (
     BackendUnavailableError,
@@ -397,16 +396,6 @@ def test_mapper_ii_identical_real_solver_vs_cdcl(solver):
     external = _map_ii(solver)
     assert external.final_status == internal.final_status == "mapped"
     assert external.ii == internal.ii
-
-
-def test_mapper_rejects_external_with_preprocess():
-    with pytest.raises(MappingError, match="preprocess"):
-        _map_ii(BUNDLED_BACKEND, preprocess=True)
-
-
-def test_mapper_rejects_external_without_incremental():
-    with pytest.raises(MappingError, match="incremental"):
-        _map_ii(BUNDLED_BACKEND, incremental=False)
 
 
 def test_mapper_records_proof_digests_and_cache_entry(tmp_path):

@@ -263,8 +263,6 @@ _KERNEL_CASES = [
     ("srand", 2, {}), ("basicmath", 3, {}), ("stringsearch", 2, {}),
     ("nw", 3, {}), ("gsm", 2, {}), ("bitcount", 3, {}), ("sha", 3, {}),
     ("patricia", 2, {}), ("hotspot", 3, {}),
-    ("gsm", 2, {"incremental": False}),
-    ("stringsearch", 2, {"preprocess": True}),
 ]
 
 

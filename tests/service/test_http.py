@@ -88,6 +88,11 @@ class TestRoutes:
                     base,
                     {"kernel": "srand", "config": {"cache_dir": "/etc"}},
                 )
+                results["removed_field"] = await asyncio.to_thread(
+                    post_map,
+                    base,
+                    {"kernel": "srand", "config": {"preprocess": True}},
+                )
             finally:
                 server.close()
                 await server.wait_closed()
@@ -106,6 +111,8 @@ class TestRoutes:
         # Same one-line contract as the CLI error path.
         assert results["bad_config"][0] == 400
         assert "unknown config field" in results["bad_config"][1]["error"]
+        assert results["removed_field"][0] == 400
+        assert "unknown config field" in results["removed_field"][1]["error"]
 
     def test_oversized_body_rejected(self):
         async def scenario():

@@ -90,7 +90,14 @@ class TestConfigValidation:
         with pytest.raises(ProtocolError, match="wrong type"):
             parse({"kernel": "srand", "config": {"max_ii": "many"}})
         with pytest.raises(ProtocolError, match="wrong type"):
-            parse({"kernel": "srand", "config": {"preprocess": 1}})
+            parse({"kernel": "srand", "config": {"symmetry_breaking": 1}})
+
+    @pytest.mark.parametrize("field", ["preprocess", "incremental"])
+    def test_removed_solving_path_fields_rejected(self, field):
+        # A field the mapper no longer has must fail the request, not be
+        # silently ignored.
+        with pytest.raises(ProtocolError, match="unknown config field"):
+            parse({"kernel": "srand", "config": {field: False}})
 
     def test_amo_encoding_parsed_and_validated(self):
         request = parse(
