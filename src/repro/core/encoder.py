@@ -38,14 +38,23 @@ assumption is equivalent to the standalone formula's.
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, combinations
 
 from repro.cgra.architecture import CGRA
 from repro.core.mobility import KernelMobilitySchedule
 from repro.dfg.graph import DFG, DFGEdge
 from repro.exceptions import EncodingError
 from repro.sat.cnf import CNF
-from repro.sat.encodings import AMOEncoding, at_most_one, exactly_one
+from repro.sat.encodings import (
+    AMOEncoding,
+    at_most_one,
+    exactly_one,
+    pairwise_columns,
+    weave,
+)
 
 
 @dataclass(frozen=True)
@@ -96,47 +105,59 @@ class EncodingStats:
     #: pruned encoding is then literal-for-literal the classic one).
     num_pruned_placements: int = 0
     #: Exact duplicate clauses the constraint generators produced and the
-    #: emitter dropped at ingest (e.g. the same implication reached through
-    #: two dependency edges); surfaced originally by ``PreprocessStats``.
+    #: emitter dropped (e.g. the same implication reached through two
+    #: dependency edges, or a same-slot pair of one node emitted by both C1
+    #: and C2).
     num_duplicate_clauses: int = 0
-    #: Bulk flushes the batching emitter pushed into the sink — the whole
-    #: constraint group crosses the encoder/solver boundary in this many
-    #: calls instead of one per clause.
+    #: Flat batches the emitter pushed into the sink — the whole constraint
+    #: group crosses the encoder/solver boundary in this many calls instead
+    #: of one per clause.
     num_batches: int = 0
 
 
 class _Emitter:
-    """Batching clause sink, optionally guarding every clause with a literal.
+    """Flat-buffer clause sink for one encoding, optionally guarding clauses.
 
-    Wraps anything exposing ``new_var``/``add_clause`` (a :class:`CNF` or a
-    live solver backend).  When ``selector`` is given, every emitted clause is
-    prefixed with ``¬selector`` so the whole group hangs off one assumption
-    literal.  Exact duplicate clauses — the constraint generators can derive
-    the same implication through different edges — are dropped before they
-    reach the sink (hashed per-batch dedup on the sorted literal tuple) and
-    counted separately.  The counters feed :class:`EncodingStats` uniformly
+    Wraps anything exposing ``new_vars`` and the flat ``add_clauses`` (a
+    :class:`CNF` or a live solver backend).  Clauses accumulate in two
+    ``array('i')`` buffers — literals back to back, one length per clause —
+    which are handed to the sink's ``add_clauses`` unchanged, so the native
+    solver core reads them without a copy.  When ``selector`` is given,
+    every clause gets ``¬selector`` at its tail so the whole group hangs
+    off one assumption literal.  The tail keeps the watched literals (the
+    first two) the ones the unguarded encoding would watch, so propagation
+    inside a live attempt follows the same trajectory as a fresh solver on
+    the standalone formula.
+
+    Exact duplicate clauses are dropped, with one seen-set spanning the
+    whole encoding, but only clauses that *can* repeat another are hashed:
+    :meth:`add_lists` batches the caller marks ``may_repeat`` (dependency
+    clauses of self-loops and of edges sharing their node pair, units,
+    symmetry breaking) and the pairs of :meth:`pairwise` whose literals
+    share a twin key.
+    Blocks passed to :meth:`add_clauses` — at-least-one rows, sequential
+    chains, commander and occupancy clauses, each carrying a fresh
+    auxiliary variable or a node's whole literal set — cannot repeat and
+    are never hashed.  The counters feed :class:`EncodingStats` uniformly
     in both modes.
 
-    Emission is *batched*: clauses accumulate in a buffer that is flushed
-    through the sink's bulk ``add_clauses`` entry point (falling back to
-    per-clause ``add_clause`` for plain sinks), so a full constraint group
-    costs a handful of Python call boundaries instead of three per clause.
     Callers must :meth:`flush` once emission is complete —
     :meth:`MappingEncoder.encode` does.
     """
 
-    __slots__ = ("_sink", "_guard", "_seen", "_batch", "num_clauses",
+    __slots__ = ("_sink", "_guard", "_seen", "_lits", "_lens", "num_clauses",
                  "num_vars_created", "num_duplicates", "num_batches")
 
-    #: Clauses buffered before a flush; bounds peak buffer memory while
-    #: keeping the per-clause call overhead negligible.
-    BATCH_SIZE = 4096
+    #: Buffered literals that trigger a flush; bounds the buffers' memory
+    #: on very large encodings (most encodings go out in one batch).
+    FLUSH_LITERALS = 1 << 18
 
     def __init__(self, sink, selector: int | None = None) -> None:
         self._sink = sink
         self._guard = -selector if selector is not None else None
         self._seen: set[tuple[int, ...]] = set()
-        self._batch: list[list[int]] = []
+        self._lits = array("i")
+        self._lens = array("i")
         self.num_clauses = 0
         self.num_vars_created = 0
         self.num_duplicates = 0
@@ -147,84 +168,102 @@ class _Emitter:
         return self._sink.new_var()
 
     def new_vars(self, count: int) -> list[int]:
-        """Bulk variable allocation through the sink when it supports it."""
-        bulk = getattr(self._sink, "new_vars", None)
-        if bulk is None:
-            return [self.new_var() for _ in range(count)]
-        variables = bulk(count)
+        variables = self._sink.new_vars(count)
         self.num_vars_created += len(variables)
         return variables
 
-    def add_clause(self, literals) -> None:
-        # The emitter takes ownership of ``literals`` (every caller builds a
-        # fresh list per clause); only non-list iterables are copied.
-        if type(literals) is not list:
-            literals = list(literals)
-        key = tuple(sorted(literals))
-        if key in self._seen:
-            self.num_duplicates += 1
+    def add_clauses(self, literals: array, lengths: array) -> None:
+        """Append a flat block of clauses that cannot repeat (not hashed).
+
+        Every block the cardinality encodings build holds clauses of one
+        width, which is what lets the guard be woven in column-wise.
+        """
+        count = len(lengths)
+        if not count:
             return
-        self._seen.add(key)
-        self.num_clauses += 1
         if self._guard is not None:
-            # Guard at the tail: the watched literals (the first two) stay
-            # the ones the unguarded encoding would watch, so propagation
-            # inside a live attempt follows the same trajectory as a fresh
-            # solver on the standalone formula.
-            literals.append(self._guard)
-        self._batch.append(literals)
-        if len(self._batch) >= self.BATCH_SIZE:
+            width = lengths[0]
+            if not width or lengths.count(width) != count:
+                raise EncodingError("guarded blocks must hold equal-width clauses")
+            literals, lengths = weave(
+                [literals[index::width] for index in range(width)], self._guard
+            )
+        self.num_clauses += count
+        self._append(literals, lengths)
+
+    def add_lists(self, clauses: list[list[int]], may_repeat: bool) -> None:
+        """Append clauses given as one list each (the emitter takes the lists
+        over and appends the guard to them).
+
+        When the clauses ``may_repeat`` one emitted earlier, each is hashed
+        on its sorted literal tuple (the guard is not part of the key) and
+        dropped when already seen.
+        """
+        if may_repeat:
+            seen = self._seen
+            kept = []
+            for clause in clauses:
+                key = tuple(sorted(clause))
+                if key in seen:
+                    self.num_duplicates += 1
+                else:
+                    seen.add(key)
+                    kept.append(clause)
+            clauses = kept
+        self.num_clauses += len(clauses)
+        guard = self._guard
+        if guard is not None:
+            for clause in clauses:
+                clause.append(guard)
+        self._append(chain.from_iterable(clauses), map(len, clauses))
+
+    def pairwise(self, literals: list[int], keys: list) -> None:
+        """Pairwise at-most-one over ``literals``, emitted as one block.
+
+        ``keys[i]`` is literal ``i``'s twin key: only a pair whose two keys
+        are equal can also appear elsewhere in the encoding, so only those
+        pairs are hashed (and dropped when already emitted).
+        """
+        n = len(literals)
+        if n < 2:
+            return
+        dropped: dict[int, set[int]] = {}
+        if len(set(keys)) < n:
+            members: dict[object, list[int]] = {}
+            for index, key in enumerate(keys):
+                members.setdefault(key, []).append(index)
+            seen = self._seen
+            for group in members.values():
+                for i, j in combinations(group, 2):
+                    first, second = -literals[i], -literals[j]
+                    key = (first, second) if first <= second else (second, first)
+                    if key in seen:
+                        dropped.setdefault(i, set()).add(j)
+                        self.num_duplicates += 1
+                    else:
+                        seen.add(key)
+        columns = pairwise_columns(literals, dropped)
+        self.num_clauses += len(columns[0])
+        self._append(*weave(columns, self._guard))
+
+    def _append(self, literals, lengths) -> None:
+        self._lits.extend(literals)
+        self._lens.extend(lengths)
+        if len(self._lits) >= self.FLUSH_LITERALS:
             self.flush()
 
-    def add_pairwise_amo(self, lits) -> None:
-        """Emit the quadratic pairwise at-most-one over ``lits`` in bulk.
-
-        The ``AUTO`` encoding produces tens of thousands of two-literal
-        clauses per attempt; running the double loop here with the dedup
-        set, guard and batch as locals makes each pair a few operations
-        instead of a full ``add_clause`` round-trip.
-        """
-        seen = self._seen
-        batch = self._batch
-        guard = self._guard
-        emitted = 0
-        duplicates = 0
-        for index in range(len(lits) - 1):
-            first = -lits[index]
-            for other_lit in lits[index + 1:]:
-                second = -other_lit
-                key = (first, second) if first <= second else (second, first)
-                if key in seen:
-                    duplicates += 1
-                    continue
-                seen.add(key)
-                emitted += 1
-                batch.append(
-                    [first, second] if guard is None else [first, second, guard]
-                )
-            if len(batch) >= self.BATCH_SIZE:
-                self.flush()
-                batch = self._batch
-        self.num_clauses += emitted
-        self.num_duplicates += duplicates
-
     def flush(self) -> None:
-        """Push the buffered batch into the sink."""
-        if not self._batch:
+        """Push the buffered clauses into the sink as one flat batch."""
+        if not self._lens:
             return
-        batch, self._batch = self._batch, []
+        literals, lengths = self._lits, self._lens
+        self._lits, self._lens = array("i"), array("i")
         self.num_batches += 1
-        bulk = getattr(self._sink, "add_clauses", None)
-        if bulk is not None:
-            # The constraint generators only build clauses over distinct
-            # variables, so the sink may skip intra-clause hygiene checks;
-            # passing the batch's guard literal routes guard-tailed ternary
-            # clauses onto the solver's guard-aware implication lists.
-            bulk(batch, trusted=True, guard=self._guard)
-        else:
-            add = self._sink.add_clause
-            for clause in batch:
-                add(clause)
+        # The constraint generators only build clauses over distinct
+        # variables, so the sink may skip intra-clause hygiene checks;
+        # passing the guard literal routes guard-tailed ternary clauses
+        # onto the solver's guard-aware implication lists.
+        self._sink.add_clauses(literals, lengths, guard=self._guard, trusted=True)
 
 
 @dataclass
@@ -287,6 +326,9 @@ class MappingEncoder:
         self._vars_by_slot: dict[tuple[int, int, int], dict[int, int]] = {}
         self._slot_literals: dict[tuple[int, int], list[int]] = {}
         self._occupancy_vars: dict[tuple[int, int], int] = {}
+        #: ``var -> twin key`` of every placement literal (see
+        #: :meth:`_pairwise`).
+        self._twin_keys: dict[int, tuple[int, ...]] = {}
         self._stats = EncodingStats()
         # Capability pruning: a node's literals only range over the PEs that
         # implement its opcode's class.  On a homogeneous fabric every node is
@@ -371,6 +413,14 @@ class MappingEncoder:
         num_pes = self.cgra.num_pes
         variables = self._variables
         slot_literals = self._slot_literals
+        twin_keys = self._twin_keys
+        # Under Equation 5 a self-loop's "forbidden outright" pairs are pairs
+        # of one node's literals, which its C1 pairwise rows may already
+        # hold: such a node's literals share one twin key, so every pair of
+        # them is hashed.
+        self_looped = {
+            edge.src for edge in self.dfg.edges if edge.src == edge.dst
+        } if self.config.enforce_output_register else set()
         for node_id in self.dfg.node_ids:
             slots = self.kms.node_slots(node_id)
             if not slots:
@@ -390,9 +440,25 @@ class MappingEncoder:
                     variables[(node_id, pe, cycle, iteration)] = var
                     row[pe] = var
                     slot_literals.setdefault((pe, cycle), []).append(var)
+                    twin_keys[var] = (
+                        (node_id,) if node_id in self_looped
+                        else (node_id, pe, cycle)
+                    )
 
     def _var(self, node: int, pe: int, cycle: int, iteration: int) -> int:
         return self._variables[(node, pe, cycle, iteration)]
+
+    def _pairwise(self, literals: list[int]) -> None:
+        """Pairwise at-most-one rows with only the collidable pairs hashed.
+
+        Two literals of one node on the same PE and kernel cycle (differing
+        only in iteration label) are *twins*: their pair sits in the node's
+        C1 rows and in the slot's C2 rows, the only overlap between the two
+        families.  Twins share a twin key; every other literal (auxiliary
+        commander variables included) keys on itself.
+        """
+        twin_keys = self._twin_keys
+        self._emit.pairwise(literals, list(map(twin_keys.get, literals, literals)))
 
     # ------------------------------------------------------------------
     # C1: every node is placed exactly once
@@ -405,7 +471,8 @@ class MappingEncoder:
                 for slot in self.kms.node_slots(node_id)
                 for pe in self._allowed_pes[node_id]
             ]
-            exactly_one(self._emit, literals, self.config.amo_encoding)
+            exactly_one(self._emit, literals, self.config.amo_encoding,
+                        self._pairwise)
         self._stats.num_c1_clauses = self._emit.num_clauses - before
 
     # ------------------------------------------------------------------
@@ -414,19 +481,27 @@ class MappingEncoder:
     def _encode_c2(self) -> None:
         before = self._emit.num_clauses
         for literals in self._slot_literals.values():
-            at_most_one(self._emit, literals, self.config.amo_encoding)
+            at_most_one(self._emit, literals, self.config.amo_encoding,
+                        self._pairwise)
         self._stats.num_c2_clauses = self._emit.num_clauses - before
 
     # ------------------------------------------------------------------
     # C3: dependencies — neighbourhood, timing and output-register survival
     # ------------------------------------------------------------------
     def _encode_c3(self) -> None:
+        """Every clause of a dependency mentions exactly its two endpoint
+        nodes, so only edges sharing their node pair with another edge
+        (duplicates, 2-cycles) or looping on one node can repeat a clause;
+        the emitter hashes just those (and the units, which may match a
+        symmetry-breaking unit)."""
         before = self._emit.num_clauses
+        pairs = Counter(frozenset((edge.src, edge.dst)) for edge in self.dfg.edges)
         for edge in self.dfg.edges:
-            self._encode_dependency(edge)
+            shared = pairs[frozenset((edge.src, edge.dst))] > 1
+            self._encode_dependency(edge, shared or edge.src == edge.dst)
         self._stats.num_c3_clauses = self._emit.num_clauses - before
 
-    def _encode_dependency(self, edge: DFGEdge) -> None:
+    def _encode_dependency(self, edge: DFGEdge, may_repeat: bool) -> None:
         src_slots = self.kms.node_slots(edge.src)
         dst_slots = self.kms.node_slots(edge.dst)
         latency = self.dfg.node(edge.src).latency
@@ -454,17 +529,18 @@ class MappingEncoder:
 
         # Forward implications: a placed source literal needs a compatible
         # destination literal (and vice versa).
-        self._implication_clauses(edge, compatible_slots, forward=True)
-        self._implication_clauses(edge, compatible_slots, forward=False)
+        self._implication_clauses(edge, compatible_slots, True, may_repeat)
+        self._implication_clauses(edge, compatible_slots, False, may_repeat)
 
         if self.config.enforce_output_register:
-            self._overwrite_clauses(edge, compatible_slots)
+            self._overwrite_clauses(edge, compatible_slots, may_repeat)
 
     def _implication_clauses(
         self,
         edge: DFGEdge,
         compatible_slots: dict[tuple[int, int], list[tuple[int, int, int]]],
         forward: bool,
+        may_repeat: bool,
     ) -> None:
         """Clauses of the form ``¬endpoint_literal ∨ (compatible other ends)``."""
         ii = self.kms.ii
@@ -486,6 +562,7 @@ class MappingEncoder:
             ]
             for anchor_pe in self._allowed_pes[anchor_node]
         }
+        clauses: list[list[int]] = []
         for anchor_slot in anchor_slots:
             if forward:
                 entries = compatible_slots[(anchor_slot.cycle, anchor_slot.iteration)]
@@ -512,17 +589,22 @@ class MappingEncoder:
                 (anchor_node, anchor_slot.cycle, anchor_slot.iteration)
             ]
             for anchor_pe in self._allowed_pes[anchor_node]:
-                support = [-anchor_row[anchor_pe]]
                 nbrs = reachable[anchor_pe]
-                for row in entry_rows:
-                    for pe in nbrs:
-                        support.append(row[pe])
-                self._emit.add_clause(support)
+                clause = [-anchor_row[anchor_pe]]
+                clause += [row[pe] for row in entry_rows for pe in nbrs]
+                clauses.append(clause)
+        # An anchor without any compatible literal yields a unit, which may
+        # match a unit of another edge or of symmetry breaking.
+        if clauses:
+            self._emit.add_lists(
+                clauses, may_repeat or min(map(len, clauses)) == 1
+            )
 
     def _overwrite_clauses(
         self,
         edge: DFGEdge,
         compatible_slots: dict[tuple[int, int], list[tuple[int, int, int]]],
+        may_repeat: bool,
     ) -> None:
         """Equation 5: neighbour transfers must survive in the output register.
 
@@ -546,14 +628,16 @@ class MappingEncoder:
                             continue
                         dst_var = self._var(edge.dst, dst_pe, cycle, iteration)
                         if span > ii:
-                            self._emit.add_clause([-src_var, -dst_var])
+                            self._emit.add_lists([[-src_var, -dst_var]], may_repeat)
                             continue
                         t_src = src_slot.flat_time(ii)
                         for flat in range(t_src + 1, t_src + span):
                             busy = self._occupancy(src_pe, flat % ii)
                             if busy is None:
                                 continue
-                            self._emit.add_clause([-src_var, -dst_var, -busy])
+                            self._emit.add_lists(
+                                [[-src_var, -dst_var, -busy]], may_repeat
+                            )
 
     # ------------------------------------------------------------------
     # Symmetry breaking
@@ -578,12 +662,12 @@ class MappingEncoder:
                 -n,
             ),
         )
-        for slot in self.kms.node_slots(anchor):
-            for pe in self._allowed_pes[anchor]:
-                if pe not in domain:
-                    self._emit.add_clause(
-                        [-self._var(anchor, pe, slot.cycle, slot.iteration)]
-                    )
+        self._emit.add_lists([
+            [-self._var(anchor, pe, slot.cycle, slot.iteration)]
+            for slot in self.kms.node_slots(anchor)
+            for pe in self._allowed_pes[anchor]
+            if pe not in domain
+        ], may_repeat=True)
         self._stats.num_symmetry_clauses = self._emit.num_clauses - before
 
     def _occupancy(self, pe: int, cycle: int) -> int | None:
@@ -600,6 +684,8 @@ class MappingEncoder:
             return None
         busy = self._emit.new_var()
         self._occupancy_vars[key] = busy
-        for literal in literals:
-            self._emit.add_clause([-literal, busy])
+        self._emit.add_clauses(*weave((
+            array("i", [-literal for literal in literals]),
+            array("i", (busy,)) * len(literals),
+        )))
         return busy

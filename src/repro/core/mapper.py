@@ -23,8 +23,8 @@ clauses (the per-attempt stats prove it).
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass, field
-from itertools import chain
 
 from repro.cgra.architecture import CGRA
 from repro.cgra.capabilities import check_kernel_fits, effective_minimum_ii
@@ -187,6 +187,10 @@ class IIAttempt:
     ii: int
     schedule_slack: int
     status: str  # "SAT", "UNSAT", "UNKNOWN", "REGALLOC_FAIL"
+    #: Variables and clauses of the constraint groups this attempt encoded.
+    #: Like ``emission_batches`` and ``duplicate_clauses_dropped`` below,
+    #: they sum over both groups of an escalated attempt: the sequential
+    #: probe and the pairwise re-encode.
     num_variables: int = 0
     num_clauses: int = 0
     encode_time: float = 0.0
@@ -215,8 +219,8 @@ class IIAttempt:
     blocker_skips: int = 0
     #: Flat clause-store footprint (bytes) when the last solve returned.
     arena_bytes: int = 0
-    #: Batched emission: bulk flushes the encoder pushed into the solver and
-    #: exact duplicate clauses its per-batch hashed dedup dropped.
+    #: Flat batches the encoder pushed into the solver, and exact duplicate
+    #: clauses it dropped (one seen-set per encoded group).
     emission_batches: int = 0
     duplicate_clauses_dropped: int = 0
     #: Whether the attempt escalated from the sequential probe encoding to
@@ -550,8 +554,8 @@ class SatMapItMapper:
                     dfg, cgra, kms, encoder_config,
                     sink=backend, selector=group_selector,
                 ).encode()
-                attempt.num_variables = group_encoding.stats.num_variables
-                attempt.num_clauses = group_encoding.stats.num_clauses
+                attempt.num_variables += group_encoding.stats.num_variables
+                attempt.num_clauses += group_encoding.stats.num_clauses
                 attempt.emission_batches += group_encoding.stats.num_batches
                 attempt.duplicate_clauses_dropped += (
                     group_encoding.stats.num_duplicate_clauses
@@ -725,13 +729,9 @@ class SatMapItMapper:
         (don't-cares from here on — without the pins every later solve
         would re-branch over them), propagated in a single root sweep.
         """
-        last_var = backend.num_vars
-        backend.add_clauses(
-            chain(
-                ([-selector],),
-                ([-dead_var] for dead_var in range(selector + 1, last_var + 1)),
-            )
-        )
+        # -selector, -(selector + 1), ..., -num_vars: one unit each.
+        units = array("i", range(-selector, -backend.num_vars - 1, -1))
+        backend.add_clauses(units, array("i", (1,)) * len(units))
 
     @staticmethod
     def _record_proof(attempt, outcome, backend: SolverBackend) -> None:

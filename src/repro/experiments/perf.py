@@ -628,7 +628,13 @@ def compare(
     a baseline case **missing from the current run is a hard failure** —
     otherwise deleting or renaming cases would silently shrink what the
     perf gate protects.  An II mismatch on a shared completing case also
-    fails: faster-but-wrong is a regression.
+    fails: faster-but-wrong is a regression.  So does trajectory drift: on
+    a shared non-bounded case that completed within its limits on both
+    sides, ``conflicts`` and ``propagations`` are exact functions of the
+    code and the seed, and any difference from the baseline fails.
+    Portfolio cases are exempt from the drift check: their lanes race in
+    separate processes, and which lane's attempts land in the record
+    depends on timing.
     """
     lines: list[str] = []
     ok = True
@@ -651,6 +657,11 @@ def compare(
             lines.append(
                 f"{name}: II changed {base.get('ii')} -> {entry.get('ii')} (FAIL)"
             )
+            continue
+        drift = _trajectory_drift(base, entry)
+        if drift:
+            ok = False
+            lines.append(f"{name}: {drift} (FAIL)")
             continue
         base_wall = base.get("wall_s") or 0.0
         wall = entry.get("wall_s") or 0.0
@@ -687,6 +698,21 @@ def compare(
             ok = False
             lines.append(f"{name}: missing from current run (FAIL)")
     return ok, lines
+
+
+def _trajectory_drift(base: dict, entry: dict) -> str | None:
+    """Name the search counters that moved on a case both runs completed."""
+    completed = base.get("status") == entry.get("status") == "mapped"
+    if entry.get("bounded") or entry.get("search") == "portfolio" or not completed:
+        return None
+    moved = [
+        f"{counter} changed {base[counter]} -> {entry[counter]}"
+        for counter in ("conflicts", "propagations")
+        if base.get(counter) is not None
+        and entry.get(counter) is not None
+        and base[counter] != entry[counter]
+    ]
+    return "; ".join(moved) or None
 
 
 def check_strategy_equivalence(

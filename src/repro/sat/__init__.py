@@ -2,7 +2,9 @@
 
 This package is a self-contained SAT toolkit used by the SAT-MapIt core:
 
-* :mod:`repro.sat.cnf` — CNF formula container with DIMACS I/O.
+* :mod:`repro.sat.cnf` — CNF formula container with DIMACS I/O, and the
+  flat ``(literals, lengths)`` batch form every clause sink's
+  ``add_clauses`` takes (:func:`repro.sat.cnf.flatten`).
 * :mod:`repro.sat.encodings` — cardinality encodings (at-most-one,
   exactly-one) in pairwise, sequential and commander flavours.
 * :mod:`repro.sat.dpll` — a small, easy-to-audit DPLL solver used as a

@@ -32,7 +32,7 @@
 #include <string.h>
 #include <time.h>
 
-#define CDCL_ABI 1
+#define CDCL_ABI 2
 
 #define V_UNASSIGNED 0
 #define V_TRUE 1
@@ -1466,6 +1466,27 @@ int cdcl_add_clause(solver *s, const int32_t *lits, int64_t n)
     }
     attach(s, s->tmp.d, s->tmp.n, 0, 0);
     return 1;
+}
+
+/* Vet a flattened batch before cdcl_add_clauses reads it: 0 when every
+ * length is non-negative, the lengths add up to nlits and every literal's
+ * variable is below limit; -1 on bad lengths, -2 on an out-of-range
+ * literal. */
+int cdcl_check_batch(const int32_t *lits, int64_t nlits, const int32_t *lens,
+                     int64_t nclauses, int32_t limit)
+{
+    int64_t total = 0;
+    for (int64_t ci = 0; ci < nclauses; ci++) {
+        if (lens[ci] < 0)
+            return -1;
+        total += lens[ci];
+    }
+    if (total != nlits)
+        return -1;
+    for (int64_t k = 0; k < nlits; k++)
+        if (lits[k] >= limit || lits[k] <= -limit)
+            return -2;
+    return 0;
 }
 
 /* CDCLSolver.add_clauses over a flattened batch: clause i is the next

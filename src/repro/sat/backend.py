@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Sequence
 from typing import Protocol, runtime_checkable
 
-from repro.sat.cnf import CNF
+from repro.sat.cnf import CNF, clause_slices
 from repro.sat.dpll import DPLLSolver
 from repro.sat.drat import ProofLogger
 from repro.sat.solver import SolverResult, SolverStats, make_solver
@@ -88,7 +88,8 @@ class SolverBackend(Protocol):
     the formula monotonically, and every ``solve`` call decides the current
     clause set under the given assumption literals.  The variable/clause
     interface is deliberately identical to :class:`repro.sat.cnf.CNF` so the
-    mapping encoder can emit straight into a live backend.
+    mapping encoder can emit straight into a live backend; bulk batches
+    arrive in the one flat form of :func:`repro.sat.cnf.flatten`.
     """
 
     name: str
@@ -113,9 +114,10 @@ class SolverBackend(Protocol):
 
     def add_clauses(
         self,
-        clauses: Iterable[Sequence[int]],
-        trusted: bool = False,
+        literals: Sequence[int],
+        lengths: Sequence[int],
         guard: int | None = None,
+        trusted: bool = False,
     ) -> None:
         """Bulk clause ingestion; see :meth:`CDCLBackend.add_clauses`."""
         ...
@@ -176,20 +178,22 @@ class CDCLBackend:
 
     def add_clauses(
         self,
-        clauses: Iterable[Sequence[int]],
-        trusted: bool = False,
+        literals: Sequence[int],
+        lengths: Sequence[int],
         guard: int | None = None,
+        trusted: bool = False,
     ) -> None:
         """Bulk clause ingestion (single backtrack, batched propagation).
 
+        The batch is flat (see :func:`repro.sat.cnf.flatten`): clause ``i``
+        is the next ``lengths[i]`` entries of ``literals``.  ``guard`` names
+        the batch's shared selector-guard literal so guard-tailed ternary
+        clauses reach the solver's guard-aware implication lists;
         ``trusted`` promises intra-clause hygiene (no zero/duplicate/
-        complementary literals) and lets the solver skip those checks;
-        ``guard`` names the batch's shared selector-guard literal so
-        guard-tailed ternary clauses reach the solver's guard-aware
-        implication lists.
+        complementary literals) and lets the solver skip those checks.
         """
         before = self._solver.clauses_added
-        self._solver.add_clauses(clauses, trusted=trusted, guard=guard)
+        self._solver.add_clauses(literals, lengths, guard=guard, trusted=trusted)
         self.stats.clauses_added += self._solver.clauses_added - before
 
     def solve(
@@ -263,16 +267,17 @@ class DPLLBackend:
 
     def add_clauses(
         self,
-        clauses: Iterable[Sequence[int]],
-        trusted: bool = False,
+        literals: Sequence[int],
+        lengths: Sequence[int],
         guard: int | None = None,
+        trusted: bool = False,
     ) -> None:
-        """Append clauses one by one.
+        """Append a flat batch clause by clause.
 
-        ``trusted``/``guard`` are accepted for interface parity; the CNF
+        ``guard``/``trusted`` are accepted for interface parity; the CNF
         container's own (cheap) validation always runs.
         """
-        for clause in clauses:
+        for clause in clause_slices(literals, lengths):
             self.add_clause(clause)
 
     def solve(

@@ -5,10 +5,16 @@ whose sign encodes polarity (DIMACS convention).  The :class:`CNF` class keeps
 track of the number of variables allocated so far, supports allocating fresh
 auxiliary variables (needed by the sequential/commander cardinality
 encodings), and can round-trip to the DIMACS CNF text format.
+
+Batches of clauses travel between the encoder, this container and the
+solvers in one flat form: the literals of all clauses back to back in one
+``array('i')`` plus one length per clause (:func:`flatten`,
+:func:`clause_slices`).
 """
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from typing import TextIO
 
@@ -119,17 +125,18 @@ class CNF:
 
     def add_clauses(
         self,
-        clauses: Iterable[Sequence[int]],
-        trusted: bool = False,
+        literals: Sequence[int],
+        lengths: Sequence[int],
         guard: int | None = None,
+        trusted: bool = False,
     ) -> None:
-        """Add several clauses.
+        """Add a flat batch of clauses (see :func:`clause_slices`).
 
-        ``trusted`` and ``guard`` are part of the shared bulk-ingestion
+        ``guard`` and ``trusted`` are part of the shared bulk-ingestion
         interface (see :class:`repro.sat.backend.SolverBackend`); the CNF
         container's own validation is cheap and always runs.
         """
-        for clause in clauses:
+        for clause in clause_slices(literals, lengths):
             self.add_clause(clause)
 
     def extend(self, other: "CNF") -> None:
@@ -226,6 +233,44 @@ class CNF:
     def read_dimacs(cls, stream: TextIO) -> "CNF":
         """Read a DIMACS CNF formula from a text stream."""
         return cls.from_dimacs(stream.read())
+
+
+def flatten(clauses: Iterable[Sequence[int]]) -> tuple[array, array]:
+    """``clauses`` as the flat ``(literals, lengths)`` pair of ``add_clauses``.
+
+    Every clause sink — :class:`CNF`, the solvers and the solver backends —
+    ingests batches in this one form: the literals of all clauses back to
+    back in one ``array('i')``, and one length per clause in a second.
+    """
+    literals = array("i")
+    lengths = array("i")
+    for clause in clauses:
+        literals.extend(clause)
+        lengths.append(len(clause))
+    return literals, lengths
+
+
+def clause_slices(
+    literals: Sequence[int], lengths: Sequence[int]
+) -> Iterator[Sequence[int]]:
+    """Iterate the clauses of a flat batch, one slice of ``literals`` each.
+
+    Raises :class:`ValueError` before yielding anything when the lengths are
+    negative or do not add up to the literal count.
+    """
+    if sum(lengths) != len(literals) or (len(lengths) and min(lengths) < 0):
+        raise ValueError("clause lengths do not match the literal buffer")
+    return _slices(literals, lengths)
+
+
+def _slices(
+    literals: Sequence[int], lengths: Sequence[int]
+) -> Iterator[Sequence[int]]:
+    start = 0
+    for length in lengths:
+        end = start + length
+        yield literals[start:end]
+        start = end
 
 
 def clause_satisfied(clause: Sequence[int], assignment: dict[int, bool]) -> bool:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.sat.cnf import CNF
+from repro.sat.cnf import CNF, flatten
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.encoder import MappingEncoding
@@ -204,7 +204,8 @@ def loads(text: str) -> DimacsDocument:
                 "cube comment does not match trailing unit clauses"
             )
         trimmed = CNF(num_vars=cnf.num_vars)
-        trimmed.add_clauses(clauses[: len(clauses) - len(cube)], trusted=True)
+        body = clauses[: len(clauses) - len(cube)]
+        trimmed.add_clauses(*flatten(body), trusted=True)
         cnf = trimmed
     return DimacsDocument(
         cnf=cnf, varmap=varmap, cube=cube, comments=tuple(comments)

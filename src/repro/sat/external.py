@@ -55,7 +55,7 @@ from repro.sat.backend import (
     BackendUnavailableError,
     register_backend,
 )
-from repro.sat.cnf import CNF
+from repro.sat.cnf import CNF, clause_slices
 from repro.sat.drat import check_proof, proof_digest
 from repro.sat.solver import SolverResult, SolverStats
 
@@ -286,12 +286,14 @@ class SubprocessBackend:
 
     def add_clauses(
         self,
-        clauses: Iterable[Sequence[int]],
-        trusted: bool = False,
+        literals: Sequence[int],
+        lengths: Sequence[int],
         guard: int | None = None,
+        trusted: bool = False,
     ) -> None:
-        """Append clauses one by one (``trusted``/``guard`` are parity-only)."""
-        for clause in clauses:
+        """Append a flat batch clause by clause (``guard``/``trusted`` are
+        parity-only)."""
+        for clause in clause_slices(literals, lengths):
             self.add_clause(clause)
 
     def proof_digest(self) -> str | None:

@@ -39,10 +39,9 @@ import time
 from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
-from repro.sat.cnf import CNF
+from repro.sat.cnf import CNF, flatten
 from repro.sat.solver import SolverResult, SolverStats
 
 _LOG = logging.getLogger(__name__)
@@ -57,7 +56,7 @@ SOURCE = Path(__file__).with_name("_cdcl.c")
 CFLAGS = ("-O1", "-std=c99", "-fPIC", "-shared", "-fno-fast-math",
           "-ffp-contract=off")
 #: Must match ``CDCL_ABI`` in ``_cdcl.c``.
-ABI = 1
+ABI = 2
 #: Seconds a build may take before it counts as failed.
 BUILD_TIMEOUT = 300
 
@@ -217,6 +216,7 @@ def _declare(lib: ctypes.CDLL) -> None:
         "cdcl_set_hints": (None, [ptr, i64, ptr, ptr, i64, ptr, ptr]),
         "cdcl_new_vars": (i32, [ptr, i64]),
         "cdcl_add_clause": (ctypes.c_int, [ptr, ptr, i64]),
+        "cdcl_check_batch": (ctypes.c_int, [ptr, i64, ptr, i64, i32]),
         "cdcl_add_clauses": (ctypes.c_int, [ptr, ptr, ptr, i64, i32, i32, i32]),
         "cdcl_begin": (None, [ptr]),
         "cdcl_solve": (ctypes.c_int, [ptr, ptr, i64, i64, i32, ctypes.c_double,
@@ -234,6 +234,13 @@ def _declare(lib: ctypes.CDLL) -> None:
 
 def _address(values: array) -> int:
     return values.buffer_info()[0]
+
+
+def _int_buffer(values) -> array:
+    """``values`` as a C int array, without a copy when it already is one."""
+    if type(values) is array and values.typecode == "i":
+        return values
+    return array("i", values)
 
 
 def _literals(values) -> array:
@@ -373,18 +380,29 @@ class NativeCDCLSolver:
 
     def add_clauses(
         self,
-        clauses: Iterable[Sequence[int]],
-        trusted: bool = False,
+        literals: Sequence[int],
+        lengths: Sequence[int],
         guard: int | None = None,
+        trusted: bool = False,
     ) -> bool:
-        """Bulk :meth:`add_clause` (see :meth:`CDCLSolver.add_clauses`)."""
-        batch = clauses if isinstance(clauses, list) else list(clauses)
-        lens = array("i", map(len, batch))
-        flat = _literals(chain.from_iterable(batch))
+        """Bulk :meth:`add_clause` (see :meth:`CDCLSolver.add_clauses`).
+
+        ``array('i')`` buffers reach the core without a copy; the core vets
+        the lengths and the variable range before it ingests anything.
+        """
+        lits, lens = _int_buffer(literals), _int_buffer(lengths)
         if guard is not None and not -MAX_VARS < guard < MAX_VARS:
             raise ValueError(f"variables must be below {MAX_VARS}")
-        done = self._lib.cdcl_add_clauses(
-            self._handle, _address(flat), _address(lens), len(batch),
+        lib, handle = self._lib, self._handle
+        checked = lib.cdcl_check_batch(
+            _address(lits), len(lits), _address(lens), len(lens), MAX_VARS,
+        )
+        if checked == -1:
+            raise ValueError("clause lengths do not match the literal buffer")
+        if checked == -2:
+            raise ValueError(f"variables must be below {MAX_VARS}")
+        done = lib.cdcl_add_clauses(
+            handle, _address(lits), _address(lens), len(lens),
             int(bool(trusted)), int(guard is not None), guard or 0,
         )
         if done < 0:
@@ -406,7 +424,7 @@ class NativeCDCLSolver:
         if cnf is not None:
             lib.cdcl_reset(handle)
             self.ensure_vars(cnf.num_vars)
-            self.add_clauses(cnf.clauses)
+            self.add_clauses(*flatten(cnf.clauses))
         cube = _literals(assumptions)
         if conflict_limit is None:
             limit = -1

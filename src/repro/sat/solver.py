@@ -71,7 +71,7 @@ import time
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
 
-from repro.sat.cnf import CNF
+from repro.sat.cnf import CNF, clause_slices, flatten
 
 #: Version tag of the solving core.  The persistent mapping cache
 #: (:mod:`repro.search.cache`) folds it into every cache key, so entries
@@ -313,11 +313,15 @@ class CDCLSolver:
 
     def add_clauses(
         self,
-        clauses: Iterable[Sequence[int]],
-        trusted: bool = False,
+        literals: Sequence[int],
+        lengths: Sequence[int],
         guard: int | None = None,
+        trusted: bool = False,
     ) -> bool:
         """Bulk :meth:`add_clause`: one backtrack, batched root propagation.
+
+        The batch arrives flat (see :func:`repro.sat.cnf.flatten`): clause
+        ``i`` is the next ``lengths[i]`` entries of ``literals``.
 
         Semantically equivalent to calling ``add_clause`` per clause, but
         root-level unit propagation is deferred until a subsequent clause
@@ -329,7 +333,7 @@ class CDCLSolver:
         ``trusted=True`` promises every clause is already clean — no zero
         literals, no duplicate or complementary literals within a clause —
         which lets the ingest loop skip the per-literal seen-set (the
-        encoder's batching emitter constructs exactly such clauses).
+        encoder's emitter constructs exactly such clauses).
         Root-level truth filtering still runs; trust only waives the
         *intra-clause* hygiene checks.
 
@@ -339,6 +343,7 @@ class CDCLSolver:
         ``_gterns``), which propagate with a single truth-value read per
         entry and are dismissed wholesale once the attempt is retired.
         """
+        clauses = clause_slices(literals, lengths)
         if self._unsat:
             return False
         self._backtrack(0)
@@ -355,12 +360,12 @@ class CDCLSolver:
             guard_internal = self._to_internal(guard)
         else:
             guard_internal = -1
-        for literals in clauses:
+        for clause in clauses:
             count += 1
             if trusted:
                 lits = []
                 satisfied = False
-                for lit in literals:
+                for lit in clause:
                     # 2v / 2v+1 encoding straight from the signed literal;
                     # unknown variables surface as an IndexError (zero-cost
                     # when every variable is pre-allocated, as the encoder
@@ -380,7 +385,7 @@ class CDCLSolver:
                 if satisfied:
                     continue
             else:
-                maybe = self._simplify_external(literals)
+                maybe = self._simplify_external(clause)
                 if maybe is None:
                     continue
                 lits = maybe
@@ -500,7 +505,7 @@ class CDCLSolver:
             self._reset()
             propagations_start = bin_props_start = blocker_skips_start = 0
             self.ensure_vars(cnf.num_vars)
-            self.add_clauses(cnf.clauses)
+            self.add_clauses(*flatten(cnf.clauses))
         self._backtrack(0)
         if not self._unsat and self._propagate() is not None:
             self._unsat = True

@@ -198,3 +198,33 @@ class TestConfigurationVariants:
         assert unrestricted.success
         if restricted.success:
             assert restricted.ii >= unrestricted.ii
+
+
+class TestEscalatedAttemptCounters:
+    def test_size_counters_sum_the_probe_and_the_escalated_group(self):
+        """An escalated attempt encodes two groups (the sequential probe and
+        the pairwise-optimised re-encode); all four encoding counters cover
+        both."""
+        from repro.core.encoder import EncoderConfig, MappingEncoder
+        from repro.core.mobility import KernelMobilitySchedule, MobilitySchedule
+        from repro.sat.encodings import AMOEncoding
+
+        dfg, cgra = get_kernel("gsm"), CGRA.square(2)
+        config = MapperConfig(amo_probe_conflicts=20, random_seed=0)
+        outcome = SatMapItMapper(config).map(dfg, cgra)
+        escalated = [attempt for attempt in outcome.attempts if attempt.escalated]
+        assert escalated
+        for attempt in escalated:
+            kms = KernelMobilitySchedule.build(
+                MobilitySchedule.build(dfg, slack=attempt.schedule_slack), attempt.ii
+            )
+            groups = [
+                MappingEncoder(dfg, cgra, kms, EncoderConfig(amo_encoding=amo)).encode()
+                for amo in (AMOEncoding.SEQUENTIAL, AMOEncoding.AUTO)
+            ]
+            assert attempt.num_variables == sum(g.stats.num_variables for g in groups)
+            assert attempt.num_clauses == sum(g.stats.num_clauses for g in groups)
+            assert attempt.duplicate_clauses_dropped == sum(
+                g.stats.num_duplicate_clauses for g in groups
+            )
+            assert attempt.emission_batches == sum(g.stats.num_batches for g in groups)

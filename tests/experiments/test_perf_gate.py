@@ -46,6 +46,44 @@ class TestCompareGate:
         assert not ok
         assert any("II changed" in line for line in lines)
 
+    def test_matching_search_counters_pass(self):
+        case = dict(_case("a@3x3", 1.0), status="mapped", conflicts=40,
+                    propagations=9000)
+        ok, lines = compare(_doc([case]), _doc([dict(case, wall_s=1.1)]))
+        assert ok
+        assert not any("changed" in line for line in lines)
+
+    @pytest.mark.parametrize("counter", ["conflicts", "propagations"])
+    def test_search_counter_drift_fails(self, counter):
+        """A completed case whose trajectory moved fails even when its wall
+        time and II are unchanged, and the report names the counter."""
+        case = dict(_case("a@3x3", 1.0), status="mapped", conflicts=40,
+                    propagations=9000)
+        drifted = dict(case, **{counter: case[counter] + 1})
+        ok, lines = compare(_doc([case]), _doc([drifted]))
+        assert not ok
+        assert any(
+            line.startswith("a@3x3:") and f"{counter} changed" in line
+            and "FAIL" in line
+            for line in lines
+        )
+
+    def test_counter_drift_ignored_when_a_side_did_not_complete(self):
+        base = dict(_case("a@3x3", 1.0), status="mapped", conflicts=40,
+                    propagations=9000)
+        timed_out = dict(base, status="timeout", conflicts=7)
+        bounded = dict(base, bounded=True, conflicts=7)
+        assert compare(_doc([base]), _doc([timed_out]))[0]
+        assert compare(_doc([dict(base, bounded=True)]), _doc([bounded]))[0]
+
+    def test_portfolio_races_are_exempt_from_counter_drift(self):
+        """Which portfolio lane wins depends on timing, so its counters
+        legitimately vary run to run."""
+        base = dict(_case("a@4x4!portfolio2", 1.0), status="mapped",
+                    search="portfolio", conflicts=3016, propagations=442728)
+        raced = dict(base, conflicts=2350, propagations=216802)
+        assert compare(_doc([base]), _doc([raced]))[0]
+
     def test_bounded_cases_exempt_from_ii_gate(self):
         ok, _ = compare(
             _doc([_case("a@3x3#c1500", 1.0, ii=None, bounded=True)]),

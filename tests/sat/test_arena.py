@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.sat.cnf import CNF
+from repro.sat.cnf import CNF, flatten
 from repro.sat.dpll import DPLLSolver
 from repro.sat.solver import CDCLSolver
 
@@ -103,7 +103,8 @@ class TestGuardedTernary:
         selector = solver.new_var()
         a, b = solver.new_var(), solver.new_var()
         # (a | b | -selector): binary-effective while selector is assumed.
-        solver.add_clauses([[a, b, -selector]], trusted=True, guard=-selector)
+        solver.add_clauses(*flatten([[a, b, -selector]]), trusted=True,
+                           guard=-selector)
         result = solver.solve(assumptions=[selector, -a])
         assert result.is_sat
         assert result.model[b] is True
@@ -114,15 +115,15 @@ class TestGuardedTernary:
         selector = solver.new_var()
         a, b = solver.new_var(), solver.new_var()
         solver.add_clauses(
-            [[a, b, -selector], [-a, b, -selector], [a, -b, -selector],
-             [-a, -b, -selector]],
+            *flatten([[a, b, -selector], [-a, b, -selector],
+                      [a, -b, -selector], [-a, -b, -selector]]),
             trusted=True,
             guard=-selector,
         )
         # UNSAT while the group is active...
         assert solver.solve(assumptions=[selector]).is_unsat
         # ...but retiring the group (root unit + pins) leaves a SAT database.
-        assert solver.add_clauses([[-selector], [-a], [-b]])
+        assert solver.add_clauses(*flatten([[-selector], [-a], [-b]]))
         result = solver.solve()
         assert result.is_sat
         assert result.model[selector] is False
@@ -141,9 +142,9 @@ class TestGuardedTernary:
             guarded.ensure_vars(num_vars + 1)
             shifted = [[lit + 1 if lit > 0 else lit - 1 for lit in clause]
                        for clause in clauses]
-            plain.add_clauses([c + [-selector] for c in shifted])
+            plain.add_clauses(*flatten([c + [-selector] for c in shifted]))
             guarded.add_clauses(
-                [c + [-selector] for c in shifted],
+                *flatten([c + [-selector] for c in shifted]),
                 trusted=True,
                 guard=-selector,
             )
@@ -197,7 +198,7 @@ class TestBulkAddClauses:
             ok_one = all(one.add_clause(c) for c in clauses)
             two = CDCLSolver()
             two.ensure_vars(num_vars)
-            ok_two = two.add_clauses(clauses)
+            ok_two = two.add_clauses(*flatten(clauses))
             assert ok_one == ok_two, f"trial {trial}"
             if ok_one:
                 assert one.solve().status == two.solve().status
@@ -205,7 +206,7 @@ class TestBulkAddClauses:
     def test_unit_batch_single_propagation_sweep(self):
         solver = CDCLSolver()
         solver.ensure_vars(50)
-        assert solver.add_clauses([[-v] for v in range(1, 51)])
+        assert solver.add_clauses(*flatten([[-v] for v in range(1, 51)]))
         result = solver.solve()
         assert result.is_sat
         assert all(result.model[v] is False for v in range(1, 51))
@@ -213,7 +214,7 @@ class TestBulkAddClauses:
     def test_bulk_detects_root_conflict(self):
         solver = CDCLSolver()
         solver.ensure_vars(2)
-        assert not solver.add_clauses([[1], [2], [-1]])
+        assert not solver.add_clauses(*flatten([[1], [2], [-1]]))
         assert solver.solve().is_unsat
 
     def test_trusted_matches_untrusted(self):
@@ -223,10 +224,10 @@ class TestBulkAddClauses:
             clauses = _random_clauses(rng, num_vars, rng.randint(2, 25))
             plain = CDCLSolver()
             plain.ensure_vars(num_vars)
-            ok_plain = plain.add_clauses(clauses)
+            ok_plain = plain.add_clauses(*flatten(clauses))
             trusted = CDCLSolver()
             trusted.ensure_vars(num_vars)
-            ok_trusted = trusted.add_clauses(clauses, trusted=True)
+            ok_trusted = trusted.add_clauses(*flatten(clauses), trusted=True)
             assert ok_plain == ok_trusted, f"trial {trial}"
             if ok_plain:
                 assert plain.solve().status == trusted.solve().status
@@ -234,7 +235,7 @@ class TestBulkAddClauses:
     def test_clauses_added_counter(self):
         solver = CDCLSolver()
         solver.ensure_vars(3)
-        solver.add_clauses([[1, 2], [2, 3], [1, 2, 3]])
+        solver.add_clauses(*flatten([[1, 2], [2, 3], [1, 2, 3]]))
         assert solver.clauses_added == 3
 
 
@@ -307,7 +308,7 @@ class TestGuardedGroupLifecycle:
                         [v if rng.random() < 0.5 else -v for v in variables]
                     )
                 solver.add_clauses(
-                    [c + [-selector] for c in clauses],
+                    *flatten([c + [-selector] for c in clauses]),
                     trusted=True,
                     guard=-selector,
                 )
@@ -327,10 +328,10 @@ class TestGuardedGroupLifecycle:
                     }
                     assert oracle_cnf.evaluate(projected)
                 # Retire the group exactly like the mapper does.
-                assert solver.add_clauses(
+                assert solver.add_clauses(*flatten(
                     [[-selector]]
                     + [[-v] for v in range(base + 1, base + num_vars + 1)]
-                )
+                ))
                 solver.debug_check_invariants()
 
 
@@ -352,10 +353,10 @@ class TestRareBranches:
         solver = CDCLSolver()
         s1, s2 = solver.new_var(), solver.new_var()
         a, b, c = solver.new_var(), solver.new_var(), solver.new_var()
-        solver.add_clauses([[a, b, -s1]], trusted=True, guard=-s1)
+        solver.add_clauses(*flatten([[a, b, -s1]]), trusted=True, guard=-s1)
         # Shares ``a`` but carries a different guard: must not corrupt the
         # guard table — the clause falls back to the plain ternary scheme.
-        solver.add_clauses([[a, c, -s2]], trusted=True, guard=-s2)
+        solver.add_clauses(*flatten([[a, c, -s2]]), trusted=True, guard=-s2)
         solver.debug_check_invariants()
         result = solver.solve(assumptions=[s1, s2, -a])
         assert result.is_sat
@@ -373,7 +374,7 @@ class TestRareBranches:
         solver.ensure_vars(4)
         # The unit [1] is pending when [−1, 2, 3, 4] arrives: the batch
         # must flush propagation and re-simplify before attaching.
-        assert solver.add_clauses([[1], [-1, 2, 3, 4], [-1, -2]])
+        assert solver.add_clauses(*flatten([[1], [-1, 2, 3, 4], [-1, -2]]))
         result = solver.solve(assumptions=[-3])
         assert result.is_sat
         assert result.model[1] is True

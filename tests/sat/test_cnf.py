@@ -6,7 +6,28 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sat.cnf import CNF, clause_satisfied
+from repro.sat.cnf import CNF, clause_satisfied, clause_slices, flatten
+
+
+class TestFlatBatches:
+    def test_flatten_round_trips_through_clause_slices(self):
+        clauses = [(1, -2), (3,), (), (4, 5, -6)]
+        literals, lengths = flatten(clauses)
+        assert list(literals) == [1, -2, 3, 4, 5, -6]
+        assert list(lengths) == [2, 1, 0, 3]
+        assert [tuple(c) for c in clause_slices(literals, lengths)] == clauses
+
+    def test_add_clauses_takes_the_flat_pair(self):
+        cnf = CNF()
+        cnf.add_clauses(*flatten([[1, -2], [2, 2, 3]]), guard=-3, trusted=True)
+        assert cnf.clauses == [(1, -2), (2, 3)]
+
+    @pytest.mark.parametrize("lengths", [[2, 1], [1], [3, -1, 2]])
+    def test_lengths_must_cover_the_literals(self, lengths):
+        cnf = CNF()
+        with pytest.raises(ValueError):
+            cnf.add_clauses([1, 2, 3, 4], lengths)
+        assert cnf.num_clauses == 0
 
 
 class TestConstruction:

@@ -1,6 +1,7 @@
 """Tests for the cardinality encodings (at-most-one / exactly-one)."""
 
 import itertools
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,9 @@ from repro.sat.encodings import (
     at_most_one,
     count_true,
     exactly_one,
+    pairwise_columns,
+    sequential_columns,
+    weave,
 )
 
 def _models_over(cnf: CNF, variables: list[int]) -> set[tuple[bool, ...]]:
@@ -106,6 +110,48 @@ class TestClauseCounts:
         commander = CNF(num_vars=40)
         at_most_one(commander, literals, AMOEncoding.COMMANDER)
         assert commander.num_clauses < pairwise.num_clauses
+
+
+class TestBlocks:
+    """The bulk block functions emit exactly the textbook per-clause loops."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 9])
+    def test_pairwise_block_is_the_double_loop(self, n):
+        lits = [3 * k + 1 for k in range(n)]
+        expected = [(-lits[i], -lits[j]) for i in range(n) for j in range(i + 1, n)]
+        firsts, seconds = pairwise_columns(lits)
+        assert list(zip(firsts, seconds)) == expected
+        dropped = {0: {1}, 2: {n - 1}} if n > 3 else {0: {1}}
+        firsts, seconds = pairwise_columns(lits, dropped)
+        assert list(zip(firsts, seconds)) == [
+            pair for pair in expected
+            if not any(pair == (-lits[i], -lits[j])
+                       for i, js in dropped.items() for j in js)
+        ]
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 9])
+    def test_sequential_block_is_the_sinz_loop(self, n):
+        lits = list(range(1, n + 1))
+        regs = list(range(n + 1, 2 * n))
+        expected = [(-lits[0], regs[0]), (-lits[n - 1], -regs[n - 2])]
+        for i in range(1, n - 1):
+            expected += [(-lits[i], regs[i]), (-regs[i - 1], regs[i]),
+                         (-lits[i], -regs[i - 1])]
+        assert list(zip(*sequential_columns(lits, regs))) == expected
+
+    def test_weave_appends_the_guard(self):
+        columns = (array("i", [1, 2]), array("i", [-3, -4]))
+        assert [list(part) for part in weave(columns)] == [[1, -3, 2, -4], [2, 2]]
+        assert [list(part) for part in weave(columns, guard=-9)] == [
+            [1, -3, -9, 2, -4, -9], [3, 3]]
+
+    def test_custom_pairwise_emitter_receives_every_pairwise_group(self):
+        groups = []
+        cnf = CNF(num_vars=12)
+        at_most_one(cnf, list(range(1, 13)), AMOEncoding.COMMANDER,
+                    pairwise=groups.append)
+        # Three groups of four plus the commanders' own pairwise level.
+        assert [len(group) for group in groups] == [4, 4, 4, 3]
 
 
 class TestHelpers:

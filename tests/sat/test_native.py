@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from array import array
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,7 +22,7 @@ from repro.cgra.architecture import CGRA
 from repro.core.mapper import MapperConfig, SatMapItMapper
 from repro.kernels import get_kernel
 from repro.sat import native
-from repro.sat.cnf import CNF
+from repro.sat.cnf import CNF, flatten
 from repro.sat.drat import ProofLogger, check_proof
 from repro.sat.solver import SOLVER_VERSION, CDCLSolver, make_solver
 
@@ -61,7 +62,8 @@ class _Run:
         elif kind == "clauses":
             _, clauses, trusted, guard = op
             self.log.append(
-                ("clauses", solver.add_clauses(clauses, trusted=trusted, guard=guard))
+                ("clauses", solver.add_clauses(*flatten(clauses), trusted=trusted,
+                                               guard=guard))
             )
         else:
             _, assumptions, conflict_limit, project = op
@@ -224,11 +226,23 @@ def test_zero_literal_rejected_like_python():
     for engine in (CDCLSolver, native.NativeCDCLSolver):
         solver = engine()
         with pytest.raises(ValueError):
-            solver.add_clauses([[1, 2], [3, 0]])
+            solver.add_clauses(*flatten([[1, 2], [3, 0]]))
         with pytest.raises(ValueError):
             solver.add_clause([0])
         assert solver.num_vars == 3
         assert solver.clauses_added == 1
+
+
+@pytest.mark.parametrize("guard", [None, -4])
+@pytest.mark.parametrize("lengths", [[2], [2, 2], [4, -1]])
+def test_flat_batch_lengths_are_checked_before_ingest(lengths, guard):
+    for engine in (CDCLSolver, native.NativeCDCLSolver):
+        solver = engine()
+        with pytest.raises(ValueError, match="lengths"):
+            solver.add_clauses(array("i", [1, 2, -3]), array("i", lengths),
+                               guard=guard)
+        assert solver.num_vars == 0
+        assert solver.clauses_added == 0
 
 
 def test_variables_beyond_the_core_range_are_rejected():
@@ -236,7 +250,8 @@ def test_variables_beyond_the_core_range_are_rejected():
     # larger variables before any pointer reaches the core.
     solver = native.NativeCDCLSolver()
     for call in (lambda: solver.add_clause([1, native.MAX_VARS]),
-                 lambda: solver.add_clauses([[-native.MAX_VARS]], trusted=True),
+                 lambda: solver.add_clauses(*flatten([[-native.MAX_VARS]]),
+                                            trusted=True),
                  lambda: solver.solve(assumptions=[native.MAX_VARS])):
         with pytest.raises(ValueError):
             call()
