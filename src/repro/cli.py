@@ -88,24 +88,15 @@ def _load_cgra(args: argparse.Namespace) -> CGRA:
 def _backend_error(args: argparse.Namespace) -> str | None:
     """One clear line for a bad ``--backend`` / ``--proof`` combination.
 
-    Checked before any mapping work (or worker processes) start: a missing
-    external binary, an unknown registry name, or a proof request against a
-    solver that cannot emit DRAT.
+    Checked before any mapping work (or worker processes) start: an unknown
+    registry name, or a proof request against a backend that cannot write
+    DRAT (the check :class:`MapperConfig` itself runs on construction).
     """
     try:
         validate_backend(args.backend)
-    except (BackendUnavailableError, ValueError) as exc:
+        MapperConfig(backend=args.backend, proof=args.proof)
+    except ValueError as exc:
         return str(exc)
-    if args.proof:
-        from repro.sat.external import is_external_backend, resolve_spec
-
-        if is_external_backend(args.backend):
-            spec = resolve_spec(args.backend)
-            if not spec.supports_proof:
-                return (
-                    f"backend {args.backend!r} cannot emit DRAT proofs; "
-                    "drop --proof or pick a proof-capable solver"
-                )
     return None
 
 
@@ -113,7 +104,7 @@ def _cli_error(exc: BaseException) -> int:
     """The one-line CLI error contract, shared by every sub-command.
 
     A :class:`MappingError` (unmappable kernel) or
-    :class:`BackendUnavailableError` (external solver binary lost, with its
+    :class:`BackendUnavailableError` (a solver binary lost, with its
     install hint) prints as a single ``error:`` line on stderr and exits 2 —
     never as a traceback, whether it was raised by ``map``, mid-``sweep``
     in a worker process, or inside the service.
@@ -145,9 +136,6 @@ def _cmd_map(args: argparse.Namespace) -> int:
         cache_max_mb=args.cache_max_mb,
         seed_heuristic=args.seed_heuristic,
         seed_time_budget=args.seed_budget,
-        tuner_dir=args.tuner,
-        dimacs_dir=args.dimacs_dir,
-        reuse_dimacs=args.reuse_dimacs,
         proof=args.proof,
     )
     if args.portfolio_variants:
@@ -165,7 +153,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
         outcome = mapper.map(dfg, cgra)
     except (MappingError, BackendUnavailableError) as exc:
         # E.g. the kernel's opcode histogram cannot fit the fabric at any
-        # II, or an external solver lane lost its binary mid-run.
+        # II.
         return _cli_error(exc)
     finally:
         if profiler is not None:
@@ -191,13 +179,6 @@ def _cmd_map(args: argparse.Namespace) -> int:
                 f"seed: no feasible heuristic mapping within "
                 f"{outcome.seed_time:.3f}s — unseeded search"
             )
-    if outcome.tuner_stats is not None and not outcome.cache_hit:
-        if outcome.tuner_consulted:
-            lineup = ", ".join(outcome.tuner_lineup or ())
-            print(f"tuner: consulted persisted lane stats — line-up: {lineup}")
-        else:
-            print("tuner: cold start (no lane stats for this problem yet)")
-        print(f"tuner: {outcome.tuner_stats.summary()}")
     if outcome.search_strategy == "portfolio" and not outcome.cache_hit:
         winner = (
             f", winning variant: {outcome.portfolio_winner}"
@@ -222,9 +203,8 @@ def _cmd_map(args: argparse.Namespace) -> int:
             import os
 
             ii, digest = digests[-1]
-            # Without --dimacs-dir an external backend's trace lives in a
-            # throwaway temp dir that is gone by now; only advertise paths
-            # that survived the run.
+            # Only advertise a trace that still exists (TMPDIR may have
+            # been cleaned under a long run).
             location = (
                 f" — trace: {outcome.proof_path}"
                 if outcome.proof_path and os.path.exists(outcome.proof_path)
@@ -273,7 +253,7 @@ def _cmd_map_partition(
         outcome = PartitionMapper(config).map(dfg, cgra)
     except (MappingError, BackendUnavailableError) as exc:
         # E.g. more partitions than recurrence-respecting supernodes or
-        # fabric rows, a torus fabric, or a lost external solver binary.
+        # fabric rows, or a torus fabric.
         return _cli_error(exc)
     assert outcome.plan is not None
     print(f"partition plan: {outcome.plan.summary()}")
@@ -333,9 +313,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         cache_dir=args.cache,
         cache_max_mb=args.cache_max_mb,
         seed_heuristic=args.seed_heuristic,
-        tuner_dir=args.tuner,
-        dimacs_dir=args.dimacs_dir,
-        reuse_dimacs=args.reuse_dimacs,
         proof=args.proof,
         max_retries=args.max_retries,
         lease_ttl=args.lease_ttl,
@@ -356,12 +333,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             faults=faults,
         )
     except (MappingError, BackendUnavailableError, FarmError) as exc:
-        # The up-front validation cannot catch everything: an external
-        # solver binary can vanish (or break) between the check and a
-        # mid-sweep run, a scenario fabric can reject a kernel, and a
-        # --resume can point at a journal from a different configuration.
-        # All must surface exactly like the ``map`` path — one line,
-        # install hint intact — not as a worker-process traceback.
+        # The up-front validation cannot catch everything: a scenario
+        # fabric can reject a kernel, and a --resume can point at a journal
+        # from a different configuration.  Both must surface exactly like
+        # the ``map`` path — one line — not as a worker-process traceback.
         return _cli_error(exc)
     if sweep.farm is not None:
         print(f"\nfarm: {sweep.farm.summary()}")
@@ -418,7 +393,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         pool_size=args.pool,
         cache_dir=args.cache,
         cache_max_mb=args.cache_max_mb,
-        tuner_dir=args.tuner,
         limits=limits,
     )
     return run_service(manager, host=args.host, port=args.port)
@@ -474,22 +448,13 @@ def build_parser() -> argparse.ArgumentParser:
     map_cmd.add_argument("--timeout", type=float, default=120.0)
     map_cmd.add_argument("--backend", default="cdcl", metavar="NAME",
                          help="solver backend: one of "
-                              f"{', '.join(available_backends())}, or "
-                              "'external:/path/to/solver' for any "
-                              "DIMACS-speaking binary (default: cdcl)")
-    map_cmd.add_argument("--dimacs-dir", metavar="DIR",
-                         help="keep every DIMACS export (and DRAT trace) "
-                              "under DIR instead of a throwaway temp dir; "
-                              "files are content-addressed, so reruns of "
-                              "the same formula land on the same name")
-    map_cmd.add_argument("--reuse-dimacs", action="store_true",
-                         help="with --dimacs-dir: skip rewriting a CNF file "
-                              "that already exists under its content hash")
+                              f"{', '.join(available_backends())} "
+                              "(default: cdcl)")
     map_cmd.add_argument("--proof", action="store_true",
                          help="log a DRAT proof for every UNSAT attempt "
-                              "(internal cdcl backend and proof-capable "
-                              "external solvers); attempt digests are "
-                              "recorded in the outcome and mapping cache")
+                              "(cdcl backend only) to a trace file under "
+                              "TMPDIR; attempt digests are recorded in the "
+                              "outcome and mapping cache")
     map_cmd.add_argument("--seed", type=int, default=None,
                          help="random seed forwarded to the solver")
     map_cmd.add_argument("--amo-encoding", choices=[e.value for e in AMOEncoding],
@@ -499,8 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     map_cmd.add_argument("--search", choices=available_strategies(),
                          default="ladder",
                          help="II search strategy: the paper's sequential "
-                              "ladder, bisection with UNSAT lower bounds, "
-                              "or a process-parallel portfolio "
+                              "ladder or a process-parallel portfolio "
                               "(default: ladder)")
     map_cmd.add_argument("--jobs", type=int, default=2,
                          help="worker processes for --search portfolio "
@@ -529,11 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="SECONDS",
                          help="wall budget for --seed-heuristic "
                               "(default: 2.0)")
-    map_cmd.add_argument("--tuner", metavar="DIR",
-                         help="persistent lane-tuner store: the portfolio "
-                              "records per-lane win/loss/wall statistics "
-                              "keyed by (kernel shape, fabric) and consults "
-                              "them to pick its line-up on later runs")
     map_cmd.add_argument("--partition", action="store_true",
                          help="partition-and-stitch mode for big fabrics: "
                               "cut the DFG into balanced partitions "
@@ -598,18 +557,11 @@ def build_parser() -> argparse.ArgumentParser:
                                 "environment variable")
     sweep_cmd.add_argument("--backend", default="cdcl", metavar="NAME",
                            help="solver backend for SAT-MapIt: one of "
-                                f"{', '.join(available_backends())}, or "
-                                "'external:/path/to/solver' "
+                                f"{', '.join(available_backends())} "
                                 "(default: cdcl)")
-    sweep_cmd.add_argument("--dimacs-dir", metavar="DIR",
-                           help="keep DIMACS exports / DRAT traces under DIR "
-                                "(content-addressed filenames)")
-    sweep_cmd.add_argument("--reuse-dimacs", action="store_true",
-                           help="with --dimacs-dir: skip rewriting CNF files "
-                                "that already exist under their content hash")
     sweep_cmd.add_argument("--proof", action="store_true",
                            help="log DRAT proofs for UNSAT attempts in the "
-                                "SAT-MapIt runs")
+                                "SAT-MapIt runs (cdcl backend only)")
     sweep_cmd.add_argument("--seed", type=int, default=None,
                            help="random seed forwarded to the SAT-MapIt solver")
     sweep_cmd.add_argument("--amo-encoding", choices=[e.value for e in AMOEncoding],
@@ -635,9 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd.add_argument("--seed-heuristic", action="store_true",
                            help="heuristic II-seeding pre-pass before every "
                                 "SAT-MapIt search")
-    sweep_cmd.add_argument("--tuner", metavar="DIR",
-                           help="persistent lane-tuner store shared by all "
-                                "portfolio runs of the sweep")
     sweep_cmd.add_argument("--write-report", metavar="PATH",
                            help="write EXPERIMENTS-style Markdown report to PATH")
     sweep_cmd.set_defaults(func=_cmd_sweep)
@@ -683,9 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
                            metavar="MB",
                            help="per-tenant cache size budget; oldest "
                                 "entries evicted first (default: unbounded)")
-    serve_cmd.add_argument("--tuner", metavar="DIR",
-                           help="persistent lane-tuner store shared by all "
-                                "portfolio-backed requests")
     serve_cmd.add_argument("--default-timeout", type=float, default=60.0,
                            metavar="SECONDS",
                            help="wall budget for requests that set none "

@@ -6,8 +6,8 @@ formula is UNSAT or the colouring fails, the search moves to another II,
 until a mapping is found or a bound (maximum II, wall-clock timeout) is
 hit.  *Which* II is tried next is a pluggable policy: ``map()`` delegates
 the walk to a :mod:`repro.search` strategy (the paper's sequential ladder
-by default; bisection and a process-parallel portfolio on request) and can
-short-circuit the whole search through the persistent mapping cache
+by default; a process-parallel portfolio on request) and can short-circuit
+the whole search through the persistent mapping cache
 (``MapperConfig.cache_dir``).
 
 One persistent solver backend serves the whole mapping run; it is the only
@@ -91,25 +91,14 @@ class MapperConfig:
     #: probe.  Sound because each phase is its own selector-guarded group.
     amo_probe_conflicts: int | None = 600
     #: Solver backend name (see :mod:`repro.sat.backend`); ``"cdcl"`` is the
-    #: production engine, ``"dpll"`` the slow reference oracle.  External
-    #: engines (``"kissat"``, ``"minisat"``, the bundled ``"subprocess"``,
-    #: or ``"external:<path>"``; see :mod:`repro.sat.external`) solve
-    #: DIMACS exports in a subprocess and are driven through assumption
-    #: unit cubes.
+    #: production engine, ``"dpll"`` the slow reference oracle.
     backend: str = "cdcl"
-    #: Directory for DIMACS artefacts (see :mod:`repro.sat.dimacs`).  For
-    #: external backends every solve call's formula (and any DRAT proof)
-    #: lands here under a content-addressed name; ``None`` keeps them in a
-    #: per-backend temporary directory.
-    dimacs_dir: str | None = None
-    #: Skip re-writing a DIMACS export whose content-addressed file already
-    #: exists in ``dimacs_dir`` — amortises export I/O across re-runs of
-    #: the same problem.
-    reuse_dimacs: bool = False
-    #: Emit DRAT proofs (see :mod:`repro.sat.drat`): the internal CDCL logs
-    #: learned clauses/deletions, external solvers that support DRAT get a
-    #: proof path on their command line.  UNSAT attempts then record a
-    #: proof digest and ``MappingOutcome.proof_path`` names the trace.
+    #: Emit DRAT proofs (see :mod:`repro.sat.drat`): the CDCL engine logs
+    #: learned clauses/deletions to a trace file under the system temp dir
+    #: (``TMPDIR``).  UNSAT attempts then record a proof digest and
+    #: ``MappingOutcome.proof_path`` names the trace.  Only ``"cdcl"``
+    #: writes proofs; any other backend is rejected when the config is
+    #: built.
     proof: bool = False
     max_iteration_span: int | None = None
     enforce_output_register: bool = False
@@ -129,10 +118,9 @@ class MapperConfig:
     random_seed: int | None = None
     verbose: bool = False
     #: II-search strategy (see :mod:`repro.search`): ``"ladder"`` is the
-    #: paper's sequential climb, ``"bisect"`` binary-searches the II range
-    #: using UNSAT answers as lower bounds, and ``"portfolio"`` races
-    #: several IIs and solver-configuration variants across worker
-    #: processes, cancelling the losers on the first win at the frontier.
+    #: paper's sequential climb, and ``"portfolio"`` races several IIs and
+    #: solver-configuration variants across worker processes, cancelling
+    #: the losers on the first win at the frontier.
     search: str = "ladder"
     #: Worker processes the portfolio strategy may keep in flight.
     search_jobs: int = 2
@@ -161,11 +149,10 @@ class MapperConfig:
     #: Run the heuristic mappers as a budgeted pre-pass before any SAT work
     #: (see :mod:`repro.search.seed`).  A validated heuristic mapping gives
     #: every strategy a feasible upper bound — the ladder stops below it,
-    #: bisection skips its gallop phase, the portfolio only races IIs below
-    #: it — and is the anytime answer when the SAT search times out.  Like
-    #: the search strategy, seeding never changes the II of a completed
-    #: run, only how fast it is reached (CI-gated), so it is excluded from
-    #: the cache key.
+    #: the portfolio only races IIs below it — and is the anytime answer
+    #: when the SAT search times out.  Like the search strategy, seeding
+    #: never changes the II of a completed run, only how fast it is reached
+    #: (CI-gated), so it is excluded from the cache key.
     seed_heuristic: bool = False
     #: Wall-clock budget (seconds) for the whole seeding pre-pass.
     seed_time_budget: float = 2.0
@@ -173,11 +160,13 @@ class MapperConfig:
     #: :data:`repro.baselines.HEURISTIC_MAPPERS`); later mappers only
     #: search below the best II already found.
     seed_mappers: tuple[str, ...] = ("ramp", "pathseeker")
-    #: Directory of the persistent lane-statistics store
-    #: (:class:`repro.search.tuner.LaneTuner`); ``None`` disables tuning.
-    #: The portfolio consults it to order its variant line-up and size the
-    #: probe conflict budget, and records each settled race back into it.
-    tuner_dir: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.proof and self.backend != "cdcl":
+            raise ValueError(
+                f"proof logging needs the 'cdcl' backend; backend "
+                f"{self.backend!r} cannot write DRAT proofs"
+            )
 
 
 @dataclass
@@ -290,12 +279,6 @@ class MappingOutcome:
     seed_mapper: str | None = None
     seed_time: float = 0.0
     seed_used: bool = False
-    #: Lane-tuner interaction (``tuner_dir`` runs only): whether persisted
-    #: statistics informed the portfolio line-up, the line-up raced, and
-    #: the handle's counters (:class:`repro.search.tuner.TunerStats`).
-    tuner_consulted: bool = False
-    tuner_lineup: tuple[str, ...] | None = None
-    tuner_stats: object | None = None
     #: Path of the most recent DRAT trace emitted during the run (``None``
     #: unless ``MapperConfig.proof`` was on and an UNSAT attempt produced
     #: one); per-attempt digests live in ``IIAttempt.proof_digest``.
@@ -379,10 +362,10 @@ class SatMapItMapper:
         RecMII and — on heterogeneous fabrics — the capability-constrained
         resource bound) unless ``start_ii`` overrides it.  *How* the II range
         is walked is delegated to the configured search strategy (see
-        :mod:`repro.search`): the sequential ladder by default, bisection or
-        a parallel portfolio on request — every strategy funnels its
-        attempts through the same per-II machinery, so the outcome's
-        per-attempt stats are complete regardless of the policy.  With
+        :mod:`repro.search`): the sequential ladder by default, a parallel
+        portfolio on request — every strategy funnels its attempts through
+        the same per-II machinery, so the outcome's per-attempt stats are
+        complete regardless of the policy.  With
         ``MapperConfig.cache_dir`` set, the persistent mapping cache is
         consulted first and fed on success.  A kernel whose opcode histogram
         cannot fit the fabric at any II (an op class with no capable PE)
@@ -471,15 +454,8 @@ class SatMapItMapper:
                     f"{budget:.1f}s"
                 )
 
-        tuner = None
-        if config.tuner_dir:
-            from repro.search.tuner import LaneTuner
-
-            tuner = LaneTuner(config.tuner_dir)
-            outcome.tuner_stats = tuner.stats
-
         context = SearchContext(
-            self, dfg, cgra, outcome, start, first_ii, seed=seed, tuner=tuner
+            self, dfg, cgra, outcome, start, first_ii, seed=seed
         )
         found = strategy.search(context)
         outcome.total_time = time.perf_counter() - start
@@ -572,9 +548,9 @@ class SatMapItMapper:
                 and probe_budget is not None
                 and (conflict_limit is None or conflict_limit > probe_budget)
                 # Escalation keys on the probe's *conflict count* reaching
-                # the budget; engines that cannot report conflicts (external
-                # subprocesses, the DPLL oracle) would make every hard probe
-                # look inconclusive-for-free, so they skip probing entirely.
+                # the budget; engines that cannot report conflicts (the
+                # DPLL oracle) would make every hard probe look
+                # inconclusive-for-free, so they skip probing entirely.
                 and getattr(backend, "instrumented", True)
             )
             first_amo = AMOEncoding.SEQUENTIAL if probing else config.amo_encoding
@@ -737,10 +713,9 @@ class SatMapItMapper:
     def _record_proof(attempt, outcome, backend: SolverBackend) -> None:
         """Attach the backing DRAT evidence to an UNSAT attempt.
 
-        Backends that log proofs expose ``proof_digest()`` (the internal
-        CDCL's running trace digest, or an external solver's digest of its
-        last emitted trace); attempts and the outcome record digest and
-        path so cached lower bounds stay independently checkable.
+        Backends that log proofs expose ``proof_digest()`` (the CDCL
+        engine's running trace digest); attempts and the outcome record
+        digest and path so cached lower bounds stay independently checkable.
         """
         digest_fn = getattr(backend, "proof_digest", None)
         if digest_fn is None:
@@ -748,9 +723,7 @@ class SatMapItMapper:
         digest = digest_fn()
         if digest:
             attempt.proof_digest = digest
-        path = getattr(backend, "last_proof_path", None) or getattr(
-            backend, "proof_path", None
-        )
+        path = getattr(backend, "proof_path", None)
         if path:
             outcome.proof_path = str(path)
 

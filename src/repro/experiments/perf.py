@@ -37,7 +37,6 @@ from repro.cgra.capabilities import effective_minimum_ii
 from repro.core.mapper import MapperConfig, SatMapItMapper
 from repro.kernels import get_kernel
 from repro.sat import native
-from repro.sat.backend import backend_instrumented
 
 #: Format tag written into the JSON so future schema changes are detectable.
 SCHEMA = "satmapit-bench/1"
@@ -69,20 +68,10 @@ class BenchCase:
     #: wall-clock win over the same-kernel unseeded twin, annotated by
     #: ``run_suite`` as ``speedup_vs_unseeded``).
     seeded: bool = False
-    #: Solver backend for the case.  Non-``cdcl`` cases measure an
-    #: alternative engine against their same-(kernel, size, search, seeded)
-    #: cdcl twin, which ``run_suite`` annotates as ``speedup_vs_cdcl``;
-    #: non-instrumented backends report ``null`` solver-core rates.
-    backend: str = "cdcl"
 
     @property
     def bounded(self) -> bool:
         return self.conflict_limit is not None
-
-    @property
-    def instrumented(self) -> bool:
-        """Whether the case's backend reports solver-core counters."""
-        return backend_instrumented(self.backend)
 
 
 #: The pinned suite (seed 0 everywhere).  Completing cases first — from
@@ -115,15 +104,6 @@ PINNED_SUITE: tuple[BenchCase, ...] = (
     BenchCase("backprop@2x2!seeded", "backprop", 2, seeded=True),
     BenchCase("gsm@2x2!seeded", "gsm", 2, seeded=True),
     BenchCase("nw@4x4!seeded", "nw", 4, timeout=300.0, seeded=True),
-    # External-backend twins: the same ladder search solved through the
-    # DIMACS subprocess layer (the bundled ``subprocess`` engine, so the
-    # suite never depends on a system solver).  Each pairs with its cdcl
-    # case above; ``run_suite`` records ``speedup_vs_cdcl`` and the gate
-    # holds their IIs identical — the subprocess layer may only change
-    # *how fast* an answer arrives, never which answer.
-    BenchCase("gsm@2x2!subproc", "gsm", 2, backend="subprocess"),
-    BenchCase("backprop@3x3!subproc", "backprop", 3, backend="subprocess"),
-    BenchCase("hotspot@3x3!subproc", "hotspot", 3, backend="subprocess"),
     BenchCase("sha@2x2#c1500", "sha", 2, conflict_limit=1500),
     BenchCase("sha2@2x2#c1500", "sha2", 2, conflict_limit=1500),
     BenchCase("patricia@3x3#c1500", "patricia", 3, conflict_limit=1500),
@@ -134,8 +114,8 @@ PINNED_SUITE: tuple[BenchCase, ...] = (
 QUICK_SUITE: tuple[BenchCase, ...] = tuple(
     case
     for case in PINNED_SUITE
-    if case.name in ("gsm@2x2", "gsm@2x2!seeded", "gsm@2x2!subproc",
-                     "backprop@3x3", "sha@2x2#c1500", "sha2@2x2#c1500")
+    if case.name in ("gsm@2x2", "gsm@2x2!seeded", "backprop@3x3",
+                     "sha@2x2#c1500", "sha2@2x2#c1500")
 )
 
 SUITES = {"default": PINNED_SUITE, "quick": QUICK_SUITE}
@@ -216,7 +196,6 @@ def _case_config(case: BenchCase, dfg, cgra: CGRA) -> tuple[MapperConfig, int | 
             timeout=case.timeout,
             max_ii=mii,
             max_extra_slack=0,
-            backend=case.backend,
             solver_conflict_limit=case.conflict_limit,
             run_register_allocation=False,
             random_seed=BENCH_SEED,
@@ -228,7 +207,6 @@ def _case_config(case: BenchCase, dfg, cgra: CGRA) -> tuple[MapperConfig, int | 
         return config, mii
     config = MapperConfig(
         timeout=case.timeout,
-        backend=case.backend,
         slack_conflict_limit=None,
         run_register_allocation=False,
         random_seed=BENCH_SEED,
@@ -263,7 +241,6 @@ def run_case(case: BenchCase, repeats: int = 3) -> dict:
             "conflict_limit": case.conflict_limit,
             "search": case.search,
             "seeded": case.seeded,
-            "backend": case.backend,
             # Which CDCL engine ran: "native" or "python" (the fallback).
             # A baseline recorded with one and compared against the other
             # shows up as a gross speed change on the solve-bound cases.
@@ -296,14 +273,6 @@ def run_case(case: BenchCase, repeats: int = 3) -> dict:
     record["propagations_per_s"] = (
         round(record["propagations"] / record["solve_s"]) if record["solve_s"] else 0
     )
-    if not case.instrumented:
-        # The engine cannot report solver-core counters; ``null`` keeps the
-        # JSON honest — a zero would read as a (terrible) measurement.
-        for counter in (
-            "conflicts", "propagations", "propagations_per_s",
-            "binary_propagations", "blocker_skips", "arena_bytes",
-        ):
-            record[counter] = None
     return record
 
 
@@ -346,7 +315,6 @@ def run_farm_case(repeats: int = 1) -> dict:
             "conflict_limit": None,
             "search": "farm",
             "seeded": False,
-            "backend": "cdcl",
             "core": native.status().core,
             "seed_ii": None,
             "status": "swept",
@@ -452,9 +420,6 @@ def run_suite(
     records = []
     for case in cases:
         record = run_case(case, repeats=repeats)
-        # The reference-table filters below key off the backend; make the
-        # annotation robust to record sources that omit it.
-        record.setdefault("backend", case.backend)
         records.append(record)
         if progress:
             conflicts = record["conflicts"]
@@ -481,9 +446,7 @@ def run_suite(
     # Annotate every non-ladder case with its wall-clock ratio against the
     # same (kernel, size) ladder twin — the portfolio's headline number —
     # every seeded case with its ratio against the unseeded twin of the
-    # same (kernel, size, search), and every non-cdcl-backend case with its
-    # ratio against the cdcl twin of the same (kernel, size, search,
-    # seeded).  Seeded and alternative-backend cases are excluded from the
+    # same (kernel, size, search).  Seeded cases are excluded from the
     # ladder/unseeded reference tables so they never masquerade as a
     # reference.
     ladder_walls = {
@@ -492,31 +455,14 @@ def run_suite(
         if r.get("search", "ladder") == "ladder"
         and not r["bounded"]
         and not r.get("seeded")
-        and r.get("backend", "cdcl") == "cdcl"
     }
     unseeded_walls = {
         (r["kernel"], r["size"], r.get("search", "ladder")): r["wall_s"]
         for r in records
-        if not r["bounded"]
-        and not r.get("seeded")
-        and r.get("backend", "cdcl") == "cdcl"
-    }
-    cdcl_walls = {
-        (r["kernel"], r["size"], r.get("search", "ladder"), bool(r.get("seeded"))):
-            r["wall_s"]
-        for r in records
-        if not r["bounded"] and r.get("backend", "cdcl") == "cdcl"
+        if not r["bounded"] and not r.get("seeded")
     }
     for record in records:
         if record["bounded"]:
-            continue
-        if record.get("backend", "cdcl") != "cdcl":
-            twin_wall = cdcl_walls.get((
-                record["kernel"], record["size"],
-                record.get("search", "ladder"), bool(record.get("seeded")),
-            ))
-            if twin_wall and record["wall_s"]:
-                record["speedup_vs_cdcl"] = round(twin_wall / record["wall_s"], 2)
             continue
         if record.get("seeded"):
             twin_wall = unseeded_walls.get(
@@ -534,8 +480,7 @@ def run_suite(
             record["speedup_vs_ladder"] = round(twin_wall / record["wall_s"], 2)
     total_wall = sum(r["wall_s"] for r in records)
     total_solve = sum(r["solve_s"] for r in records)
-    # Solver-core totals cover instrumented cases only (``null`` counters
-    # from external backends are not zeros).
+    # Solver-core totals skip the farm probe's ``null`` counters.
     total_props = sum(r["propagations"] or 0 for r in records)
     # Service-level throughput: completed end-to-end mappings per minute of
     # mapper wall time (bounded probes never complete by construction and
@@ -549,9 +494,9 @@ def run_suite(
         if completing_wall
         else 0.0
     )
-    # The aggregate rate divides by *instrumented* solve time only, so an
-    # external case (null counters) cannot dilute it.
-    instrumented_solve = sum(
+    # The aggregate rate divides by the solve time of cases that report
+    # propagations only, so a null-counter record cannot dilute it.
+    counted_solve = sum(
         r["solve_s"] for r in records if r["propagations"] is not None
     )
     scale_panel: list[dict] = []
@@ -587,8 +532,8 @@ def run_suite(
             "conflicts": sum(r["conflicts"] or 0 for r in records),
             "propagations": total_props,
             "propagations_per_s": (
-                round(total_props / instrumented_solve)
-                if instrumented_solve
+                round(total_props / counted_solve)
+                if counted_solve
                 else 0
             ),
             "kernels_mapped_per_minute": kernels_per_minute,
@@ -682,7 +627,7 @@ def compare(
         elif ratio < 1.0:
             verdict = f"{1 / ratio:.2f}x faster"
         # Informational propagation-rate delta — skipped entirely when
-        # either side reports null rates (non-instrumented backends).
+        # either side reports null rates (the farm probe).
         base_rate = base.get("propagations_per_s")
         rate = entry.get("propagations_per_s")
         rate_note = ""
@@ -719,13 +664,12 @@ def check_strategy_equivalence(
     suite: str = "default",
     progress: bool = False,
     reference_doc: dict | None = None,
-    external_backend: str | None = "subprocess",
 ) -> tuple[bool, list[str]]:
     """CI gate: every strategy — seeded or not — must match the ladder's II.
 
     Every completing (non-bounded) unseeded-ladder case of the suite is run
-    once under each alternative strategy *and* once under every strategy
-    with the heuristic seeding pre-pass enabled; achieved II and final
+    once under the portfolio *and* once under each strategy with the
+    heuristic seeding pre-pass enabled; achieved II and final
     status must equal the unseeded ladder's.  The suite's completing cases
     are configured so the II is a formula property (decisive attempts, no
     regalloc post-pass) — any divergence is an orchestration bug, not
@@ -733,31 +677,21 @@ def check_strategy_equivalence(
     the returned II.  ``reference_doc`` (a document from :func:`run_suite`)
     supplies the ladder answers without re-solving them; missing cases fall
     back to a fresh reference run.
-
-    ``external_backend`` adds one more row per case: the same ladder search
-    solved through the named external backend (default: the bundled
-    ``subprocess`` engine, so the gate needs no system solver; CI also runs
-    it with a real one).  ``None`` skips the external rows.
     """
     from dataclasses import replace as dc_replace
 
     cases = [
         case
         for case in SUITES[suite]
-        if not case.bounded
-        and case.search == "ladder"
-        and not case.seeded
-        and case.backend == "cdcl"
+        if not case.bounded and case.search == "ladder" and not case.seeded
     ]
     references = {
         record["name"]: record
         for record in (reference_doc or {}).get("cases", [])
     }
     variants = [
-        ("bisect", False),
         ("portfolio", False),
         ("ladder", True),
-        ("bisect", True),
         ("portfolio", True),
     ]
     lines: list[str] = []
@@ -771,8 +705,6 @@ def check_strategy_equivalence(
                   seeded=seeded))
             for strategy, seeded in variants
         ]
-        if external_backend:
-            rows.append((external_backend, dict(backend=external_backend)))
         for label, overrides in rows:
             variant = dc_replace(
                 case, name=f"{case.name}!{label}", **overrides
@@ -822,29 +754,10 @@ def main(argv: list[str] | None = None) -> int:
                              "panel (minutes-scale; informational, "
                              "never gated)")
     parser.add_argument("--check-strategies", action="store_true",
-                        help="re-run every completing case under the bisect "
-                             "and portfolio strategies (and one external "
-                             "backend) and fail on any II divergence from "
-                             "the ladder")
-    parser.add_argument("--external-backend", default="subprocess",
-                        metavar="NAME",
-                        help="external backend for the --check-strategies "
-                             "rows: 'subprocess' (bundled, default), a "
-                             "system solver like 'kissat', or 'none' to "
-                             "skip the external rows")
+                        help="re-run every completing case under the "
+                             "portfolio and with the seeding pre-pass, and "
+                             "fail on any II divergence from the ladder")
     args = parser.parse_args(argv)
-
-    external_backend = (
-        None if args.external_backend == "none" else args.external_backend
-    )
-    if external_backend and args.check_strategies:
-        from repro.sat.backend import BackendUnavailableError, validate_backend
-
-        try:
-            validate_backend(external_backend)
-        except (BackendUnavailableError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
 
     print(f"perf harness: suite={args.suite} repeats={args.repeats} "
           f"seed={BENCH_SEED}")
@@ -871,11 +784,10 @@ def main(argv: list[str] | None = None) -> int:
         print("perf gate passed")
 
     if args.check_strategies:
-        tail = f" vs {external_backend}" if external_backend else ""
-        print(f"\nstrategy equivalence (ladder vs bisect vs portfolio{tail}):")
+        print("\nstrategy equivalence (ladder vs portfolio, with and "
+              "without seed):")
         ok, _lines = check_strategy_equivalence(
             args.suite, progress=True, reference_doc=results,
-            external_backend=external_backend,
         )
         if not ok:
             print("strategy equivalence FAILED", file=sys.stderr)

@@ -167,22 +167,20 @@ def search_cache_totals(sweep: SweepResult) -> tuple[dict[str, int], int, int, i
     return strategies, hits, misses, launched, cancelled
 
 
-def seed_totals(sweep: SweepResult) -> tuple[int, int, int, float, int]:
+def seed_totals(sweep: SweepResult) -> tuple[int, int, int, float]:
     """Aggregate heuristic-seeding metrics over the SAT-MapIt runs.
 
-    Returns ``(seeded_runs, seeds_found, seeds_used, seed_seconds,
-    tuner_consults)``: runs that ran the pre-pass, runs where it produced a
-    validated mapping, runs whose *returned* mapping is the seed itself
-    (anytime fallback or MII-optimal seed), total pre-pass wall-clock, and
-    portfolio runs that consulted persisted lane statistics.
+    Returns ``(seeded_runs, seeds_found, seeds_used, seed_seconds)``: runs
+    that ran the pre-pass, runs where it produced a validated mapping, runs
+    whose *returned* mapping is the seed itself (anytime fallback or
+    MII-optimal seed), and total pre-pass wall-clock.
     """
     records = [entry for entry in sweep.records if entry.mapper == SAT_MAPIT]
     seeded = sum(1 for entry in records if sweep.config.seed_heuristic)
     found = sum(1 for entry in records if entry.seed_ii is not None)
     used = sum(1 for entry in records if entry.seed_used)
     seconds = sum(entry.seed_time for entry in records)
-    consults = sum(1 for entry in records if entry.tuner_consulted)
-    return seeded, found, used, seconds, consults
+    return seeded, found, used, seconds
 
 
 def render_markdown_report(sweep: SweepResult, options: ReportOptions | None = None) -> str:
@@ -215,8 +213,7 @@ def render_markdown_report(sweep: SweepResult, options: ReportOptions | None = N
             f"* mapping cache: "
             f"{config.cache_dir if config.cache_dir else 'off'}",
             f"* heuristic II seeding: "
-            f"{'on' if config.seed_heuristic else 'off'}, lane tuner: "
-            f"{config.tuner_dir if config.tuner_dir else 'off'}",
+            f"{'on' if config.seed_heuristic else 'off'}",
             f"* PathSeeker repeats per case: {config.pathseeker_repeats} (paper: 10)",
             "",
             "## Headline (paper Section V)",
@@ -288,11 +285,11 @@ def render_markdown_report(sweep: SweepResult, options: ReportOptions | None = N
                 "",
             ]
         )
-    if config.seed_heuristic or config.tuner_dir:
-        seeded, found, used, seconds, consults = seed_totals(sweep)
+    if config.seed_heuristic:
+        seeded, found, used, seconds = seed_totals(sweep)
         lines.extend(
             [
-                "## Heuristic seeding & lane tuner",
+                "## Heuristic seeding",
                 "",
                 f"* runs with the RAMP/PathSeeker seeding pre-pass: "
                 f"**{seeded}**",
@@ -300,9 +297,6 @@ def render_markdown_report(sweep: SweepResult, options: ReportOptions | None = N
                 f"**{found}** (pre-pass wall-clock: **{seconds:.2f} s**)",
                 f"* runs answered by the seed mapping itself "
                 f"(MII-optimal seed or anytime fallback): **{used}**",
-                f"* portfolio runs consulting persisted lane statistics: "
-                f"**{consults}**"
-                + ("" if config.tuner_dir else " (tuner off)"),
                 "",
             ]
         )

@@ -104,15 +104,8 @@ class ExperimentConfig:
     #: Run the budgeted heuristic seeding pre-pass before every SAT-MapIt
     #: search (see :mod:`repro.search.seed`).
     seed_heuristic: bool = False
-    #: Persistent lane-tuner store for portfolio runs (``None`` disables).
-    tuner_dir: str | None = None
-    #: Keep DIMACS exports / DRAT traces under this directory
-    #: (see :mod:`repro.sat.dimacs`); ``None`` uses throwaway temp files.
-    dimacs_dir: str | None = None
-    #: With ``dimacs_dir``: skip rewriting content-addressed CNF files that
-    #: already exist.
-    reuse_dimacs: bool = False
-    #: Log DRAT proofs for UNSAT attempts in the SAT-MapIt runs.
+    #: Log DRAT proofs for UNSAT attempts in the SAT-MapIt runs (``cdcl``
+    #: backend only; checked by :class:`MapperConfig` on construction).
     proof: bool = False
     #: Farm execution knobs (parallel sweeps only; excluded from the
     #: journal compatibility digest so a resume may loosen them): retry cap
@@ -120,6 +113,10 @@ class ExperimentConfig:
     #: non-heartbeating worker is presumed dead and its item requeued.
     max_retries: int = 3
     lease_ttl: float = 60.0
+
+    def __post_init__(self) -> None:
+        # Reject a backend/proof mismatch up front, not per work item.
+        MapperConfig(backend=self.backend, proof=self.proof)
 
 
 @dataclass
@@ -167,8 +164,6 @@ class RunRecord:
     seed_ii: int | None = None
     seed_used: bool = False
     seed_time: float = 0.0
-    #: Whether the portfolio consulted persisted lane statistics.
-    tuner_consulted: bool = False
     #: Farm provenance (parallel sweeps only): transient-failure retries
     #: this item consumed before the recorded result, whether the record
     #: was served from a resumed journal without re-solving, whether the
@@ -255,9 +250,6 @@ def build_mapper(name: str, config: ExperimentConfig, seed: int | None = None):
                 cache_dir=config.cache_dir,
                 cache_max_mb=config.cache_max_mb,
                 seed_heuristic=config.seed_heuristic,
-                tuner_dir=config.tuner_dir,
-                dimacs_dir=config.dimacs_dir,
-                reuse_dimacs=config.reuse_dimacs,
                 proof=config.proof,
             )
         )
@@ -317,7 +309,6 @@ def run_single(
         seed_ii=getattr(outcome, "seed_ii", None),
         seed_used=getattr(outcome, "seed_used", False),
         seed_time=getattr(outcome, "seed_time", 0.0),
-        tuner_consulted=getattr(outcome, "tuner_consulted", False),
     )
 
 

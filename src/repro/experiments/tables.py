@@ -272,42 +272,6 @@ def render_scenario_comparison(sweep: SweepResult, size: int) -> str:
     return "\n".join(lines)
 
 
-def render_lane_winrates(store_dir: str) -> str:
-    """Portfolio lane win-rate table aggregated from a lane-tuner store.
-
-    One row per solver-configuration lane, summed over every problem class
-    the store has seen: races won and lost at the winning II, the win rate,
-    and the mean wall-clock per settled race — the numbers the tuner ranks
-    line-ups by.
-    """
-    from repro.search.tuner import aggregate_lane_stats
-
-    stats = aggregate_lane_stats(store_dir)
-    lines = [
-        f"Portfolio lane win rates — tuner store {store_dir}",
-        f"{'lane':12s} {'wins':>6s} {'losses':>7s} {'win rate':>9s} "
-        f"{'mean wall(s)':>13s}",
-    ]
-    if not stats:
-        lines.append("(no recorded races yet)")
-        return "\n".join(lines)
-    rows = []
-    for lane, entry in stats.items():
-        settled = entry["wins"] + entry["losses"]
-        win_rate = entry["wins"] / settled if settled else 0.0
-        mean_wall = entry["wall_s"] / settled if settled else 0.0
-        rows.append((lane, entry["wins"], entry["losses"], win_rate, mean_wall))
-    rows.sort(key=lambda row: (-row[3], row[4], row[0]))
-    for lane, wins, losses, win_rate, mean_wall in rows:
-        lines.append(
-            f"{lane:12s} {wins:6d} {losses:7d} {win_rate:8.1%} {mean_wall:13.3f}"
-        )
-    lines.append(
-        "legend: wins/losses counted at the winning II of each settled race"
-    )
-    return "\n".join(lines)
-
-
 def render_headline(sweep: SweepResult) -> str:
     """Render the Section-V headline statistics."""
     wins, total, fraction = headline_winrate(sweep)

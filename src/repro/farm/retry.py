@@ -3,8 +3,8 @@
 A failed work item is either worth retrying or poison:
 
 * **Transient** — the failure says nothing about the item itself: a worker
-  process crashed (OOM kill, operator SIGKILL), an external solver binary
-  was briefly unavailable (:class:`~repro.sat.backend.BackendUnavailableError`),
+  process crashed (OOM kill, operator SIGKILL), a solver backend was
+  briefly unavailable (:class:`~repro.sat.backend.BackendUnavailableError`),
   a cache entry was corrupted mid-read, a lease expired because a worker
   wedged.  Retried under exponential backoff with jitter, up to the
   policy's cap.

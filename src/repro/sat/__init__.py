@@ -16,12 +16,6 @@ This package is a self-contained SAT toolkit used by the SAT-MapIt core:
 * :mod:`repro.sat.backend` — the pluggable :class:`SolverBackend` protocol
   plus the ``cdcl``/``dpll`` registry the mapper selects engines from; the
   mapper drives every solve of a run through one persistent backend.
-* :mod:`repro.sat.dimacs` — named DIMACS export/import (``c varmap``
-  comments + sidecar JSON) so encoded attempts round-trip through external
-  solvers without losing model projection.
-* :mod:`repro.sat.external` — the :class:`SubprocessBackend` registry
-  entries ``kissat`` / ``cadical`` / ``minisat`` / ``subprocess`` (bundled
-  :mod:`repro.sat.pysolver`) / ``external:<path>``.
 * :mod:`repro.sat.drat` — DRAT proof logging, a bundled forward proof
   checker, and the optional ``drat-trim`` hook.
 
@@ -36,20 +30,13 @@ from repro.sat.backend import (
     DPLLBackend,
     SolverBackend,
     available_backends,
-    backend_instrumented,
     create_backend,
     register_backend,
     validate_backend,
 )
 from repro.sat.cnf import CNF, Clause
-from repro.sat.dimacs import DimacsDocument, VarMap
 from repro.sat.dpll import DPLLSolver
 from repro.sat.drat import ProofLogger, check_proof
-from repro.sat.external import (
-    ExternalSolverError,
-    ExternalSolverSpec,
-    SubprocessBackend,
-)
 from repro.sat.encodings import (
     AMOEncoding,
     at_least_one,
@@ -74,15 +61,9 @@ __all__ = [
     "CDCLBackend",
     "DPLLBackend",
     "SolverBackend",
-    "SubprocessBackend",
-    "ExternalSolverError",
-    "ExternalSolverSpec",
-    "DimacsDocument",
-    "VarMap",
     "ProofLogger",
     "check_proof",
     "available_backends",
-    "backend_instrumented",
     "create_backend",
     "register_backend",
     "validate_backend",

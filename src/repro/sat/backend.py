@@ -19,9 +19,9 @@ Two backends ship with the repository:
   not incremental internally but implements the same protocol, which lets the
   test-suite cross-check the incremental engine under assumptions.
 
-Alternative engines (a native solver binding, a remote solving service) plug
-in through :func:`register_backend` and are selected by name via the mapper's
-``MapperConfig.backend`` / the CLI's ``--backend`` flag.
+Only ``cdcl`` writes DRAT proofs.  Further engines plug in through
+:func:`register_backend` (the test-suite registers fakes this way) and are
+selected by name via ``MapperConfig.backend`` / the CLI's ``--backend``.
 """
 
 from __future__ import annotations
@@ -36,17 +36,15 @@ from repro.sat.dpll import DPLLSolver
 from repro.sat.drat import ProofLogger
 from repro.sat.solver import SolverResult, SolverStats, make_solver
 
-#: Prefix selecting an arbitrary external solver binary: ``external:<path>``.
-EXTERNAL_PREFIX = "external:"
-
 
 class BackendUnavailableError(RuntimeError):
     """A requested solver backend exists but cannot run here.
 
-    Raised by :func:`create_backend` (and the eager validators) when an
-    external solver binary is absent, instead of failing deep inside
-    ``subprocess`` at the first solve call.  Carries the missing binary name
-    and an actionable install hint; the CLI surfaces it as a one-line error.
+    No shipped backend raises it; a registered engine that depends on a
+    missing binary may, and the farm's fault injector raises it to simulate
+    one (its retry classifier treats it as transient).  Carries the
+    missing binary name and an actionable install hint; the CLI surfaces it
+    as a one-line error.
     """
 
     def __init__(self, binary: str, hint: str = "") -> None:
@@ -245,11 +243,6 @@ class DPLLBackend:
         """Number of variables in the accumulated CNF."""
         return self._cnf.num_vars
 
-    @property
-    def accumulated_cnf(self) -> CNF:
-        """The accumulated clause set (for DIMACS export)."""
-        return self._cnf
-
     def new_var(self) -> int:
         """Allocate one fresh CNF variable."""
         self.stats.variables_added += 1
@@ -312,23 +305,13 @@ class DPLLBackend:
 BackendFactory = Callable[..., SolverBackend]
 
 _REGISTRY: dict[str, BackendFactory] = {}
-_INSTRUMENTED: dict[str, bool] = {}
 
 
-def register_backend(
-    name: str, factory: BackendFactory, instrumented: bool = True
-) -> None:
-    """Register a backend factory under ``name`` (overwrites silently).
-
-    ``instrumented=False`` marks engines that cannot report solver-core
-    counters (external subprocesses, the DPLL oracle): the mapper skips
-    conflict-budget probing for them and the perf harness reports ``null``
-    rates instead of zeros that look like measurements.
-    """
+def register_backend(name: str, factory: BackendFactory) -> None:
+    """Register a backend factory under ``name`` (overwrites silently)."""
     if not name:
         raise ValueError("backend name must be non-empty")
     _REGISTRY[name] = factory
-    _INSTRUMENTED[name] = instrumented
 
 
 def available_backends() -> list[str]:
@@ -336,25 +319,11 @@ def available_backends() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def backend_instrumented(name: str) -> bool:
-    """Whether ``name`` populates conflict/propagation counters."""
-    if name.startswith(EXTERNAL_PREFIX):
-        return False
-    return _INSTRUMENTED.get(name, True)
-
-
 def create_backend(name: str, **kwargs) -> SolverBackend:
     """Instantiate a registered backend by name.
 
-    ``external:<path>`` names bypass the registry and run the named binary
-    through the subprocess layer.  Raises :class:`ValueError` for unknown
-    names and :class:`BackendUnavailableError` when the backend is known but
-    its binary is missing.
+    Raises :class:`ValueError` for unknown names.
     """
-    if name.startswith(EXTERNAL_PREFIX):
-        from repro.sat import external  # local import: external imports us
-
-        return external.create_external_backend(name, **kwargs)
     try:
         factory = _REGISTRY[name]
     except KeyError:
@@ -365,17 +334,11 @@ def create_backend(name: str, **kwargs) -> SolverBackend:
 
 
 def validate_backend(name: str) -> None:
-    """Eagerly check that ``name`` is known and runnable.
+    """Eagerly check that ``name`` is a registered backend.
 
-    Raises the same errors :func:`create_backend` would, without building a
-    backend — the CLI and the portfolio lane validator call this up front so
-    a missing binary fails as one clear line, not deep inside a worker.
+    Raises the :class:`ValueError` :func:`create_backend` would, without
+    building a backend, so a typo fails as one clear line up front.
     """
-    from repro.sat import external  # local import: external imports us
-
-    if external.is_external_backend(name):
-        external.resolve_spec(name)
-        return
     if name not in _REGISTRY:
         raise ValueError(
             f"unknown solver backend {name!r}; available: {available_backends()}"
@@ -383,4 +346,4 @@ def validate_backend(name: str) -> None:
 
 
 register_backend("cdcl", CDCLBackend)
-register_backend("dpll", DPLLBackend, instrumented=False)
+register_backend("dpll", DPLLBackend)

@@ -7,8 +7,7 @@ cache must be able to show its work.  This module provides the three pieces:
 * :class:`ProofLogger` — an append-only DRAT trace writer.  The CDCL solver
   logs every learned clause (all learned clauses produced by 1-UIP conflict
   analysis are RUP, hence DRAT) and every deletion from clause-database
-  reduction; external solvers write the trace themselves when invoked with a
-  proof path.  A running SHA-256 over the emitted bytes gives a cheap,
+  reduction.  A running SHA-256 over the emitted bytes gives a cheap,
   order-sensitive *proof digest* that cache entries and :class:`IIAttempt`
   records can store without retaining the trace itself.
 * :func:`check_proof` — a bundled pure-Python *forward* DRAT checker
@@ -135,7 +134,7 @@ class ProofLogger:
 
 
 def proof_digest(text: str) -> str:
-    """Digest of an externally produced trace (same scheme as the logger)."""
+    """Digest of a trace held as text (same scheme as the logger)."""
     return hashlib.sha256(text.encode("ascii", "replace")).hexdigest()
 
 

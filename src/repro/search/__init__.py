@@ -10,21 +10,16 @@ and solved, so this package factors it out of the mapper:
   else (encoding, solving, register allocation, stats) itself.
 * :class:`repro.search.ladder.LadderStrategy` — the paper's sequential
   climb (the default, behaviour-identical to the pre-refactor loop).
-* :class:`repro.search.bisect.BisectionStrategy` — gallop for a feasible
-  upper bound, then binary-search the gap using UNSAT answers as lower
-  bounds.
 * :class:`repro.search.portfolio.PortfolioStrategy` — a process-based
-  parallel portfolio that races several IIs and/or solver configurations
-  and cancels the losers on the first win at the frontier II.
+  parallel portfolio that races several IIs and a fixed line-up of solver
+  configurations and cancels the losers on the first win at the frontier
+  II.
 * :class:`repro.search.cache.MappingCache` — a persistent, content-addressed
   result cache keyed by (DFG, CGRA spec, mapper configuration, solver
   version).
 * :mod:`repro.search.seed` — a budgeted heuristic pre-pass (RAMP /
   PathSeeker) whose validated mapping becomes a feasible upper bound every
   strategy exploits, and the anytime answer on timeout.
-* :class:`repro.search.tuner.LaneTuner` — a persistent per-problem-class
-  statistics store the portfolio consults to pick its lane line-up and
-  probe budgets, learning from every settled race.
 
 Strategies are selected by name through ``MapperConfig.search`` / the CLI's
 ``--search`` flag; new ones plug in via :func:`register_strategy`.
@@ -40,7 +35,6 @@ from repro.search.base import (
     create_strategy,
     register_strategy,
 )
-from repro.search.bisect import BisectionStrategy
 from repro.search.cache import CacheStats, MappingCache, cache_key
 from repro.search.ladder import LadderStrategy
 from repro.search.portfolio import (
@@ -48,17 +42,13 @@ from repro.search.portfolio import (
     PortfolioStrategy,
 )
 from repro.search.seed import SeedResult, run_seed
-from repro.search.tuner import LaneTuner, TunerStats, tuner_key
 
 register_strategy("ladder", LadderStrategy)
-register_strategy("bisect", BisectionStrategy)
 register_strategy("portfolio", PortfolioStrategy)
 
 __all__ = [
-    "BisectionStrategy",
     "CacheStats",
     "LadderStrategy",
-    "LaneTuner",
     "MappingCache",
     "PORTFOLIO_VARIANTS",
     "PortfolioStrategy",
@@ -66,11 +56,9 @@ __all__ = [
     "SearchResult",
     "SearchStrategy",
     "SeedResult",
-    "TunerStats",
     "available_strategies",
     "cache_key",
     "create_strategy",
     "register_strategy",
     "run_seed",
-    "tuner_key",
 ]

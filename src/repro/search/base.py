@@ -11,8 +11,8 @@ the encoding machinery, while every attempt it triggers lands in the run's
 The contract every strategy must honour:
 
 * return the *smallest* feasible II it can prove within the run's budgets
-  (for the sequential ladder this is by construction; bisection relies on
-  feasibility being monotone in the II, which holds for decisive attempts);
+  (for the sequential ladder this is by construction; the portfolio only
+  returns a win once every II below it is resolved);
 * record timeouts by setting ``ctx.outcome.timed_out`` and returning what
   it has (``None`` or a feasible-but-possibly-non-minimal result — the
   anytime behaviour the ladder already had);
@@ -55,7 +55,6 @@ class SearchContext:
         start: float,
         first_ii: int,
         seed: SearchResult | None = None,
-        tuner: object | None = None,
     ) -> None:
         self.mapper = mapper
         self.dfg = dfg
@@ -68,10 +67,6 @@ class SearchContext:
         #: search ``[first_ii, seed.ii - 1]`` and fall back to the seed
         #: itself on exhaustion or timeout; ``None`` in unseeded runs.
         self.seed = seed
-        #: Persistent lane-statistics handle
-        #: (:class:`repro.search.tuner.LaneTuner`) the portfolio consults
-        #: and feeds; ``None`` when tuning is off.
-        self.tuner = tuner
 
     @property
     def config(self) -> "MapperConfig":
@@ -84,41 +79,24 @@ class SearchContext:
     def make_backend(self) -> "SolverBackend":
         """A fresh persistent backend for the run's configured engine."""
         from repro.sat.backend import create_backend
-        from repro.sat.external import is_external_backend
 
         config = self.config
-        name = self.outcome.backend_name
         kwargs: dict[str, object] = {"random_seed": config.random_seed}
-        if is_external_backend(name):
-            kwargs.update(
-                dimacs_dir=config.dimacs_dir,
-                reuse_dimacs=config.reuse_dimacs,
-                proof=config.proof,
-                # Opting into proofs buys certified UNSAT answers: every
-                # external refutation is replayed through the bundled
-                # forward checker before the mapper trusts it.
-                verify_proofs=config.proof,
-                tag=f"{self.dfg.name}@{self.cgra.name}",
-            )
-        elif config.proof and name == "cdcl":
-            # The internal engine streams its DRAT trace to a file; with
-            # --dimacs-dir the trace lands next to the exports, otherwise
-            # in the system temp dir (the per-attempt digest is the durable
-            # artefact either way).
+        if config.proof:
+            # The CDCL engine (the only proof-capable one; MapperConfig
+            # rejects the rest) streams its DRAT trace to a file in the
+            # system temp dir.  The per-attempt digest is the durable
+            # artefact.
             import os
             import tempfile
 
-            directory = config.dimacs_dir
-            if directory is not None:
-                os.makedirs(directory, exist_ok=True)
             fd, path = tempfile.mkstemp(
-                dir=directory,
                 prefix=f"{self.dfg.name}@{self.cgra.name}-",
                 suffix=".drat",
             )
             os.close(fd)
             kwargs["proof_path"] = path
-        return create_backend(name, **kwargs)
+        return create_backend(self.outcome.backend_name, **kwargs)
 
     def attempt(self, ii: int, backend: "SolverBackend") -> SearchResult | None:
         """Attempt one II (all slack levels) through the mapper's machinery.
@@ -137,16 +115,6 @@ class SearchContext:
             return None
         mapping, allocation = found
         return SearchResult(ii=ii, mapping=mapping, allocation=allocation)
-
-    def attempt_was_decisive(self, ii: int) -> bool:
-        """Whether every recorded attempt at ``ii`` answered UNSAT.
-
-        Strategies that skip IIs (bisection) use this to distinguish a
-        *proof* of infeasibility from an inconclusive (conflict- or
-        time-bounded) attempt.
-        """
-        statuses = [a.status for a in self.outcome.attempts if a.ii == ii]
-        return bool(statuses) and all(s == "UNSAT" for s in statuses)
 
     def out_of_time(self) -> bool:
         return self.mapper._out_of_time(self.start)

@@ -85,9 +85,9 @@ STALE_TEMP_AGE = 300.0
 
 #: MapperConfig fields that determine *which* mapping a run can produce.
 #: Everything else (timeout, attempt_time_limit, verbose, search,
-#: search_jobs, portfolio_variants, cache_dir, cache_max_mb, the
-#: heuristic-seeding knobs and tuner_dir) only affects how fast or whether
-#: the run finishes within budget, never the II of a completed run, and is
+#: search_jobs, portfolio_variants, the cache and heuristic-seeding knobs,
+#: proof) only affects how fast or whether the run finishes within budget
+#: or what evidence it logs, never the II of a completed run, and is
 #: deliberately excluded from the key — a seeded portfolio run primes the
 #: cache for a later unseeded ladder run of the same problem.
 SEMANTIC_CONFIG_FIELDS: tuple[str, ...] = (

@@ -8,10 +8,10 @@ are raced here:
   of II = k and the mapping work of II = k+1 overlap instead of queueing;
 * **across configurations** — each II can additionally be raced by several
   *variants* of the solver configuration (probe-free AUTO, forced pairwise
-  AMO, sequential AMO, external solvers).  Variant runtimes on a hard
-  instance differ by integer factors and no single variant dominates, which
-  is the classic SAT-portfolio observation; the first variant to answer
-  settles the II for everyone.
+  AMO, sequential AMO).  Variant runtimes on a hard instance differ by
+  integer factors and no single variant dominates, which is the classic
+  SAT-portfolio observation; the first variant to answer settles the II
+  for everyone.  The line-up is fixed by ``MapperConfig.portfolio_variants``.
 
 Work items ``(ii, variant)`` are dispatched in II-major order onto at most
 ``MapperConfig.search_jobs`` worker processes.  Results are aggregated per
@@ -22,9 +22,9 @@ higher II.  A win above the frontier never returns early — minimality
 requires every II below it to be resolved first, exactly like the ladder.
 
 Soundness across variants: every variant encodes the same mapping problem
-(AMO encodings and solver engines preserve satisfiability), so a SAT
-answer from *any* variant is a valid mapping and a decisive all-UNSAT
-answer from any variant is a proof of infeasibility for the II itself.
+(AMO encodings preserve satisfiability), so a SAT answer from *any*
+variant is a valid mapping and a decisive all-UNSAT answer from any
+variant is a proof of infeasibility for the II itself.
 Inconclusive failures (conflict- or time-bounded attempts) only fail the II
 once every variant has failed it.  A **register-allocation** failure is
 weaker still: it rejects the specific models one variant's trajectory kept
@@ -71,16 +71,6 @@ PORTFOLIO_VARIANTS: dict[str, dict] = {
     # Forced sequential-counter AMO: smallest encoding, fastest to emit.
     "sequential": {"amo_encoding": AMOEncoding.SEQUENTIAL,
                    "amo_probe_conflicts": None},
-    # External-solver lanes (see repro.sat.external): the attempt is
-    # exported to DIMACS and solved by a subprocess.  They are ordinary
-    # lanes to the racing/cancellation machinery and the tuner; their
-    # availability is validated up front by variant_overrides so a missing
-    # binary fails as one clear error, not per worker.  "subprocess" is
-    # the always-available bundled solver; "kissat"/"minisat" need the
-    # system binary on PATH.
-    "subprocess": {"backend": "subprocess"},
-    "kissat": {"backend": "kissat"},
-    "minisat": {"backend": "minisat"},
 }
 
 #: Default racing line-up (see ``MapperConfig.portfolio_variants``).
@@ -124,14 +114,7 @@ def reap_process(process, grace: float | None = None) -> None:
 
 
 def variant_overrides(names: tuple[str, ...]) -> list[dict]:
-    """Resolve variant names to config overrides, validating early.
-
-    External-solver lanes additionally resolve their binary here, so the
-    whole race aborts with one :class:`BackendUnavailableError` before any
-    worker is spawned.
-    """
-    from repro.sat.external import ensure_available
-
+    """Resolve variant names to config overrides, validating early."""
     overrides = []
     for name in names:
         try:
@@ -141,9 +124,6 @@ def variant_overrides(names: tuple[str, ...]) -> list[dict]:
                 f"unknown portfolio variant {name!r}; "
                 f"available: {sorted(PORTFOLIO_VARIANTS)}"
             ) from None
-        backend = PORTFOLIO_VARIANTS[name].get("backend")
-        if backend:
-            ensure_available(backend)
     return overrides
 
 
@@ -213,18 +193,6 @@ class PortfolioStrategy(SearchStrategy):
         # resolved infeasible and the seed mapping is the answer.
         top_ii = ctx.max_ii if seed is None else min(ctx.max_ii, seed.ii - 1)
         variant_names = tuple(config.portfolio_variants) or ("default",)
-        probe_override: int | None = None
-        tuner = ctx.tuner
-        tuner_key: str | None = None
-        if tuner is not None:
-            tuner_key = tuner.key(ctx.dfg, ctx.cgra)
-            choice = tuner.choose(
-                tuner_key, variant_names, tuple(PORTFOLIO_VARIANTS)
-            )
-            ctx.outcome.tuner_consulted = choice.consulted
-            if choice.consulted:
-                variant_names = choice.lineup
-                probe_override = choice.probe_conflicts
         # Racing variants only pays when they actually run in parallel: on a
         # box with fewer cores than variants, the extra lanes just timeshare
         # the winner's core.  Trim the line-up to the machine's parallelism
@@ -233,7 +201,6 @@ class PortfolioStrategy(SearchStrategy):
         # only drops variants, never reorders them.
         cpu_budget = os.cpu_count() or 1
         variant_names = variant_names[: max(1, cpu_budget)]
-        ctx.outcome.tuner_lineup = variant_names if tuner is not None else None
         overrides = variant_overrides(variant_names)
         jobs = max(1, config.search_jobs)
 
@@ -259,10 +226,6 @@ class PortfolioStrategy(SearchStrategy):
         # lane is only failed after a grace period of poll rounds.
         pending_dead: dict[int, int] = {}
         states: dict[int, _IIState] = {}
-        # One record per settled lane, for the tuner: which lane, at which
-        # II, did it deliver the verdict and how much wall/conflicts it
-        # spent.  ``won`` is resolved at return time against the winning II.
-        lane_log: list[dict] = []
         frontier = ctx.first_ii
         best_win_ii: int | None = None  # lowest II with a win so far
         token_counter = 0
@@ -278,8 +241,7 @@ class PortfolioStrategy(SearchStrategy):
         def launch(ii: int, lane: int) -> None:
             nonlocal token_counter
             worker_config = self._worker_config(
-                config, lane_overrides(lane), ii, ctx.remaining_time(),
-                probe_override,
+                config, lane_overrides(lane), ii, ctx.remaining_time()
             )
             token = token_counter
             token_counter += 1
@@ -353,21 +315,8 @@ class PortfolioStrategy(SearchStrategy):
             state = states[ii]
             if isinstance(payload, str):  # worker crashed; treat as failure
                 state.failed_lanes += 1
-                lane_log.append({
-                    "ii": ii, "lane": lane_name(lane), "outcome": None,
-                    "wall_s": 0.0, "conflicts": 0,
-                })
                 return
             worker_outcome = payload
-            lane_log.append({
-                "ii": ii,
-                "lane": lane_name(lane),
-                "outcome": worker_outcome,
-                "wall_s": worker_outcome.total_time,
-                "conflicts": sum(
-                    a.conflicts for a in worker_outcome.attempts
-                ),
-            })
             outcome.attempts.extend(worker_outcome.attempts)
             if worker_outcome.success and worker_outcome.mapping is not None:
                 if state.win is None:
@@ -457,11 +406,6 @@ class PortfolioStrategy(SearchStrategy):
                         outcome.portfolio_winner = state.winning_variant
                         cancel_all()
                         self._finalise_attempts(outcome)
-                        if tuner is not None and tuner_key is not None:
-                            self._record_tuner(
-                                tuner, tuner_key, lane_log, frontier,
-                                state.win,
-                            )
                         return SearchResult(
                             ii=frontier,
                             mapping=state.win.mapping,
@@ -499,14 +443,13 @@ class PortfolioStrategy(SearchStrategy):
     @staticmethod
     def _worker_config(
         config: "MapperConfig", overrides: dict, ii: int,
-        remaining: float | None, probe_override: int | None = None,
+        remaining: float | None,
     ) -> "MapperConfig":
         """Specialise the run's config for one (II, variant) worker.
 
-        Seeding and tuning are parent-side concerns: the parent already ran
-        the heuristic pre-pass and consulted the store, so workers get both
-        switched off (a worker re-seeding its single II would be pure
-        overhead and a worker re-recording would double-count races).
+        Seeding is a parent-side concern: the parent already ran the
+        heuristic pre-pass, so workers get it switched off (a worker
+        re-seeding its single II would be pure overhead).
         """
         fields: dict = dict(overrides)
         fields["search"] = "ladder"
@@ -514,42 +457,9 @@ class PortfolioStrategy(SearchStrategy):
         fields["max_ii"] = ii
         fields["verbose"] = False
         fields["seed_heuristic"] = False
-        fields["tuner_dir"] = None
         if remaining is not None:
             fields["timeout"] = remaining
-        if (
-            probe_override is not None
-            and "amo_probe_conflicts" not in overrides
-            and config.amo_probe_conflicts is not None
-        ):
-            # Tuner-sized probe budget, applied only to lanes that keep the
-            # probe/escalation two-phase (sound: an inconclusive probe still
-            # escalates to the full encoding, whatever its budget).
-            fields["amo_probe_conflicts"] = probe_override
         return replace(config, **fields)
-
-    @staticmethod
-    def _record_tuner(
-        tuner, key: str, lane_log: list[dict], win_ii: int, winner,
-    ) -> None:
-        """Feed the settled race back into the lane store.
-
-        Only lanes that raced the *winning* II to a verdict carry signal:
-        the one whose outcome became the win is the winner, its settled
-        siblings are losses.  Lanes at other IIs (proof work) and cancelled
-        lanes (no verdict) are not scored.
-        """
-        results = [
-            {
-                "lane": entry["lane"],
-                "won": entry["outcome"] is winner,
-                "wall_s": entry["wall_s"],
-                "conflicts": entry["conflicts"],
-            }
-            for entry in lane_log
-            if entry["ii"] == win_ii
-        ]
-        tuner.record(key, results)
 
     @staticmethod
     def _cancel_moot(

@@ -9,8 +9,6 @@ every strategy can exploit:
 
 * the **ladder** stops climbing at ``seed.ii - 1`` and falls back to the
   seed mapping when the climb exhausts or times out;
-* **bisection** skips its gallop phase — the seed is the upper bound, the
-  binary search starts directly on ``[first_ii, seed.ii - 1]``;
 * the **portfolio** only races IIs below the seed, so SAT lanes prove
   optimality *downward* instead of discovering feasibility upward;
 * a seed at the first candidate II (the MII is a lower bound) is returned

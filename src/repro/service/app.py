@@ -15,7 +15,7 @@ POST     ``/map``                  submit a mapping problem; ``wait`` seconds
 GET      ``/jobs/{id}``            poll a job (result embedded once done)
 POST     ``/jobs/{id}/cancel``     cancel a job (``DELETE /jobs/{id}`` works
                                    too); the worker process is reaped
-GET      ``/stats``                service / cache / tuner telemetry
+GET      ``/stats``                service / cache telemetry
 GET      ``/healthz``              liveness probe
 =======  ========================  ===========================================
 """

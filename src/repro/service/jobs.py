@@ -306,7 +306,6 @@ class JobManager:
         pool_size: int = 2,
         cache_dir: str | None = None,
         cache_max_mb: float | None = None,
-        tuner_dir: str | None = None,
         limits: ServiceLimits | None = None,
         mp_context=None,
         max_jobs_tracked: int = 1000,
@@ -314,7 +313,6 @@ class JobManager:
         self.pool_size = max(1, pool_size)
         self.cache_dir = cache_dir
         self.cache_max_mb = cache_max_mb
-        self.tuner_dir = tuner_dir
         self.limits = limits or ServiceLimits()
         # ``spawn`` by default: forking a process from the event loop's
         # worker threads is unreliable (and deprecated in newer CPythons);
@@ -339,8 +337,6 @@ class JobManager:
                 cache_max_mb=self.cache_max_mb,
                 cache_namespace=request.tenant,
             )
-        if self.tuner_dir is not None:
-            fields["tuner_dir"] = self.tuner_dir
         return replace(request.config, **fields) if fields else request.config
 
     def submit(self, request: MapRequest) -> tuple[Job, bool]:

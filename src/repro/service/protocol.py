@@ -32,12 +32,14 @@ import os
 from dataclasses import dataclass
 from typing import Any
 
+from repro.baselines import HEURISTIC_MAPPERS
 from repro.cgra.architecture import CGRA
 from repro.cgra.presets import arch_preset_names, get_arch_preset
 from repro.core.mapper import MapperConfig, MappingOutcome
 from repro.dfg.graph import DFG
 from repro.exceptions import ArchitectureError
 from repro.sat.encodings import AMOEncoding
+from repro.search import PORTFOLIO_VARIANTS, available_strategies
 from repro.search.cache import resolve_cache_dir
 
 
@@ -83,9 +85,10 @@ class MapRequest:
 # ---------------------------------------------------------------------------
 
 #: MapperConfig fields a request may set, with their expected JSON shape.
-#: File-system knobs (cache/tuner/DIMACS directories, namespaces) and
-#: debug output are service-owned and deliberately absent — a request
-#: must never choose where the server writes.
+#: File-system knobs (cache directory, namespaces) and debug output are
+#: service-owned and deliberately absent — a request must never choose
+#: where the server writes.  ``search``, ``portfolio_variants`` and
+#: ``seed_mappers`` are further checked against their registries.
 _CONFIG_FIELDS: dict[str, str] = {
     "max_ii": "int",
     "timeout": "float?",
@@ -111,6 +114,25 @@ _CONFIG_FIELDS: dict[str, str] = {
     "seed_time_budget": "float",
     "seed_mappers": "strs",
 }
+
+
+def _check_names(fields: dict[str, Any]) -> None:
+    """Reject unknown strategy / variant / seed-mapper names up front."""
+    registries = {
+        "search": available_strategies(),
+        "portfolio_variants": sorted(PORTFOLIO_VARIANTS),
+        "seed_mappers": sorted(HEURISTIC_MAPPERS),
+    }
+    for name, allowed in registries.items():
+        value = fields.get(name)
+        if value is None:
+            continue
+        for item in (value,) if isinstance(value, str) else value:
+            if item not in allowed:
+                raise ProtocolError(
+                    f"config field {name!r}: unknown name {item!r}; "
+                    f"allowed: {allowed}"
+                )
 
 
 def _coerce(name: str, value: Any, kind: str) -> Any:
@@ -261,6 +283,7 @@ def parse_map_request(
                 f"allowed: {sorted(_CONFIG_FIELDS)}"
             )
         fields[name] = _coerce(name, value, kind)
+    _check_names(fields)
 
     timeout = fields.get("timeout")
     if timeout is None:

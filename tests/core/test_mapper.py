@@ -1,5 +1,10 @@
 """Tests for the iterative SAT-MapIt mapping driver."""
 
+import dataclasses
+import json
+import os
+import tempfile
+
 import pytest
 
 from repro.baselines.exhaustive import ExhaustiveMapper
@@ -228,3 +233,57 @@ class TestEscalatedAttemptCounters:
                 g.stats.num_duplicate_clauses for g in groups
             )
             assert attempt.emission_batches == sum(g.stats.num_batches for g in groups)
+
+
+class TestProofLogging:
+    """DRAT proof logging: only the CDCL backend writes proofs."""
+
+    @staticmethod
+    def _map_gsm(tmp_path, monkeypatch, **extra):
+        # Decisive attempts, so gsm@2x2 refutes IIs below the answer.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        config = MapperConfig(
+            timeout=120.0, slack_conflict_limit=None,
+            run_register_allocation=False, random_seed=0, proof=True, **extra,
+        )
+        return SatMapItMapper(config).map(get_kernel("gsm"), CGRA.square(2))
+
+    def test_mapper_proof_digests_with_internal_backend(
+        self, tmp_path, monkeypatch
+    ):
+        outcome = self._map_gsm(tmp_path, monkeypatch)
+        assert outcome.final_status == "mapped"
+        unsat = [a for a in outcome.attempts if a.status == "UNSAT"]
+        assert unsat and all(a.proof_digest for a in unsat)
+        # The trace goes to tempfile.mkstemp, which honours TMPDIR.
+        assert outcome.proof_path is not None
+        assert os.path.dirname(outcome.proof_path) == str(tmp_path)
+        assert os.path.getsize(outcome.proof_path) > 0
+
+    def test_mapper_records_proof_digests_and_cache_entry(
+        self, tmp_path, monkeypatch
+    ):
+        cache = tmp_path / "cache"
+        outcome = self._map_gsm(tmp_path, monkeypatch, cache_dir=str(cache))
+        assert outcome.final_status == "mapped"
+        unsat = [a for a in outcome.attempts if a.status == "UNSAT"]
+        entries = list(cache.glob("*.json"))
+        assert len(entries) == 1
+        entry = json.loads(entries[0].read_text())
+        assert entry["unsat_proof_digests"] == {
+            str(a.ii): a.proof_digest for a in unsat
+        }
+
+    def test_proof_requires_capable_solver(self):
+        with pytest.raises(ValueError, match="'dpll'"):
+            MapperConfig(proof=True, backend="dpll")
+        with pytest.raises(ValueError, match="'dpll'"):
+            dataclasses.replace(MapperConfig(proof=True), backend="dpll")
+        MapperConfig(proof=True)  # cdcl: fine
+        MapperConfig(backend="dpll")  # no proof: fine
+
+    def test_sweep_config_rejects_proof_on_non_cdcl_backend(self):
+        from repro.experiments.runner import ExperimentConfig
+
+        with pytest.raises(ValueError, match="'dpll'"):
+            ExperimentConfig(backend="dpll", proof=True)

@@ -73,11 +73,11 @@ class TestSearchAndCachePlumbing:
     def test_run_single_with_cache_and_search(self, tmp_path):
         config = ExperimentConfig(
             kernels=("srand",), sizes=(2,), timeout=30.0,
-            pathseeker_repeats=1, search="bisect",
+            pathseeker_repeats=1, search="portfolio",
             cache_dir=str(tmp_path / "cache"),
         )
         first = run_single("srand", 2, SAT_MAPIT, config)
-        assert first.search_strategy == "bisect"
+        assert first.search_strategy == "portfolio"
         assert not first.cache_hit
         second = run_single("srand", 2, SAT_MAPIT, config)
         assert second.cache_hit
@@ -121,24 +121,10 @@ class TestSearchAndCachePlumbing:
         )
         sweep = run_sweep(config)
         text = render_markdown_report(sweep)
-        assert "## Heuristic seeding & lane tuner" in text
+        assert "## Heuristic seeding" in text
+        assert "tuner" not in text
         assert "pre-passes yielding a validated seed mapping" in text
         assert "* heuristic II seeding: on" in text
-
-    def test_render_lane_winrates_table(self, tmp_path):
-        from repro.experiments.tables import render_lane_winrates
-        from repro.search.tuner import LaneTuner
-
-        empty = render_lane_winrates(str(tmp_path))
-        assert "no recorded races yet" in empty
-        tuner = LaneTuner(tmp_path)
-        tuner.record("0" * 64, [
-            {"lane": "default", "won": True, "wall_s": 0.4, "conflicts": 50},
-            {"lane": "no-probe", "won": False, "wall_s": 1.0, "conflicts": 0},
-        ])
-        text = render_lane_winrates(str(tmp_path))
-        assert "default" in text and "no-probe" in text
-        assert "100.0%" in text  # default's win rate leads the table
 
 
 class TestRunnerHelpers:

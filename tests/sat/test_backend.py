@@ -12,12 +12,14 @@ import pytest
 
 from repro.sat.backend import (
     BackendStats,
+    BackendUnavailableError,
     CDCLBackend,
     DPLLBackend,
     SolverBackend,
     available_backends,
     create_backend,
     register_backend,
+    validate_backend,
 )
 from repro.sat.cnf import CNF
 from repro.sat.dpll import DPLLSolver
@@ -267,3 +269,32 @@ class TestDPLLBackend:
                 for p2 in range(p1 + 1, pigeons):
                     backend.add_clause([-var[(p1, h)], -var[(p2, h)]])
         assert backend.solve(conflict_limit=2).status == "UNKNOWN"
+
+
+def test_backend_classification():
+    shipped = set(available_backends())
+    assert {"cdcl", "dpll"} <= shipped
+    assert not {"subprocess", "kissat", "cadical", "minisat"} & shipped
+    # Only engines reporting conflict counts get the mapper's conflict
+    # budget probe.
+    assert CDCLBackend.instrumented
+    assert not DPLLBackend.instrumented
+    validate_backend("cdcl")  # must not raise
+    with pytest.raises(ValueError, match="unknown solver backend"):
+        validate_backend("external:/usr/bin/kissat")
+
+
+def test_missing_binary_raises_with_install_hint(monkeypatch):
+    """A registered engine whose binary is absent fails at creation with
+    the binary name and an install hint, not deep inside its first solve."""
+    import repro.sat.backend as backend_module
+
+    def unavailable(**_kwargs):
+        raise BackendUnavailableError("fakesat", "apt-get install fakesat")
+
+    monkeypatch.setitem(backend_module._REGISTRY, "fakesat", unavailable)
+    with pytest.raises(BackendUnavailableError) as excinfo:
+        create_backend("fakesat")
+    assert excinfo.value.binary == "fakesat"
+    assert excinfo.value.hint == "apt-get install fakesat"
+    assert "not found" in str(excinfo.value)

@@ -56,6 +56,29 @@ class TestCacheKey:
         ):
             assert cache_key(dfg, cgra, MapperConfig(**overrides)) == base
 
+    def test_default_fingerprint_is_pinned(self):
+        """The default config's cache identity, as a literal: deleting or
+        splitting non-semantic config fields must leave every existing
+        cache entry valid."""
+        assert config_fingerprint(MapperConfig()) == {
+            "amo_encoding": "auto",
+            "amo_probe_conflicts": 600,
+            "backend": "cdcl",
+            "enforce_output_register": False,
+            "max_extra_slack": 1,
+            "max_ii": 50,
+            "max_iteration_span": None,
+            "neighbour_register_file_access": True,
+            "placement_domains": None,
+            "random_seed": None,
+            "regalloc_retries": 3,
+            "run_register_allocation": True,
+            "schedule_slack": 0,
+            "slack_conflict_limit": 5000,
+            "solver_conflict_limit": None,
+            "symmetry_breaking": True,
+        }
+
     def test_fingerprint_serialises_enums(self):
         fingerprint = config_fingerprint(MapperConfig())
         json.dumps(fingerprint)  # must be plain data

@@ -1,9 +1,9 @@
-"""Search strategies: registry, ladder/bisect/portfolio equivalence.
+"""Search strategies: registry, ladder/portfolio equivalence.
 
 The ladder is the semantic reference (it is behaviour-identical to the
 pre-refactor inline loop, which the rest of the test-suite pins down);
-bisection and the portfolio must return the same II on every kernel here,
-with simulator-clean mappings.
+the portfolio must return the same II on every kernel here, with
+simulator-clean mappings.
 """
 
 from __future__ import annotations
@@ -31,11 +31,10 @@ def _map(kernel: str, size: int = 3, **overrides):
 class TestRegistry:
     def test_built_in_strategies_registered(self):
         names = available_strategies()
-        assert {"ladder", "bisect", "portfolio"} <= set(names)
+        assert set(names) == {"ladder", "portfolio"}
 
     def test_create_by_name(self):
         assert create_strategy("ladder").name == "ladder"
-        assert create_strategy("bisect").name == "bisect"
         assert create_strategy("portfolio").name == "portfolio"
 
     def test_unknown_strategy_rejected(self):
@@ -57,20 +56,6 @@ class TestRegistry:
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
-def test_bisect_matches_ladder(kernel):
-    ladder = _map(kernel, search="ladder")
-    bisect = _map(kernel, search="bisect")
-    assert ladder.success and bisect.success
-    assert bisect.ii == ladder.ii, f"{kernel}: bisect diverged"
-    assert bisect.search_strategy == "bisect"
-    assert bisect.mapping.violations() == []
-    simulation = CGRASimulator(
-        bisect.mapping, bisect.register_allocation
-    ).run(4)
-    assert simulation.success, simulation.errors
-
-
-@pytest.mark.parametrize("kernel", KERNELS)
 def test_portfolio_matches_ladder(kernel):
     """Satellite requirement: portfolio-vs-ladder II equivalence,
     simulator-validated, on >= 4 kernels."""
@@ -85,64 +70,6 @@ def test_portfolio_matches_ladder(kernel):
         portfolio.mapping, portfolio.register_allocation
     ).run(4)
     assert simulation.success, simulation.errors
-
-
-class TestBisection:
-    def test_wide_gap_skips_candidates(self):
-        """gsm on a 2x2 sits at II=7 with MII=7 — force a wide search range
-        by starting below, and check bisection probes fewer IIs."""
-        ladder = _map("gsm", size=2, search="ladder")
-        bisect = _map("gsm", size=2, search="bisect")
-        assert bisect.ii == ladder.ii == 7
-        # Attempted IIs form a subset of the ladder's contiguous climb.
-        assert {a.ii for a in bisect.attempts} <= {
-            ii for ii in range(bisect.minimum_ii, 8)
-        }
-
-    def test_all_infeasible_range_fails(self):
-        outcome = _map("gsm", size=2, search="bisect", max_ii=4)
-        assert not outcome.success
-        assert outcome.final_status == "failed"
-
-    def test_gallop_then_binary_search_from_forced_low_start(self):
-        """Starting below the MII forces both phases: the gallop overshoots
-        the optimum and the binary search walks back down to it.  Decisive
-        attempts (no regalloc post-pass, unbounded slack proofs) keep the
-        monotone skipping engaged — UNSAT answers are real lower bounds."""
-        decisive = dict(
-            slack_conflict_limit=None, run_register_allocation=False
-        )
-        ladder = _map("nw", size=2, **decisive)
-        config = MapperConfig(
-            timeout=120, random_seed=0, search="bisect", **decisive
-        )
-        outcome = SatMapItMapper(config).map(
-            get_kernel("nw"), CGRA.square(2), start_ii=1
-        )
-        assert outcome.success
-        assert outcome.ii == ladder.ii == 5
-        attempted = {a.ii for a in outcome.attempts}
-        # Gallop probes 1, 2, 4, 8 (+1, +2, +4 gaps), the binary search
-        # walks [5, 7]: IIs 3 and 7 are never solved, the overshoot at 8 is.
-        assert 3 not in attempted and 7 not in attempted
-        assert max(attempted) > outcome.ii
-        assert outcome.mapping.violations() == []
-
-    def test_inconclusive_failure_falls_back_to_sequential(self):
-        """With register allocation gating acceptance, a failed attempt is
-        not an UNSAT proof — bisection must stop skipping and sweep the
-        unruled range ladder-style (soundness over speed)."""
-        ladder = _map("srand", size=2)  # regalloc on (default)
-        config = MapperConfig(timeout=120, random_seed=0, search="bisect")
-        outcome = SatMapItMapper(config).map(
-            get_kernel("srand"), CGRA.square(2), start_ii=1
-        )
-        assert outcome.success
-        assert outcome.ii == ladder.ii
-        # The non-decisive II=1 verdict forces the sequential sweep: every
-        # II up to the answer is visited, none skipped.
-        attempted = {a.ii for a in outcome.attempts}
-        assert attempted == set(range(1, outcome.ii + 1))
 
 
 class TestPortfolio:
@@ -195,6 +122,6 @@ class TestPortfolio:
 
 
 def test_strategy_recorded_in_outcome():
-    for name in ("ladder", "bisect", "portfolio"):
+    for name in ("ladder", "portfolio"):
         outcome = _map("srand", search=name)
         assert outcome.search_strategy == name

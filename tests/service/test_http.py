@@ -93,6 +93,16 @@ class TestRoutes:
                     base,
                     {"kernel": "srand", "config": {"preprocess": True}},
                 )
+                results["removed_strategy"] = await asyncio.to_thread(
+                    post_map,
+                    base,
+                    {"kernel": "srand", "config": {"search": "bisect"}},
+                )
+                results["removed_backend"] = await asyncio.to_thread(
+                    post_map,
+                    base,
+                    {"kernel": "srand", "config": {"backend": "kissat"}},
+                )
             finally:
                 server.close()
                 await server.wait_closed()
@@ -113,6 +123,10 @@ class TestRoutes:
         assert "unknown config field" in results["bad_config"][1]["error"]
         assert results["removed_field"][0] == 400
         assert "unknown config field" in results["removed_field"][1]["error"]
+        assert results["removed_strategy"][0] == 400
+        assert "allowed: " in results["removed_strategy"][1]["error"]
+        assert results["removed_backend"][0] == 400
+        assert "unknown solver backend" in results["removed_backend"][1]["error"]
 
     def test_oversized_body_rejected(self):
         async def scenario():

@@ -79,10 +79,9 @@ class TestConfigValidation:
             parse({"kernel": "srand", "config": {"warp_speed": 9}})
 
     def test_filesystem_fields_are_not_requestable(self):
-        # Cache/tuner placement is service-owned: a request choosing where
-        # the server writes would be a path-traversal primitive.
-        for field in ("cache_dir", "cache_namespace", "tuner_dir",
-                      "dimacs_dir", "verbose"):
+        # Cache placement is service-owned: a request choosing where the
+        # server writes would be a path-traversal primitive.
+        for field in ("cache_dir", "cache_namespace", "verbose"):
             with pytest.raises(ProtocolError, match="unknown config field"):
                 parse({"kernel": "srand", "config": {field: "x"}})
 
@@ -92,12 +91,40 @@ class TestConfigValidation:
         with pytest.raises(ProtocolError, match="wrong type"):
             parse({"kernel": "srand", "config": {"symmetry_breaking": 1}})
 
-    @pytest.mark.parametrize("field", ["preprocess", "incremental"])
+    @pytest.mark.parametrize(
+        "field", ["preprocess", "incremental", "tuner_dir", "dimacs_dir"]
+    )
     def test_removed_solving_path_fields_rejected(self, field):
         # A field the mapper no longer has must fail the request, not be
         # silently ignored.
         with pytest.raises(ProtocolError, match="unknown config field"):
             parse({"kernel": "srand", "config": {field: False}})
+
+    @pytest.mark.parametrize("field, value", [
+        ("search", "bogus"),
+        ("search", "bisect"),
+        ("portfolio_variants", ["default", "nope"]),
+        ("portfolio_variants", ["kissat"]),
+        ("seed_mappers", ["nope"]),
+    ])
+    def test_unknown_registry_names_rejected(self, field, value):
+        # Names are checked against their registries at parse time, so a
+        # bad request never reaches a spawned worker.
+        with pytest.raises(ProtocolError, match="allowed: ") as excinfo:
+            parse({"kernel": "srand", "config": {field: value}})
+        assert field in str(excinfo.value)
+        if field == "search":
+            assert "['ladder', 'portfolio']" in str(excinfo.value)
+
+    def test_known_registry_names_accepted(self):
+        request = parse({"kernel": "srand", "config": {
+            "search": "portfolio",
+            "portfolio_variants": ["sequential", "pairwise"],
+            "seed_mappers": ["ramp"],
+        }})
+        assert request.config.search == "portfolio"
+        assert request.config.portfolio_variants == ("sequential", "pairwise")
+        assert request.config.seed_mappers == ("ramp",)
 
     def test_amo_encoding_parsed_and_validated(self):
         request = parse(

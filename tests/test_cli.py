@@ -1,5 +1,7 @@
 """Tests for the command line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -44,45 +46,58 @@ class TestParser:
 
     def test_unknown_backend_rejected(self, capsys):
         # Backend names are validated in the command (the registry is open
-        # for external:<path> specs), not by argparse choices.
+        # to engines registered at run time), not by argparse choices.
         exit_code = main(["map", "--kernel", "srand", "--backend", "z3"])
         captured = capsys.readouterr()
         assert exit_code == 2
         assert captured.err.startswith("error:")
         assert "z3" in captured.err
 
-    def test_missing_solver_binary_is_one_line_error(self, capsys):
-        import shutil
+    def test_missing_solver_binary_is_one_line_error(self, capsys, monkeypatch):
+        from repro.sat import backend as backend_module
 
-        if shutil.which("kissat"):
-            pytest.skip("kissat installed; unavailable-backend path untestable")
-        exit_code = main(["map", "--kernel", "srand", "--backend", "kissat"])
+        def unavailable(**_kwargs):
+            raise backend_module.BackendUnavailableError(
+                "fakesat", "apt-get install fakesat"
+            )
+
+        monkeypatch.setitem(backend_module._REGISTRY, "fakesat", unavailable)
+        exit_code = main(["map", "--kernel", "srand", "--backend", "fakesat"])
         captured = capsys.readouterr()
         assert exit_code == 2
         assert captured.err.count("\n") == 1  # a single line, not a traceback
-        assert "kissat" in captured.err and "apt-get" in captured.err
+        assert "fakesat" in captured.err and "apt-get" in captured.err
 
-    def test_dimacs_and_proof_flags_parsed(self):
-        args = build_parser().parse_args(
-            ["map", "--kernel", "srand", "--backend", "subprocess",
-             "--dimacs-dir", "/tmp/dimacs", "--reuse-dimacs", "--proof"]
-        )
-        assert args.backend == "subprocess"
-        assert args.dimacs_dir == "/tmp/dimacs"
-        assert args.reuse_dimacs is True
+    def test_proof_flags_parsed(self):
+        args = build_parser().parse_args(["map", "--kernel", "srand", "--proof"])
         assert args.proof is True
         defaults = build_parser().parse_args(["map", "--kernel", "srand"])
-        assert defaults.dimacs_dir is None
-        assert defaults.reuse_dimacs is False
         assert defaults.proof is False
-        sweep = build_parser().parse_args(
-            ["sweep", "--backend", "subprocess", "--dimacs-dir", "/tmp/d",
-             "--reuse-dimacs", "--proof"]
-        )
-        assert sweep.backend == "subprocess"
-        assert sweep.dimacs_dir == "/tmp/d"
-        assert sweep.reuse_dimacs is True
+        sweep = build_parser().parse_args(["sweep", "--proof"])
         assert sweep.proof is True
+
+    @pytest.mark.parametrize("argv", [
+        [command, *flag]
+        for command in ("map", "sweep")
+        for flag in (["--dimacs-dir", "d"], ["--reuse-dimacs"], ["--tuner", "t"])
+    ] + [["serve", "--tuner", "t"]])
+    def test_removed_flags_rejected(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("command", ["map", "sweep"])
+    def test_proof_with_non_cdcl_backend_is_one_line_error(
+        self, command, capsys
+    ):
+        argv = [command, "--backend", "dpll", "--proof"]
+        argv += ["--kernel", "srand"] if command == "map" else ["--kernels", "srand"]
+        exit_code = main(argv)
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+        assert "'dpll'" in captured.err
+        assert "UNSAT attempt" not in captured.out
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(SystemExit):
@@ -99,31 +114,26 @@ class TestParser:
         assert args.cache == "/tmp/cache"
         assert args.portfolio_variants == ["no-probe", "sequential"]
         args = build_parser().parse_args(
-            ["sweep", "--search", "bisect", "--cache", "/tmp/cache"]
+            ["sweep", "--search", "portfolio", "--cache", "/tmp/cache"]
         )
-        assert args.search == "bisect"
+        assert args.search == "portfolio"
         assert args.cache == "/tmp/cache"
 
-    def test_seed_and_tuner_flags_parsed(self):
+    def test_seed_flags_parsed(self):
         args = build_parser().parse_args(
             ["map", "--kernel", "srand", "--seed-heuristic",
-             "--seed-budget", "0.5", "--tuner", "/tmp/tuner",
-             "--cache-max-mb", "16"]
+             "--seed-budget", "0.5", "--cache-max-mb", "16"]
         )
         assert args.seed_heuristic is True
         assert args.seed_budget == 0.5
-        assert args.tuner == "/tmp/tuner"
         assert args.cache_max_mb == 16.0
         defaults = build_parser().parse_args(["map", "--kernel", "srand"])
         assert defaults.seed_heuristic is False
-        assert defaults.tuner is None
         assert defaults.cache_max_mb is None
         sweep = build_parser().parse_args(
-            ["sweep", "--seed-heuristic", "--tuner", "/tmp/tuner",
-             "--cache-max-mb", "8"]
+            ["sweep", "--seed-heuristic", "--cache-max-mb", "8"]
         )
         assert sweep.seed_heuristic is True
-        assert sweep.tuner == "/tmp/tuner"
         assert sweep.cache_max_mb == 8.0
 
     def test_unknown_search_strategy_rejected(self):
@@ -218,20 +228,6 @@ class TestCommands:
         assert exit_code == 0
         assert "seed: " in captured.out
 
-    def test_map_with_tuner_consults_on_second_run(self, capsys, tmp_path):
-        tuner = tmp_path / "lane-tuner"
-        argv = [
-            "map", "--kernel", "gsm", "--rows", "2", "--cols", "2",
-            "--timeout", "60", "--search", "portfolio", "--jobs", "2",
-            "--tuner", str(tuner),
-        ]
-        assert main(argv) == 0
-        first = capsys.readouterr().out
-        assert "tuner: cold start" in first
-        assert main(argv) == 0
-        second = capsys.readouterr().out
-        assert "tuner: consulted persisted lane stats" in second
-
     def test_sweep_with_cache_reuses_results(self, capsys, tmp_path):
         cache = tmp_path / "sweepcache"
         argv = [
@@ -255,29 +251,24 @@ class TestCommands:
         assert exit_code == 0
         assert "II=" in capsys.readouterr().out
 
-    def test_map_with_subprocess_backend(self, capsys, tmp_path):
-        exit_code = main([
-            "map", "--kernel", "srand", "--rows", "2", "--cols", "2",
-            "--timeout", "60", "--backend", "subprocess",
-            "--dimacs-dir", str(tmp_path),
-        ])
-        captured = capsys.readouterr()
-        assert exit_code == 0
-        assert "II=" in captured.out
-        assert list(tmp_path.glob("*.cnf")), "exported DIMACS files expected"
-
-    def test_map_with_proof_reports_digest(self, capsys, tmp_path):
+    def test_map_with_proof_reports_digest(self, capsys, tmp_path, monkeypatch):
         # gsm@2x2 walks through UNSAT rungs before mapping, so --proof has
-        # something to certify.
+        # something to certify.  The trace goes to the temp dir.
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         exit_code = main([
             "map", "--kernel", "gsm", "--rows", "2", "--cols", "2",
-            "--timeout", "60", "--proof", "--dimacs-dir", str(tmp_path),
+            "--timeout", "60", "--proof",
         ])
         captured = capsys.readouterr()
         assert exit_code == 0
         assert "proof: " in captured.out
         assert "UNSAT attempt(s) logged" in captured.out
         assert "digest" in captured.out
+        trace = captured.out.split("trace: ", 1)[1].split()[0]
+        assert trace.startswith(str(tmp_path))
+        assert os.path.getsize(trace) > 0
 
     def test_sweep_command_parallel_jobs(self, capsys):
         exit_code = main([
@@ -389,7 +380,7 @@ class TestSweepErrorPath:
 
         def vanish(config, progress=True, jobs=1, **farm_kwargs):
             raise BackendUnavailableError(
-                "external solver 'kissat' disappeared mid-sweep"
+                "kissat", "the solver disappeared mid-sweep"
             )
 
         monkeypatch.setattr(cli_module, "run_sweep", vanish)
@@ -433,13 +424,12 @@ class TestServeParser:
     def test_serve_flags_plumbed(self):
         args = build_parser().parse_args([
             "serve", "--port", "0", "--pool", "4", "--cache", "/tmp/c",
-            "--cache-max-mb", "64", "--tuner", "/tmp/t",
+            "--cache-max-mb", "64",
             "--default-timeout", "30", "--max-timeout", "120",
         ])
         assert args.port == 0
         assert args.pool == 4
         assert args.cache == "/tmp/c"
         assert args.cache_max_mb == 64.0
-        assert args.tuner == "/tmp/t"
         assert args.default_timeout == 30.0
         assert args.max_timeout == 120.0
