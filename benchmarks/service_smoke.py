@@ -1,8 +1,10 @@
 """End-to-end service smoke: serve == CLI on the same problem.
 
 Starts ``repro serve`` as a real subprocess, maps one kernel through
-``POST /map`` + ``GET /jobs/{id}``, maps the same kernel through
-``repro map``, and fails unless both report the same II.  Run by the CI
+``POST /map`` + ``GET /jobs/{id}``, posts it again and requires a cache
+hit answered without a second worker process (same II, the mapping
+replays in the simulator), maps the same kernel through ``repro map``,
+and fails unless both report the same II.  Run by the CI
 ``service-smoke`` job::
 
     PYTHONPATH=src python benchmarks/service_smoke.py
@@ -56,6 +58,21 @@ def http(url: str, data: bytes | None = None) -> tuple[int, dict]:
         return exc.code, json.loads(exc.read())
 
 
+def replay(mapping_dict: dict) -> str | None:
+    """Rebuild a served mapping and simulate it; ``None`` when it checks out."""
+    from repro.core.mapping import Mapping
+    from repro.simulator import CGRASimulator
+
+    mapping = Mapping.from_dict(mapping_dict)
+    violations = mapping.violations()
+    if violations:
+        return violations[0]
+    result = CGRASimulator(mapping, None).run(4)
+    if not result.success:
+        return result.errors[0] if result.errors else "simulation failed"
+    return None
+
+
 def main() -> int:
     env = dict(os.environ, PYTHONUNBUFFERED="1")
     with tempfile.TemporaryDirectory() as cache:
@@ -97,6 +114,21 @@ def main() -> int:
             assert status == 200, stats
             assert stats["requests"]["completed"] == 1, stats
             print(f"service stats: {json.dumps(stats['requests'])}")
+
+            # A repeat is a cache hit answered by the server itself: same
+            # II, a mapping that replays, and no second worker process.
+            status, warm = http(f"{base}/map?wait={SOLVE_DEADLINE_S}", body)
+            assert status == 200 and warm["status"] == "done", warm
+            assert warm["result"]["cache_hit"] is True, warm["result"]
+            assert warm["result"]["ii"] == served_ii, warm["result"]
+            replay_error = replay(warm["result"]["mapping"])
+            if replay_error:
+                raise SystemExit(f"warm answer does not replay: {replay_error}")
+            status, stats = http(base + "/stats")
+            assert status == 200, stats
+            assert stats["requests"]["solves_started"] == 1, stats
+            assert stats["cache"]["hits"] == 1, stats["cache"]
+            print(f"service: warm repeat -> cache hit, II={served_ii}, replayed")
         finally:
             server.send_signal(signal.SIGINT)
             try:

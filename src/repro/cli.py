@@ -621,8 +621,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--port", type=int, default=8157,
                            help="TCP port (0 picks a free one; default: 8157)")
     serve_cmd.add_argument("--pool", type=int, default=2,
-                           help="mapping solves run concurrently, each in "
-                                "its own worker process (default: 2)")
+                           help="cache-miss solves run concurrently, each "
+                                "in its own worker process; cache hits are "
+                                "answered by the server (default: 2)")
     serve_cmd.add_argument("--cache", metavar="DIR",
                            default=".service-cache",
                            help="mapping-cache root; each tenant gets its "

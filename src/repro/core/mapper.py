@@ -8,7 +8,10 @@ hit.  *Which* II is tried next is a pluggable policy: ``map()`` delegates
 the walk to a :mod:`repro.search` strategy (the paper's sequential ladder
 by default; a process-parallel portfolio on request) and can short-circuit
 the whole search through the persistent mapping cache
-(``MapperConfig.cache_dir``).
+(``MapperConfig.cache_dir``).  The two halves are public for callers that
+run them apart: ``lookup()`` is the cache-hit step and ``solve()`` the
+search that stores its result (the mapping service answers hits itself
+and hands only misses to a worker process).
 
 One persistent solver backend serves the whole mapping run; it is the only
 solving path.  Each (II, slack) attempt encodes its constraint group guarded
@@ -25,6 +28,7 @@ from __future__ import annotations
 import time
 from array import array
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.cgra.architecture import CGRA
 from repro.cgra.capabilities import check_kernel_fits, effective_minimum_ii
@@ -37,6 +41,9 @@ from repro.dfg.graph import DFG
 from repro.exceptions import MappingError
 from repro.sat.backend import SolverBackend
 from repro.sat.encodings import AMOEncoding
+
+if TYPE_CHECKING:  # pragma: no cover - cycle guard
+    from repro.search.cache import MappingCache
 
 
 @dataclass(frozen=True)
@@ -366,67 +373,130 @@ class SatMapItMapper:
         portfolio on request — every strategy funnels its attempts through
         the same per-II machinery, so the outcome's per-attempt stats are
         complete regardless of the policy.  With
-        ``MapperConfig.cache_dir`` set, the persistent mapping cache is
-        consulted first and fed on success.  A kernel whose opcode histogram
-        cannot fit the fabric at any II (an op class with no capable PE)
-        raises :class:`MappingError` before any SAT work.
+        ``MapperConfig.cache_dir`` set, this is :meth:`lookup` in the
+        persistent mapping cache, else :meth:`solve`, which stores what it
+        finds.  A kernel whose opcode histogram cannot fit the fabric at any
+        II (an op class with no capable PE) raises :class:`MappingError`
+        before any SAT work.
         """
+        outcome, cache, first_ii, start = self._prepare(dfg, cgra, start_ii)
+        if cache is not None and self._serve_hit(cache, outcome, dfg, cgra, start):
+            return outcome
+        return self._search(outcome, cache, dfg, cgra, first_ii, start)
+
+    def lookup(self, dfg: DFG, cgra: CGRA, key: str) -> MappingOutcome:
+        """The cache-hit step of :meth:`map`, for a caller holding the key.
+
+        ``key`` is the problem's :func:`repro.search.cache.cache_key`, whose
+        caller has already validated the problem, so nothing is re-checked
+        or re-hashed here; ``MapperConfig.cache_dir`` must be set.  On a hit
+        the outcome is the one :meth:`map` returns: the archived mapping,
+        its register allocation recomputed, ``cache_hit`` set.  On a miss it
+        is unsuccessful and carries only the key and the lookup's counters
+        (a corrupt or stale entry is deleted and counted, never served); the
+        caller goes on with :meth:`solve`.
+        """
+        if not self.config.cache_dir:
+            raise ValueError("lookup() needs MapperConfig.cache_dir")
+        start = time.perf_counter()
+        cache = self._open_cache()
+        outcome = self._new_outcome(dfg, cgra, minimum_ii=1)
+        outcome.cache_key = key
+        outcome.cache_stats = cache.stats
+        self._serve_hit(cache, outcome, dfg, cgra, start)
+        return outcome
+
+    def solve(
+        self, dfg: DFG, cgra: CGRA, start_ii: int | None = None
+    ) -> MappingOutcome:
+        """The search step of :meth:`map`: search, then store the result.
+
+        The cache is not read (the caller has missed in it already); with
+        ``MapperConfig.cache_dir`` set, a complete successful search is
+        stored under the problem's key.
+        """
+        outcome, cache, first_ii, start = self._prepare(dfg, cgra, start_ii)
+        return self._search(outcome, cache, dfg, cgra, first_ii, start)
+
+    # ------------------------------------------------------------------
+    def _new_outcome(self, dfg: DFG, cgra: CGRA, minimum_ii: int) -> MappingOutcome:
         # Imported lazily: repro.search imports mapper types at module load.
-        from repro.search import SearchContext, create_strategy
+        from repro.search import create_strategy
+
+        return MappingOutcome(
+            success=False,
+            dfg_name=dfg.name,
+            cgra_name=cgra.name,
+            minimum_ii=minimum_ii,
+            backend_name=self.config.backend,
+            search_strategy=create_strategy(self.config.search).name,
+        )
+
+    def _open_cache(self) -> MappingCache:
         from repro.search.cache import MappingCache, resolve_cache_dir
 
         config = self.config
+        return MappingCache(
+            resolve_cache_dir(config.cache_dir, config.cache_namespace),
+            max_mb=config.cache_max_mb,
+        )
+
+    def _prepare(self, dfg: DFG, cgra: CGRA, start_ii: int | None):
+        """Validate the problem and open a run: ``(outcome, cache, first_ii,
+        start)``, with the cache handle and key only when caching is on."""
         dfg.validate()
         check_kernel_fits(dfg, cgra)
         start = time.perf_counter()
         mii = effective_minimum_ii(dfg, cgra)
         first_ii = max(start_ii or mii, 1)
-        strategy = create_strategy(config.search)
-        outcome = MappingOutcome(
-            success=False,
-            dfg_name=dfg.name,
-            cgra_name=cgra.name,
-            minimum_ii=mii,
-            backend_name=config.backend,
-            search_strategy=strategy.name,
-        )
-
-        cache: MappingCache | None = None
-        key: str | None = None
-        if config.cache_dir:
-            cache = MappingCache(
-                resolve_cache_dir(config.cache_dir, config.cache_namespace),
-                max_mb=config.cache_max_mb,
-            )
-            key = cache.key(dfg, cgra, config, start_ii=first_ii)
-            outcome.cache_key = key
+        outcome = self._new_outcome(dfg, cgra, minimum_ii=mii)
+        cache = None
+        if self.config.cache_dir:
+            cache = self._open_cache()
+            outcome.cache_key = cache.key(dfg, cgra, self.config, start_ii=first_ii)
             outcome.cache_stats = cache.stats
-            hit = cache.lookup_key(key)
-            if hit is not None:
-                outcome.success = True
-                outcome.cache_hit = True
-                outcome.ii = hit.ii
-                outcome.minimum_ii = hit.minimum_ii
-                outcome.mapping = hit.mapping
-                if config.run_register_allocation:
-                    # The archived mapping carries its register assignment,
-                    # but the report-facing RegisterAllocation object (max
-                    # pressure, per-PE usage) is cheap to recompute — a hit
-                    # must print the same sections a fresh run would.
-                    allocation = allocate_registers(
-                        dfg, cgra, hit.mapping,
-                        config.neighbour_register_file_access,
-                    )
-                    if allocation.success:
-                        hit.mapping.apply_allocation(allocation)
-                        outcome.register_allocation = allocation
-                outcome.total_time = time.perf_counter() - start
-                self._log(
-                    f"cache hit for {dfg.name} on {cgra.name}: "
-                    f"II={hit.ii} ({key[:12]}…)"
-                )
-                return outcome
+        return outcome, cache, first_ii, start
 
+    def _serve_hit(
+        self, cache: MappingCache, outcome: MappingOutcome,
+        dfg: DFG, cgra: CGRA, start: float,
+    ) -> bool:
+        """Fill ``outcome`` from the cache entry under its key, if any."""
+        hit = cache.lookup_key(outcome.cache_key)
+        if hit is None:
+            return False
+        config = self.config
+        outcome.success = True
+        outcome.cache_hit = True
+        outcome.ii = hit.ii
+        outcome.minimum_ii = hit.minimum_ii
+        outcome.mapping = hit.mapping
+        if config.run_register_allocation:
+            # The archived mapping carries its register assignment, but the
+            # report-facing RegisterAllocation object (max pressure, per-PE
+            # usage) is cheap to recompute — a hit must print the same
+            # sections a fresh run would.
+            allocation = allocate_registers(
+                dfg, cgra, hit.mapping, config.neighbour_register_file_access,
+            )
+            if allocation.success:
+                hit.mapping.apply_allocation(allocation)
+                outcome.register_allocation = allocation
+        outcome.total_time = time.perf_counter() - start
+        self._log(
+            f"cache hit for {dfg.name} on {cgra.name}: "
+            f"II={hit.ii} ({outcome.cache_key[:12]}…)"
+        )
+        return True
+
+    def _search(
+        self, outcome: MappingOutcome, cache: MappingCache | None,
+        dfg: DFG, cgra: CGRA, first_ii: int, start: float,
+    ) -> MappingOutcome:
+        """Run the II search into ``outcome``; store a complete success."""
+        from repro.search import SearchContext, create_strategy
+
+        config = self.config
         seed = None
         # The heuristic mappers know nothing about placement domains; a seed
         # mapping could violate them, so domain-restricted runs stay unseeded.
@@ -457,7 +527,7 @@ class SatMapItMapper:
         context = SearchContext(
             self, dfg, cgra, outcome, start, first_ii, seed=seed
         )
-        found = strategy.search(context)
+        found = create_strategy(config.search).search(context)
         outcome.total_time = time.perf_counter() - start
         if found is not None:
             outcome.success = True
@@ -471,8 +541,8 @@ class SatMapItMapper:
             # possibly non-minimal) II; the cache key ignores budgets, so
             # caching it would pin the weaker answer for generously-budgeted
             # future runs too.  Only complete searches are stored.
-            if cache is not None and key is not None and not outcome.timed_out:
-                cache.store(key, outcome)
+            if cache is not None and not outcome.timed_out:
+                cache.store(outcome.cache_key, outcome)
         return outcome
 
     # ------------------------------------------------------------------

@@ -1,12 +1,20 @@
 """Job lifecycle for the mapping service.
 
-Every accepted ``POST /map`` becomes a :class:`Job`.  The manager runs at
-most ``pool_size`` solves at once, each in its *own worker process*:
+Every accepted ``POST /map`` becomes a :class:`Job`.  A job first takes
+the mapper's cache-hit step (:meth:`SatMapItMapper.lookup`) in a thread of
+the server process; a hit is answered there and then, without a pool slot
+or a process.  Only a miss waits for one of ``pool_size`` slots and runs
+its search (:meth:`SatMapItMapper.solve`) in its *own worker process*:
 
 * **Isolation / re-entrancy** — the mapper core is stateless, but a SAT
   solve is CPU-bound and can be asked to die at any moment; a process per
-  job gives the GIL-free parallelism and a kill target, with no state
-  shared between requests.
+  solve gives the GIL-free parallelism and a kill target, with no state
+  shared between requests.  A cache hit is a file read, a legality check
+  and a register-allocation recompute: milliseconds, nothing to kill, and
+  every check of the cache (schema, solver version, key,
+  ``Mapping.violations()``, deletion of corrupt entries) runs unchanged.
+  Each request looks the cache up exactly once, so the ``/stats`` cache
+  counters stay exact and ``solves_started`` counts worker processes.
 * **Cancellation** — the worker installs a SIGTERM handler that raises
   ``SystemExit``, so terminating it unwinds through the mapper's
   ``finally`` blocks and the portfolio strategy's own ``cancel_all``
@@ -19,7 +27,8 @@ most ``pool_size`` solves at once, each in its *own worker process*:
   using the persistent cache's content hash: two identical concurrent
   ``POST /map``\\ s share one Job and one solve.  Once a job finishes the
   index entry is dropped — later repeats are served by the persistent
-  cache instead.
+  cache instead, in the server.  Finished jobs of one (tenant, cache key)
+  share one mapping dict, dropped with the last of them from the registry.
 * **Tenancy** — each tenant's cache lives under its own namespace
   directory (``MapperConfig.cache_namespace``); tenants share nothing on
   disk.
@@ -81,10 +90,11 @@ def _sigterm_to_exit(signum, frame):  # pragma: no cover - runs in worker
 
 
 def _job_worker(conn, dfg, cgra, config: MapperConfig) -> None:
-    """Run one mapping solve and ship a plain-data verdict back."""
+    """Run one mapping search (a cache miss) and ship a plain-data
+    verdict back."""
     signal.signal(signal.SIGTERM, _sigterm_to_exit)
     try:
-        outcome = SatMapItMapper(config).map(dfg, cgra)
+        outcome = SatMapItMapper(config).solve(dfg, cgra)
         conn.send(("ok", outcome_payload(outcome)))
     except (MappingError, BackendUnavailableError) as exc:
         conn.send(("error", str(exc)))
@@ -171,6 +181,8 @@ class ServiceStats:
     requests: int = 0
     #: Requests answered by joining an identical in-flight job.
     dedup_joined: int = 0
+    #: Worker processes spawned: one per cache miss (hits are answered in
+    #: the server).
     solves_started: int = 0
     completed: int = 0
     failed: int = 0
@@ -179,14 +191,15 @@ class ServiceStats:
     #: Jobs that failed because the worker process died without a verdict
     #: (nonzero exit or signal) — a subset of ``failed``.
     worker_crashes: int = 0
-    #: Persistent-cache counters folded in from every finished solve.
+    #: Persistent-cache counters folded in from every server-side lookup
+    #: and every finished solve.
     cache: dict = field(default_factory=lambda: {
         "hits": 0, "misses": 0, "writes": 0, "invalidated": 0,
         "corrupted": 0, "evicted": 0, "temp_files_swept": 0,
     })
 
     def fold_cache(self, stats: dict | None) -> None:
-        """Fold one solve's cache counters into the running totals."""
+        """Fold one lookup's or solve's cache counters into the totals."""
         if not stats:
             return
         for name in self.cache:
@@ -322,6 +335,9 @@ class JobManager:
         self._semaphore = asyncio.Semaphore(self.pool_size)
         self.jobs: dict[str, Job] = {}
         self._inflight: dict[tuple[str, str], Job] = {}
+        #: Shared mapping dict per (tenant, cache key) of the finished jobs
+        #: in the registry; pruned with it (see ``_finish_done``).
+        self._mappings: dict[tuple[str, str], dict] = {}
         self._tenants: set[str] = set()
         self._max_jobs_tracked = max_jobs_tracked
         self.stats = ServiceStats()
@@ -383,6 +399,18 @@ class JobManager:
     async def _run(self, job: Job, request: MapRequest, config: MapperConfig) -> None:
         acquired = False
         try:
+            if config.cache_dir:
+                # The cache-hit step runs here, under the key ``submit()``
+                # computed; only a miss goes on to a pool slot and a worker,
+                # whose ``solve()`` does not look the key up again.
+                outcome = await asyncio.to_thread(
+                    SatMapItMapper(config).lookup,
+                    request.dfg, request.cgra, job.cache_key,
+                )
+                self.stats.fold_cache(dataclasses.asdict(outcome.cache_stats))
+                if outcome.cache_hit:
+                    self._finish_done(job, outcome_payload(outcome))
+                    return
             # Acquire a pool slot, staying responsive to cancellation of a
             # still-queued job.
             while True:
@@ -409,10 +437,8 @@ class JobManager:
                 self._ctx, job, request.dfg, request.cgra, config, budget,
             )
             if verdict == "ok":
-                job.result = payload
-                job.status = DONE
-                self.stats.completed += 1
                 self.stats.fold_cache(payload.get("cache"))
+                self._finish_done(job, payload)
             elif verdict == "cancelled":
                 job.status = CANCELLED
                 self.stats.cancelled += 1
@@ -439,6 +465,26 @@ class JobManager:
             if self._inflight.get((job.tenant, job.cache_key)) is job:
                 del self._inflight[(job.tenant, job.cache_key)]
             job.done_event.set()
+
+    def _finish_done(self, job: Job, payload: dict) -> None:
+        """Mark ``job`` DONE with ``payload``, sharing its mapping dict.
+
+        A mapping dict embeds the whole DFG and CGRA (16–37 KB), and the
+        registry keeps up to ``max_jobs_tracked`` finished jobs, mostly
+        repeats of the same few problems.  Jobs with the same
+        (tenant, cache key) and an equal mapping hold one read-only dict.
+        """
+        mapping = payload.get("mapping")
+        if mapping is not None:
+            slot = (job.tenant, job.cache_key)
+            shared = self._mappings.get(slot)
+            if shared == mapping:
+                payload["mapping"] = shared
+            else:
+                self._mappings[slot] = mapping
+        job.result = payload
+        job.status = DONE
+        self.stats.completed += 1
 
     # ------------------------------------------------------------------
     def get(self, job_id: str) -> Job | None:
@@ -472,6 +518,9 @@ class JobManager:
         )
         for job in finished[:overflow]:
             del self.jobs[job.id]
+        live = {(job.tenant, job.cache_key) for job in self.jobs.values()}
+        for slot in [slot for slot in self._mappings if slot not in live]:
+            del self._mappings[slot]
 
     # ------------------------------------------------------------------
     def stats_payload(self) -> dict:

@@ -127,6 +127,50 @@ class TestCacheRoundTrip:
         assert list(tmp_path.glob("*.json")) == []
 
 
+class TestLookupAndSolve:
+    """``map()`` is ``lookup()`` on a hit, else ``solve()``."""
+
+    def _mapper(self, tmp_path):
+        config = MapperConfig(timeout=60, random_seed=0, cache_dir=str(tmp_path))
+        return SatMapItMapper(config), get_kernel("srand"), CGRA.square(3)
+
+    def test_lookup_of_a_warm_key_is_the_map_hit(self, tmp_path):
+        mapper, dfg, cgra = self._mapper(tmp_path)
+        cold = mapper.map(dfg, cgra)
+        hit = mapper.lookup(dfg, cgra, cold.cache_key)
+        warm = mapper.map(dfg, cgra)
+        assert hit.cache_hit and warm.cache_hit
+        assert hit.ii == warm.ii == cold.ii
+        assert hit.minimum_ii == warm.minimum_ii
+        assert hit.mapping.to_dict() == warm.mapping.to_dict()
+        assert hit.register_allocation.success
+        assert hit.attempts == []
+        assert (hit.cache_stats.hits, hit.cache_stats.misses) == (1, 0)
+
+    def test_lookup_miss_carries_only_its_counters(self, tmp_path):
+        mapper, dfg, cgra = self._mapper(tmp_path)
+        key = cache_key(dfg, cgra, mapper.config, start_ii=2)
+        miss = mapper.lookup(dfg, cgra, key)
+        assert not miss.success and not miss.cache_hit
+        assert miss.cache_key == key and miss.mapping is None
+        assert (miss.cache_stats.hits, miss.cache_stats.misses) == (0, 1)
+
+    def test_solve_never_reads_the_cache(self, tmp_path):
+        mapper, dfg, cgra = self._mapper(tmp_path)
+        cold = mapper.map(dfg, cgra)
+        solved = mapper.solve(dfg, cgra)
+        assert solved.success and not solved.cache_hit
+        assert solved.ii == cold.ii and solved.attempts
+        assert solved.cache_key == cold.cache_key
+        stats = solved.cache_stats
+        assert (stats.hits, stats.misses, stats.writes) == (0, 0, 1)
+
+    def test_lookup_needs_a_cache(self):
+        mapper = SatMapItMapper(MapperConfig())
+        with pytest.raises(ValueError, match="cache_dir"):
+            mapper.lookup(get_kernel("srand"), CGRA.square(3), "0" * 64)
+
+
 class TestInvalidationAndRecovery:
     def test_solver_version_bump_invalidates(self, tmp_path):
         dfg, cgra = get_kernel("srand"), CGRA.square(3)

@@ -17,10 +17,10 @@ import pytest
 
 import repro.service.jobs as jobs_module
 from repro.cgra.architecture import CGRA
-from repro.core.mapper import MapperConfig
+from repro.core.mapper import MapperConfig, SatMapItMapper
 from repro.kernels import get_kernel
-from repro.service.jobs import CANCELLED, DONE, FAILED, JobManager
-from repro.service.protocol import MapRequest, ServiceLimits
+from repro.service.jobs import CANCELLED, DONE, FAILED, RUNNING, JobManager
+from repro.service.protocol import MapRequest, ServiceLimits, outcome_payload
 
 
 def run(coro):
@@ -80,7 +80,7 @@ class TestDedup:
 
     def test_finished_job_is_not_joined(self, tmp_path):
         """Dedup covers *in-flight* work only; a repeat after completion
-        is a new job served by the persistent cache."""
+        is a new job served by the persistent cache, in the server."""
 
         async def scenario():
             manager = JobManager(pool_size=1, cache_dir=str(tmp_path))
@@ -95,7 +95,8 @@ class TestDedup:
         assert second.status == DONE
         assert second.result["cache_hit"] is True
         assert manager.stats.dedup_joined == 0
-        assert manager.stats.solves_started == 2
+        assert manager.stats.solves_started == 1
+        assert manager.stats.cache["hits"] == 1
 
     def test_different_tenants_never_dedup(self, tmp_path):
         async def scenario():
@@ -345,3 +346,136 @@ class TestWorkerCrash:
         assert payload["failure"]["signal_name"] == "SIGKILL"
         stats = manager.stats_payload()
         assert stats["requests"]["worker_crashes"] == 1
+
+
+def _prefill(manager: JobManager, req: MapRequest):
+    """Map ``req`` in this process into ``manager``'s cache namespace."""
+    return SatMapItMapper(manager._specialise(req)).map(req.dfg, req.cgra)
+
+
+async def _answer(manager: JobManager, req: MapRequest):
+    job, _ = manager.submit(req)
+    await job.done_event.wait()
+    return job
+
+
+class TestServerSideHits:
+    """A cache hit is answered in the server: no slot, no worker process."""
+
+    def test_one_lookup_per_request_and_corrupt_entries_are_resolved(
+        self, tmp_path
+    ):
+        async def scenario():
+            manager = JobManager(pool_size=1, cache_dir=str(tmp_path))
+            cold = await _answer(manager, request())
+            warm = await _answer(manager, request())
+            counts = dict(manager.stats.cache), manager.stats.solves_started
+            entry = tmp_path / "default" / f"{cold.cache_key}.json"
+            entry.write_text("{ not json")
+            again = await _answer(manager, request())
+            return manager, cold, warm, again, counts
+
+        manager, cold, warm, again, (counts, solves) = run(scenario())
+        assert warm.result["cache_hit"] is True and warm.pid is None
+        assert (counts["hits"], counts["misses"], counts["writes"]) == (1, 1, 1)
+        assert solves == 1
+        # The garbage entry was counted, deleted and re-solved by a worker.
+        cache = manager.stats.cache
+        assert cache["corrupted"] == 1
+        assert (cache["hits"], cache["misses"], cache["writes"]) == (1, 2, 2)
+        assert manager.stats.solves_started == 2
+        assert again.status == DONE and again.pid is not None
+        assert again.result["cache_hit"] is False
+        assert again.result["ii"] == cold.result["ii"]
+
+    def test_hits_bypass_a_saturated_pool(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(jobs_module, "_job_worker", _sleepy_worker)
+
+        async def scenario():
+            manager = _fork_manager(pool_size=1, cache_dir=str(tmp_path))
+            _prefill(manager, request())
+            sleeper, _ = manager.submit(request(schedule_slack=2))
+            try:
+                while sleeper.pid is None:
+                    await asyncio.sleep(0.05)
+                hit, _ = manager.submit(request())
+                # Bounded: a hit queued behind the sleeper would never end.
+                await asyncio.wait_for(hit.done_event.wait(), timeout=30.0)
+                still_running = sleeper.status == RUNNING
+            finally:
+                await manager.shutdown()
+            return manager, hit, still_running
+
+        manager, hit, still_running = run(scenario())
+        assert still_running
+        assert hit.status == DONE and hit.pid is None
+        assert hit.result["cache_hit"] is True
+        assert manager.stats.solves_started == 1
+        assert multiprocessing.active_children() == []
+
+    def test_served_hit_equals_the_mapper_hit(self, tmp_path):
+        async def scenario():
+            manager = JobManager(pool_size=1, cache_dir=str(tmp_path))
+            _prefill(manager, request())
+            return manager, await _answer(manager, request())
+
+        manager, hit = run(scenario())
+        req = request()
+        direct = outcome_payload(
+            SatMapItMapper(manager._specialise(req)).map(req.dfg, req.cgra)
+        )
+        assert direct["cache_hit"] is True
+        served = dict(hit.result)
+        del served["total_time_s"], direct["total_time_s"]
+        assert served == direct
+        assert manager.stats.solves_started == 0
+
+
+class TestRegistryMemory:
+    """Finished jobs of one problem share one mapping dict, and the table
+    holding the shared dicts is pruned with the registry."""
+
+    def test_warm_hits_share_one_mapping(self, tmp_path):
+        async def scenario():
+            manager = JobManager(pool_size=1, cache_dir=str(tmp_path))
+            _prefill(manager, request())
+            first = await _answer(manager, request())
+            second = await _answer(manager, request())
+            return first, second
+
+        first, second = run(scenario())
+        assert first.result["cache_hit"] and second.result["cache_hit"]
+        assert first.result["mapping"] is second.result["mapping"]
+
+    def test_cold_result_and_later_hit_share_one_mapping(self, tmp_path):
+        async def scenario():
+            manager = JobManager(pool_size=1, cache_dir=str(tmp_path))
+            cold = await _answer(manager, request())
+            warm = await _answer(manager, request())
+            return cold, warm
+
+        cold, warm = run(scenario())
+        assert not cold.result["cache_hit"] and warm.result["cache_hit"]
+        assert warm.result["mapping"] is cold.result["mapping"]
+
+    def test_shared_table_never_outgrows_the_registry(self, tmp_path):
+        seeds = range(5)
+
+        async def scenario():
+            manager = JobManager(
+                pool_size=1, cache_dir=str(tmp_path), max_jobs_tracked=3,
+            )
+            for seed in seeds:
+                _prefill(manager, request(random_seed=seed))
+            sizes = []
+            for _round in range(2):
+                for seed in seeds:
+                    await _answer(manager, request(random_seed=seed))
+                    sizes.append((len(manager._mappings), len(manager.jobs)))
+            return manager, sizes
+
+        manager, sizes = run(scenario())
+        assert manager.stats.cache["hits"] == 10
+        assert all(shared <= tracked <= 3 for shared, tracked in sizes)
+        live = {(job.tenant, job.cache_key) for job in manager.jobs.values()}
+        assert set(manager._mappings) <= live
