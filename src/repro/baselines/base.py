@@ -50,6 +50,20 @@ class BaselineConfig:
     random_seed: int | None = 0
     verbose: bool = False
 
+    def __post_init__(self) -> None:
+        # A value below these bounds would not fail: the mapper would walk
+        # the IIs without scheduling anything and report a plain failure.
+        for name in ("max_ii", "attempts_per_ii", "budget_factor"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"BaselineConfig.{name} must be >= 1, got {value}")
+        # ``timeout=0`` stays valid: like ``MapperConfig``, it is the
+        # anytime probe that reports a timeout after zero attempts.
+        if self.timeout is not None and self.timeout < 0:
+            raise ValueError(
+                f"BaselineConfig.timeout must be None or >= 0, got {self.timeout}"
+            )
+
 
 class HeuristicMapper:
     """Base class implementing the iterative-II scheduling loop."""
@@ -328,7 +342,7 @@ def _transfer_ok(
     enforce_output_register: bool,
 ) -> bool:
     """Whether one dependency is satisfied by the two tentative placements."""
-    if not cgra.are_neighbours(src_pe, dst_pe, include_self=True):
+    if dst_pe not in cgra.neighbour_sets[src_pe]:
         return False
     consumed = dst_flat + distance * ii
     if consumed < src_flat + dfg.node(src).latency:
@@ -422,12 +436,8 @@ def _candidate_pes(
     rng.shuffle(candidates)
     if not partner_pes:
         return candidates
-
-    def affinity(pe: int) -> int:
-        return sum(0 if cgra.are_neighbours(partner, pe) else cgra.distance(partner, pe)
-                   for partner in partner_pes)
-
-    candidates.sort(key=affinity)
+    rows = [cgra.affinity_table[partner] for partner in partner_pes]
+    candidates.sort(key=lambda pe: sum(row[pe] for row in rows))
     return candidates
 
 

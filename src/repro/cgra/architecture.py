@@ -134,10 +134,7 @@ class CGRA:
         """The :class:`PEClass` governing PE ``index``."""
         if not self.class_map:
             return self._classes_by_name[DEFAULT_CLASS_NAME]
-        if not 0 <= index < self.num_pes:
-            raise ArchitectureError(
-                f"PE index {index} out of range for {self.rows}x{self.cols} CGRA"
-            )
+        self._check_index(index)
         return self._classes_by_name[self.class_map[index]]
 
     @cached_property
@@ -160,12 +157,20 @@ class CGRA:
                 )
         return tuple(result)
 
-    def pe(self, index: int) -> PE:
-        """Look up a PE by linear index."""
+    def _check_index(self, index: int) -> None:
+        """Raise :class:`ArchitectureError` unless ``index`` names a PE.
+
+        Negative indices are rejected too: the per-PE tables are tuples,
+        where ``table[-1]`` would silently answer for the last PE.
+        """
         if not 0 <= index < self.num_pes:
             raise ArchitectureError(
                 f"PE index {index} out of range for {self.rows}x{self.cols} CGRA"
             )
+
+    def pe(self, index: int) -> PE:
+        """Look up a PE by linear index."""
+        self._check_index(index)
         return self.pes[index]
 
     def pe_index(self, position: Position) -> int:
@@ -231,18 +236,53 @@ class CGRA:
             table[pe.index] = tuple(self.pe_index(pos) for pos in positions)
         return table
 
+    @cached_property
+    def neighbour_sets(self) -> tuple[frozenset[int], ...]:
+        """Per-PE one-hop neighbourhood, the PE itself included, by index."""
+        return tuple(
+            frozenset(self._neighbour_table[pe]) for pe in range(self.num_pes)
+        )
+
+    @cached_property
+    def hop_table(self) -> tuple[tuple[int, ...], ...]:
+        """All-pairs minimum hop counts: ``hop_table[a][b]`` (see :meth:`distance`)."""
+        positions = [pe.position for pe in self.pes]
+        return tuple(
+            tuple(
+                hop_distance(a, b, self.rows, self.cols, self.topology)
+                for b in positions
+            )
+            for a in positions
+        )
+
+    @cached_property
+    def affinity_table(self) -> tuple[tuple[int, ...], ...]:
+        """Placement cost of consuming on PE ``b`` a value produced on PE ``a``.
+
+        ``affinity_table[a][b]`` is 0 when ``b`` is ``a`` or one of its
+        one-hop neighbours (the value is readable directly) and the hop
+        count otherwise.  The heuristic mappers rank candidate PEs by its
+        sum over a node's already-placed partners.
+        """
+        return tuple(
+            tuple(0 if b in near else hops for b, hops in enumerate(row))
+            for row, near in zip(self.hop_table, self.neighbour_sets)
+        )
+
     def neighbours(self, index: int, include_self: bool = True) -> tuple[int, ...]:
         """PE indices that can receive a value from PE ``index`` in one hop."""
-        result = self._neighbour_table[self.pe(index).index]
+        self._check_index(index)
+        result = self._neighbour_table[index]
         if include_self:
             return result
         return tuple(pe for pe in result if pe != index)
 
     def are_neighbours(self, a: int, b: int, include_self: bool = True) -> bool:
         """Whether PE ``b`` can consume a value produced on PE ``a``."""
+        self._check_index(a)
         if a == b:
             return include_self
-        return b in self._neighbour_table[self.pe(a).index]
+        return b in self.neighbour_sets[a]
 
     def distance(self, a: int, b: int) -> int:
         """Exact minimum hop count between two PEs on this topology.
@@ -251,10 +291,9 @@ class CGRA:
         Chebyshev on the 8-neighbour diagonal grid, and at most one hop on
         the idealised full crossbar.
         """
-        return hop_distance(
-            self.pe_position(a), self.pe_position(b),
-            self.rows, self.cols, self.topology,
-        )
+        self._check_index(a)
+        self._check_index(b)
+        return self.hop_table[a][b]
 
     # ------------------------------------------------------------------
     # Symmetries

@@ -139,6 +139,23 @@ class DFG:
     name: str = "dfg"
     _nodes: dict[int, DFGNode] = field(default_factory=dict)
     _edges: list[DFGEdge] = field(default_factory=list)
+    #: Per-node incoming / outgoing edges in insertion order, kept by
+    #: :meth:`add_edge`.  Derived from ``_edges``, so they take no part in
+    #: equality, ``repr`` or :meth:`to_dict` (cache keys do not see them).
+    _incoming: dict[int, list[DFGEdge]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _outgoing: dict[int, list[DFGEdge]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        for edge in self._edges:
+            self._index_edge(edge)
+
+    def _index_edge(self, edge: DFGEdge) -> None:
+        self._outgoing.setdefault(edge.src, []).append(edge)
+        self._incoming.setdefault(edge.dst, []).append(edge)
 
     # ------------------------------------------------------------------
     # Construction
@@ -170,6 +187,7 @@ class DFG:
             raise DFGError(f"destination node {dst} not in DFG {self.name!r}")
         edge = DFGEdge(src, dst, distance, operand_index)
         self._edges.append(edge)
+        self._index_edge(edge)
         return edge
 
     # ------------------------------------------------------------------
@@ -207,12 +225,12 @@ class DFG:
         return node_id in self._nodes
 
     def successors(self, node_id: int) -> list[DFGEdge]:
-        """Outgoing edges of ``node_id``."""
-        return [edge for edge in self._edges if edge.src == node_id]
+        """Outgoing edges of ``node_id``, in insertion order."""
+        return list(self._outgoing.get(node_id, ()))
 
     def predecessors(self, node_id: int) -> list[DFGEdge]:
-        """Incoming edges of ``node_id``."""
-        return [edge for edge in self._edges if edge.dst == node_id]
+        """Incoming edges of ``node_id``, in insertion order."""
+        return list(self._incoming.get(node_id, ()))
 
     def forward_edges(self) -> list[DFGEdge]:
         """Edges with distance zero (intra-iteration dependencies)."""

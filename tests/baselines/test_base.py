@@ -130,3 +130,42 @@ class TestHeuristicMapperDriver:
         mapper = HeuristicMapper()
         with pytest.raises(NotImplementedError):
             mapper.map(chain(2), CGRA.square(2))
+
+
+class TestBaselineConfigValidation:
+    """Values that would silently do nothing are rejected when built."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("attempts_per_ii", 0),
+            ("attempts_per_ii", -3),
+            ("max_ii", 0),
+            ("budget_factor", 0),
+            ("timeout", -1.0),
+        ],
+    )
+    def test_rejects_values_that_do_nothing(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            BaselineConfig(**{field: value})
+
+    def test_rejected_through_replace_too(self):
+        from dataclasses import replace
+
+        with pytest.raises(ValueError, match="max_ii"):
+            replace(BaselineConfig(), max_ii=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("attempts_per_ii", 1),
+            ("max_ii", 1),
+            ("budget_factor", 1),
+            ("timeout", None),
+            # The anytime probe, as in MapperConfig (see
+            # test_driver_respects_timeout).
+            ("timeout", 0.0),
+        ],
+    )
+    def test_accepts_smallest_meaningful_values(self, field, value):
+        assert getattr(BaselineConfig(**{field: value}), field) == value

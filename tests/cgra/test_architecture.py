@@ -177,3 +177,75 @@ class TestTopologyAwareDistance:
                         assert cgra.distance(a, b) == 1
                     else:
                         assert cgra.distance(a, b) >= 2
+
+
+def _table_fabrics():
+    """Every topology on square, rectangular and 1xN grids, plus a preset."""
+    from repro.cgra.presets import mem_edge_4x4
+
+    preset = mem_edge_4x4()
+    for topology in Topology:
+        for rows, cols in ((1, 1), (1, 5), (4, 1), (2, 2), (3, 3), (2, 4), (4, 3)):
+            yield CGRA(rows=rows, cols=cols, topology=topology)
+        yield CGRA.from_spec({**preset.to_spec(), "topology": topology.value})
+
+
+def _fabric_id(cgra):
+    return f"{cgra.name}-{cgra.topology.value}"
+
+
+class TestGeometryTables:
+    """The cached per-fabric tables answer exactly like the geometry."""
+
+    @pytest.mark.parametrize("cgra", list(_table_fabrics()), ids=_fabric_id)
+    def test_distance_matches_hop_distance(self, cgra):
+        from repro.cgra.topology import hop_distance
+
+        for a in range(cgra.num_pes):
+            for b in range(cgra.num_pes):
+                expected = hop_distance(
+                    cgra.pe_position(a), cgra.pe_position(b),
+                    cgra.rows, cgra.cols, cgra.topology,
+                )
+                assert cgra.distance(a, b) == expected
+                assert cgra.hop_table[a][b] == expected
+
+    @pytest.mark.parametrize("cgra", list(_table_fabrics()), ids=_fabric_id)
+    def test_are_neighbours_matches_neighbour_list(self, cgra):
+        for a in range(cgra.num_pes):
+            for include_self in (True, False):
+                listed = cgra.neighbours(a, include_self)
+                assert list(listed) == sorted(listed)
+                for b in range(cgra.num_pes):
+                    assert cgra.are_neighbours(a, b, include_self) == (b in listed)
+
+    @pytest.mark.parametrize("cgra", list(_table_fabrics()), ids=_fabric_id)
+    def test_affinity_is_zero_on_the_neighbourhood_else_hops(self, cgra):
+        for a in range(cgra.num_pes):
+            for b in range(cgra.num_pes):
+                expected = 0 if cgra.are_neighbours(a, b) else cgra.distance(a, b)
+                assert cgra.affinity_table[a][b] == expected
+
+    @pytest.mark.parametrize(
+        "cgra", [CGRA.square(3), CGRA(rows=1, cols=4)], ids=_fabric_id
+    )
+    def test_out_of_range_indices_still_raise(self, cgra):
+        for bad in (-1, cgra.num_pes):
+            with pytest.raises(ArchitectureError):
+                cgra.distance(bad, 0)
+            with pytest.raises(ArchitectureError):
+                cgra.distance(0, bad)
+            with pytest.raises(ArchitectureError):
+                cgra.are_neighbours(bad, 0)
+            with pytest.raises(ArchitectureError):
+                cgra.are_neighbours(bad, bad)
+            with pytest.raises(ArchitectureError):
+                cgra.neighbours(bad)
+
+    def test_tables_do_not_change_equality(self):
+        warm = CGRA.square(3)
+        warm.distance(0, 8)
+        _ = warm.affinity_table
+        cold = CGRA.square(3)
+        assert warm == cold and hash(warm) == hash(cold)
+        assert warm.to_spec() == cold.to_spec()

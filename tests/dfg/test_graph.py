@@ -178,3 +178,123 @@ class TestOpcodes:
     def test_repr_mentions_counts(self):
         dfg = paper_running_example()
         assert "nodes=11" in repr(dfg)
+
+
+def _scanned(dfg):
+    """The linear edge scans ``predecessors``/``successors`` used to run."""
+    return (
+        {n: [e for e in dfg.edges if e.dst == n] for n in dfg.node_ids},
+        {n: [e for e in dfg.edges if e.src == n] for n in dfg.node_ids},
+    )
+
+
+def _indexed(dfg):
+    return (
+        {n: dfg.predecessors(n) for n in dfg.node_ids},
+        {n: dfg.successors(n) for n in dfg.node_ids},
+    )
+
+
+def _multi_edge_dfg():
+    """Parallel edges (one per operand) and a self-loop back edge."""
+    dfg = DFG(name="multi")
+    for node_id in range(4):
+        dfg.add_node(node_id)
+    dfg.add_edge(0, 2, operand_index=0)
+    dfg.add_edge(1, 3)
+    dfg.add_edge(0, 2, operand_index=1)
+    dfg.add_edge(2, 2, distance=1)
+    dfg.add_edge(2, 3, operand_index=1)
+    dfg.add_edge(3, 0, distance=2)
+    return dfg
+
+
+class TestAdjacencyIndex:
+    """``predecessors``/``successors`` read a per-node index of ``_edges``."""
+
+    def test_matches_linear_scan_after_add_edge(self):
+        for dfg in (paper_running_example(), _multi_edge_dfg()):
+            assert _indexed(dfg) == _scanned(dfg)
+
+    def test_matches_linear_scan_on_every_kernel(self):
+        from repro.kernels import all_kernel_names, get_kernel
+
+        for name in all_kernel_names():
+            dfg = get_kernel(name)
+            assert _indexed(dfg) == _scanned(dfg), name
+
+    def test_rebuilt_by_copy_from_dict_and_from_edge_list(self):
+        def arcs(dfg):
+            """Per-node (src, dst, distance) lists; from_edge_list drops operands."""
+            return [
+                [(e.src, e.dst, e.distance) for e in query(n)]
+                for query in (dfg.predecessors, dfg.successors)
+                for n in dfg.node_ids
+            ]
+
+        dfg = _multi_edge_dfg()
+        rebuilt = [
+            dfg.copy(),
+            DFG.from_dict(dfg.to_dict()),
+            DFG.from_edge_list(
+                "multi", 4, [(e.src, e.dst, e.distance) for e in dfg.edges]
+            ),
+        ]
+        for other in rebuilt:
+            assert _indexed(other) == _scanned(other)
+            assert arcs(other) == arcs(dfg)
+
+    def test_index_follows_edges_added_after_a_copy(self):
+        dfg = _multi_edge_dfg()
+        clone = dfg.copy()
+        clone.add_edge(1, 2, operand_index=2)
+        assert len(clone.predecessors(2)) == len(dfg.predecessors(2)) + 1
+        assert _indexed(clone) == _scanned(clone)
+        assert _indexed(dfg) == _scanned(dfg)
+
+    def test_parallel_edges_and_self_loop(self):
+        dfg = _multi_edge_dfg()
+        assert [e.operand_index for e in dfg.predecessors(2)] == [0, 1, 0]
+        assert [e.dst for e in dfg.successors(2)] == [2, 3]
+        assert [e.src for e in dfg.predecessors(2)] == [0, 0, 2]
+
+    def test_unknown_node_has_no_edges(self):
+        dfg = _multi_edge_dfg()
+        assert dfg.predecessors(99) == []
+        assert dfg.successors(99) == []
+
+    def test_returned_lists_are_copies(self):
+        dfg = _multi_edge_dfg()
+        dfg.predecessors(2).clear()
+        dfg.successors(0).append(DFGEdge(0, 1))
+        assert _indexed(dfg) == _scanned(dfg)
+        assert len(dfg.predecessors(2)) == 3
+
+    def test_index_takes_no_part_in_equality_repr_or_to_dict(self):
+        first = DFG(name="g")
+        for node_id in (0, 1, 2):
+            first.add_node(node_id)
+        second = DFG(name="g")
+        for node_id in (2, 0, 1):
+            second.add_node(node_id)
+        for dfg in (first, second):
+            dfg.add_edge(0, 1)
+            dfg.add_edge(1, 2)
+            dfg.add_edge(2, 0, distance=1)
+        assert first == second
+        swapped = DFG(name="g")
+        for node_id in (0, 1, 2):
+            swapped.add_node(node_id)
+        swapped.add_edge(1, 2)
+        swapped.add_edge(0, 1)
+        swapped.add_edge(2, 0, distance=1)
+        # Equality still compares the edge list in order, as it always has.
+        assert (swapped == first) == (swapped._edges == first._edges)
+        assert "_incoming" not in repr(first) and "_outgoing" not in repr(first)
+        assert set(first.to_dict()) == {"name", "nodes", "edges"}
+
+    def test_constructor_edge_list_is_indexed(self):
+        source = _multi_edge_dfg()
+        dfg = DFG(name="direct", _nodes=dict(source._nodes), _edges=source.edges)
+        assert _indexed(dfg) == _scanned(dfg)
+        assert dfg == DFG(name="direct", _nodes=dict(source._nodes), _edges=source.edges)
