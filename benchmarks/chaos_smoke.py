@@ -1,6 +1,6 @@
 """Chaos smoke: a faulted farm sweep must equal the fault-free one.
 
-Runs a small sweep twice through the leased work-queue farm
+Runs a small sweep twice through the work-queue farm
 (``repro.farm``): once clean, once with the fault injector killing a
 worker on its first item *and* dooming every item's first backend
 attempt.  The run fails unless the faulted sweep produces identical
@@ -11,7 +11,7 @@ CI ``chaos-smoke`` job::
     PYTHONPATH=src python benchmarks/chaos_smoke.py
 
 ``--full`` (the nightly flavour) adds two more faulted rounds: a
-SIGSTOP-wedged worker recovered by lease expiry, and a mid-run cache
+SIGSTOP-wedged worker reaped at its item deadline, and a mid-run cache
 corruption that must be detected rather than served.
 
 Not a pytest module on purpose — this is the operational drill, kept
@@ -108,20 +108,21 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     if args.full:
+        # A short item budget: the wedged item is reaped at its deadline,
+        # the budget plus the farm's fixed grace.
         wedge_config = ExperimentConfig(
             kernels=CONFIG.kernels,
             sizes=CONFIG.sizes,
             mappers=CONFIG.mappers,
-            timeout=CONFIG.timeout,
-            lease_ttl=2.0,
+            timeout=5.0,
         )
         start = time.perf_counter()
         wedged = run_sweep(wedge_config, jobs=JOBS,
                            faults=FaultPlan(wedge_worker_after=0))
         wall = time.perf_counter() - start
         print(f"wedge: {wedged.farm.summary()} ({wall:.1f}s)")
-        if _shape(wedged) != clean_shape or wedged.farm.leases_expired < 1:
-            print("wedge: FAIL — records differ or no lease expired",
+        if _shape(wedged) != clean_shape or wedged.farm.deadlines_expired < 1:
+            print("wedge: FAIL — records differ or no deadline expired",
                   file=sys.stderr)
             failures += 1
         with tempfile.TemporaryDirectory(prefix="chaos-cache-") as cache_dir:

@@ -315,7 +315,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         seed_heuristic=args.seed_heuristic,
         proof=args.proof,
         max_retries=args.max_retries,
-        lease_ttl=args.lease_ttl,
     )
     print(f"running sweep: {len(config.kernels)} kernels x "
           f"{len(config.sizes)} sizes x {len(config.mappers)} mappers"
@@ -545,11 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="transient-failure retries per work item "
                                 "before it is quarantined as poison "
                                 "(default: 3)")
-    sweep_cmd.add_argument("--lease-ttl", type=float, default=60.0,
-                           metavar="SECONDS",
-                           help="lease TTL: a worker that stops "
-                                "heartbeating this long is presumed dead "
-                                "and its item is requeued (default: 60)")
     sweep_cmd.add_argument("--chaos", metavar="SPEC",
                            help="inject deterministic faults (testing), "
                                 "e.g. 'kill-after=2,backend-rate=0.5'; "

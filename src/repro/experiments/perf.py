@@ -127,7 +127,7 @@ BENCH_SEED = 0
 #: leased work-queue farm (``repro.farm``) with two workers.  Unlike the
 #: solver cases above it measures the *service* rate the farm sustains —
 #: its headline stat is ``kernels_mapped_per_minute`` — so scheduler
-#: overhead (leases, heartbeats, journalling to a scratch directory, the
+#: overhead (leases, pipes, journalling to a scratch directory, the
 #: fork-per-worker tax) is on the clock alongside the mapping itself.
 FARM_CASE_NAME = "farm-sweep@3x3!jobs2"
 FARM_KERNELS = ("srand", "basicmath", "gsm")

@@ -268,8 +268,8 @@ def render_markdown_report(sweep: SweepResult, options: ReportOptions | None = N
                 f"**{farm.items}**",
                 f"* transient failures retried: **{farm.retries}** "
                 f"(**{retried}** item(s) needed at least one retry)",
-                f"* leases expired (worker stopped heartbeating): "
-                f"**{farm.leases_expired}**",
+                f"* deadlines expired (worker reaped, item requeued): "
+                f"**{farm.deadlines_expired}**",
                 f"* worker crashes / respawns: **{farm.worker_crashes}** / "
                 f"**{farm.worker_respawns}**",
                 f"* poison items quarantined: **{farm.quarantined}**"

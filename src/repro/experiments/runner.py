@@ -107,12 +107,10 @@ class ExperimentConfig:
     #: Log DRAT proofs for UNSAT attempts in the SAT-MapIt runs (``cdcl``
     #: backend only; checked by :class:`MapperConfig` on construction).
     proof: bool = False
-    #: Farm execution knobs (parallel sweeps only; excluded from the
-    #: journal compatibility digest so a resume may loosen them): retry cap
-    #: per work item before quarantine, and the lease TTL after which a
-    #: non-heartbeating worker is presumed dead and its item requeued.
+    #: Farm execution knob (parallel sweeps only; excluded from the
+    #: journal compatibility digest so a resume may loosen it): retry cap
+    #: per work item before quarantine.
     max_retries: int = 3
-    lease_ttl: float = 60.0
 
     def __post_init__(self) -> None:
         # Reject a backend/proof mismatch up front, not per work item.
@@ -420,7 +418,6 @@ def _run_farm_sweep(
             )
         farm = FarmConfig(
             jobs=jobs,
-            lease_ttl=config.lease_ttl,
             policy=RetryPolicy(max_retries=config.max_retries),
             journal_dir=journal_dir,
             resume=resume,

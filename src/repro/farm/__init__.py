@@ -8,13 +8,14 @@ into a crash-surviving work-queue architecture:
   content-hash ID, so a killed sweep can be resumed (``--resume``) without
   re-solving finished items.
 * :mod:`repro.farm.leases` — items are handed to workers under leases with
-  heartbeats; a worker that stops heartbeating loses its lease and the
-  item is requeued.  A retry policy with exponential backoff + jitter
+  a wall deadline (the item's budget plus a grace); a worker still holding
+  a lease past it is reaped and the item is requeued.  A retry policy with exponential backoff + jitter
   distinguishes transient failures (worker crash, flaky backend) from
   permanent ones (unmappable kernel), with a per-item retry cap and a
   poison-item quarantine so one bad kernel cannot stall the farm.
 * :mod:`repro.farm.scheduler` — the scheduler process that owns the queue,
-  the worker pool, lease expiry and crash respawn.
+  the worker pool (:mod:`repro.procs` children), deadline expiry and
+  crash respawn.
 * :mod:`repro.farm.faults` — the fault-injection harness (env-var or
   config driven) behind the chaos test suite: the invariant is that a
   sweep under injected faults produces the same records as a fault-free

@@ -12,9 +12,9 @@ to be assertable in CI, every fault here is **deterministic**:
   crash, requeue the item, and respawn the worker.  Respawned workers get
   fresh monotonic IDs, so the fault fires exactly once.
 * ``wedge_worker_after=N`` — same trigger, but the worker SIGSTOPs itself
-  instead of dying.  Its process stays alive while its heartbeats stop,
-  so the only way the farm can make progress is the lease-TTL expiry path
-  (reap the wedged process, requeue the item).
+  instead of dying.  Its process stays alive and silent, so the only way
+  the farm can make progress is the item-deadline path (reap the wedged
+  process, requeue the item).
 * ``backend_fail_rate=p`` — a deterministic per-item coin (hashed from
   the plan seed and the item's content-hash ID, not ``random``) selects a
   fraction ``p`` of items whose *first* ``backend_fail_attempts`` attempts

@@ -54,10 +54,10 @@ SCHEMA = "satmapit-farm-journal/1"
 JOURNAL_FILENAME = "journal.jsonl"
 
 #: ExperimentConfig fields that are farm *execution* knobs, not part of
-#: the sweep protocol: resuming with a different retry cap or lease TTL
-#: is legitimate (e.g. loosening budgets after a flaky night), so they
-#: are excluded from the compatibility digest.
-_EXECUTION_FIELDS = frozenset({"max_retries", "lease_ttl"})
+#: the sweep protocol: resuming with a different retry cap is legitimate
+#: (e.g. loosening it after a flaky night), so they are excluded from the
+#: compatibility digest.
+_EXECUTION_FIELDS = frozenset({"max_retries"})
 
 
 def _plain(value: Any) -> Any:

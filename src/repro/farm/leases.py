@@ -1,7 +1,7 @@
 """Leased work queue: the farm's in-scheduler state machine.
 
 Pure bookkeeping — no processes, no threads, injectable clock — so the
-lease/heartbeat/retry/quarantine protocol is unit-testable without ever
+lease/deadline/retry/quarantine protocol is unit-testable without ever
 spawning a worker.  The scheduler (:mod:`repro.farm.scheduler`) drives it
 from real events; the tests drive it from a fake clock.
 
@@ -10,7 +10,7 @@ Item lifecycle::
     pending --acquire--> leased --complete--> done
        ^                   |
        |                   +--fail(transient)--> pending (after backoff)
-       +--expire (lease TTL without heartbeat)--+
+       +--expire (item deadline passed)---------+
                            |
                            +--fail(permanent) / retry cap -----> quarantined
 
@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+import math
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 from repro.farm.journal import SweepJournal, WorkItem
 from repro.farm.retry import PERMANENT, RetryPolicy
@@ -41,8 +43,8 @@ class FarmStats:
     retries: int = 0
     #: Transient failures observed (crashes, backend errors, expiries).
     transient_failures: int = 0
-    #: Leases revoked because the worker stopped heartbeating.
-    leases_expired: int = 0
+    #: Leases revoked because the item outran its deadline.
+    deadlines_expired: int = 0
     #: Worker processes that died without delivering a verdict.
     worker_crashes: int = 0
     #: Replacement workers spawned after crashes/reaps.
@@ -63,7 +65,7 @@ class FarmStats:
             f"{self.completed}/{self.items} item(s) completed",
             f"{self.skipped} resumed from journal",
             f"{self.retries} retr{'y' if self.retries == 1 else 'ies'}",
-            f"{self.leases_expired} lease(s) expired",
+            f"{self.deadlines_expired} deadline(s) expired",
             f"{self.worker_crashes} worker crash(es)",
             f"{self.quarantined} quarantined",
         ]
@@ -77,12 +79,8 @@ class Lease:
     item: WorkItem
     worker: int
     attempt: int
-    granted: float
-    last_heartbeat: float = field(default=0.0)
-
-    def deadline(self, ttl: float) -> float:
-        """When the lease expires if no further heartbeat arrives."""
-        return max(self.granted, self.last_heartbeat) + ttl
+    #: When the lease expires: grant time plus the item's budget.
+    deadline: float
 
 
 class LeasedWorkQueue:
@@ -92,12 +90,13 @@ class LeasedWorkQueue:
         self,
         items: list[WorkItem],
         policy: RetryPolicy | None = None,
-        lease_ttl: float = 60.0,
+        budget: Callable[[WorkItem], float] | None = None,
         journal: SweepJournal | None = None,
         clock=time.monotonic,
     ) -> None:
         self.policy = policy or RetryPolicy()
-        self.lease_ttl = lease_ttl
+        #: Seconds a lease on an item lasts (no deadline when ``None``).
+        self.budget = budget or (lambda item: math.inf)
         self.journal = journal
         self.clock = clock
         self.stats = FarmStats(items=len(items))
@@ -155,43 +154,29 @@ class LeasedWorkQueue:
         _ready_at, _index, item_id = heapq.heappop(self._ready)
         item = self.items[item_id]
         attempt = self._attempts.get(item_id, 0)
-        lease = Lease(item=item, worker=worker, attempt=attempt, granted=now)
+        lease = Lease(item=item, worker=worker, attempt=attempt,
+                      deadline=now + self.budget(item))
         self._leases[item_id] = lease
         self._by_worker[worker] = item_id
         if self.journal:
             self.journal.append("lease", id=item_id, worker=worker, attempt=attempt)
         return item, attempt
 
-    def heartbeat(self, worker: int, now: float | None = None) -> None:
-        """Record life from a worker, extending its lease (if any)."""
-        item_id = self._by_worker.get(worker)
-        if item_id is None:
-            return
-        lease = self._leases.get(item_id)
-        if lease is not None and lease.worker == worker:
-            lease.last_heartbeat = self.clock() if now is None else now
-
     def lease_of(self, worker: int) -> str | None:
         """The item a worker currently holds, if any."""
         return self._by_worker.get(worker)
 
     def expired(self, now: float | None = None) -> list[Lease]:
-        """Leases whose TTL elapsed without a heartbeat (not yet revoked)."""
+        """Leases past their deadline (not yet revoked)."""
         now = self.clock() if now is None else now
         return [
-            lease
-            for lease in self._leases.values()
-            if lease.deadline(self.lease_ttl) < now
+            lease for lease in self._leases.values() if lease.deadline < now
         ]
 
     # -- outcomes ------------------------------------------------------
     def complete(self, item_id: str, record: dict) -> bool:
-        """Accept a finished record; idempotent under duplicate delivery.
-
-        A slow worker whose lease was expired (and whose item was already
-        re-run) may still deliver a verdict — first result wins, later
-        duplicates are dropped.
-        """
+        """Accept a finished record; idempotent under duplicate delivery:
+        the first result wins, later duplicates are dropped."""
         self._release(item_id)
         if item_id in self.results or item_id in self.quarantined:
             return False
@@ -240,11 +225,11 @@ class LeasedWorkQueue:
 
     def expire(self, lease: Lease, now: float | None = None) -> str:
         """Revoke one expired lease and requeue/quarantine its item."""
-        self.stats.leases_expired += 1
+        self.stats.deadlines_expired += 1
         return self.fail(
             lease.item.id,
-            f"lease expired after {self.lease_ttl:.1f}s without a heartbeat "
-            f"(worker {lease.worker})",
+            f"deadline of {self.budget(lease.item):.1f}s exceeded "
+            f"(worker {lease.worker} reaped)",
             kind="transient",
             now=now,
         )

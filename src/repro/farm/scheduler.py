@@ -1,9 +1,9 @@
-"""The farm scheduler: worker pool, lease enforcement, crash recovery.
+"""The farm scheduler: worker pool, item deadlines, crash recovery.
 
 One scheduler process (the caller) owns the :class:`LeasedWorkQueue`, the
 journal, and N worker processes.  Workers are deliberately dumb: receive a
 work item, run :func:`repro.experiments.runner.run_single`, send back a
-verdict, repeat.  All policy — retries, backoff, quarantine, lease expiry,
+verdict, repeat.  All policy — retries, backoff, quarantine, deadlines,
 respawn — lives in the scheduler, so a worker can die (or be SIGKILLed by
 the fault injector) at any instant without losing anything but the attempt
 in flight.
@@ -11,34 +11,35 @@ in flight.
 Protocol
 --------
 
-* Each worker gets a private task queue; the scheduler pushes one
-  ``{"item": ..., "attempt": n}`` message per lease and ``None`` to stop.
-* All workers share one event queue back to the scheduler:
-  ``("heartbeat", worker, None)`` from a daemon thread every
-  ``lease_ttl / 4`` seconds, and ``("done" | "failed", worker, payload)``
-  per finished attempt.
-* A worker that stops heartbeating past the lease TTL is presumed wedged:
-  the scheduler reaps it (:func:`repro.search.portfolio.reap_process` —
-  SIGTERM, bounded grace, SIGKILL), expires the lease, requeues the item
-  and spawns a replacement.  A worker that *dies* (nonzero exit, signal)
-  is detected by liveness polling the same way.
+* Each worker is a :mod:`repro.procs` child with its own pipe: the
+  scheduler sends one ``{"item": ..., "attempt": n}`` message per lease,
+  and the worker answers ``("done" | "failed", payload)`` per attempt.
+* Every lease carries a wall deadline: the item's own budget
+  (``ExperimentConfig.timeout``, times ``pathseeker_repeats`` for
+  PathSeeker items) plus :data:`_DEADLINE_GRACE`.  A worker still holding
+  a lease past it — wedged (SIGSTOP), or busy in a loop that never
+  returns — is reaped (:func:`repro.procs.reap`: SIGTERM, bounded grace,
+  SIGKILL, which also reaches a stopped process); the lease expires, the
+  item requeues, and a replacement worker is spawned.  A worker that
+  *dies* (nonzero exit, signal) reads as EOF on its pipe and is handled
+  the same way, without waiting for the deadline.
 * Respawned workers get fresh monotonic IDs — a lease can never be
   confused between a dead worker and its replacement, and one-shot
   injected faults (targeted at worker 0) fire exactly once.
 
 Workers are forked, not spawned: the scheduler has already imported the
 whole mapper stack, and fork keeps per-respawn latency in milliseconds.
+They are not daemons, so a SAT-MapIt item may race portfolio lanes.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import multiprocessing as mp
-import queue as stdlib_queue
-import threading
 import time
 from dataclasses import dataclass, field
 
+from repro import procs
 from repro.exceptions import FarmError
 from repro.farm.faults import FaultPlan
 from repro.farm.journal import (
@@ -49,9 +50,21 @@ from repro.farm.journal import (
 )
 from repro.farm.leases import FarmStats, LeasedWorkQueue
 from repro.farm.retry import TRANSIENT, RetryPolicy, classify_failure
-from repro.search.portfolio import reap_process
 
 __all__ = ["FarmConfig", "FarmOutcome", "materialise_items", "run_farm"]
+
+
+#: Seconds on top of an item's own budget before its worker is presumed
+#: wedged or runaway and reaped.  Covers what the budget does not: fabric
+#: construction, regalloc, simulator replay and the record's way back.
+_DEADLINE_GRACE = 10.0
+
+#: SIGTERM grace before a reap escalates to SIGKILL.
+_REAP_GRACE = 2.0
+
+#: Longest the scheduler waits for a worker event before it re-checks
+#: deadlines and backed-off items.
+_TICK = 0.1
 
 
 @dataclass(frozen=True)
@@ -59,17 +72,12 @@ class FarmConfig:
     """Execution knobs of one farm run (not part of the sweep protocol)."""
 
     jobs: int = 2
-    lease_ttl: float = 60.0
     policy: RetryPolicy = field(default_factory=RetryPolicy)
     #: Journal directory (required — the journal is the resume contract).
     journal_dir: str = ""
     #: Resume an existing journal instead of starting a fresh one.
     resume: bool = False
     faults: FaultPlan | None = None
-    #: Scheduler event-wait quantum; also bounds lease-expiry latency.
-    poll_interval: float = 0.1
-    #: SIGTERM grace before a reap escalates to SIGKILL.
-    reap_grace: float = 2.0
 
 
 @dataclass
@@ -114,40 +122,27 @@ def materialise_items(config) -> list[WorkItem]:
     return items
 
 
+def item_budget(config, item: WorkItem) -> float:
+    """Wall seconds a lease on ``item`` lasts before its worker is reaped."""
+    from repro.experiments.runner import PATHSEEKER
+
+    repeats = config.pathseeker_repeats if item.mapper == PATHSEEKER else 1
+    return config.timeout * max(1, repeats) + _DEADLINE_GRACE
+
+
 # ---------------------------------------------------------------------------
 # Worker side
 # ---------------------------------------------------------------------------
 
-def _heartbeat_loop(events, worker_id: int, interval: float, stop) -> None:
-    while not stop.wait(interval):
-        try:
-            events.put(("heartbeat", worker_id, None))
-        except Exception:  # pragma: no cover - scheduler already gone
-            return
-
-
 def _farm_worker(
-    worker_id: int,
-    tasks,
-    events,
-    config,
-    faults: FaultPlan | None,
-    heartbeat_interval: float,
+    conn, worker_id: int, config, faults: FaultPlan | None
 ) -> None:
-    """Worker main: lease in, verdict out, until the ``None`` sentinel."""
+    """Worker main: lease in, verdict out, until the scheduler reaps it."""
     from repro.experiments.runner import run_single
 
-    stop = threading.Event()
-    threading.Thread(
-        target=_heartbeat_loop,
-        args=(events, worker_id, heartbeat_interval, stop),
-        daemon=True,
-    ).start()
     received = 0
     while True:
-        task = tasks.get()
-        if task is None:
-            break
+        task = conn.recv()
         received += 1
         if faults is not None:
             # May SIGKILL or SIGSTOP this very process — before any solving
@@ -161,15 +156,13 @@ def _farm_worker(
             record = run_single(
                 item.kernel, item.size, item.mapper, config, item.scenario
             )
-            events.put(
-                ("done", worker_id, {"id": item.id,
-                                     "record": dataclasses.asdict(record)})
+            conn.send(
+                ("done", {"id": item.id, "record": dataclasses.asdict(record)})
             )
         except BaseException as exc:
-            events.put(
+            conn.send(
                 (
                     "failed",
-                    worker_id,
                     {
                         "id": item.id,
                         "error": f"{type(exc).__name__}: {exc}",
@@ -177,7 +170,6 @@ def _farm_worker(
                     },
                 )
             )
-    stop.set()
 
 
 # ---------------------------------------------------------------------------
@@ -187,68 +179,41 @@ def _farm_worker(
 @dataclass
 class _Worker:
     id: int
-    process: mp.Process
-    tasks: object
+    handle: procs.Worker
     busy: bool = False
-    stopping: bool = False
 
 
 class _Pool:
     """The worker processes, with monotonic IDs across respawns."""
 
-    def __init__(self, ctx, events, config, farm: FarmConfig) -> None:
+    def __init__(self, ctx, config, faults: FaultPlan | None) -> None:
         self._ctx = ctx
-        self._events = events
         self._config = config
-        self._farm = farm
+        self._faults = faults
         self._next_id = 0
         self.workers: dict[int, _Worker] = {}
-        interval = max(0.02, min(1.0, farm.lease_ttl / 4.0))
-        self._heartbeat_interval = interval
 
     def spawn(self) -> _Worker:
         worker_id = self._next_id
         self._next_id += 1
-        tasks = self._ctx.SimpleQueue()
-        process = self._ctx.Process(
-            target=_farm_worker,
-            args=(
-                worker_id,
-                tasks,
-                self._events,
-                self._config,
-                self._farm.faults,
-                self._heartbeat_interval,
-            ),
-            daemon=True,
+        handle = procs.start(
+            self._ctx, _farm_worker, worker_id, self._config, self._faults,
+            daemon=False,
         )
-        process.start()
-        worker = _Worker(id=worker_id, process=process, tasks=tasks)
+        worker = _Worker(id=worker_id, handle=handle)
         self.workers[worker_id] = worker
         return worker
 
     def idle(self) -> list[_Worker]:
-        return [
-            w for w in self.workers.values()
-            if not w.busy and not w.stopping and w.process.is_alive()
-        ]
+        return [w for w in self.workers.values() if not w.busy]
 
-    def remove(self, worker_id: int) -> _Worker | None:
-        return self.workers.pop(worker_id, None)
-
-    def shutdown(self, grace: float) -> None:
-        for worker in self.workers.values():
-            worker.stopping = True
-            try:
-                worker.tasks.put(None)
-            except Exception:  # pragma: no cover - broken pipe to dead child
-                pass
-        for worker in self.workers.values():
-            worker.process.join(timeout=grace)
-        for worker in self.workers.values():
-            if worker.process.is_alive():
-                reap_process(worker.process, grace=0.5)
-        self.workers.clear()
+    def stop(self, workers) -> None:
+        """Reap ``workers`` (one shared grace) and forget them."""
+        workers = list(workers)
+        procs.reap((w.handle.process for w in workers), grace=_REAP_GRACE)
+        for worker in workers:
+            worker.handle.conn.close()
+            self.workers.pop(worker.id, None)
 
 
 def run_farm(config, farm: FarmConfig, report=None) -> FarmOutcome:
@@ -290,7 +255,7 @@ def run_farm(config, farm: FarmConfig, report=None) -> FarmOutcome:
     queue = LeasedWorkQueue(
         items,
         policy=farm.policy,
-        lease_ttl=farm.lease_ttl,
+        budget=lambda item: item_budget(config, item),
         journal=journal,
     )
     if state is not None:
@@ -306,9 +271,7 @@ def run_farm(config, farm: FarmConfig, report=None) -> FarmOutcome:
             if item_id in queue.items and item_id not in queue.results:
                 queue.preload_attempts(item_id, attempts)
 
-    ctx = mp.get_context("fork")
-    events = ctx.Queue()
-    pool = _Pool(ctx, events, config, farm)
+    pool = _Pool(mp.get_context("fork"), config, farm.faults)
     faults = farm.faults
     corruptions_left = (
         1 if faults is not None and faults.corrupt_cache_after is not None else 0
@@ -321,37 +284,32 @@ def run_farm(config, farm: FarmConfig, report=None) -> FarmOutcome:
 
         while not queue.finished:
             _dispatch(pool, queue)
-            event = _next_event(events, farm.poll_interval)
-            if event is not None:
-                kind, worker_id, payload = event
-                if kind == "heartbeat":
-                    queue.heartbeat(worker_id)
-                elif kind == "done":
-                    worker = pool.workers.get(worker_id)
-                    if worker is not None:
-                        worker.busy = False
-                    if queue.complete(payload["id"], payload["record"]):
-                        if report is not None:
-                            report(payload["record"])
-                        if (
-                            corruptions_left
-                            and faults.corrupt_cache_after is not None
-                            and queue.stats.completed > faults.corrupt_cache_after
-                            and getattr(config, "cache_dir", None)
-                        ):
-                            from repro.farm.faults import corrupt_newest_entry
-
-                            corrupt_newest_entry(config.cache_dir)
-                            corruptions_left = 0
-                elif kind == "failed":
-                    worker = pool.workers.get(worker_id)
-                    if worker is not None:
-                        worker.busy = False
+            by_handle = {w.handle: w for w in pool.workers.values()}
+            for handle in procs.wait(by_handle, _TICK):
+                worker = by_handle[handle]
+                reply = procs.receive(handle)
+                if isinstance(reply, procs.Crash):
+                    _lost(pool, queue, worker, reply)
+                    continue
+                kind, payload = reply
+                worker.busy = False
+                if kind == "failed":
                     queue.fail(payload["id"], payload["error"], payload["kind"])
-            _reap_dead(pool, queue)
-            _expire_leases(pool, queue, farm)
+                elif queue.complete(payload["id"], payload["record"]):
+                    if report is not None:
+                        report(payload["record"])
+                    if (
+                        corruptions_left
+                        and queue.stats.completed > faults.corrupt_cache_after
+                        and getattr(config, "cache_dir", None)
+                    ):
+                        from repro.farm.faults import corrupt_newest_entry
+
+                        corrupt_newest_entry(config.cache_dir)
+                        corruptions_left = 0
+            _expire_deadlines(pool, queue)
     finally:
-        pool.shutdown(grace=farm.reap_grace)
+        pool.stop(pool.workers.values())
         queue.stats.wall_s = time.perf_counter() - start
         journal.close()
 
@@ -380,54 +338,41 @@ def _dispatch(pool: _Pool, queue: LeasedWorkQueue) -> None:
         if leased is None:
             return
         item, attempt = leased
-        worker.tasks.put({"item": item.payload(), "attempt": attempt})
         worker.busy = True
+        try:
+            worker.handle.conn.send({"item": item.payload(), "attempt": attempt})
+        except OSError:
+            pass  # died idle: the next wait reads its crash, requeues the item
 
 
-def _next_event(events, poll_interval: float):
-    try:
-        return events.get(timeout=poll_interval)
-    except stdlib_queue.Empty:
-        return None
+def _respawn(pool: _Pool, queue: LeasedWorkQueue) -> None:
+    if queue.outstanding > len(pool.workers):
+        pool.spawn()
+        queue.stats.worker_respawns += 1
 
 
-def _reap_dead(pool: _Pool, queue: LeasedWorkQueue) -> None:
-    """Detect workers that died without delivering; requeue and respawn."""
-    for worker in list(pool.workers.values()):
-        if worker.process.is_alive():
-            continue
-        pool.remove(worker.id)
-        worker.process.join()
-        if worker.stopping:
-            continue
-        queue.stats.worker_crashes += 1
-        item_id = queue.lease_of(worker.id)
-        if item_id is not None:
-            exitcode = worker.process.exitcode
-            queue.fail(
-                item_id,
-                f"worker {worker.id} died (exit code {exitcode}) while "
-                f"holding the lease",
-                TRANSIENT,
-            )
-        if queue.outstanding > len(pool.workers):
-            pool.spawn()
-            queue.stats.worker_respawns += 1
+def _lost(pool: _Pool, queue: LeasedWorkQueue, worker: _Worker, crash) -> None:
+    """A worker died without delivering: requeue its item and respawn."""
+    pool.stop([worker])
+    queue.stats.worker_crashes += 1
+    item_id = queue.lease_of(worker.id)
+    if item_id is not None:
+        queue.fail(
+            item_id, f"{crash} while holding the lease (worker {worker.id})",
+            TRANSIENT,
+        )
+    _respawn(pool, queue)
 
 
-def _expire_leases(pool: _Pool, queue: LeasedWorkQueue, farm: FarmConfig) -> None:
-    """Revoke leases whose worker stopped heartbeating; reap the worker.
+def _expire_deadlines(pool: _Pool, queue: LeasedWorkQueue) -> None:
+    """Reap the workers of leases past their deadline; requeue the items.
 
-    A wedged (SIGSTOPped) worker is still *alive*, so liveness polling
-    never catches it — only the missing heartbeats do.  ``reap_process``
-    handles the stopped state: SIGTERM is not delivered to a stopped
-    process, but the SIGKILL escalation is.
+    A wedged (SIGSTOPped) or runaway worker is still *alive*, so only the
+    deadline catches it.  The reap's SIGKILL escalation reaches a stopped
+    process, which SIGTERM does not.
     """
-    for lease in queue.expired():
-        worker = pool.remove(lease.worker)
+    expired = queue.expired()
+    pool.stop(pool.workers[lease.worker] for lease in expired)
+    for lease in expired:
         queue.expire(lease)
-        if worker is not None:
-            reap_process(worker.process, grace=farm.reap_grace)
-        if queue.outstanding > len(pool.workers):
-            pool.spawn()
-            queue.stats.worker_respawns += 1
+        _respawn(pool, queue)

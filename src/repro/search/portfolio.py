@@ -38,17 +38,19 @@ Each worker runs a single-II mapping through the ordinary
 :class:`~repro.core.mapper.SatMapItMapper` (ladder strategy, caching off),
 so per-attempt stats come back intact and are merged into the parent run's
 outcome; attempts of cancelled workers die with their process and are
-counted in ``MappingOutcome.portfolio_cancelled``.
+counted in ``MappingOutcome.portfolio_cancelled``.  Lanes are forked
+through :mod:`repro.procs`: each answers once over its own pipe, and a
+lane that dies without answering reads as a crash and fails its lane.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import queue as queue_module
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
+from repro import procs
 from repro.sat.encodings import AMOEncoding
 from repro.search.base import SearchContext, SearchResult, SearchStrategy
 
@@ -81,38 +83,6 @@ PORTFOLIO_VARIANTS: dict[str, dict] = {
 #: for a dedicated worker the probe is pure overhead.
 DEFAULT_VARIANTS: tuple[str, ...] = ("no-probe", "default", "pairwise")
 
-#: Seconds between liveness checks while waiting on the result queue.
-_POLL_INTERVAL = 0.2
-
-#: Poll rounds a dead worker's lane stays open for its (possibly still
-#: in-flight) queued answer before being counted as failed.
-_REAP_GRACE_POLLS = 10
-
-#: Seconds a cancelled worker gets to honour SIGTERM before the reap
-#: escalates to SIGKILL (see :func:`reap_process`).
-_TERM_GRACE = 5.0
-
-
-def reap_process(process, grace: float | None = None) -> None:
-    """Cancel a worker process, guaranteeing it is dead on return.
-
-    ``terminate()`` (SIGTERM) first, so the worker can run its cleanup
-    handlers; if it has not exited within ``grace`` seconds (default
-    :data:`_TERM_GRACE`) — a worker stuck in native solver code, or one
-    that installed a SIGTERM handler/ignore — escalate to ``kill()``
-    (SIGKILL, uncatchable) and join without a timeout.  SIGKILL cannot be
-    blocked, so the unbounded join always returns; the old
-    terminate-and-hope path silently leaked any worker that shrugged off
-    SIGTERM, which a long-lived service cannot afford.
-    """
-    if process.is_alive():
-        process.terminate()
-    process.join(timeout=_TERM_GRACE if grace is None else grace)
-    if process.is_alive():
-        process.kill()
-        process.join()
-
-
 def variant_overrides(names: tuple[str, ...]) -> list[dict]:
     """Resolve variant names to config overrides, validating early."""
     overrides = []
@@ -127,7 +97,7 @@ def variant_overrides(names: tuple[str, ...]) -> list[dict]:
     return overrides
 
 
-def _portfolio_worker(result_queue, token, dfg, cgra, config, ii) -> None:
+def _portfolio_worker(conn, dfg, cgra, config, ii) -> None:
     """Run one (II, variant) mapping attempt and ship the outcome back.
 
     ``config`` arrives fully specialised (variant overrides applied, ladder
@@ -138,9 +108,16 @@ def _portfolio_worker(result_queue, token, dfg, cgra, config, ii) -> None:
 
     try:
         outcome = SatMapItMapper(config).map(dfg, cgra, start_ii=ii)
-        result_queue.put((token, outcome))
+        conn.send(outcome)
     except BaseException as exc:  # pragma: no cover - crash containment
-        result_queue.put((token, repr(exc)))
+        conn.send(repr(exc))
+
+
+def _stop(workers) -> None:
+    """Reap lanes (one shared SIGTERM grace) and close their pipes."""
+    procs.reap(worker.process for worker in workers)
+    for worker in workers:
+        worker.conn.close()
 
 
 #: Sentinel lane index for a regalloc-triggered escalation to the
@@ -204,8 +181,9 @@ class PortfolioStrategy(SearchStrategy):
         overrides = variant_overrides(variant_names)
         jobs = max(1, config.search_jobs)
 
-        mp_ctx = multiprocessing.get_context()
-        result_queue = mp_ctx.Queue()
+        # Fork, named: lanes start in milliseconds from the already
+        # imported mapper stack, whatever the interpreter's default is.
+        mp_ctx = multiprocessing.get_context("fork")
         # Work items in II-major order: the frontier II gets all its
         # variants in flight before the next II is touched.  Escalation
         # lanes (see ``settle``) jump this queue through ``urgent``.
@@ -216,19 +194,11 @@ class PortfolioStrategy(SearchStrategy):
         ]
         next_item = 0
         urgent: list[tuple[int, int]] = []
-        active: dict[int, tuple] = {}  # token -> (process, ii, lane)
+        active: dict[procs.Worker, tuple[int, int]] = {}  # -> (ii, lane)
         spawned: list = []  # every worker process ever launched
-        meta: dict[int, tuple[int, int]] = {}  # token -> (ii, lane), kept
-        settled: set[int] = set()  # tokens whose verdict is recorded
-        cancelled: set[int] = set()  # tokens terminated as moot
-        # Tokens whose process died before their answer arrived: the result
-        # may still be in flight through the queue's feeder thread, so the
-        # lane is only failed after a grace period of poll rounds.
-        pending_dead: dict[int, int] = {}
         states: dict[int, _IIState] = {}
         frontier = ctx.first_ii
         best_win_ii: int | None = None  # lowest II with a win so far
-        token_counter = 0
 
         outcome = ctx.outcome
 
@@ -239,22 +209,13 @@ class PortfolioStrategy(SearchStrategy):
             return {} if lane == _DEFAULT_LANE else overrides[lane]
 
         def launch(ii: int, lane: int) -> None:
-            nonlocal token_counter
             worker_config = self._worker_config(
                 config, lane_overrides(lane), ii, ctx.remaining_time()
             )
-            token = token_counter
-            token_counter += 1
-            process = mp_ctx.Process(
-                target=_portfolio_worker,
-                args=(result_queue, token, ctx.dfg, ctx.cgra,
-                      worker_config, ii),
-                daemon=True,
-            )
-            process.start()
-            active[token] = (process, ii, lane)
-            spawned.append(process)
-            meta[token] = (ii, lane)
+            worker = procs.start(mp_ctx, _portfolio_worker, ctx.dfg,
+                                 ctx.cgra, worker_config, ii)
+            active[worker] = (ii, lane)
+            spawned.append(worker.process)
             outcome.portfolio_launched += 1
             states.setdefault(ii, _IIState(len(variant_names)))
 
@@ -287,33 +248,16 @@ class PortfolioStrategy(SearchStrategy):
                 launch(ii, lane)
 
         def cancel_all() -> None:
-            for token, (process, _ii, _variant) in active.items():
-                if process.is_alive():
-                    process.terminate()
-                cancelled.add(token)
-                outcome.portfolio_cancelled += 1
-            for process, _ii, _variant in active.values():
-                # The TERM was already sent above; reap_process re-sends it
-                # harmlessly and escalates to SIGKILL on a worker that
-                # ignores it, so no child can outlive the strategy.
-                reap_process(process)
+            outcome.portfolio_cancelled += len(active)
+            _stop(active)
             active.clear()
 
-        def settle(token: int, payload) -> None:
-            """Fold one worker's answer into its II's aggregate state.
-
-            Keyed on ``meta`` (which outlives ``active``) so an answer that
-            arrives *after* its dead process was reaped still lands; answers
-            from cancelled workers and double deliveries are dropped.
-            """
+        def settle(ii: int, lane: int, payload) -> None:
+            """Fold one lane's answer (or crash) into its II's state."""
             nonlocal best_win_ii
-            if token in settled or token in cancelled or token not in meta:
-                return
-            settled.add(token)
-            pending_dead.pop(token, None)
-            ii, lane = meta[token]
             state = states[ii]
-            if isinstance(payload, str):  # worker crashed; treat as failure
+            if isinstance(payload, (str, procs.Crash)):
+                # The lane raised or crashed: count it as failed.
                 state.failed_lanes += 1
                 return
             worker_outcome = payload
@@ -349,53 +293,25 @@ class PortfolioStrategy(SearchStrategy):
                 state.total_lanes += 1
                 urgent.append((ii, _DEFAULT_LANE))
 
-        def expire_pending_dead() -> None:
-            """Fail the lanes of dead workers whose grace period ran out."""
-            for token in list(pending_dead):
-                pending_dead[token] -= 1
-                if pending_dead[token] > 0:
-                    continue
-                del pending_dead[token]
-                if token in settled or token in cancelled:
-                    continue
-                settled.add(token)
-                ii, _lane = meta[token]
-                states[ii].failed_lanes += 1
-
         try:
             dispatch()
-            while active or pending_dead:
-                deadline = ctx.remaining_time()
-                timeout = (
-                    _POLL_INTERVAL
-                    if deadline is None
-                    else max(0.01, min(_POLL_INTERVAL, deadline))
-                )
-                try:
-                    token, payload = result_queue.get(timeout=timeout)
-                except queue_module.Empty:
-                    if ctx.out_of_time():
-                        outcome.timed_out = True
-                        cancel_all()
-                        self._finalise_attempts(outcome)
-                        # The seed is the anytime answer of last resort:
-                        # feasible and validated, merely not proven minimal.
-                        return self._anytime_result(states, frontier) or seed
-                    # Workers that died without answering get a grace
-                    # period (their result may still be in the queue's
-                    # feeder pipeline) before their lane is failed.
-                    for dead in [t for t, (p, _ii, _v) in active.items()
-                                 if not p.is_alive()]:
-                        process, _ii, _lane = active.pop(dead)
-                        process.join()
-                        if dead not in settled:
-                            pending_dead.setdefault(dead, _REAP_GRACE_POLLS)
-                    expire_pending_dead()
-                else:
-                    settle(token, payload)
-                    entry = active.pop(token, None)
-                    if entry is not None:
-                        entry[0].join()
+            while active:
+                ready = procs.wait(active, ctx.remaining_time())
+                if not ready and ctx.out_of_time():
+                    outcome.timed_out = True
+                    cancel_all()
+                    self._finalise_attempts(outcome)
+                    # The seed is the anytime answer of last resort:
+                    # feasible and validated, merely not proven minimal.
+                    return self._anytime_result(states, frontier) or seed
+                for worker in ready:
+                    # A lane answers once, then exits; a lane that died
+                    # without answering reads as a crash record.
+                    payload = procs.receive(worker)
+                    ii, lane = active.pop(worker)
+                    worker.conn.close()
+                    worker.process.join()
+                    settle(ii, lane, payload)
 
                 # Advance the frontier over every freshly resolved II.
                 while True:
@@ -421,12 +337,10 @@ class PortfolioStrategy(SearchStrategy):
                     return seed
                 # Cancel workers made moot by a win at a lower II or by a
                 # sibling variant settling their II.
-                self._cancel_moot(active, states, best_win_ii, cancelled,
-                                  outcome)
+                self._cancel_moot(active, states, best_win_ii, outcome)
                 dispatch()
         finally:
             cancel_all()
-            result_queue.close()
             # Lifecycle invariant: whatever path led here (win, exhaustion,
             # timeout, crash), no worker may outlive the strategy — a leaked
             # child would accumulate forever in a long-lived service process.
@@ -463,8 +377,7 @@ class PortfolioStrategy(SearchStrategy):
 
     @staticmethod
     def _cancel_moot(
-        active: dict, states: dict, best_win_ii: int | None,
-        cancelled: set, outcome,
+        active: dict, states: dict, best_win_ii: int | None, outcome,
     ) -> None:
         """Terminate workers whose answer can no longer matter.
 
@@ -478,11 +391,11 @@ class PortfolioStrategy(SearchStrategy):
             state = states.get(ii)
             return state is not None and state.resolved
 
-        for token in [t for t, (_p, ii, _v) in active.items() if moot(ii)]:
-            process, _ii, _variant = active.pop(token)
-            reap_process(process)
-            cancelled.add(token)
-            outcome.portfolio_cancelled += 1
+        doomed = {w: lane for w, lane in active.items() if moot(lane[0])}
+        for worker in doomed:
+            del active[worker]
+        outcome.portfolio_cancelled += len(doomed)
+        _stop(doomed)
 
     @staticmethod
     def _should_escalate(

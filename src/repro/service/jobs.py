@@ -19,10 +19,11 @@ its search (:meth:`SatMapItMapper.solve`) in its *own worker process*:
   ``SystemExit``, so terminating it unwinds through the mapper's
   ``finally`` blocks and the portfolio strategy's own ``cancel_all``
   discipline reaps its racing grandchildren before the worker exits.  The
-  parent side uses the same :func:`~repro.search.portfolio.reap_process`
-  escalation (SIGTERM, bounded grace, SIGKILL) the portfolio applies to
-  its lanes — with a longer grace, so a cooperatively-cancelling worker
-  is never SIGKILLed while it is still cleaning up its own children.
+  worker lifecycle is :mod:`repro.procs`, the one the portfolio lanes and
+  the farm workers use: a pipe per worker, a crash record on EOF, and
+  the SIGTERM-grace-SIGKILL reap, here with a longer grace so a
+  cooperatively-cancelling worker is never SIGKILLed while it is still
+  cleaning up its own children.
 * **Dedup** — in-flight requests are indexed by ``(tenant, cache key)``
   using the persistent cache's content hash: two identical concurrent
   ``POST /map``\\ s share one Job and one solve.  Once a job finishes the
@@ -34,7 +35,7 @@ its search (:meth:`SatMapItMapper.solve`) in its *own worker process*:
   disk.
 * **Budgets** — every request's config carries an explicit clamped
   timeout (see :mod:`repro.service.protocol`); on top of it the manager
-  holds a hard watchdog (timeout + grace) after which a wedged worker is
+  holds a hard deadline (timeout + grace) after which a wedged worker is
   reaped and the job fails, so no request can pin a pool slot forever.
 """
 
@@ -50,12 +51,12 @@ import uuid
 from dataclasses import dataclass, field, replace
 from typing import Any
 
+from repro import procs
 from repro.cgra.capabilities import check_kernel_fits, effective_minimum_ii
 from repro.core.mapper import MapperConfig, SatMapItMapper
 from repro.exceptions import MappingError
 from repro.sat.backend import BackendUnavailableError, validate_backend
 from repro.search.cache import MappingCache, cache_key, resolve_cache_dir
-from repro.search.portfolio import reap_process
 from repro.service.protocol import (
     MapRequest,
     ServiceLimits,
@@ -65,9 +66,12 @@ from repro.service.protocol import (
 #: Seconds between cancellation/deadline checks while a worker solves.
 _WORKER_POLL = 0.1
 
-#: Watchdog slack on top of a request's own timeout before the manager
-#: declares the worker wedged and reaps it.
+#: Slack on top of a request's own timeout before the manager declares
+#: the worker wedged and reaps it.
 _BUDGET_GRACE = 30.0
+
+#: Seconds a worker that answered gets to exit before it is reaped.
+_EXIT_WAIT = 2.0
 
 #: TERM grace for job workers.  Deliberately longer than the portfolio's
 #: internal 5 s lane grace: a cancelled worker may itself be escalating
@@ -214,101 +218,38 @@ class ServiceStats:
         return self.cache["hits"] / looked_up
 
 
-def _crash_detail(exitcode: int | None) -> dict:
-    """Structured ``worker_crashed`` record from a worker's exit code.
-
-    A negative multiprocessing exit code means death by signal; the signal
-    number (and name, when the platform knows it) is reported separately
-    from a plain nonzero exit so an operator can tell an OOM kill
-    (SIGKILL) from a solver abort at a glance.
-    """
-    detail: dict[str, Any] = {
-        "kind": "worker_crashed",
-        "exit_code": exitcode,
-        "signal": None,
-        "signal_name": None,
-    }
-    if exitcode is not None and exitcode < 0:
-        signum = -exitcode
-        detail["exit_code"] = None
-        detail["signal"] = signum
-        try:
-            detail["signal_name"] = signal.Signals(signum).name
-        except ValueError:
-            pass
-    return detail
-
-
-def _crash_message(detail: dict) -> str:
-    if detail.get("signal") is not None:
-        name = detail.get("signal_name") or f"signal {detail['signal']}"
-        return f"mapping worker died unexpectedly (killed by {name})"
-    return (
-        f"mapping worker died unexpectedly "
-        f"(exit code {detail.get('exit_code')})"
-    )
-
-
 def _solve_in_process(
     ctx, job: Job, dfg, cgra, config: MapperConfig, budget: float,
 ) -> tuple[str, Any]:
     """Run the worker process and babysit it (thread context).
 
     Returns ``("ok", payload)`` / ``("error", message)`` /
-    ``("crashed", detail)`` / ``("cancelled", None)``.  Guarantees the
+    ``("crashed", Crash)`` / ``("cancelled", None)``.  Guarantees the
     worker is dead on return, whatever happened.
     """
-    parent_conn, child_conn = ctx.Pipe(duplex=False)
-    process = ctx.Process(
-        target=_job_worker, args=(child_conn, dfg, cgra, config),
-    )
-    process.start()
-    child_conn.close()
-    job.pid = process.pid
+    # Not a daemon: a portfolio request's worker starts lanes of its own.
+    worker = procs.start(ctx, _job_worker, dfg, cgra, config, daemon=False)
+    job.pid = worker.process.pid
     deadline = time.monotonic() + budget
-    message: tuple[str, Any] | None = None
     try:
-        while True:
-            if job.cancel_event.is_set():
-                reap_process(process, grace=_JOB_TERM_GRACE)
-                return ("cancelled", None)
+        while not job.cancel_event.is_set():
             if time.monotonic() > deadline:
-                reap_process(process, grace=_JOB_TERM_GRACE)
                 return (
                     "error",
                     f"worker exceeded the request budget "
                     f"(hard ceiling {budget:.0f}s) and was reaped",
                 )
-            if parent_conn.poll(_WORKER_POLL):
-                try:
-                    message = parent_conn.recv()
-                except EOFError:
-                    message = None
-                break
-            if not process.is_alive():
-                # The worker died without answering; drain a message that
-                # may have landed between the poll and the liveness check.
-                if parent_conn.poll(0):
-                    try:
-                        message = parent_conn.recv()
-                    except EOFError:
-                        message = None
-                break
-        if message is None:
-            # Join first: a worker whose pipe EOFed may not be reaped yet,
-            # and an unreaped child reads back as ``exitcode is None``.
-            process.join(timeout=2.0)
-            return ("crashed", _crash_detail(process.exitcode))
-        return message
+            if procs.wait([worker], _WORKER_POLL):
+                reply = procs.receive(worker)
+                if isinstance(reply, procs.Crash):
+                    return ("crashed", reply)
+                # The worker exits right after answering.
+                worker.process.join(_EXIT_WAIT)
+                return reply
+        return ("cancelled", None)
     finally:
-        try:
-            parent_conn.close()
-        except OSError:
-            pass
-        if process.is_alive():
-            process.join(timeout=2.0)
-        if process.is_alive():  # pragma: no cover - wedged worker
-            reap_process(process, grace=_JOB_TERM_GRACE)
+        procs.reap([worker.process], grace=_JOB_TERM_GRACE)
+        worker.conn.close()
 
 
 class JobManager:
@@ -443,8 +384,8 @@ class JobManager:
                 job.status = CANCELLED
                 self.stats.cancelled += 1
             elif verdict == "crashed":
-                job.failure = payload
-                job.error = _crash_message(payload)
+                job.failure = payload.record()
+                job.error = f"mapping {payload}"
                 job.status = FAILED
                 self.stats.failed += 1
                 self.stats.worker_crashes += 1

@@ -47,14 +47,24 @@ class TestDigest:
         assert sweep_config_digest(ExperimentConfig(backend="dpll")) != base
 
     def test_execution_knobs_do_not_change_the_digest(self):
-        # Resuming with a looser retry cap or lease TTL is legitimate: the
-        # item IDs and results are unaffected by either.
+        # Resuming with a looser retry cap is legitimate: the item IDs and
+        # results are unaffected by it.
         base = sweep_config_digest(ExperimentConfig())
         assert sweep_config_digest(ExperimentConfig(max_retries=9)) == base
-        assert sweep_config_digest(ExperimentConfig(lease_ttl=1.0)) == base
         fingerprint = config_fingerprint(ExperimentConfig())
         assert "max_retries" not in fingerprint
         assert "lease_ttl" not in fingerprint
+
+    def test_default_digest_is_pinned(self):
+        # Journals written while ``lease_ttl`` still existed (excluded from
+        # the digest) must keep resuming: same digest, same item IDs.
+        digest = sweep_config_digest(ExperimentConfig())
+        assert digest == (
+            "667f457b92f4b3db56705c864d983654ecb7b9d01a76e03cf3ca22cdb501c196"
+        )
+        assert work_item_id("srand", 3, "SAT-MapIt", "homogeneous", digest) == (
+            "c2645f8f85bee5fdc20a6d700d50a4af230edf4b652067f26811a353992f5661"
+        )
 
     def test_item_ids_are_distinct_per_coordinate(self):
         digest = sweep_config_digest(ExperimentConfig())

@@ -40,7 +40,7 @@ def _queue(count: int = 3, **kwargs) -> tuple[LeasedWorkQueue, FakeClock]:
     clock = FakeClock()
     kwargs.setdefault("policy", RetryPolicy(max_retries=2, backoff_base=1.0,
                                             jitter=0.0))
-    kwargs.setdefault("lease_ttl", 10.0)
+    kwargs.setdefault("budget", lambda item: 10.0)
     queue = LeasedWorkQueue(_items(count), clock=clock, **kwargs)
     return queue, clock
 
@@ -107,25 +107,33 @@ class TestLeaseProtocol:
         assert queue.results[item.id] == {"ii": 3}
         assert queue.stats.completed == 1
 
-    def test_heartbeat_extends_lease(self):
-        queue, clock = _queue(1, lease_ttl=10.0)
+    def test_deadline_is_the_items_own_budget(self):
+        queue, clock = _queue(
+            2, budget=lambda item: 10.0 if item.index == 0 else 20.0
+        )
         queue.acquire(worker=0)
-        clock.advance(8.0)
-        queue.heartbeat(0)
-        clock.advance(8.0)
-        assert queue.expired() == []  # 8 s since last beat < 10 s TTL
-        clock.advance(3.0)
-        assert len(queue.expired()) == 1
+        queue.acquire(worker=1)
+        clock.advance(15.0)
+        assert [lease.worker for lease in queue.expired()] == [0]
+        clock.advance(6.0)
+        assert len(queue.expired()) == 2
 
-    def test_expiry_without_heartbeat(self):
-        queue, clock = _queue(1, lease_ttl=10.0)
+    def test_no_budget_means_no_deadline(self):
+        queue, clock = _queue(1, budget=None)
+        queue.acquire(worker=0)
+        clock.advance(1e9)
+        assert queue.expired() == []
+
+    def test_expiry_past_deadline(self):
+        queue, clock = _queue(1, budget=lambda item: 10.0)
         item, _ = queue.acquire(worker=0)
         clock.advance(10.1)
         (lease,) = queue.expired()
         assert lease.item.id == item.id
         assert queue.expire(lease) == "requeued"
-        assert queue.stats.leases_expired == 1
+        assert queue.stats.deadlines_expired == 1
         assert queue.stats.retries == 1
+        assert "deadline" in queue.failures[item.id]
 
 
 class TestRetries:

@@ -8,11 +8,15 @@ size, two mappers) to keep the suite inside tier-1 budgets.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 import repro.experiments.runner as runner_module
+import repro.farm.scheduler as scheduler_module
 from repro.exceptions import FarmError, MappingError
 from repro.experiments.runner import (
+    PATHSEEKER,
     RAMP,
     SAT_MAPIT,
     ExperimentConfig,
@@ -51,6 +55,20 @@ class TestFarmMatchesSerial:
         assert farmed.farm.worker_crashes == 0
         assert clean.farm is None  # serial sweeps bypass the farm
 
+    def test_portfolio_items_race_lanes_inside_farm_workers(self, clean):
+        # Farm workers are not daemons, so a SAT-MapIt item may start
+        # portfolio lanes of its own.
+        config = ExperimentConfig(
+            kernels=FAST.kernels,
+            sizes=FAST.sizes,
+            mappers=FAST.mappers,
+            timeout=FAST.timeout,
+            search="portfolio",
+        )
+        farmed = run_sweep(config, jobs=2)
+        assert _shape(farmed) == _shape(clean)
+        assert farmed.farm.quarantined == 0
+
     def test_env_chaos_routes_serial_sweep_through_farm(self, clean, monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS", "backend-rate=1.0,backend-attempts=1")
         faulted = run_sweep(FAST)  # jobs=1, but chaos forces the farm
@@ -81,23 +99,65 @@ class TestKillChaos:
 
 
 class TestWedgeChaos:
-    def test_sigstop_wedge_expires_lease_and_recovers(self, clean):
+    def test_sigstop_wedge_expires_lease_and_recovers(self, clean, monkeypatch):
         # Worker 0 SIGSTOPs itself with an item leased.  Its process stays
-        # alive, so only the missing heartbeats can save the sweep: the
-        # lease must expire, the worker must be reaped (SIGKILL reaches
-        # stopped processes), and the item must be re-run elsewhere.
+        # alive, so only the item deadline can save the sweep: the lease
+        # must expire, the worker must be reaped (SIGKILL reaches stopped
+        # processes), and the item must be re-run elsewhere.
+        monkeypatch.setattr(scheduler_module, "_DEADLINE_GRACE", 0.5)
         plan = FaultPlan(wedge_worker_after=0)
         config = ExperimentConfig(
             kernels=FAST.kernels,
             sizes=FAST.sizes,
             mappers=FAST.mappers,
-            timeout=FAST.timeout,
-            lease_ttl=1.0,
+            timeout=2.0,
         )
         faulted = run_sweep(config, jobs=2, faults=plan)
         assert _shape(faulted) == _shape(clean)
-        assert faulted.farm.leases_expired >= 1
+        assert faulted.farm.deadlines_expired >= 1
         assert faulted.farm.retries >= 1
+
+
+class TestDeadline:
+    def test_runaway_item_is_reaped_and_quarantined(self, monkeypatch):
+        real_run_single = runner_module.run_single
+
+        def runaway(kernel, size, mapper_name, config=None, scenario="homogeneous"):
+            while mapper_name == RAMP:
+                pass  # an item that never returns, and never crashes
+            return real_run_single(kernel, size, mapper_name, config, scenario)
+
+        # Forked workers resolve the patched function; the deadline grace
+        # is read by the scheduler in this process.
+        monkeypatch.setattr(runner_module, "run_single", runaway)
+        monkeypatch.setattr(scheduler_module, "_DEADLINE_GRACE", 0.5)
+        config = ExperimentConfig(
+            kernels=FAST.kernels,
+            sizes=FAST.sizes,
+            mappers=FAST.mappers,
+            timeout=2.0,
+            max_retries=1,
+        )
+        start = time.monotonic()
+        sweep = run_sweep(config, jobs=2)
+        assert time.monotonic() - start < 30.0
+        assert sweep.farm.quarantined == 1
+        assert sweep.farm.deadlines_expired == 2  # first try and one retry
+        by_mapper = {r.mapper: r for r in sweep.records}
+        bad = by_mapper[RAMP]
+        assert bad.quarantined and bad.status == "failed"
+        assert "deadline" in bad.failure
+        assert by_mapper[SAT_MAPIT].status == "mapped"
+
+    def test_budget_covers_every_pathseeker_repeat(self):
+        config = ExperimentConfig(timeout=4.0, pathseeker_repeats=3)
+        items = {item.mapper: item for item in
+                 scheduler_module.materialise_items(config)}
+        grace = scheduler_module._DEADLINE_GRACE
+        budget = scheduler_module.item_budget
+        assert budget(config, items[SAT_MAPIT]) == 4.0 + grace
+        assert budget(config, items[RAMP]) == 4.0 + grace
+        assert budget(config, items[PATHSEEKER]) == 12.0 + grace
 
 
 class TestBackendChaos:
@@ -177,7 +237,6 @@ class TestJournalGuards:
             mappers=FAST.mappers,
             timeout=FAST.timeout,
             max_retries=9,
-            lease_ttl=5.0,
         )
         resumed = run_sweep(loosened, jobs=2, journal_dir=journal, resume=True)
         assert resumed.farm.resumed
