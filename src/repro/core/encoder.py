@@ -34,6 +34,11 @@ the whole constraint group is active only while the mapper assumes
 ``¬selector`` unit so the solver can simplify it away).  Because distinct
 attempts use disjoint variable blocks, satisfiability under the selector
 assumption is equivalent to the standalone formula's.
+
+When the native core loads, C1–C3 are built by its emission kernel
+(``enc_*`` in ``sat/_cdcl.c``) from small per-encode tables, and the
+Python generators below are the fallback and the reference: both hand the
+sink the same clause stream.
 """
 
 from __future__ import annotations
@@ -42,19 +47,36 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, combinations
+from typing import TYPE_CHECKING
 
 from repro.cgra.architecture import CGRA
-from repro.core.mobility import KernelMobilitySchedule
+from repro.core.mobility import KernelMobilitySchedule, MobilitySchedule
 from repro.dfg.graph import DFG, DFGEdge
 from repro.exceptions import EncodingError
-from repro.sat.cnf import CNF
+from repro.sat.cnf import CNF, flatten
 from repro.sat.encodings import (
+    AUTO_PAIRWISE_LIMIT,
     AMOEncoding,
     at_most_one,
     exactly_one,
     pairwise_columns,
     weave,
 )
+
+if TYPE_CHECKING:
+    from ctypes import CDLL
+
+#: Event kinds in the native emission kernel's log (``EV_*`` in
+#: ``sat/_cdcl.c``): allocate through ``new_vars``, allocate one variable
+#: through ``new_var``, flush the buffers.
+_EV_ALLOC, _EV_NEWVAR, _EV_FLUSH = 1, 2, 3
+#: ``AMO_*`` codes of the kernel.
+_AMO_CODES = {AMOEncoding.PAIRWISE: 0, AMOEncoding.SEQUENTIAL: 1,
+              AMOEncoding.COMMANDER: 2, AMOEncoding.AUTO: 3}
+
+
+def _address(values: array) -> int:
+    return values.buffer_info()[0]
 
 
 @dataclass(frozen=True)
@@ -141,12 +163,17 @@ class _Emitter:
     are never hashed.  The counters feed :class:`EncodingStats` uniformly
     in both modes.
 
-    Callers must :meth:`flush` once emission is complete —
-    :meth:`MappingEncoder.encode` does.
+    When the native core loads, :meth:`attach` hands the emitter a session
+    of the core's emission kernel, which builds whole constraint families
+    (:meth:`run`) and holds the seen-set in place of ``_seen``; the stream
+    the sink receives is the same either way.
+
+    Callers must :meth:`flush` once emission is complete and :meth:`close`
+    the kernel session — :meth:`MappingEncoder.encode` does.
     """
 
-    __slots__ = ("_sink", "_guard", "_seen", "_lits", "_lens", "num_clauses",
-                 "num_vars_created", "num_duplicates", "num_batches")
+    __slots__ = ("_sink", "_guard", "_seen", "_lits", "_lens", "_kernel",
+                 "num_clauses", "num_vars_created", "num_duplicates", "num_batches")
 
     #: Buffered literals that trigger a flush; bounds the buffers' memory
     #: on very large encodings (most encodings go out in one batch).
@@ -158,6 +185,7 @@ class _Emitter:
         self._seen: set[tuple[int, ...]] = set()
         self._lits = array("i")
         self._lens = array("i")
+        self._kernel: tuple[CDLL, int] | None = None
         self.num_clauses = 0
         self.num_vars_created = 0
         self.num_duplicates = 0
@@ -199,6 +227,11 @@ class _Emitter:
         on its sorted literal tuple (the guard is not part of the key) and
         dropped when already seen.
         """
+        if self._kernel is not None:
+            literals, lengths = flatten(clauses)
+            self.run("enc_lists", _address(literals), _address(lengths),
+                     len(clauses), int(may_repeat))
+            return
         if may_repeat:
             seen = self._seen
             kept = []
@@ -246,6 +279,50 @@ class _Emitter:
         self.num_clauses += len(columns[0])
         self._append(*weave(columns, self._guard))
 
+    def attach(self, lib: CDLL, handle: int) -> None:
+        """Emit through the native kernel session ``handle`` from now on."""
+        self._kernel = (lib, handle)
+
+    def close(self) -> None:
+        """Free the kernel session, if any."""
+        if self._kernel is not None:
+            lib, handle = self._kernel
+            self._kernel = None
+            lib.enc_free(handle)
+
+    def run(self, function: str, *args) -> None:
+        """Call the kernel's ``function`` and replay its output into the sink.
+
+        The kernel leaves its clauses plus a log of the allocations and
+        flushes the Python emitter would have made along the way; the log is
+        replayed in order, so the sink sees the same calls.
+        """
+        from repro.sat.native import emission_result
+
+        lib, handle = self._kernel
+        getattr(lib, function)(handle, len(self._lits), *args)
+        clauses, duplicates, literals, lengths, events = emission_result(lib, handle)
+        self.num_clauses += clauses
+        self.num_duplicates += duplicates
+        done_lits = done_lens = 0
+        for index in range(0, len(events), 3):
+            kind, first, second = events[index:index + 3]
+            if kind == _EV_FLUSH:
+                self._lits.frombytes(literals[4 * done_lits:4 * first])
+                self._lens.frombytes(lengths[4 * done_lens:4 * second])
+                done_lits, done_lens = first, second
+                self.flush()
+                continue
+            got = self.new_var() if kind == _EV_NEWVAR else self.new_vars(first)[0]
+            if got != second:
+                raise EncodingError(
+                    f"the clause sink allocated variable {got} where the "
+                    f"emission kernel expected {second}: sinks must count "
+                    f"variables up from the last one allocated"
+                )
+        self._lits.frombytes(literals[4 * done_lits:])
+        self._lens.frombytes(lengths[4 * done_lens:])
+
     def _append(self, literals, lengths) -> None:
         self._lits.extend(literals)
         self._lens.extend(lengths)
@@ -277,7 +354,6 @@ class MappingEncoding:
 
     cnf: CNF | None
     variables: dict[tuple[int, int, int, int], int]
-    literals_by_node: dict[int, list[int]]
     stats: EncodingStats = field(default_factory=EncodingStats)
     selector: int | None = None
 
@@ -330,6 +406,9 @@ class MappingEncoder:
         #: :meth:`_pairwise`).
         self._twin_keys: dict[int, tuple[int, ...]] = {}
         self._stats = EncodingStats()
+        #: Whether the native emission kernel builds C1–C3 (set by
+        #: :meth:`encode`).
+        self._native = False
         # Capability pruning: a node's literals only range over the PEs that
         # implement its opcode's class.  On a homogeneous fabric every node is
         # allowed everywhere and the encoding is unchanged.
@@ -378,30 +457,38 @@ class MappingEncoder:
     # Public API
     # ------------------------------------------------------------------
     def encode(self) -> MappingEncoding:
-        """Generate the full CNF formula for the mapping instance."""
-        self._create_variables()
-        self._encode_c1()
-        self._encode_c2()
-        self._encode_c3()
-        if self.config.symmetry_breaking and not self.config.placement_domains:
-            self._encode_symmetry_breaking()
-        self._emit.flush()
+        """Generate the full CNF formula for the mapping instance.
+
+        C1–C3 are built by the native core's emission kernel when the core
+        loads (the test :func:`repro.sat.solver.make_solver` uses too) and
+        by the Python generators below otherwise; the sink receives the
+        same stream from both.
+        """
+        # Local import: the native module is also ``python -m``'s entry
+        # point, which must not be imported ahead of it.
+        from repro.sat import native
+
+        return self._encode(native.load())
+
+    def _encode(self, lib: CDLL | None) -> MappingEncoding:
+        try:
+            self._create_variables(lib)
+            self._encode_c1()
+            self._encode_c2()
+            self._encode_c3()
+            if self.config.symmetry_breaking and not self.config.placement_domains:
+                self._encode_symmetry_breaking()
+            self._emit.flush()
+        finally:
+            if self._native:
+                self._emit.close()
         self._stats.num_variables = self._emit.num_vars_created
         self._stats.num_clauses = self._emit.num_clauses
         self._stats.num_duplicate_clauses = self._emit.num_duplicates
         self._stats.num_batches = self._emit.num_batches
-        literals_by_node = {
-            node_id: [
-                self._variables[(node_id, pe, slot.cycle, slot.iteration)]
-                for slot in self.kms.node_slots(node_id)
-                for pe in self._allowed_pes[node_id]
-            ]
-            for node_id in self.dfg.node_ids
-        }
         return MappingEncoding(
             cnf=self._cnf,
-            variables=dict(self._variables),
-            literals_by_node=literals_by_node,
+            variables=self._variables,
             stats=self._stats,
             selector=self._selector,
         )
@@ -409,7 +496,12 @@ class MappingEncoder:
     # ------------------------------------------------------------------
     # Variable creation
     # ------------------------------------------------------------------
-    def _create_variables(self) -> None:
+    def _create_variables(self, lib: CDLL | None) -> None:
+        """Allocate one variable block per node, slot-major and PE-minor.
+
+        With the native core ``lib``, the per-literal tables of the Python
+        generators are skipped and the kernel gets per-node tables instead.
+        """
         num_pes = self.cgra.num_pes
         variables = self._variables
         slot_literals = self._slot_literals
@@ -421,6 +513,7 @@ class MappingEncoder:
         self_looped = {
             edge.src for edge in self.dfg.edges if edge.src == edge.dst
         } if self.config.enforce_output_register else set()
+        blocks = []
         for node_id in self.dfg.node_ids:
             slots = self.kms.node_slots(node_id)
             if not slots:
@@ -429,7 +522,15 @@ class MappingEncoder:
             self._stats.num_pruned_placements += (num_pes - len(allowed)) * len(slots)
             # One bulk allocation per node instead of one call chain per
             # (slot, PE) literal.
-            block = iter(self._emit.new_vars(len(slots) * len(allowed)))
+            block = self._emit.new_vars(len(slots) * len(allowed))
+            if lib is not None:
+                variables.update(zip([
+                    (node_id, pe, slot.cycle, slot.iteration)
+                    for slot in slots for pe in allowed
+                ], block))
+                blocks.append(block)
+                continue
+            block = iter(block)
             for slot in slots:
                 cycle = slot.cycle
                 iteration = slot.iteration
@@ -444,6 +545,49 @@ class MappingEncoder:
                         (node_id,) if node_id in self_looped
                         else (node_id, pe, cycle)
                     )
+        if lib is not None:
+            self._open_kernel(lib, blocks, self_looped)
+            self._native = True
+
+    def _open_kernel(self, lib: CDLL, blocks: list[list[int]],
+                     self_looped: set[int]) -> None:
+        """Open the emission kernel session: per node its variable block's
+        first variable, its slots and its PEs; per PE its neighbours."""
+        base, slot_off, cycles, iterations = (array("i") for _ in range(4))
+        pe_off, pes, whole = array("i"), array("i"), array("i")
+        for node_id, block in zip(self.dfg.node_ids, blocks):
+            if block[-1] - block[0] != len(block) - 1:
+                raise EncodingError("the clause sink allocated a non-contiguous "
+                                    "variable block")
+            slots = self.kms.node_slots(node_id)
+            base.append(block[0])
+            slot_off.append(len(cycles))
+            cycles.extend(slot.cycle for slot in slots)
+            iterations.extend(slot.iteration for slot in slots)
+            pe_off.append(len(pes))
+            pes.extend(self._allowed_pes[node_id])
+            whole.append(node_id in self_looped)
+        slot_off.append(len(cycles))
+        pe_off.append(len(pes))
+        nbr_off, nbr = array("i", (0,)), array("i")
+        for pe in range(self.cgra.num_pes):
+            nbr.extend(self._neighbours[pe])
+            nbr_off.append(len(nbr))
+        config = self.config
+        span = config.max_iteration_span
+        params = array("i", (
+            self.kms.ii, self.cgra.num_pes, len(base),
+            -self._selector if self._selector is not None else 0,
+            _AMO_CODES[AMOEncoding(config.amo_encoding)], AUTO_PAIRWISE_LIMIT,
+            span is not None, span or 0, config.enforce_output_register,
+            blocks[-1][-1] + 1, self._emit.FLUSH_LITERALS,
+        ))
+        # The kernel copies the tables, so they need not outlive this call.
+        handle = lib.enc_new(*map(_address, (
+            params, base, slot_off, cycles, iterations, pe_off, pes, whole,
+            nbr_off, nbr,
+        )))
+        self._emit.attach(lib, handle)
 
     def _var(self, node: int, pe: int, cycle: int, iteration: int) -> int:
         return self._variables[(node, pe, cycle, iteration)]
@@ -465,14 +609,17 @@ class MappingEncoder:
     # ------------------------------------------------------------------
     def _encode_c1(self) -> None:
         before = self._emit.num_clauses
-        for node_id in self.dfg.node_ids:
-            literals = [
-                self._var(node_id, pe, slot.cycle, slot.iteration)
-                for slot in self.kms.node_slots(node_id)
-                for pe in self._allowed_pes[node_id]
-            ]
-            exactly_one(self._emit, literals, self.config.amo_encoding,
-                        self._pairwise)
+        if self._native:
+            self._emit.run("enc_c1")
+        else:
+            for node_id in self.dfg.node_ids:
+                literals = [
+                    self._var(node_id, pe, slot.cycle, slot.iteration)
+                    for slot in self.kms.node_slots(node_id)
+                    for pe in self._allowed_pes[node_id]
+                ]
+                exactly_one(self._emit, literals, self.config.amo_encoding,
+                            self._pairwise)
         self._stats.num_c1_clauses = self._emit.num_clauses - before
 
     # ------------------------------------------------------------------
@@ -480,9 +627,12 @@ class MappingEncoder:
     # ------------------------------------------------------------------
     def _encode_c2(self) -> None:
         before = self._emit.num_clauses
-        for literals in self._slot_literals.values():
-            at_most_one(self._emit, literals, self.config.amo_encoding,
-                        self._pairwise)
+        if self._native:
+            self._emit.run("enc_c2")
+        else:
+            for literals in self._slot_literals.values():
+                at_most_one(self._emit, literals, self.config.amo_encoding,
+                            self._pairwise)
         self._stats.num_c2_clauses = self._emit.num_clauses - before
 
     # ------------------------------------------------------------------
@@ -496,9 +646,20 @@ class MappingEncoder:
         symmetry-breaking unit)."""
         before = self._emit.num_clauses
         pairs = Counter(frozenset((edge.src, edge.dst)) for edge in self.dfg.edges)
-        for edge in self.dfg.edges:
-            shared = pairs[frozenset((edge.src, edge.dst))] > 1
-            self._encode_dependency(edge, shared or edge.src == edge.dst)
+        repeats = [
+            pairs[frozenset((edge.src, edge.dst))] > 1 or edge.src == edge.dst
+            for edge in self.dfg.edges
+        ]
+        if self._native:
+            index = {node_id: i for i, node_id in enumerate(self.dfg.node_ids)}
+            edges = array("i")
+            for edge, may_repeat in zip(self.dfg.edges, repeats):
+                edges.extend((index[edge.src], index[edge.dst], edge.distance,
+                              self.dfg.node(edge.src).latency, may_repeat))
+            self._emit.run("enc_c3", len(repeats), _address(edges))
+        else:
+            for edge, may_repeat in zip(self.dfg.edges, repeats):
+                self._encode_dependency(edge, may_repeat)
         self._stats.num_c3_clauses = self._emit.num_clauses - before
 
     def _encode_dependency(self, edge: DFGEdge, may_repeat: bool) -> None:
@@ -689,3 +850,37 @@ class MappingEncoder:
             array("i", (busy,)) * len(literals),
         )))
         return busy
+
+
+def kernel_mismatch() -> str | None:
+    """Check the native emission kernel against the Python generators.
+
+    Encodes one small guarded attempt (nw on a 2x2 mesh, II 2, slack 1)
+    both ways under every at-most-one encoding and under the strict
+    output-register model, and returns what differs, or ``None`` when the
+    streams are identical.  ``python -m repro.sat.native`` runs it.
+    """
+    from repro.kernels import get_kernel
+    from repro.sat import native
+
+    lib = native.load()
+    if lib is None:
+        return "the native core is unavailable"
+    dfg, cgra = get_kernel("nw"), CGRA.square(2)
+    kms = KernelMobilitySchedule.build(MobilitySchedule.build(dfg, slack=1), 2)
+    configs = [EncoderConfig(amo_encoding=amo) for amo in AMOEncoding]
+    configs.append(EncoderConfig(enforce_output_register=True, max_iteration_span=1))
+    for config in configs:
+        runs = []
+        for engine in (lib, None):
+            sink = CNF()
+            encoder = MappingEncoder(dfg, cgra, kms, config, sink=sink,
+                                     selector=sink.new_var())
+            encoding = encoder._encode(engine)
+            runs.append((sink.num_vars, sink.clauses, encoding.variables,
+                         encoding.stats))
+        names = ("variable counts", "clause streams", "placement variables", "stats")
+        for name, kernel, python in zip(names, *runs):
+            if kernel != python:
+                return f"{name} differ under {config}"
+    return None

@@ -21,6 +21,10 @@
  * are buffered as [kind, n, lit_1 .. lit_n] records (kind 1 = add,
  * 2 = delete, external signed literals) for the caller to drain.
  *
+ * The same library carries the mapping encoder's clause emission kernel
+ * (enc_*, at the end of this file), which builds the C1-C3 clause families
+ * exactly as repro/core/encoder.py's Python generators do.
+ *
  * The library is built with the system C compiler on first use and loaded
  * through ctypes by repro/sat/native.py; it has no Python dependency.
  */
@@ -32,7 +36,7 @@
 #include <string.h>
 #include <time.h>
 
-#define CDCL_ABI 2
+#define CDCL_ABI 3
 
 #define V_UNASSIGNED 0
 #define V_TRUE 1
@@ -1659,3 +1663,601 @@ const int32_t *cdcl_proof_events(solver *s, int64_t *n)
 }
 
 void cdcl_proof_clear(solver *s) { s->proof_buf.n = 0; }
+
+/* ================================================================== */
+/* Clause emission kernel of the mapping encoder                       */
+/* ================================================================== */
+/*
+ * Builds the constraint families of repro/core/encoder.py -- C1 (each node
+ * placed exactly once), C2 (at most one node per PE and kernel cycle), C3
+ * (dependency implications) and the Equation-5 overwrite clauses -- into
+ * flat buffers.  The stream is the Python emitter's, clause for clause:
+ * the same clause order and literal order, the selector guard at each
+ * tail, the same variable allocations, and the same duplicate drops (one
+ * set of sorted literal tuples spanning the whole encoding, consulted
+ * only for the clauses the Python emitter hashes).
+ *
+ * The kernel never calls the clause sink.  It predicts the variables the
+ * sink will hand out (sinks count up from the last one allocated) and
+ * logs, next to its output, the events the caller replays in order:
+ *
+ *   EV_ALLOC  n first   allocate n variables through new_vars()
+ *   EV_NEWVAR 1 first   allocate one variable through new_var()
+ *   EV_FLUSH  l c       push the first l literals / c clauses as one batch
+ *
+ * A flush falls where the Python emitter's would: after the block that
+ * brings the buffered literals to the flush threshold.
+ */
+
+enum { AMO_PAIRWISE = 0, AMO_SEQUENTIAL = 1, AMO_COMMANDER = 2, AMO_AUTO = 3 };
+enum { EV_ALLOC = 1, EV_NEWVAR = 2, EV_FLUSH = 3 };
+/* Layout of enc_new's parameter vector. */
+enum {
+    P_II, P_PES, P_NODES, P_GUARD, P_AMO, P_AUTO_LIMIT, P_HAS_SPAN, P_SPAN,
+    P_ENFORCE, P_NEXT_VAR, P_FLUSH, P_COUNT
+};
+
+/* Twin key of a literal that shares no pair with another family. */
+#define NO_KEY (-1LL)
+
+/* Open-addressing set of sorted clauses (the emitter's seen-set). */
+typedef struct {
+    int64_t *slots; /* arena offset + 1 of each entry, 0 when empty */
+    int64_t cap, n;
+    ivec arena;     /* per entry: its length, then its sorted literals */
+} clause_set;
+
+static uint64_t hash_ints(const int32_t *lits, int64_t n)
+{
+    uint64_t h = 0x9e3779b97f4a7c15ULL ^ (uint64_t)n;
+    for (int64_t i = 0; i < n; i++) {
+        h = (h ^ (uint32_t)lits[i]) * 0xff51afd7ed558ccdULL;
+        h ^= h >> 32;
+    }
+    return h;
+}
+
+static void set_grow(clause_set *s)
+{
+    int64_t cap = s->cap ? 2 * s->cap : 1024;
+    int64_t *slots = xrealloc(NULL, (size_t)cap * sizeof *slots);
+    memset(slots, 0, (size_t)cap * sizeof *slots);
+    for (int64_t i = 0; i < s->cap; i++) {
+        int64_t ref = s->slots[i];
+        if (!ref)
+            continue;
+        const int32_t *entry = s->arena.d + ref - 1;
+        uint64_t pos = hash_ints(entry + 1, entry[0]) & (uint64_t)(cap - 1);
+        while (slots[pos])
+            pos = (pos + 1) & (uint64_t)(cap - 1);
+        slots[pos] = ref;
+    }
+    free(s->slots);
+    s->slots = slots;
+    s->cap = cap;
+}
+
+/* Adds the sorted clause; 0 when it was already present. */
+static int set_insert(clause_set *s, const int32_t *lits, int64_t n)
+{
+    if (2 * (s->n + 1) > s->cap)
+        set_grow(s);
+    uint64_t mask = (uint64_t)(s->cap - 1), pos = hash_ints(lits, n) & mask;
+    for (; s->slots[pos]; pos = (pos + 1) & mask) {
+        const int32_t *entry = s->arena.d + s->slots[pos] - 1;
+        if (entry[0] == n && !memcmp(entry + 1, lits, (size_t)n * sizeof *lits))
+            return 0;
+    }
+    s->slots[pos] = s->arena.n + 1;
+    ivec_reserve(&s->arena, s->arena.n + n + 1);
+    s->arena.d[s->arena.n++] = (int32_t)n;
+    memcpy(s->arena.d + s->arena.n, lits, (size_t)n * sizeof *lits);
+    s->arena.n += n;
+    s->n++;
+    return 1;
+}
+
+typedef struct {
+    int32_t ii, num_pes, num_nodes, guard, amo, auto_limit, has_span, span;
+    int32_t enforce, next_var;
+    int64_t flush_lits;
+    /* Per node: its variable block (slot-major, PE-minor), slots and PEs. */
+    int32_t *base, *slot_off, *slot_cycle, *slot_iter, *pe_off, *pes, *whole;
+    /* Per PE: the neighbours a value reaches in one hop, itself included. */
+    int32_t *nbr_off, *nbr;
+    int32_t *pe_index;  /* node * num_pes + pe -> index among the node's PEs, or -1 */
+    int32_t *group_of;  /* pe * ii + cycle -> C2 group, or -1 */
+    int32_t *occupancy; /* pe * ii + cycle -> occupancy variable, or 0 */
+    int32_t num_groups;
+    int32_t *group_off, *group_lits; /* C2 groups in first-appearance order */
+    int64_t *group_keys;
+    clause_set seen;
+    /* Output of the current call. */
+    ivec lits, lens, events;
+    int64_t carry, flushed_at, clauses, duplicates;
+    /* Scratch. */
+    ivec rows, row_lens, entries, reach, reach_off, sorted;
+} emitter;
+
+typedef struct {
+    const int32_t *lits, *lens, *events;
+    int64_t num_lits, num_lens, num_events, clauses, duplicates;
+} enc_result;
+
+static int32_t *copy_ints(const int32_t *src, int64_t n)
+{
+    int32_t *out = xrealloc(NULL, (size_t)n * sizeof *out);
+    if (n)
+        memcpy(out, src, (size_t)n * sizeof *out);
+    return out;
+}
+
+static inline int64_t twin_key(const emitter *e, int32_t node, int32_t slot, int32_t pe)
+{
+    /* Two literals of one node on one PE and kernel cycle (a same-node
+     * pair under Equation 5 for a self-looped node) share a key: only such
+     * pairs can sit in both C1 and C2, so only they are hashed. */
+    if (e->whole[node])
+        return node;
+    return e->num_nodes + ((int64_t)node * e->num_pes + pe) * e->ii + e->slot_cycle[slot];
+}
+
+static inline void log_event(emitter *e, int32_t kind, int64_t a, int64_t b)
+{
+    ivec_push(&e->events, kind);
+    ivec_push(&e->events, (int32_t)a);
+    ivec_push(&e->events, (int32_t)b);
+}
+
+/* Ends one block (one append of the Python emitter). */
+static void end_block(emitter *e)
+{
+    if (e->carry + e->lits.n - e->flushed_at >= e->flush_lits) {
+        log_event(e, EV_FLUSH, e->lits.n, e->lens.n);
+        e->carry = 0;
+        e->flushed_at = e->lits.n;
+    }
+}
+
+static void put(emitter *e, const int32_t *lits, int64_t n)
+{
+    ivec_reserve(&e->lits, e->lits.n + n + 1);
+    memcpy(e->lits.d + e->lits.n, lits, (size_t)n * sizeof *lits);
+    e->lits.n += n;
+    if (e->guard)
+        e->lits.d[e->lits.n++] = e->guard;
+    ivec_push(&e->lens, (int32_t)(n + (e->guard != 0)));
+    e->clauses++;
+}
+
+static inline void put2(emitter *e, int32_t a, int32_t b)
+{
+    int32_t clause[2] = {a, b};
+    put(e, clause, 2);
+}
+
+static int32_t allocate(emitter *e, int32_t kind, int32_t count)
+{
+    int32_t first = e->next_var;
+    log_event(e, kind, count, first);
+    e->next_var += count;
+    return first;
+}
+
+static int compare_ints(const void *x, const void *y)
+{
+    int32_t a = *(const int32_t *)x, b = *(const int32_t *)y;
+    return (a > b) - (a < b);
+}
+
+/* Records the clause in the seen-set; 0 (and one more duplicate) when it
+ * was emitted before. */
+static int first_time(emitter *e, const int32_t *lits, int64_t n)
+{
+    ivec_reserve(&e->sorted, n);
+    memcpy(e->sorted.d, lits, (size_t)n * sizeof *lits);
+    qsort(e->sorted.d, (size_t)n, sizeof *lits, compare_ints);
+    if (set_insert(&e->seen, e->sorted.d, n))
+        return 1;
+    e->duplicates++;
+    return 0;
+}
+
+/* One add_lists call: the clauses as one block, hashed when they may repeat. */
+static void put_list(emitter *e, const int32_t *lits, const int32_t *lens, int64_t n,
+                     int hashed)
+{
+    for (int64_t i = 0; i < n; lits += lens[i++])
+        if (!hashed || first_time(e, lits, lens[i]))
+            put(e, lits, lens[i]);
+    end_block(e);
+}
+
+static void amo_pairwise(emitter *e, const int32_t *lits, const int64_t *keys, int64_t n)
+{
+    if (n < 2)
+        return;
+    for (int64_t i = 0; i + 1 < n; i++) {
+        for (int64_t j = i + 1; j < n; j++) {
+            int32_t a = -lits[i], b = -lits[j];
+            if (keys[i] != NO_KEY && keys[i] == keys[j]) {
+                int32_t pair[2] = {a < b ? a : b, a < b ? b : a};
+                if (!set_insert(&e->seen, pair, 2)) {
+                    e->duplicates++;
+                    continue;
+                }
+            }
+            put2(e, a, b);
+        }
+    }
+    end_block(e);
+}
+
+/* Sinz's chain: see sequential_columns in repro/sat/encodings.py. */
+static void amo_sequential(emitter *e, const int32_t *x, int64_t n)
+{
+    int32_t s = allocate(e, EV_ALLOC, (int32_t)(n - 1));
+    put2(e, -x[0], s);
+    put2(e, -x[n - 1], -(s + (int32_t)n - 2));
+    for (int32_t i = 1; i + 1 < n; i++) {
+        put2(e, -x[i], s + i);
+        put2(e, -(s + i - 1), s + i);
+        put2(e, -x[i], -(s + i - 1));
+    }
+    end_block(e);
+}
+
+static void amo_commander(emitter *e, const int32_t *lits, const int64_t *keys, int64_t n)
+{
+    if (n <= 5) {
+        amo_pairwise(e, lits, keys, n);
+        return;
+    }
+    int64_t groups = (n + 3) / 4;
+    int32_t *commanders = xrealloc(NULL, (size_t)groups * sizeof *commanders);
+    int64_t *no_keys = xrealloc(NULL, (size_t)groups * sizeof *no_keys);
+    int32_t clause[5];
+    for (int64_t g = 0; g < groups; g++) {
+        const int32_t *group = lits + 4 * g;
+        int64_t size = n - 4 * g < 4 ? n - 4 * g : 4;
+        int32_t commander = allocate(e, EV_NEWVAR, 1);
+        commanders[g] = commander;
+        no_keys[g] = NO_KEY;
+        amo_pairwise(e, group, keys + 4 * g, size);
+        clause[0] = -commander;
+        memcpy(clause + 1, group, (size_t)size * sizeof *group);
+        put(e, clause, size + 1);
+        end_block(e);
+        for (int64_t i = 0; i < size; i++)
+            put2(e, commander, -group[i]);
+        end_block(e);
+    }
+    amo_commander(e, commanders, no_keys, groups);
+    free(commanders);
+    free(no_keys);
+}
+
+static void at_most_one(emitter *e, const int32_t *lits, const int64_t *keys, int64_t n)
+{
+    int amo = e->amo;
+    if (n <= 1)
+        return;
+    if (amo == AMO_AUTO)
+        amo = n <= e->auto_limit ? AMO_PAIRWISE : AMO_SEQUENTIAL;
+    if (amo == AMO_PAIRWISE || n <= 4)
+        amo_pairwise(e, lits, keys, n);
+    else if (amo == AMO_SEQUENTIAL)
+        amo_sequential(e, lits, n);
+    else
+        amo_commander(e, lits, keys, n);
+}
+
+static inline int32_t flat_time(const emitter *e, int32_t slot)
+{
+    return e->slot_iter[slot] * e->ii + e->slot_cycle[slot];
+}
+
+/* Other-node slots time-compatible with an anchor slot, as (slot, span)
+ * pairs into e->entries; span is the consumer's flat time minus the
+ * producer's, distance included. */
+static void compatible(emitter *e, int32_t anchor_slot, int32_t other, int forward,
+                       int32_t distance, int32_t latency)
+{
+    int32_t t_anchor = flat_time(e, anchor_slot);
+    e->entries.n = 0;
+    for (int32_t slot = e->slot_off[other]; slot < e->slot_off[other + 1]; slot++) {
+        int32_t gap = e->slot_iter[slot] - e->slot_iter[anchor_slot];
+        if (e->has_span && (gap < 0 ? -gap : gap) > e->span)
+            continue;
+        int32_t t_other = flat_time(e, slot);
+        int32_t span = forward ? t_other + distance * e->ii - t_anchor
+                               : t_anchor + distance * e->ii - t_other;
+        if (span < latency)
+            continue;
+        ivec_push(&e->entries, slot - e->slot_off[other]);
+        ivec_push(&e->entries, span);
+    }
+}
+
+/* ¬anchor ∨ compatible neighbour literals, for every anchor literal of one
+ * edge direction, as one block. */
+static void implications(emitter *e, const int32_t *edge, int forward)
+{
+    int32_t anchor = forward ? edge[0] : edge[1], other = forward ? edge[1] : edge[0];
+    int32_t a_pes = e->pe_off[anchor + 1] - e->pe_off[anchor];
+    int32_t o_pes = e->pe_off[other + 1] - e->pe_off[other];
+    const int32_t *o_index = e->pe_index + (int64_t)other * e->num_pes;
+    /* Capability-filtered neighbours of each anchor PE, as indices among
+     * the other node's PEs. */
+    e->reach.n = e->reach_off.n = 0;
+    for (int32_t k = 0; k < a_pes; k++) {
+        int32_t pe = e->pes[e->pe_off[anchor] + k];
+        ivec_push(&e->reach_off, (int32_t)e->reach.n);
+        for (int32_t i = e->nbr_off[pe]; i < e->nbr_off[pe + 1]; i++)
+            if (o_index[e->nbr[i]] >= 0)
+                ivec_push(&e->reach, o_index[e->nbr[i]]);
+    }
+    ivec_push(&e->reach_off, (int32_t)e->reach.n);
+    e->rows.n = e->row_lens.n = 0;
+    int32_t shortest = INT32_MAX;
+    for (int32_t slot = e->slot_off[anchor]; slot < e->slot_off[anchor + 1]; slot++) {
+        compatible(e, slot, other, forward, edge[2], edge[3]);
+        int32_t first = e->base[anchor] + (slot - e->slot_off[anchor]) * a_pes;
+        for (int32_t k = 0; k < a_pes; k++) {
+            int64_t start = e->rows.n;
+            ivec_push(&e->rows, -(first + k));
+            for (int64_t i = 0; i < e->entries.n; i += 2) {
+                int32_t row = e->base[other] + e->entries.d[i] * o_pes;
+                for (int32_t r = e->reach_off.d[k]; r < e->reach_off.d[k + 1]; r++)
+                    ivec_push(&e->rows, row + e->reach.d[r]);
+            }
+            int32_t length = (int32_t)(e->rows.n - start);
+            ivec_push(&e->row_lens, length);
+            if (length < shortest)
+                shortest = length;
+        }
+    }
+    /* A unit (an anchor with no compatible literal) may match a unit of
+     * another edge or of symmetry breaking. */
+    put_list(e, e->rows.d, e->row_lens.d, e->row_lens.n, edge[4] || shortest == 1);
+}
+
+static int32_t occupancy(emitter *e, int32_t pe, int32_t cycle)
+{
+    int64_t key = (int64_t)pe * e->ii + cycle;
+    if (e->occupancy[key])
+        return e->occupancy[key];
+    int32_t group = e->group_of[key];
+    if (group < 0)
+        return 0;
+    int32_t busy = allocate(e, EV_NEWVAR, 1);
+    e->occupancy[key] = busy;
+    for (int32_t i = e->group_off[group]; i < e->group_off[group + 1]; i++)
+        put2(e, -e->group_lits[i], busy);
+    end_block(e);
+    return busy;
+}
+
+/* Equation 5: see MappingEncoder._overwrite_clauses. */
+static void overwrites(emitter *e, const int32_t *edge)
+{
+    int32_t src = edge[0], dst = edge[1], hashed = edge[4];
+    int32_t s_pes = e->pe_off[src + 1] - e->pe_off[src];
+    int32_t d_pes = e->pe_off[dst + 1] - e->pe_off[dst];
+    const int32_t *d_index = e->pe_index + (int64_t)dst * e->num_pes;
+    int32_t one[1];
+    for (int32_t slot = e->slot_off[src]; slot < e->slot_off[src + 1]; slot++) {
+        compatible(e, slot, dst, 1, edge[2], edge[3]);
+        int32_t t_src = flat_time(e, slot);
+        for (int32_t k = 0; k < s_pes; k++) {
+            int32_t src_pe = e->pes[e->pe_off[src] + k];
+            int32_t src_var = e->base[src] + (slot - e->slot_off[src]) * s_pes + k;
+            for (int64_t i = 0; i < e->entries.n; i += 2) {
+                int32_t span = e->entries.d[i + 1];
+                int32_t row = e->base[dst] + e->entries.d[i] * d_pes;
+                for (int32_t n = e->nbr_off[src_pe]; n < e->nbr_off[src_pe + 1]; n++) {
+                    int32_t dst_pe = e->nbr[n];
+                    if (dst_pe == src_pe || d_index[dst_pe] < 0)
+                        continue;
+                    int32_t clause[3] = {-src_var, -(row + d_index[dst_pe]), 0};
+                    if (span > e->ii) {
+                        one[0] = 2;
+                        put_list(e, clause, one, 1, hashed);
+                        continue;
+                    }
+                    for (int32_t flat = t_src + 1; flat < t_src + span; flat++) {
+                        int32_t busy = occupancy(e, src_pe, flat % e->ii);
+                        if (!busy)
+                            continue;
+                        clause[2] = -busy;
+                        one[0] = 3;
+                        put_list(e, clause, one, 1, hashed);
+                    }
+                }
+            }
+        }
+    }
+}
+
+static void begin(emitter *e, int64_t pending)
+{
+    e->lits.n = e->lens.n = e->events.n = 0;
+    e->carry = pending;
+    e->flushed_at = 0;
+    e->clauses = e->duplicates = 0;
+}
+
+static int64_t *node_keys(emitter *e, int32_t node, int64_t *keys)
+{
+    int32_t pes = e->pe_off[node + 1] - e->pe_off[node];
+    int64_t i = 0;
+    for (int32_t slot = e->slot_off[node]; slot < e->slot_off[node + 1]; slot++)
+        for (int32_t k = 0; k < pes; k++)
+            keys[i++] = twin_key(e, node, slot, e->pes[e->pe_off[node] + k]);
+    return keys;
+}
+
+emitter *enc_new(const int32_t *params, const int32_t *base, const int32_t *slot_off,
+                 const int32_t *slot_cycle, const int32_t *slot_iter,
+                 const int32_t *pe_off, const int32_t *pes, const int32_t *whole,
+                 const int32_t *nbr_off, const int32_t *nbr)
+{
+    emitter *e = xrealloc(NULL, sizeof *e);
+    memset(e, 0, sizeof *e);
+    e->ii = params[P_II];
+    e->num_pes = params[P_PES];
+    e->num_nodes = params[P_NODES];
+    e->guard = params[P_GUARD];
+    e->amo = params[P_AMO];
+    e->auto_limit = params[P_AUTO_LIMIT];
+    e->has_span = params[P_HAS_SPAN];
+    e->span = params[P_SPAN];
+    e->enforce = params[P_ENFORCE];
+    e->next_var = params[P_NEXT_VAR];
+    e->flush_lits = params[P_FLUSH];
+    int32_t nodes = e->num_nodes, slots = slot_off[nodes], count = pe_off[nodes];
+    int64_t cells = (int64_t)e->num_pes * e->ii;
+    e->base = copy_ints(base, nodes);
+    e->slot_off = copy_ints(slot_off, nodes + 1);
+    e->slot_cycle = copy_ints(slot_cycle, slots);
+    e->slot_iter = copy_ints(slot_iter, slots);
+    e->pe_off = copy_ints(pe_off, nodes + 1);
+    e->pes = copy_ints(pes, count);
+    e->whole = copy_ints(whole, nodes);
+    e->nbr_off = copy_ints(nbr_off, e->num_pes + 1);
+    e->nbr = copy_ints(nbr, nbr_off[e->num_pes]);
+    e->pe_index = xrealloc(NULL, (size_t)nodes * e->num_pes * sizeof *e->pe_index);
+    memset(e->pe_index, 0xff, (size_t)nodes * e->num_pes * sizeof *e->pe_index);
+    for (int32_t v = 0; v < nodes; v++)
+        for (int32_t k = pe_off[v]; k < pe_off[v + 1]; k++)
+            e->pe_index[(int64_t)v * e->num_pes + pes[k]] = k - pe_off[v];
+    /* C2 groups: the (PE, cycle) slots in order of first appearance, each
+     * listing its literals node by node, slot by slot, PE by PE. */
+    e->group_of = xrealloc(NULL, (size_t)cells * sizeof *e->group_of);
+    memset(e->group_of, 0xff, (size_t)cells * sizeof *e->group_of);
+    e->occupancy = xrealloc(NULL, (size_t)cells * sizeof *e->occupancy);
+    memset(e->occupancy, 0, (size_t)cells * sizeof *e->occupancy);
+    int32_t *sizes = xrealloc(NULL, (size_t)(cells + 1) * sizeof *sizes);
+    for (int pass = 0; pass < 2; pass++) {
+        for (int32_t v = 0; v < nodes; v++) {
+            int32_t np = pe_off[v + 1] - pe_off[v], var = base[v];
+            for (int32_t slot = slot_off[v]; slot < slot_off[v + 1]; slot++) {
+                for (int32_t k = 0; k < np; k++, var++) {
+                    int64_t cell = (int64_t)pes[pe_off[v] + k] * e->ii + slot_cycle[slot];
+                    if (pass == 0) {
+                        if (e->group_of[cell] < 0) {
+                            e->group_of[cell] = e->num_groups;
+                            sizes[e->num_groups++] = 0;
+                        }
+                        sizes[e->group_of[cell]]++;
+                    } else {
+                        int32_t at = sizes[e->group_of[cell]]++;
+                        e->group_lits[at] = var;
+                        e->group_keys[at] = twin_key(e, v, slot, pes[pe_off[v] + k]);
+                    }
+                }
+            }
+        }
+        if (pass == 0) {
+            /* Sizes become each group's next free position. */
+            e->group_off = xrealloc(NULL, (size_t)(e->num_groups + 1) * sizeof *e->group_off);
+            int32_t total = 0;
+            for (int32_t g = 0; g < e->num_groups; g++) {
+                e->group_off[g] = total;
+                total += sizes[g];
+                sizes[g] = e->group_off[g];
+            }
+            e->group_off[e->num_groups] = total;
+            e->group_lits = xrealloc(NULL, (size_t)total * sizeof *e->group_lits);
+            e->group_keys = xrealloc(NULL, (size_t)total * sizeof *e->group_keys);
+        }
+    }
+    free(sizes);
+    return e;
+}
+
+/* C1: per node, at least one of its literals, then at most one. */
+void enc_c1(emitter *e, int64_t pending)
+{
+    begin(e, pending);
+    int64_t cap = 0;
+    int32_t *lits = NULL;
+    int64_t *keys = NULL;
+    for (int32_t v = 0; v < e->num_nodes; v++) {
+        int64_t n = (int64_t)(e->slot_off[v + 1] - e->slot_off[v]) *
+                    (e->pe_off[v + 1] - e->pe_off[v]);
+        if (n > cap) {
+            cap = n;
+            lits = xrealloc(lits, (size_t)cap * sizeof *lits);
+            keys = xrealloc(keys, (size_t)cap * sizeof *keys);
+        }
+        for (int64_t i = 0; i < n; i++)
+            lits[i] = e->base[v] + (int32_t)i;
+        put(e, lits, n);
+        end_block(e);
+        at_most_one(e, lits, node_keys(e, v, keys), n);
+    }
+    free(lits);
+    free(keys);
+}
+
+/* C2: at most one literal per (PE, cycle) group. */
+void enc_c2(emitter *e, int64_t pending)
+{
+    begin(e, pending);
+    for (int32_t g = 0; g < e->num_groups; g++)
+        at_most_one(e, e->group_lits + e->group_off[g], e->group_keys + e->group_off[g],
+                    e->group_off[g + 1] - e->group_off[g]);
+}
+
+/* C3: per edge (src, dst, distance, latency, may_repeat), the forward and
+ * backward implications, then the overwrite clauses when enforced. */
+void enc_c3(emitter *e, int64_t pending, int64_t num_edges, const int32_t *edges)
+{
+    begin(e, pending);
+    for (int64_t i = 0; i < num_edges; i++) {
+        const int32_t *edge = edges + 5 * i;
+        implications(e, edge, 1);
+        implications(e, edge, 0);
+        if (e->enforce)
+            overwrites(e, edge);
+    }
+}
+
+/* Any other clause list, as one block (the emitter's add_lists). */
+void enc_lists(emitter *e, int64_t pending, const int32_t *lits, const int32_t *lens,
+               int64_t n, int32_t may_repeat)
+{
+    begin(e, pending);
+    put_list(e, lits, lens, n, may_repeat);
+}
+
+void enc_output(emitter *e, enc_result *out)
+{
+    out->lits = e->lits.d;
+    out->lens = e->lens.d;
+    out->events = e->events.d;
+    out->num_lits = e->lits.n;
+    out->num_lens = e->lens.n;
+    out->num_events = e->events.n;
+    out->clauses = e->clauses;
+    out->duplicates = e->duplicates;
+}
+
+void enc_free(emitter *e)
+{
+    if (e == NULL)
+        return;
+    int32_t *tables[] = {e->base, e->slot_off, e->slot_cycle, e->slot_iter, e->pe_off,
+                         e->pes, e->whole, e->nbr_off, e->nbr, e->pe_index, e->group_of,
+                         e->occupancy, e->group_off, e->group_lits};
+    for (size_t i = 0; i < sizeof tables / sizeof *tables; i++)
+        free(tables[i]);
+    free(e->group_keys);
+    free(e->seen.slots);
+    ivec *vectors[] = {&e->seen.arena, &e->lits, &e->lens, &e->events, &e->rows,
+                       &e->row_lens, &e->entries, &e->reach, &e->reach_off, &e->sorted};
+    for (size_t i = 0; i < sizeof vectors / sizeof *vectors; i++)
+        free(vectors[i]->d);
+    free(e);
+}

@@ -4,7 +4,9 @@
 CDCLSolver`'s whole search loop that follows exactly the same search path,
 so every call returns the same status, model, :class:`SolverStats` counters
 and DRAT trace as the Python engine (the identity suite in
-``tests/sat/test_native.py`` checks this).  It only runs faster.
+``tests/sat/test_native.py`` checks this).  It only runs faster.  The same
+library carries the mapping encoder's clause emission kernel (``enc_*``,
+driven by :mod:`repro.core.encoder`).
 
 Nothing happens at import.  The first :func:`load` call:
 
@@ -56,7 +58,7 @@ SOURCE = Path(__file__).with_name("_cdcl.c")
 CFLAGS = ("-O1", "-std=c99", "-fPIC", "-shared", "-fno-fast-math",
           "-ffp-contract=off")
 #: Must match ``CDCL_ABI`` in ``_cdcl.c``.
-ABI = 2
+ABI = 3
 #: Seconds a build may take before it counts as failed.
 BUILD_TIMEOUT = 300
 
@@ -206,6 +208,18 @@ class _Info(ctypes.Structure):
     )]
 
 
+class _EmissionResult(ctypes.Structure):
+    """Mirror of ``enc_result`` in ``_cdcl.c``."""
+
+    _fields_ = [
+        ("lits", ctypes.c_void_p), ("lens", ctypes.c_void_p),
+        ("events", ctypes.c_void_p),
+        *((name, ctypes.c_int64) for name in (
+            "num_lits", "num_lens", "num_events", "clauses", "duplicates",
+        )),
+    ]
+
+
 def _declare(lib: ctypes.CDLL) -> None:
     ptr, i64, i32 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int32
     signatures = {
@@ -225,11 +239,37 @@ def _declare(lib: ctypes.CDLL) -> None:
         "cdcl_model": (None, [ptr, ptr]),
         "cdcl_proof_events": (ptr, [ptr, ctypes.POINTER(i64)]),
         "cdcl_proof_clear": (None, [ptr]),
+        # The mapping encoder's clause emission kernel.
+        "enc_new": (ptr, [ptr] * 10),
+        "enc_c1": (None, [ptr, i64]),
+        "enc_c2": (None, [ptr, i64]),
+        "enc_c3": (None, [ptr, i64, i64, ptr]),
+        "enc_lists": (None, [ptr, i64, ptr, ptr, i64, i32]),
+        "enc_output": (None, [ptr, ctypes.POINTER(_EmissionResult)]),
+        "enc_free": (None, [ptr]),
     }
     for name, (restype, argtypes) in signatures.items():
         function = getattr(lib, name)
         function.restype = restype
         function.argtypes = argtypes
+
+
+def emission_result(
+    lib: ctypes.CDLL, handle: int
+) -> tuple[int, int, memoryview, memoryview, array]:
+    """The last emission-kernel call's output (see :mod:`repro.core.encoder`).
+
+    Returns its clause and duplicate counts, its literal and length buffers
+    (copied out as raw bytes) and its event log.
+    """
+    out = _EmissionResult()
+    lib.enc_output(handle, ctypes.byref(out))
+    return (
+        out.clauses, out.duplicates,
+        memoryview(ctypes.string_at(out.lits, 4 * out.num_lits)),
+        memoryview(ctypes.string_at(out.lens, 4 * out.num_lens)),
+        array("i", ctypes.string_at(out.events, 4 * out.num_events)),
+    )
 
 
 def _address(values: array) -> int:
@@ -484,15 +524,29 @@ class NativeCDCLSolver:
 
 
 def main() -> int:
-    """``python -m repro.sat.native``: build/load the core, report, exit 1 on fallback."""
+    """``python -m repro.sat.native``: build/load the core and report.
+
+    Exits 1 on a fall-back to the Python engine, and when the emission
+    kernel's clause stream differs from the Python encoder's.
+    """
     current = status()
     print(f"solver core: {current.core}")
+    print(f"emission kernel: {'in use' if current.loaded else 'not in use'}")
     print(f"library: {current.library}")
     if current.build_s is not None:
         print(f"built in {current.build_s:.2f} s")
     if current.reason:
         print(f"fallback reason: {current.reason}")
-    return 0 if current.loaded else 1
+    if not current.loaded:
+        return 1
+    from repro.core.encoder import kernel_mismatch
+
+    mismatch = kernel_mismatch()
+    if mismatch:
+        print(f"emission kernel check FAILED: {mismatch} from the Python encoder's")
+        return 1
+    print("emission kernel check: identical to the Python encoder")
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised from the command line

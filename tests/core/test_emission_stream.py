@@ -8,6 +8,11 @@ clauses that can collide; the sink must nevertheless receive exactly the
 same clauses in the same order with the same literal order, the same
 variables, and the same :class:`EncodingStats` (apart from the batch
 count, which must match each emitter's own calls into its sink).
+
+Every stream case runs twice: with the native core's emission kernel
+building the clause families, and with the core unavailable, so the
+Python generators build them.  The reference always runs the Python
+generators.
 """
 
 from __future__ import annotations
@@ -104,21 +109,35 @@ class RecordingSink:
         self.clauses.extend(tuple(c) for c in clause_slices(literals, lengths))
 
 
+@pytest.fixture(params=["kernel", "python"])
+def emission(request, monkeypatch):
+    """Which generators build the production stream: the native emission
+    kernel, or the Python ones (the native core made unavailable)."""
+    if request.param == "kernel":
+        if native.load() is None:
+            pytest.skip("native core unavailable")
+    else:
+        monkeypatch.setattr(native, "load", lambda: None)
+    return request.param
+
+
 def _emit(dfg, cgra, kms, config, guarded):
     sink = RecordingSink()
     selector = sink.new_var() if guarded else None
-    encoding = MappingEncoder(dfg, cgra, kms, config, sink=sink,
-                              selector=selector).encode()
-    return sink, encoding
+    encoder = MappingEncoder(dfg, cgra, kms, config, sink=sink, selector=selector)
+    encoding = encoder.encode()
+    return sink, encoding, encoder._native
 
 
 def assert_same_stream(monkeypatch, dfg, cgra, ii, slack, config, guarded):
     kms = KernelMobilitySchedule.build(MobilitySchedule.build(dfg, slack=slack), ii)
-    sink, encoding = _emit(dfg, cgra, kms, config, guarded)
+    sink, encoding, kernel = _emit(dfg, cgra, kms, config, guarded)
     with monkeypatch.context() as patch:
         patch.setattr(encoder_module, "_Emitter", ReferenceEmitter)
-        reference_sink, reference = _emit(dfg, cgra, kms, config, guarded)
+        patch.setattr(native, "load", lambda: None)
+        reference_sink, reference, _ = _emit(dfg, cgra, kms, config, guarded)
     where = f"{dfg.name}@{cgra.name} II={ii} slack={slack} {config} guarded={guarded}"
+    assert kernel == (native.load() is not None), where
     assert sink.clauses == reference_sink.clauses, where
     assert sink.allocations == reference_sink.allocations, where
     assert encoding.variables == reference.variables, where
@@ -153,6 +172,9 @@ def _every_config(dfg, cgra):
         yield EncoderConfig(amo_encoding=amo)
         yield EncoderConfig(amo_encoding=amo, enforce_output_register=True)
     yield EncoderConfig(placement_domains=_domains(dfg, cgra))
+    # The one slot filter of the dependency rows.
+    yield EncoderConfig(max_iteration_span=1)
+    yield EncoderConfig(max_iteration_span=1, enforce_output_register=True)
 
 
 def _amo_configs(dfg, cgra):
@@ -160,7 +182,7 @@ def _amo_configs(dfg, cgra):
 
 
 @pytest.mark.parametrize("kernel", ["nw", "stringsearch", "basicmath"])
-def test_stream_matches_reference(monkeypatch, kernel):
+def test_stream_matches_reference(monkeypatch, emission, kernel):
     attempts = [(lambda: CGRA.square(2), 2, 1), (lambda: mul_sparse(3), 3, 0)]
     duplicates = 0
     for case in _sweep(kernel, attempts, _every_config):
@@ -173,7 +195,7 @@ def test_stream_matches_reference(monkeypatch, kernel):
 @pytest.mark.parametrize("kernel", ["sha", "gsm", "patricia", "bitcount", "backprop",
                                     "nw", "srand", "hotspot", "basicmath",
                                     "stringsearch"])
-def test_stream_matches_reference_full_sweep(monkeypatch, kernel):
+def test_stream_matches_reference_full_sweep(monkeypatch, emission, kernel):
     fabrics = [lambda: CGRA.square(2), lambda: CGRA.square(3), lambda: CGRA.square(4)]
     attempts = itertools.product(fabrics, (2, 3, 4, 5), (0, 1, 2))
     for case in _sweep(kernel, attempts, _amo_configs):
@@ -189,7 +211,7 @@ def _twin_dfg() -> DFG:
 @pytest.mark.parametrize("amo", [AMOEncoding.PAIRWISE, AMOEncoding.AUTO,
                                  AMOEncoding.SEQUENTIAL, AMOEncoding.COMMANDER])
 @pytest.mark.parametrize("guarded", [False, True])
-def test_twin_pairs_shared_by_c1_and_c2(monkeypatch, amo, guarded):
+def test_twin_pairs_shared_by_c1_and_c2(monkeypatch, emission, amo, guarded):
     """A KMS window longer than the II puts two literals of one node on the
     same PE and kernel cycle: C1 and C2 both hold that pair."""
     dfg = _twin_dfg()
@@ -206,7 +228,7 @@ def test_twin_pairs_shared_by_c1_and_c2(monkeypatch, amo, guarded):
 
 
 @pytest.mark.parametrize("amo", list(AMOEncoding))
-def test_repeatable_dependencies(monkeypatch, amo):
+def test_repeatable_dependencies(monkeypatch, emission, amo):
     """A self-loop, a duplicate edge and a 2-cycle under the strict
     output-register model: the only dependency clauses that can repeat."""
     dfg = DFG.from_edge_list(

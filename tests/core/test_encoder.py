@@ -64,10 +64,10 @@ class TestEncodingShape:
         # must have counted (and dropped) them.
         assert encoding.stats.num_duplicate_clauses > 0
 
-    def test_literals_by_node_cover_all_nodes(self):
+    def test_every_node_owns_placement_literals(self):
         dfg = paper_running_example()
         encoding = encode(dfg, CGRA.square(2), ii=3)
-        assert set(encoding.literals_by_node) == set(dfg.node_ids)
+        assert {node for node, _, _, _ in encoding.variables} == set(dfg.node_ids)
 
     def test_amo_choice_affects_clause_count(self):
         dfg = paper_running_example()
