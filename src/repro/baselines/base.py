@@ -27,7 +27,7 @@ from repro.core.mapper import IIAttempt, MappingOutcome
 from repro.core.mapping import Mapping
 from repro.core.regalloc import allocate_registers
 from repro.dfg.graph import DFG
-from repro.exceptions import ReproError
+from repro.simulator.machine import replay_validated
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,14 @@ class HeuristicMapper:
                     attempt.status = "REGALLOC_FAIL"
                     continue
                 mapping.apply_allocation(allocation)
-            if not self._validated(mapping, allocation):
+            if not replay_validated(
+                mapping,
+                allocation,
+                enforce_output_register=config.enforce_output_register,
+                neighbour_register_file_access=(
+                    config.neighbour_register_file_access
+                ),
+            ):
                 # The SAT path refuses to report a mapping its legality
                 # oracle rejects; the heuristics get the same discipline —
                 # an ejection-scheduler bug must surface as a failed II,
@@ -161,40 +168,6 @@ class HeuristicMapper:
     def _out_of_time(self, start: float) -> bool:
         timeout = self.config.timeout
         return timeout is not None and (time.perf_counter() - start) >= timeout
-
-    def _validated(self, mapping: Mapping, allocation) -> bool:
-        """Legality-oracle check a candidate result must pass to be reported.
-
-        Structural rules first (the same ``violations()`` oracle the SAT
-        path raises on), then two simulated iterations against the
-        reference interpreter — the end-to-end evidence the test-suite
-        holds SAT mappings to.  The simulation leg needs the register
-        allocation to be meaningful: without one the machine model keeps a
-        single virtual register per producer, so any value living longer
-        than one II self-overwrites — a lifetime the real flow's register
-        allocation handles fine — and the oracle would reject mappings the
-        SAT reference accepts.  Allocation-free runs get the structural
-        check only.
-        """
-        from repro.simulator import CGRASimulator
-
-        if mapping.violations(
-            check_overwrite=self.config.enforce_output_register
-        ):
-            return False
-        if allocation is None:
-            return True
-        try:
-            simulation = CGRASimulator(
-                mapping,
-                allocation,
-                neighbour_register_file_access=(
-                    self.config.neighbour_register_file_access
-                ),
-            ).run(2)
-        except ReproError:
-            return False
-        return simulation.success
 
 
 # ----------------------------------------------------------------------

@@ -33,7 +33,6 @@ from repro.experiments.perf import (
     main as perf_main,
 )
 from repro.experiments.report import write_markdown_report
-from repro.partition.cutter import PARTITION_STRATEGIES
 from repro.experiments.runner import (
     SAT_MAPIT,
     SCENARIOS,
@@ -140,9 +139,11 @@ def _cmd_map(args: argparse.Namespace) -> int:
     )
     if args.portfolio_variants:
         config_fields["portfolio_variants"] = tuple(args.portfolio_variants)
-    if args.partition:
-        return _cmd_map_partition(args, dfg, cgra, config_fields)
-    mapper = SatMapItMapper(MapperConfig(**config_fields))
+    try:
+        mapper = SatMapItMapper(MapperConfig(**config_fields))
+    except ValueError as exc:
+        # An out-of-range budget, e.g. a negative --timeout.
+        return _cli_error(exc)
     profiler = None
     if args.profile:
         import cProfile
@@ -228,64 +229,6 @@ def _cmd_map(args: argparse.Namespace) -> int:
     return 1
 
 
-def _cmd_map_partition(
-    args: argparse.Namespace, dfg, cgra: CGRA, config_fields: dict
-) -> int:
-    """The ``map --partition`` path: cut, solve per region, stitch.
-
-    Shares the solver-facing flags with the monolithic path (the
-    ``config_fields`` template parameterises every per-partition sub-solve)
-    and adds the partition summary lines to the output.
-    """
-    from repro.partition import PartitionConfig, PartitionMapper
-
-    # The whole-run wall budget belongs to the partition driver, which
-    # hands each sub-solve the time remaining.
-    timeout = config_fields.pop("timeout", None)
-    config = PartitionConfig(
-        num_partitions=args.partitions,
-        strategy=args.partition_strategy,
-        pin_borders=not args.no_pin_borders,
-        timeout=timeout,
-        base=MapperConfig(**config_fields),
-    )
-    try:
-        outcome = PartitionMapper(config).map(dfg, cgra)
-    except (MappingError, BackendUnavailableError) as exc:
-        # E.g. more partitions than recurrence-respecting supernodes or
-        # fabric rows, or a torus fabric.
-        return _cli_error(exc)
-    assert outcome.plan is not None
-    print(f"partition plan: {outcome.plan.summary()}")
-    for region in outcome.regions:
-        members = outcome.plan.partitions[region.partition]
-        print(f"  region {region.partition}: rows {region.row_start}-"
-              f"{region.row_end - 1} ({region.num_pes} PEs, "
-              f"{len(members)} nodes)")
-    if outcome.border_relaxed:
-        relaxed = ", ".join(str(p) for p in outcome.border_relaxed)
-        print(f"  border pins relaxed for partition(s): {relaxed}")
-    for entry in outcome.repair_log:
-        print(f"  repair: {entry}")
-    print(outcome.summary())
-    if outcome.mapping is not None:
-        assert outcome.stitch is not None
-        offsets = ", ".join(str(off) for off in outcome.stitch.offsets)
-        print(f"stitch: offsets [{offsets}], "
-              f"{outcome.stitch.num_route_nodes} route node(s), "
-              f"{outcome.stitch.repair_rounds} offset-relaxation round(s)")
-        print()
-        print(render_mapping_report(outcome.mapping,
-                                    outcome.register_allocation))
-        if args.save_mapping:
-            with open(args.save_mapping, "w", encoding="utf-8") as stream:
-                stream.write(outcome.mapping.to_json())
-                stream.write("\n")
-            print(f"\nmapping saved to {args.save_mapping}")
-        return 0
-    return 1
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.farm.faults import FaultPlan
 
@@ -300,22 +243,26 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         except ValueError as exc:
             return _cli_error(exc)
     journal_dir = args.resume if args.resume else args.journal
-    config = ExperimentConfig(
-        kernels=tuple(args.kernels),
-        sizes=tuple(args.sizes),
-        timeout=args.timeout,
-        pathseeker_repeats=args.pathseeker_repeats,
-        backend=args.backend,
-        amo_encoding=AMOEncoding(args.amo_encoding),
-        seed=args.seed,
-        scenarios=tuple(args.scenarios),
-        search=args.search,
-        cache_dir=args.cache,
-        cache_max_mb=args.cache_max_mb,
-        seed_heuristic=args.seed_heuristic,
-        proof=args.proof,
-        max_retries=args.max_retries,
-    )
+    try:
+        config = ExperimentConfig(
+            kernels=tuple(args.kernels),
+            sizes=tuple(args.sizes),
+            timeout=args.timeout,
+            pathseeker_repeats=args.pathseeker_repeats,
+            backend=args.backend,
+            amo_encoding=AMOEncoding(args.amo_encoding),
+            seed=args.seed,
+            scenarios=tuple(args.scenarios),
+            search=args.search,
+            cache_dir=args.cache,
+            cache_max_mb=args.cache_max_mb,
+            seed_heuristic=args.seed_heuristic,
+            proof=args.proof,
+            max_retries=args.max_retries,
+        )
+    except ValueError as exc:
+        # An out-of-range budget, e.g. a negative --timeout.
+        return _cli_error(exc)
     print(f"running sweep: {len(config.kernels)} kernels x "
           f"{len(config.sizes)} sizes x {len(config.mappers)} mappers"
           + (f" x {len(config.scenarios)} scenarios"
@@ -492,28 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="SECONDS",
                          help="wall budget for --seed-heuristic "
                               "(default: 2.0)")
-    map_cmd.add_argument("--partition", action="store_true",
-                         help="partition-and-stitch mode for big fabrics: "
-                              "cut the DFG into balanced partitions "
-                              "(recurrence cycles intact), map each onto "
-                              "its own row strip of the fabric as an "
-                              "independent SAT problem, then stitch with "
-                              "routed cut edges and validate end to end")
-    map_cmd.add_argument("--partitions", type=int, default=2, metavar="N",
-                         help="number of partitions / fabric regions for "
-                              "--partition (default: 2)")
-    map_cmd.add_argument("--partition-strategy",
-                         choices=list(PARTITION_STRATEGIES), default="topo",
-                         help="edge-cut heuristic for --partition: 'topo' "
-                              "packs a topological order of the recurrence "
-                              "condensation into balanced chunks, 'refine' "
-                              "adds a cut-reducing boundary pass "
-                              "(default: topo)")
-    map_cmd.add_argument("--no-pin-borders", action="store_true",
-                         help="with --partition: do not pin cut-edge "
-                              "endpoints to region border rows (longer "
-                              "routes, but more placement freedom per "
-                              "partition)")
     map_cmd.add_argument("--profile", action="store_true",
                          help="run under cProfile and print the top "
                               "cumulative functions after the mapping")
@@ -600,8 +525,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="compare against a previous BENCH_solver.json "
                                 "and fail on gross slowdown or II mismatch")
     bench_cmd.add_argument("--scale", action="store_true",
-                           help="also run the partition-vs-exact "
-                                "scalability panel (minutes-scale)")
+                           help="also run the big-fabric scale panel: "
+                                "exact mappings of gsm@4x4, sha2@8x8 and "
+                                "sha@16x16 (minutes-scale)")
     bench_cmd.add_argument("--max-slowdown", type=float, default=3.0,
                            help="per-case wall-time ratio failing the "
                                 "--baseline gate (default: 3.0)")

@@ -99,17 +99,6 @@ class EncoderConfig:
     #: symmetry fundamental domain.  Sound (grid automorphisms map legal
     #: mappings to legal mappings) and considerably speeds up UNSAT proofs.
     symmetry_breaking: bool = True
-    #: Per-node placement-domain restriction: ``((node_id, (pe, ...)), ...)``
-    #: limits the listed nodes to the given PE indices (intersected with the
-    #: capability-allowed set; unlisted nodes are unrestricted).  This is the
-    #: partition-and-stitch hook — a sub-problem's nodes are confined to a
-    #: spatial region of the fabric, cut-edge endpoints to its border rows —
-    #: but any caller may pin nodes with it.  Hashable (nested tuples) so it
-    #: can ride inside frozen configs and cache keys.  Domain restrictions
-    #: silently disable symmetry breaking: a grid automorphism moving the
-    #: anchor into the fundamental domain does not preserve arbitrary
-    #: per-node domains, so the combination would be unsound.
-    placement_domains: tuple[tuple[int, tuple[int, ...]], ...] | None = None
 
 
 @dataclass
@@ -414,18 +403,6 @@ class MappingEncoder:
         # allowed everywhere and the encoding is unchanged.
         self._allowed_pes: dict[int, tuple[int, ...]] = {}
         self._allowed_sets: dict[int, frozenset[int]] = {}
-        domains: dict[int, frozenset[int]] = {}
-        if self.config.placement_domains:
-            domains = {
-                node_id: frozenset(pes)
-                for node_id, pes in self.config.placement_domains
-            }
-            unknown = set(domains) - {node.node_id for node in dfg.nodes}
-            if unknown:
-                raise EncodingError(
-                    f"placement domains name nodes {sorted(unknown)} that are "
-                    f"not part of DFG {dfg.name!r}"
-                )
         for node in dfg.nodes:
             allowed = cgra.pes_supporting(node.opcode)
             if not allowed:
@@ -434,16 +411,6 @@ class MappingEncoder:
                     f"{node.opcode.op_class.value} (needed by node "
                     f"{node.node_id}, {node.opcode.value})"
                 )
-            domain = domains.get(node.node_id)
-            if domain is not None:
-                restricted = tuple(pe for pe in allowed if pe in domain)
-                if not restricted:
-                    raise EncodingError(
-                        f"placement domain of node {node.node_id} "
-                        f"({node.opcode.value}) excludes every capable PE of "
-                        f"{cgra.name!r}"
-                    )
-                allowed = restricted
             self._allowed_pes[node.node_id] = allowed
             self._allowed_sets[node.node_id] = frozenset(allowed)
         #: Per-PE neighbour tuples (self included), hoisted out of the C3
@@ -476,7 +443,7 @@ class MappingEncoder:
             self._encode_c1()
             self._encode_c2()
             self._encode_c3()
-            if self.config.symmetry_breaking and not self.config.placement_domains:
+            if self.config.symmetry_breaking:
                 self._encode_symmetry_breaking()
             self._emit.flush()
         finally:

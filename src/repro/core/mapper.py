@@ -110,15 +110,6 @@ class MapperConfig:
     max_iteration_span: int | None = None
     enforce_output_register: bool = False
     symmetry_breaking: bool = True
-    #: Per-node placement-domain restriction forwarded to the encoder (see
-    #: :class:`repro.core.encoder.EncoderConfig.placement_domains`):
-    #: ``((node_id, (pe, ...)), ...)`` confines the listed nodes to the
-    #: given PE indices.  This is how partition-and-stitch sub-solves pin a
-    #: partition's nodes to a fabric region and cut-edge endpoints to its
-    #: border rows.  Part of the cache key (a domain-restricted problem is a
-    #: different problem); disables symmetry breaking inside the encoder and
-    #: the heuristic seeding pre-pass (neither is domain-aware).
-    placement_domains: tuple[tuple[int, tuple[int, ...]], ...] | None = None
     neighbour_register_file_access: bool = True
     run_register_allocation: bool = True
     solver_conflict_limit: int | None = None
@@ -173,6 +164,27 @@ class MapperConfig:
             raise ValueError(
                 f"proof logging needs the 'cdcl' backend; backend "
                 f"{self.backend!r} cannot write DRAT proofs"
+            )
+        # A value below these bounds would not fail: the search would walk
+        # no II at all, or burn attempts it can never conclude, and report
+        # a plain failure (or raise halfway through ``map()``).
+        for name, low in (("max_ii", 1), ("schedule_slack", 0),
+                          ("max_extra_slack", 0), ("regalloc_retries", 0)):
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError(
+                    f"MapperConfig.{name} must be >= {low}, got {value}"
+                )
+        # ``timeout=0`` stays valid: it is the anytime probe that reports a
+        # timeout after zero attempts.
+        if self.timeout is not None and self.timeout < 0:
+            raise ValueError(
+                f"MapperConfig.timeout must be None or >= 0, got {self.timeout}"
+            )
+        if self.attempt_time_limit is not None and self.attempt_time_limit <= 0:
+            raise ValueError(
+                f"MapperConfig.attempt_time_limit must be None or > 0, "
+                f"got {self.attempt_time_limit}"
             )
 
 
@@ -498,9 +510,7 @@ class SatMapItMapper:
 
         config = self.config
         seed = None
-        # The heuristic mappers know nothing about placement domains; a seed
-        # mapping could violate them, so domain-restricted runs stay unseeded.
-        if config.seed_heuristic and not config.placement_domains:
+        if config.seed_heuristic:
             from repro.search.seed import run_seed
 
             seed_start = time.perf_counter()
@@ -593,7 +603,6 @@ class SatMapItMapper:
                     max_iteration_span=config.max_iteration_span,
                     enforce_output_register=config.enforce_output_register,
                     symmetry_breaking=config.symmetry_breaking,
-                    placement_domains=config.placement_domains,
                 )
                 group_selector = backend.new_var()
                 group_encoding = MappingEncoder(

@@ -37,6 +37,8 @@ from repro.cgra.capabilities import effective_minimum_ii
 from repro.core.mapper import MapperConfig, SatMapItMapper
 from repro.kernels import get_kernel
 from repro.sat import native
+from repro.search.cache import config_fingerprint
+from repro.simulator.machine import replay_validated
 
 #: Format tag written into the JSON so future schema changes are detectable.
 SCHEMA = "satmapit-bench/1"
@@ -142,33 +144,22 @@ MIN_GATE_WALL_S = 0.05
 
 @dataclass(frozen=True)
 class ScaleCase:
-    """One partition-vs-exact scalability panel entry.
-
-    The partitioned side runs :class:`repro.partition.PartitionMapper`
-    with ``partitions`` row-strip regions; the exact side runs the
-    monolithic mapper on the same (kernel, fabric) under the same wall
-    budget.  ``ii_gap_vs_exact`` in the record is the stitching tax when
-    the exact mapper finishes, and ``null`` when it cannot — which on the
-    big fabrics is exactly the point.
-    """
+    """One big-fabric scale panel entry: the exact mapper on a square mesh."""
 
     name: str
     kernel: str
     size: int
-    partitions: int
     timeout: float = 240.0
-    exact_timeout: float = 240.0
 
 
-#: The scalability panel: one fabric per size tier.  gsm@4x4 is the
-#: calibration row (the exact mapper finishes, so the II gap is a real
-#: number); sha2@8x8 and sha@16x16 are the instances the monolithic
-#: encoding cannot finish in the budget — there the panel records the
-#: partitioned mapper's absolute II and wall time, simulator-validated.
+#: The scale panel: one fabric per size tier, each mapped by the exact
+#: mapper under the production config (register allocation on, unlike the
+#: suite's cases) and replayed on the simulator.  It measures what big
+#: meshes cost the one exact mapping path.
 SCALE_PANEL: tuple[ScaleCase, ...] = (
-    ScaleCase("gsm@4x4|p2", "gsm", 4, 2, timeout=120.0, exact_timeout=120.0),
-    ScaleCase("sha2@8x8|p2", "sha2", 8, 2, timeout=240.0, exact_timeout=240.0),
-    ScaleCase("sha@16x16|p4", "sha", 16, 4, timeout=240.0, exact_timeout=240.0),
+    ScaleCase("gsm@4x4", "gsm", 4, timeout=120.0),
+    ScaleCase("sha2@8x8", "sha2", 8),
+    ScaleCase("sha@16x16", "sha", 16),
 )
 
 
@@ -346,60 +337,37 @@ def run_farm_case(repeats: int = 1) -> dict:
 
 
 def run_scale_case(case: ScaleCase) -> dict:
-    """Run one scalability panel entry: partitioned mapper vs exact twin.
+    """Map one scale panel entry exactly and replay the mapping.
 
-    One repeat each — both sides are minutes-scale SAT runs, and the
-    panel is informational (it documents reach, not a regression gate).
-    The partitioned side must pass the cycle-accurate simulator replay
-    for its ``status`` to read ``mapped``.
+    One repeat — the big rows are minutes-scale SAT runs, and the panel is
+    informational (it documents reach and wall time, not a regression
+    gate).  ``config`` stamps the semantic config the row ran with, and
+    ``validated`` is the simulator replay of the returned mapping.
     """
-    from repro.partition import PartitionConfig, PartitionMapper
-
     dfg = get_kernel(case.kernel)
     cgra = CGRA.square(case.size)
-
+    config = MapperConfig(timeout=case.timeout, random_seed=BENCH_SEED)
     start = time.perf_counter()
-    part = PartitionMapper(
-        PartitionConfig(num_partitions=case.partitions, timeout=case.timeout)
-    ).map(dfg, cgra)
-    part_wall = time.perf_counter() - start
-
-    exact_config = MapperConfig(
-        timeout=case.exact_timeout,
-        attempt_time_limit=None,  # the monolithic twin gets its whole budget
-        random_seed=BENCH_SEED,
-    )
-    start = time.perf_counter()
-    exact = SatMapItMapper(exact_config).map(dfg, cgra)
-    exact_wall = time.perf_counter() - start
-
-    gap = (
-        part.ii - exact.ii
-        if part.success and exact.success and exact.ii is not None
-        else None
+    outcome = SatMapItMapper(config).map(dfg, cgra)
+    wall = time.perf_counter() - start
+    validated = outcome.mapping is not None and replay_validated(
+        outcome.mapping,
+        outcome.register_allocation,
+        enforce_output_register=config.enforce_output_register,
+        neighbour_register_file_access=config.neighbour_register_file_access,
     )
     return {
         "name": case.name,
         "kernel": case.kernel,
         "size": case.size,
-        "partitions": case.partitions,
         "core": native.status().core,
-        "partition": {
-            "status": part.final_status,
-            "ii": part.ii,
-            "minimum_ii": part.minimum_ii,
-            "wall_s": round(part_wall, 2),
-            "ii_rounds": part.ii_rounds,
-            "route_nodes": part.stitch.num_route_nodes if part.stitch else None,
-            "validated": part.validated,
-        },
-        "exact": {
-            "status": exact.final_status,
-            "ii": exact.ii,
-            "wall_s": round(exact_wall, 2),
-            "timeout_s": case.exact_timeout,
-        },
-        "ii_gap_vs_exact": gap,
+        "config": config_fingerprint(config),
+        "status": outcome.final_status,
+        "ii": outcome.ii,
+        "minimum_ii": outcome.minimum_ii,
+        "wall_s": round(wall, 2),
+        "timeout_s": case.timeout,
+        "validated": validated,
     }
 
 
@@ -505,15 +473,11 @@ def run_suite(
             record = run_scale_case(scale_case)
             scale_panel.append(record)
             if progress:
-                part, exact = record["partition"], record["exact"]
-                gap = record["ii_gap_vs_exact"]
                 print(
-                    f"  {record['name']:22s} "
-                    f"partitioned II={part['ii']} ({part['status']}, "
-                    f"{part['wall_s']:.1f}s) "
-                    f"exact II={exact['ii']} ({exact['status']}, "
-                    f"{exact['wall_s']:.1f}s) "
-                    f"gap={gap if gap is not None else '-'}",
+                    f"  {record['name']:22s} II={record['ii']} "
+                    f"(MII {record['minimum_ii']}, {record['status']}, "
+                    f"{record['wall_s']:.1f}s) "
+                    f"validated={record['validated']}",
                     flush=True,
                 )
     return {
@@ -538,7 +502,7 @@ def run_suite(
             ),
             "kernels_mapped_per_minute": kernels_per_minute,
         },
-        # Partition-vs-exact reach panel (empty unless ``scale=True``):
+        # Big-fabric scale panel (empty unless ``scale=True``):
         # informational, never gated — wall times here are minutes-scale
         # SAT runs whose variance would make a ratio gate pure noise.
         "scale_panel": scale_panel,
@@ -750,9 +714,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="skip the farm throughput probe "
                              f"({FARM_CASE_NAME})")
     parser.add_argument("--scale", action="store_true",
-                        help="also run the partition-vs-exact scalability "
-                             "panel (minutes-scale; informational, "
-                             "never gated)")
+                        help="also run the big-fabric scale panel: exact "
+                             "mappings of gsm@4x4, sha2@8x8 and sha@16x16 "
+                             "(minutes-scale; informational, never gated)")
     parser.add_argument("--check-strategies", action="store_true",
                         help="re-run every completing case under the "
                              "portfolio and with the seeding pre-pass, and "

@@ -113,8 +113,10 @@ class ExperimentConfig:
     max_retries: int = 3
 
     def __post_init__(self) -> None:
-        # Reject a backend/proof mismatch up front, not per work item.
-        MapperConfig(backend=self.backend, proof=self.proof)
+        # Reject a backend/proof mismatch or an out-of-range budget up
+        # front, not per work item.
+        MapperConfig(backend=self.backend, proof=self.proof,
+                     timeout=self.timeout, max_ii=self.max_ii)
 
 
 @dataclass

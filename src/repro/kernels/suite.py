@@ -263,8 +263,8 @@ _register(
 # Scale kernels (beyond the paper's suite; stress big fabrics)
 # ----------------------------------------------------------------------
 # These are not part of the paper's eleven-kernel evaluation and therefore
-# stay out of ``all_kernel_names()``; the partition-and-stitch scalability
-# panel uses them to pose problems a monolithic encoding cannot finish.
+# stay out of ``all_kernel_names()``; ``repro map --kernel`` and ``repro
+# show --kernel`` offer them for big-fabric runs.
 _register(
     "conv3x3",
     "scale",

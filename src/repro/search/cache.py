@@ -106,10 +106,6 @@ SEMANTIC_CONFIG_FIELDS: tuple[str, ...] = (
     "run_register_allocation",
     "solver_conflict_limit",
     "random_seed",
-    # Partition-and-stitch sub-solves restrict nodes to fabric regions; a
-    # domain-restricted problem must never collide with the unrestricted one
-    # (or a different restriction of it) in the cache.
-    "placement_domains",
 )
 
 

@@ -17,8 +17,9 @@ every strategy can exploit:
 A seed is only trusted after the same legality oracle the SAT path answers
 to: structural ``violations()`` plus two simulated iterations against the
 reference interpreter.  The heuristic mappers validate their own results
-too (:meth:`HeuristicMapper._validated`); the re-check here keeps the
-seeding layer sound even against a future mapper that does not.
+too, with the same :func:`repro.simulator.replay_validated`; the re-check
+here keeps the seeding layer sound even against a future mapper that does
+not.
 
 Seeding never changes the *cache* identity of a problem: like the search
 strategy, it can only change which of several equally-minimal mappings is
@@ -36,6 +37,7 @@ from typing import TYPE_CHECKING
 from repro.baselines import run_budgeted
 from repro.exceptions import ReproError
 from repro.search.base import SearchResult
+from repro.simulator.machine import replay_validated
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard
     from repro.cgra.architecture import CGRA
@@ -105,7 +107,14 @@ def run_seed(
             continue
         if not outcome.success or outcome.mapping is None:
             continue
-        if not _validated(outcome.mapping, outcome.register_allocation, config):
+        if not replay_validated(
+            outcome.mapping,
+            outcome.register_allocation,
+            enforce_output_register=config.enforce_output_register,
+            neighbour_register_file_access=(
+                config.neighbour_register_file_access
+            ),
+        ):
             continue
         if best is None or outcome.ii < best.ii:
             best = SeedResult(
@@ -120,30 +129,3 @@ def run_seed(
     if best is not None:
         best.wall_time = time.perf_counter() - start
     return best
-
-
-def _validated(mapping, allocation, config: "MapperConfig") -> bool:
-    """The SAT path's legality oracle, applied to a heuristic candidate.
-
-    Simulation requires the register allocation to model multi-iteration
-    lifetimes (virtual registers hold one value per producer); allocation-
-    free runs — where the SAT reference itself skips allocation — get the
-    structural check only.
-    """
-    from repro.simulator import CGRASimulator
-
-    if mapping.violations(check_overwrite=config.enforce_output_register):
-        return False
-    if allocation is None:
-        return True
-    try:
-        simulation = CGRASimulator(
-            mapping,
-            allocation,
-            neighbour_register_file_access=(
-                config.neighbour_register_file_access
-            ),
-        ).run(2)
-    except ReproError:
-        return False
-    return simulation.success

@@ -15,7 +15,11 @@ produced by the SAT mapper and the baselines against the reference
 interpreter.
 """
 
-from repro.simulator.machine import CGRASimulator, SimulationResult
+from repro.simulator.machine import (
+    CGRASimulator,
+    SimulationResult,
+    replay_validated,
+)
 from repro.simulator.reference import ReferenceInterpreter, interpret_dfg
 
 __all__ = [
@@ -23,4 +27,5 @@ __all__ = [
     "interpret_dfg",
     "CGRASimulator",
     "SimulationResult",
+    "replay_validated",
 ]

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 from repro.core.mapping import Mapping
 from repro.core.regalloc import RegisterAllocation
-from repro.exceptions import SimulationError
+from repro.exceptions import ReproError, SimulationError
 from repro.simulator.reference import ReferenceInterpreter
 
 
@@ -244,3 +244,35 @@ class CGRASimulator:
                 f"{src_iteration} in {location}: {held[2]} != {expected}"
             )
         return None
+
+
+def replay_validated(
+    mapping: Mapping,
+    allocation: RegisterAllocation | None,
+    *,
+    enforce_output_register: bool = False,
+    neighbour_register_file_access: bool = True,
+) -> bool:
+    """The legality oracle a mapping must pass before it is reported.
+
+    Structural rules first (the ``violations()`` oracle the SAT path
+    raises on), then two simulated iterations against the reference
+    interpreter.  The simulation leg needs the register allocation: without
+    one the machine keeps a single virtual register per producer, so any
+    value living longer than one II self-overwrites — a lifetime register
+    allocation handles fine — and the oracle would reject mappings the SAT
+    mapper accepts.  Allocation-free mappings get the structural check only.
+    """
+    if mapping.violations(check_overwrite=enforce_output_register):
+        return False
+    if allocation is None:
+        return True
+    try:
+        simulation = CGRASimulator(
+            mapping,
+            allocation,
+            neighbour_register_file_access=neighbour_register_file_access,
+        ).run(2)
+    except ReproError:
+        return False
+    return simulation.success

@@ -152,12 +152,6 @@ def assert_same_stream(monkeypatch, dfg, cgra, ii, slack, config, guarded):
     return encoding.stats
 
 
-def _domains(dfg, cgra):
-    """Odd nodes confined to the even-numbered PEs."""
-    even = tuple(range(0, cgra.num_pes, 2))
-    return tuple((node, even) for node in dfg.node_ids if node % 2)
-
-
 def _sweep(kernel, attempts, configs):
     """Every config, guarded and not, at each ``(fabric, II, slack)``."""
     dfg = get_kernel(kernel)
@@ -171,7 +165,6 @@ def _every_config(dfg, cgra):
     for amo in AMOEncoding:
         yield EncoderConfig(amo_encoding=amo)
         yield EncoderConfig(amo_encoding=amo, enforce_output_register=True)
-    yield EncoderConfig(placement_domains=_domains(dfg, cgra))
     # The one slot filter of the dependency rows.
     yield EncoderConfig(max_iteration_span=1)
     yield EncoderConfig(max_iteration_span=1, enforce_output_register=True)

@@ -225,3 +225,42 @@ def test_check_strategy_equivalence_quick_suite():
     ok, lines = check_strategy_equivalence("quick")
     assert ok, lines
     assert lines
+
+
+class TestScalePanel:
+    """The scale panel maps its rows exactly and stamps how it ran."""
+
+    def test_scale_row_schema(self, monkeypatch):
+        from repro.core.mapper import MapperConfig
+        from repro.search.cache import config_fingerprint
+
+        # The suite's cases are faked; only the scale row runs for real.
+        perf = TestSuiteAnnotations()._suite_doc(monkeypatch, {})
+        case = perf.ScaleCase("srand@3x3", "srand", 3, timeout=60.0)
+        monkeypatch.setattr(perf, "SCALE_PANEL", (case,))
+        doc = perf.run_suite("quick", repeats=1, scale=True)
+        (row,) = doc["scale_panel"]
+        assert set(row) == {
+            "name", "kernel", "size", "core", "config", "status", "ii",
+            "minimum_ii", "wall_s", "timeout_s", "validated",
+        }
+        assert (row["name"], row["kernel"], row["size"]) == ("srand@3x3", "srand", 3)
+        assert row["status"] == "mapped"
+        assert row["minimum_ii"] <= row["ii"]
+        assert row["timeout_s"] == 60.0
+        assert row["validated"] is True
+        # The stamp is the semantic config the row ran with: the production
+        # config, register allocation on (the suite's cases run it off).
+        assert row["config"] == config_fingerprint(
+            MapperConfig(timeout=60.0, random_seed=perf.BENCH_SEED)
+        )
+        assert row["config"]["run_register_allocation"] is True
+
+    def test_scale_panel_empty_without_flag(self, monkeypatch):
+        perf = TestSuiteAnnotations()._suite_doc(monkeypatch, {})
+
+        def fail(case):
+            raise AssertionError("scale panel ran without scale=True")
+
+        monkeypatch.setattr(perf, "run_scale_case", fail)
+        assert perf.run_suite("quick", repeats=1)["scale_panel"] == []

@@ -69,7 +69,6 @@ class TestCacheKey:
             "max_ii": 50,
             "max_iteration_span": None,
             "neighbour_register_file_access": True,
-            "placement_domains": None,
             "random_seed": None,
             "regalloc_retries": 3,
             "run_register_allocation": True,
