@@ -199,6 +199,8 @@ class Mapping:
                 continue
             src = self.placements[edge.src]
             dst = self.placements[edge.dst]
+            if not all(0 <= pe < self.cgra.num_pes for pe in (src.pe, dst.pe)):
+                continue  # reported by the completeness check
             if not self.cgra.are_neighbours(src.pe, dst.pe, include_self=True):
                 problems.append(
                     f"dependency {edge.src}->{edge.dst}: PE {src.pe} and PE {dst.pe} "
