@@ -19,13 +19,12 @@ import random
 import time
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.cgra.architecture import CGRA
 from repro.cgra.capabilities import check_kernel_fits, effective_minimum_ii
 from repro.core.mapper import IIAttempt, MappingOutcome
 from repro.core.mapping import Mapping
 from repro.core.regalloc import allocate_registers
+from repro.dfg.analysis import forward_topological_order
 from repro.dfg.graph import DFG
 from repro.simulator.machine import replay_validated
 
@@ -175,16 +174,13 @@ class HeuristicMapper:
 # ----------------------------------------------------------------------
 def node_heights(dfg: DFG) -> dict[int, int]:
     """Height (longest forward path to any sink) of every node."""
-    graph = nx.DiGraph()
-    graph.add_nodes_from(dfg.node_ids)
-    graph.add_edges_from((e.src, e.dst) for e in dfg.forward_edges())
     heights: dict[int, int] = {}
-    for node_id in reversed(list(nx.topological_sort(graph))):
-        successors = list(graph.successors(node_id))
-        if not successors:
-            heights[node_id] = 0
-        else:
-            heights[node_id] = 1 + max(heights[s] for s in successors)
+    for node_id in reversed(forward_topological_order(dfg)):
+        heights[node_id] = max(
+            (1 + heights[edge.dst] for edge in dfg.successors(node_id)
+             if edge.distance == 0),
+            default=0,
+        )
     return heights
 
 

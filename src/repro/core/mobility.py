@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.dfg.analysis import alap_schedule, asap_schedule, critical_path_length
+from repro.dfg.analysis import alap_schedule, asap_schedule, schedule_length
 from repro.dfg.graph import DFG
 from repro.exceptions import MappingError
 
@@ -54,11 +54,9 @@ class MobilitySchedule:
         """
         if slack < 0:
             raise MappingError(f"schedule slack must be non-negative, got {slack}")
-        length = critical_path_length(dfg) + slack
-        if length == 0:
-            length = 1
         asap = asap_schedule(dfg)
-        alap = alap_schedule(dfg, length)
+        length = max(1, schedule_length(dfg, asap) + slack)
+        alap = alap_schedule(dfg, length, asap=asap)
         return cls(dfg=dfg, length=length, asap=asap, alap=alap)
 
     def window(self, node_id: int) -> range:

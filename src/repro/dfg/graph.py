@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from collections.abc import Iterable, Iterator
 
-import networkx as nx
-
+from repro.dfg.analysis import forward_topological_order
 from repro.exceptions import DFGError
 
 
@@ -130,10 +129,10 @@ class DFGEdge:
 class DFG:
     """A loop-body data-flow graph.
 
-    The class wraps plain dictionaries rather than exposing a networkx graph
-    directly so that the mapper-facing API stays stable; conversion to
-    networkx is available through :meth:`to_networkx` for analyses that want
-    graph algorithms (cycle enumeration, longest paths, drawing).
+    The class wraps plain dictionaries with per-node edge lists; the graph
+    algorithms the mapper needs live in :mod:`repro.dfg.analysis`.
+    Conversion to networkx is available through :meth:`to_networkx` for
+    ad-hoc analysis and drawing.
     """
 
     name: str = "dfg"
@@ -264,19 +263,16 @@ class DFG:
         for edge in self._edges:
             if edge.src not in self._nodes or edge.dst not in self._nodes:
                 raise DFGError(f"edge {edge} references a missing node")
-        forward = nx.DiGraph()
-        forward.add_nodes_from(self._nodes)
-        forward.add_edges_from((e.src, e.dst) for e in self.forward_edges())
-        if not nx.is_directed_acyclic_graph(forward):
-            cycle = nx.find_cycle(forward)
-            raise DFGError(
-                f"forward edges of DFG {self.name!r} contain a cycle: {cycle}; "
-                "loop-carried dependencies must use distance >= 1"
-            )
+        forward_topological_order(self)
 
-    def to_networkx(self) -> nx.MultiDiGraph:
-        """Convert to a networkx multigraph (edges keep their distance)."""
-        graph = nx.MultiDiGraph(name=self.name)
+    def to_networkx(self) -> "networkx.MultiDiGraph":
+        """Convert to a networkx multigraph (edges keep their distance).
+
+        The only use of networkx in the package, imported on call.
+        """
+        import networkx
+
+        graph = networkx.MultiDiGraph(name=self.name)
         for node in self.nodes:
             graph.add_node(node.node_id, opcode=node.opcode.value, label=node.label)
         for edge in self._edges:

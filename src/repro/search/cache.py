@@ -311,6 +311,11 @@ class MappingCache:
         }
         if proof_digests:
             entry["unsat_proof_digests"] = proof_digests
+        # Serialized in one call before the temp file exists: one pass of
+        # the C encoder instead of json.dump's thousands of small writes,
+        # and an unserializable field raises here without leaving a temp
+        # file behind.
+        text = json.dumps(entry, separators=(",", ":")) + "\n"
         path = self.path_for(key)
         handle = tempfile.NamedTemporaryFile(
             "w", dir=self.cache_dir, suffix=".tmp", delete=False,
@@ -318,8 +323,7 @@ class MappingCache:
         )
         try:
             with handle as stream:
-                json.dump(entry, stream, indent=2)
-                stream.write("\n")
+                stream.write(text)
                 # Durability, not just atomicity: flush+fsync the temp file
                 # before the rename (or a crash can promote an empty/partial
                 # file to a valid-looking entry name), then fsync the

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.dfg.analysis import forward_topological_order
 from repro.dfg.graph import DFG, Opcode
 from repro.exceptions import SimulationError
 
@@ -48,7 +49,7 @@ class ReferenceInterpreter:
         if num_iterations < 0:
             raise SimulationError(f"num_iterations must be >= 0, got {num_iterations}")
         self.dfg.validate()
-        order = self._topological_order()
+        order = forward_topological_order(self.dfg)
         history: list[dict[int, int]] = []
         store_state = dict(self.memory)
         for iteration in range(num_iterations):
@@ -66,14 +67,6 @@ class ReferenceInterpreter:
         return history[iteration][node_id]
 
     # ------------------------------------------------------------------
-    def _topological_order(self) -> list[int]:
-        import networkx as nx
-
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self.dfg.node_ids)
-        graph.add_edges_from((e.src, e.dst) for e in self.dfg.forward_edges())
-        return list(nx.topological_sort(graph))
-
     def _operands(
         self,
         node_id: int,

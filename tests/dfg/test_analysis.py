@@ -4,12 +4,16 @@ The running-example assertions check the exact tables of the paper's
 Figure 4.
 """
 
+import math
+
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dfg.analysis import (
     alap_schedule,
+    forward_topological_order,
     asap_schedule,
     critical_path_length,
     minimum_initiation_interval,
@@ -19,6 +23,7 @@ from repro.dfg.analysis import (
 )
 from repro.dfg.graph import DFG, paper_running_example
 from repro.exceptions import DFGError
+from repro.kernels import all_kernel_names, get_kernel, scale_kernel_names
 from repro.kernels.generators import random_dfg
 
 
@@ -176,3 +181,91 @@ def test_schedule_invariants_on_random_dfgs(num_nodes, seed):
     assert critical_path_length(dfg) == max(
         asap[n] + dfg.node(n).latency for n in dfg.node_ids
     )
+
+
+# ----------------------------------------------------------------------
+# Differential checks against networkx (used in these tests only)
+# ----------------------------------------------------------------------
+SUITE = sorted(set(all_kernel_names()) | set(scale_kernel_names()))
+
+
+def _enumerated_recurrence_mii(dfg: DFG) -> int:
+    """RecMII by enumerating every elementary cycle (the textbook bound)."""
+    graph = nx.DiGraph()
+    graph.add_nodes_from(dfg.node_ids)
+    for edge in dfg.edges:  # parallel edges: the tightest distance counts
+        if graph.has_edge(edge.src, edge.dst):
+            data = graph[edge.src][edge.dst]
+            data["distance"] = min(data["distance"], edge.distance)
+        else:
+            graph.add_edge(edge.src, edge.dst, distance=edge.distance)
+    best = 1
+    for cycle in nx.simple_cycles(graph):
+        latency = sum(dfg.node(node).latency for node in cycle)
+        distance = sum(
+            graph[node][cycle[(index + 1) % len(cycle)]]["distance"]
+            for index, node in enumerate(cycle)
+        )
+        best = max(best, math.ceil(latency / distance))
+    return best
+
+
+def _networkx_forward_order(dfg: DFG) -> list[int]:
+    graph = nx.DiGraph()
+    graph.add_nodes_from(dfg.node_ids)
+    graph.add_edges_from((edge.src, edge.dst) for edge in dfg.forward_edges())
+    return list(nx.topological_sort(graph))
+
+
+@st.composite
+def recurrent_dfgs(draw):
+    """DFGs with latencies 1-3, forward edges low -> high id (parallel ones
+    included) and back edges of distance 1-3, self-loops included."""
+    num_nodes = draw(st.integers(min_value=1, max_value=12))
+    dfg = DFG(name="drawn")
+    for node_id in range(num_nodes):
+        dfg.add_node(node_id, latency=draw(st.integers(min_value=1, max_value=3)))
+    pairs = st.tuples(
+        st.integers(min_value=0, max_value=num_nodes - 1),
+        st.integers(min_value=0, max_value=num_nodes - 1),
+        st.integers(min_value=1, max_value=3),
+    )
+    for src, dst, distance in draw(st.lists(pairs, max_size=3 * num_nodes)):
+        if src < dst:
+            dfg.add_edge(src, dst)
+        else:
+            dfg.add_edge(src, dst, distance=distance)
+    return dfg
+
+
+class TestAgainstNetworkx:
+    @pytest.mark.parametrize("kernel", SUITE)
+    def test_recurrence_mii_matches_cycle_enumeration_on_suite(self, kernel):
+        dfg = get_kernel(kernel)
+        assert recurrence_mii(dfg) == _enumerated_recurrence_mii(dfg)
+
+    @pytest.mark.parametrize("kernel", SUITE)
+    def test_forward_order_matches_networkx_on_suite(self, kernel):
+        dfg = get_kernel(kernel)
+        assert forward_topological_order(dfg) == _networkx_forward_order(dfg)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dfg=recurrent_dfgs())
+    def test_recurrence_mii_matches_cycle_enumeration(self, dfg):
+        assert recurrence_mii(dfg) == _enumerated_recurrence_mii(dfg)
+
+    @settings(max_examples=100, deadline=None)
+    @given(dfg=recurrent_dfgs())
+    def test_forward_order_matches_networkx(self, dfg):
+        # The order fixes ASAP/ALAP dict order, RAMP's heights and the
+        # interpreter's evaluation order, so it must be networkx's exactly.
+        assert forward_topological_order(dfg) == _networkx_forward_order(dfg)
+
+    def test_forward_cycle_is_named(self):
+        dfg = DFG(name="t")
+        for node_id in range(4):
+            dfg.add_node(node_id)
+        for src, dst in [(0, 1), (1, 2), (2, 3), (3, 1)]:
+            dfg.add_edge(src, dst)
+        with pytest.raises(DFGError, match=r"contain a cycle: \[1, 2, 3\]"):
+            forward_topological_order(dfg)

@@ -374,6 +374,22 @@ class TestStaleTempSweep:
         assert cache.stats.evicted >= 1
         assert big.exists()  # budget never deletes fresh temps
 
+    def test_serialization_error_leaves_no_temp(self, tmp_path, outcome, monkeypatch):
+        # The entry is serialized before the temp file exists, so a
+        # non-OSError there propagates without orphaning a *.tmp.
+        import repro.search.cache as cache_module
+
+        def unserializable(*_args, **_kwargs):
+            raise TypeError("Object of type set is not JSON serializable")
+
+        monkeypatch.setattr(cache_module.json, "dumps", unserializable)
+        cache = MappingCache(tmp_path)
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cache.store("a" * 64, outcome)
+        assert list(tmp_path.glob("*.tmp")) == []
+        assert list(tmp_path.glob("*.json")) == []
+        assert cache.stats.writes == 0
+
     def test_directory_stats_shape(self, tmp_path, outcome):
         cache = MappingCache(tmp_path)
         cache.store("a" * 64, outcome)
