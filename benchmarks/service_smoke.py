@@ -3,9 +3,10 @@
 Starts ``repro serve`` as a real subprocess, maps one kernel through
 ``POST /map`` + ``GET /jobs/{id}``, posts it again and requires a cache
 hit answered without a second worker process (same II, the mapping
-replays in the simulator), maps the same kernel through ``repro map``,
-and fails unless both report the same II.  Run by the CI
-``service-smoke`` job::
+replays in the simulator), stops the service with SIGINT and requires
+its whole process group (server, forkserver, resource tracker, workers)
+gone within 10 s, maps the same kernel through ``repro map``, and fails
+unless both report the same II.  Run by the CI ``service-smoke`` job::
 
     PYTHONPATH=src python benchmarks/service_smoke.py
 
@@ -30,6 +31,24 @@ import urllib.request
 KERNEL, ROWS, COLS = "srand", 3, 3
 STARTUP_DEADLINE_S = 30.0
 SOLVE_DEADLINE_S = 120.0
+#: Seconds after the server exits for the rest of its process group to go.
+GROUP_DEADLINE_S = 10.0
+
+
+def group_pids(pgid: int) -> list[int]:
+    """Live (not zombie) processes in process group ``pgid``."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="ascii", errors="replace") as stat:
+                fields = stat.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if fields[0] != "Z" and int(fields[2]) == pgid:
+            pids.append(int(entry))
+    return pids
 
 
 def wait_for_port(process: subprocess.Popen) -> int:
@@ -80,7 +99,7 @@ def main() -> int:
             [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
              "--pool", "2", "--cache", cache],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-            env=env,
+            env=env, start_new_session=True,
         )
         try:
             port = wait_for_port(server)
@@ -134,9 +153,17 @@ def main() -> int:
             try:
                 server.wait(timeout=30)
             except subprocess.TimeoutExpired:
-                server.kill()
+                os.killpg(server.pid, signal.SIGKILL)
                 server.wait()
                 raise SystemExit("service ignored SIGINT")
+        deadline = time.monotonic() + GROUP_DEADLINE_S
+        while group_pids(server.pid) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        leftovers = group_pids(server.pid)
+        if leftovers:
+            os.killpg(server.pid, signal.SIGKILL)
+            raise SystemExit(f"service left processes behind: {leftovers}")
+        print("service: stopped on SIGINT, no process left behind")
 
     cli = subprocess.run(
         [sys.executable, "-m", "repro.cli", "map", "--kernel", KERNEL,

@@ -268,9 +268,16 @@ class DFG:
     def to_networkx(self) -> "networkx.MultiDiGraph":
         """Convert to a networkx multigraph (edges keep their distance).
 
-        The only use of networkx in the package, imported on call.
+        The only use of networkx in the package, imported on call; it is
+        the optional ``networkx`` extra.
         """
-        import networkx
+        try:
+            import networkx
+        except ImportError as exc:
+            raise ImportError(
+                "DFG.to_networkx needs networkx, the optional extra: "
+                "pip install 'satmapit-repro[networkx]'"
+            ) from exc
 
         graph = networkx.MultiDiGraph(name=self.name)
         for node in self.nodes:

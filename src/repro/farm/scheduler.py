@@ -27,15 +27,16 @@ Protocol
   confused between a dead worker and its replacement, and one-shot
   injected faults (targeted at worker 0) fire exactly once.
 
-Workers are forked, not spawned: the scheduler has already imported the
-whole mapper stack, and fork keeps per-respawn latency in milliseconds.
-They are not daemons, so a SAT-MapIt item may race portfolio lanes.
+Workers are forked, not spawned: the scheduler imports the whole mapper
+stack and loads the native core first (:func:`repro.procs.fork_context`),
+so every worker inherits both and per-respawn latency stays in
+milliseconds.  They are not daemons, so a SAT-MapIt item may race
+portfolio lanes.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing as mp
 import time
 from dataclasses import dataclass, field
 
@@ -271,7 +272,7 @@ def run_farm(config, farm: FarmConfig, report=None) -> FarmOutcome:
             if item_id in queue.items and item_id not in queue.results:
                 queue.preload_attempts(item_id, attempts)
 
-    pool = _Pool(mp.get_context("fork"), config, farm.faults)
+    pool = _Pool(procs.fork_context(), config, farm.faults)
     faults = farm.faults
     corruptions_left = (
         1 if faults is not None and faults.corrupt_cache_after is not None else 0

@@ -18,18 +18,30 @@ process lifecycle:
 * :func:`reap` — SIGTERM every process, one shared grace, then SIGKILL
   (which also reaches a SIGSTOPped process) and join whatever is left.
 
-The start method is the caller's choice and stays explicit: ``fork`` where
-the parent has already imported the mapper stack and start latency counts
-(portfolio lanes, farm workers), ``spawn`` where the parent runs threads
-(the service's event loop).
+The start method is the caller's choice and stays explicit, and either
+way a child starts with the mapper stack already imported
+(:data:`WORKER_MODULES`), never importing it itself:
+
+* :func:`fork_context` — ``fork``, for single-threaded parents (portfolio
+  lanes, farm workers).  The parent imports the worker modules and loads
+  the native core first, so every child inherits both.
+* :func:`forkserver_context` — ``forkserver``, for a parent that runs
+  threads (the service's event loop), which must not fork itself.  The
+  children fork from a separate single-threaded server that preloaded the
+  worker modules once.
 """
 
 from __future__ import annotations
 
+import ast
+import importlib
+import multiprocessing
 import signal
+import sys
 import time
 from dataclasses import asdict, dataclass
-from multiprocessing import connection
+from multiprocessing import connection, forkserver
+from pathlib import Path
 
 #: Seconds a process gets to honour SIGTERM before :func:`reap` escalates
 #: to SIGKILL, when the caller names no grace.
@@ -38,6 +50,71 @@ _TERM_GRACE = 5.0
 #: Seconds :func:`receive` waits for a child whose pipe hit EOF to exit,
 #: so its exit code can be read.
 _EXIT_WAIT = 2.0
+
+#: What a mapping worker runs: the encoder, the II ladder, the native
+#: core's loader and the sweep runner, with everything they import.
+WORKER_MODULES = (
+    "repro.core.encoder",
+    "repro.search.ladder",
+    "repro.sat.native",
+    "repro.experiments.runner",
+)
+
+
+def fork_context():
+    """The ``fork`` context, after importing :data:`WORKER_MODULES` and
+    loading the native core here, so forked children inherit both."""
+    for name in WORKER_MODULES:
+        importlib.import_module(name)
+    from repro.sat import native
+
+    native.load()
+    return multiprocessing.get_context("fork")
+
+
+def forkserver_context(*modules: str):
+    """The ``forkserver`` context, its server started with
+    :data:`WORKER_MODULES`, ``modules`` and the main module's imports
+    preloaded.
+
+    ``modules`` names where the children's target lives: a child imports
+    that module to find its target.  Starting does not block: the server
+    imports while the caller goes on, and only the first child waits for
+    it.  A server already running in this process is reused as it is.
+    """
+    context = multiprocessing.get_context("forkserver")
+    context.set_forkserver_preload(
+        [*WORKER_MODULES, *modules, *_main_imports()]
+    )
+    forkserver.ensure_running()
+    return context
+
+
+def _main_imports() -> list[str]:
+    """The modules the main module imports at top level.
+
+    Every child runs the main module again as ``__mp_main__`` (unless it
+    is a package's ``__main__``), which is cheap only once its imports are
+    loaded.  Only the imports are preloaded, not the main module: run
+    with ``-m``, runpy warns when it finds that module already imported.
+    The server skips a name it cannot import.
+    """
+    main = sys.modules["__main__"]
+    spec_name = getattr(getattr(main, "__spec__", None), "name", "")
+    path = getattr(main, "__file__", None)
+    if path is None or spec_name.rpartition(".")[2] == "__main__":
+        return []
+    try:
+        tree = ast.parse(Path(path).read_bytes())
+    except (OSError, SyntaxError, ValueError):
+        return []
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names.append(node.module)
+    return names
 
 
 @dataclass(eq=False)

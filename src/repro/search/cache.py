@@ -369,7 +369,7 @@ class MappingCache:
 
         A ``store()`` that dies between creating its ``*.tmp`` file and the
         ``os.replace`` leaves the temp behind forever — no later lookup or
-        eviction ever globs it.  Any ``*.tmp`` older than
+        eviction ever scans for it.  Any ``*.tmp`` older than
         :data:`STALE_TEMP_AGE` is such an orphan (a live writer holds its
         temp for milliseconds); younger temps are left alone so a concurrent
         writer in another process is never raced.  Called on every
@@ -379,20 +379,30 @@ class MappingCache:
         """
         now = time.time() if now is None else now
         swept = 0
-        for path in self.cache_dir.glob("*.tmp"):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
+        for entry, stat in self._scan((".tmp",)):
             if now - stat.st_mtime < STALE_TEMP_AGE:
                 continue
             try:
-                path.unlink()
+                os.unlink(entry.path)
             except OSError:
                 continue
             self.stats.temp_files_swept += 1
             swept += 1
         return swept
+
+    def _scan(self, suffixes: tuple[str, ...]):
+        """``(entry, stat)`` of every name in the directory ending in one
+        of ``suffixes``: one :func:`os.scandir` pass, skipping files that
+        vanish before their ``stat``."""
+        with os.scandir(self.cache_dir) as entries:
+            for entry in entries:
+                if not entry.name.endswith(suffixes):
+                    continue
+                try:
+                    stat = entry.stat()
+                except OSError:
+                    continue
+                yield entry, stat
 
     def directory_stats(self, now: float | None = None) -> dict:
         """Snapshot of the on-disk cache state, for telemetry endpoints.
@@ -408,16 +418,12 @@ class MappingCache:
         ages: list[float] = []
         temp_files = 0
         temp_bytes = 0
-        for path in self.cache_dir.glob("*"):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            if path.suffix == ".json":
+        for entry, stat in self._scan((".json", ".tmp")):
+            if entry.name.endswith(".json"):
                 entries += 1
                 entry_bytes += stat.st_size
                 ages.append(max(0.0, now - stat.st_mtime))
-            elif path.suffix == ".tmp":
+            else:
                 temp_files += 1
                 temp_bytes += stat.st_size
         return {
@@ -445,22 +451,17 @@ class MappingCache:
             return
         entries = []
         total = 0
-        for pattern in ("*.json", "*.tmp"):
-            for path in self.cache_dir.glob(pattern):
-                try:
-                    stat = path.stat()
-                except OSError:
-                    continue
-                if pattern == "*.json":
-                    entries.append((stat.st_mtime, path, stat.st_size))
-                total += stat.st_size
+        for entry, stat in self._scan((".json", ".tmp")):
+            if entry.name.endswith(".json"):
+                entries.append((stat.st_mtime, entry.path, stat.st_size))
+            total += stat.st_size
         for _mtime, path, size in sorted(entries):
             if total <= self.max_bytes:
                 return
-            if keep is not None and path == keep:
+            if keep is not None and path == str(keep):
                 continue
             try:
-                path.unlink()
+                os.unlink(path)
             except OSError:
                 continue
             self.stats.evicted += 1

@@ -45,7 +45,6 @@ lane that dies without answering reads as a crash and fails its lane.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
@@ -181,9 +180,9 @@ class PortfolioStrategy(SearchStrategy):
         overrides = variant_overrides(variant_names)
         jobs = max(1, config.search_jobs)
 
-        # Fork, named: lanes start in milliseconds from the already
-        # imported mapper stack, whatever the interpreter's default is.
-        mp_ctx = multiprocessing.get_context("fork")
+        # Fork, named: lanes start in milliseconds from the mapper stack
+        # and native core loaded here, whatever the interpreter's default is.
+        mp_ctx = procs.fork_context()
         # Work items in II-major order: the frontier II gets all its
         # variants in flight before the next II is touched.  Escalation
         # lanes (see ``settle``) jump this queue through ``urgent``.

@@ -15,6 +15,10 @@ its search (:meth:`SatMapItMapper.solve`) in its *own worker process*:
   ``Mapping.violations()``, deletion of corrupt entries) runs unchanged.
   Each request looks the cache up exactly once, so the ``/stats`` cache
   counters stay exact and ``solves_started`` counts worker processes.
+* **Warm starts** — a worker is forked from a ``forkserver`` the manager
+  starts when it is built, which has preloaded the mapper stack
+  (:func:`repro.procs.forkserver_context`).  A miss pays a fork, not a
+  fresh interpreter's imports; the event loop's threads never fork.
 * **Cancellation** — the worker installs a SIGTERM handler that raises
   ``SystemExit``, so terminating it unwinds through the mapper's
   ``finally`` blocks and the portfolio strategy's own ``cancel_all``
@@ -43,7 +47,6 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import multiprocessing
 import signal
 import threading
 import time
@@ -185,7 +188,7 @@ class ServiceStats:
     requests: int = 0
     #: Requests answered by joining an identical in-flight job.
     dedup_joined: int = 0
-    #: Worker processes spawned: one per cache miss (hits are answered in
+    #: Worker processes started: one per cache miss (hits are answered in
     #: the server).
     solves_started: int = 0
     completed: int = 0
@@ -268,11 +271,13 @@ class JobManager:
         self.cache_dir = cache_dir
         self.cache_max_mb = cache_max_mb
         self.limits = limits or ServiceLimits()
-        # ``spawn`` by default: forking a process from the event loop's
-        # worker threads is unreliable (and deprecated in newer CPythons);
-        # a spawned child re-imports cleanly.  Tests inject ``fork`` where
-        # they need to monkeypatch the worker.
-        self._ctx = mp_context or multiprocessing.get_context("spawn")
+        # A forkserver by default: forking from the event loop's worker
+        # threads is unreliable (and deprecated in newer CPythons), so
+        # every miss forks from a separate single-threaded server instead,
+        # which has the worker modules preloaded; starting it here does not
+        # block, so its imports overlap the service's own start-up.  Tests
+        # inject ``fork`` where they need to monkeypatch the worker.
+        self._ctx = mp_context or procs.forkserver_context(__name__)
         self._semaphore = asyncio.Semaphore(self.pool_size)
         self.jobs: dict[str, Job] = {}
         self._inflight: dict[tuple[str, str], Job] = {}

@@ -1,5 +1,7 @@
 """Tests for the DFG data structure."""
 
+import sys
+
 import pytest
 
 from repro.dfg.graph import DFG, DFGEdge, DFGNode, Opcode, paper_running_example
@@ -133,6 +135,11 @@ class TestValidation:
         graph = dfg.to_networkx()
         assert graph.number_of_nodes() == dfg.num_nodes
         assert graph.number_of_edges() == dfg.num_edges
+
+    def test_to_networkx_without_networkx_names_the_extra(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "networkx", None)
+        with pytest.raises(ImportError, match=r"satmapit-repro\[networkx\]"):
+            paper_running_example().to_networkx()
 
 
 class TestFromEdgeList:

@@ -209,6 +209,27 @@ class TestQuarantine:
         assert by_mapper[SAT_MAPIT].status == "mapped"
 
 
+class TestWarmWorkers:
+    def test_forked_worker_finds_the_native_core_loaded(self, monkeypatch):
+        from repro.sat import native
+
+        real_run_single = runner_module.run_single
+
+        def probe(kernel, size, mapper_name, config=None, scenario="homogeneous"):
+            if native._status is None:
+                raise MappingError("worker started without the native core loaded")
+            return real_run_single(kernel, size, mapper_name, config, scenario)
+
+        # Unload the core in this process first: the farm must load it
+        # before forking, not inherit it from an earlier test.
+        monkeypatch.setattr(native, "_status", None)
+        monkeypatch.setattr(native, "_lib", None)
+        monkeypatch.setattr(runner_module, "run_single", probe)
+        sweep = run_sweep(FAST, jobs=2)
+        assert sweep.farm.quarantined == 0
+        assert [r.status for r in sweep.records] == ["mapped", "mapped"]
+
+
 class TestJournalGuards:
     def test_resume_with_different_config_refuses(self, tmp_path):
         journal = str(tmp_path / "journal")

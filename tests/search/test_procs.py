@@ -4,11 +4,13 @@ reap."""
 
 from __future__ import annotations
 
+import importlib.machinery
 import multiprocessing
 import os
 import signal
 import sys
 import time
+import types
 
 from repro import procs
 
@@ -98,3 +100,30 @@ class TestReap:
         worker.conn.close()
         assert not worker.process.is_alive()
         assert worker.process.exitcode == -signal.SIGKILL
+
+
+class TestPreload:
+    @staticmethod
+    def _main(monkeypatch, spec_name, path):
+        main = types.ModuleType("__main__")
+        main.__spec__ = importlib.machinery.ModuleSpec(spec_name, None) if spec_name else None
+        if path is not None:
+            main.__file__ = path
+        monkeypatch.setitem(sys.modules, "__main__", main)
+
+    def test_a_module_run_with_dash_m_has_its_imports_preloaded(self, monkeypatch):
+        import repro.cli
+
+        self._main(monkeypatch, "repro.cli", repro.cli.__file__)
+        names = procs._main_imports()
+        assert {"argparse", "repro.core.mapper", "repro.experiments.runner"} <= set(names)
+        # runpy warns about a main module found already imported.
+        assert "repro.cli" not in names
+
+    def test_nothing_to_preload_when_children_do_not_rerun_main(self, monkeypatch):
+        import repro.cli
+
+        self._main(monkeypatch, "repro.__main__", repro.cli.__file__)
+        assert procs._main_imports() == []
+        self._main(monkeypatch, None, None)
+        assert procs._main_imports() == []

@@ -1,17 +1,21 @@
 """Job lifecycle: dedup of identical in-flight requests, cancellation
 that reaps worker processes, budget watchdog, tenant isolation.
 
-Tests that monkeypatch the worker function inject the ``fork``
-multiprocessing context (patched module state survives a fork, not a
-spawn); everything else exercises the manager's default spawn path.
+Most tests that monkeypatch the worker function inject the ``fork``
+multiprocessing context; everything else exercises the manager's default
+forkserver path.  A patched worker also runs on the default path when it
+is a module-level function: a forkserver child imports it by name.
 """
 
 from __future__ import annotations
 
 import asyncio
 import multiprocessing
+import os
 import signal
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +53,32 @@ def _sleepy_worker(conn, dfg, cgra, config):
 def _stubborn_worker(conn, dfg, cgra, config):
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
     time.sleep(600)
+
+
+#: Modules a default-context worker must find loaded when it starts.
+PRELOADED = (
+    "repro.core.encoder",
+    "repro.search.ladder",
+    "repro.sat.native",
+    "repro.experiments.runner",
+)
+
+
+def _modules_probe(conn, dfg, cgra, config):
+    conn.send(("ok", {"loaded": [name for name in PRELOADED if name in sys.modules]}))
+
+
+def _unwinding_worker(conn, dfg, cgra, config):
+    """The real worker's SIGTERM handler around a sleep standing in for a
+    long search; markers in the cache directory show it started and that
+    a cancel unwound its ``finally``."""
+    signal.signal(signal.SIGTERM, jobs_module._sigterm_to_exit)
+    directory = Path(config.cache_dir)
+    try:
+        (directory / "started").touch()
+        time.sleep(600)
+    finally:
+        (directory / "unwound").touch()
 
 
 def _fork_manager(**kwargs):
@@ -234,6 +264,47 @@ class TestCancellation:
         first, second = run(scenario())
         assert first.status == CANCELLED
         assert second.status == CANCELLED
+        assert multiprocessing.active_children() == []
+
+
+class TestDefaultContext:
+    """The default start path: workers fork from a preloaded forkserver."""
+
+    def test_worker_starts_with_the_mapper_stack_loaded(self, monkeypatch):
+        # The forkserver skips a preload name it cannot import without a
+        # word, so only a worker's own view shows the preload took effect.
+        monkeypatch.setattr(jobs_module, "_job_worker", _modules_probe)
+
+        async def scenario():
+            manager = JobManager(pool_size=1)
+            job, _ = manager.submit(request())
+            await job.done_event.wait()
+            return job
+
+        job = run(scenario())
+        assert job.status == DONE, job.error
+        assert job.result["loaded"] == list(PRELOADED)
+
+    def test_cancel_unwinds_and_reaps_a_running_worker(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(jobs_module, "_job_worker", _unwinding_worker)
+
+        async def scenario():
+            manager = JobManager(pool_size=1, cache_dir=str(tmp_path))
+            job, _ = manager.submit(request())
+            deadline = time.monotonic() + 60.0
+            while not (tmp_path / "started").exists():
+                assert time.monotonic() < deadline, "worker never started"
+                await asyncio.sleep(0.02)
+            manager.cancel(job.id)
+            await job.done_event.wait()
+            return manager, job
+
+        manager, job = run(scenario())
+        assert job.status == CANCELLED
+        assert manager.stats.cancelled == 1
+        assert (tmp_path / "unwound").exists()
+        with pytest.raises(ProcessLookupError):
+            os.kill(job.pid, 0)
         assert multiprocessing.active_children() == []
 
 
