@@ -15,7 +15,7 @@ from repro.core.encoder import EncoderConfig, MappingEncoder
 from repro.core.mobility import KernelMobilitySchedule, MobilitySchedule
 from repro.dfg.graph import paper_running_example
 from repro.sat.dpll import DPLLSolver
-from repro.sat.solver import CDCLSolver
+from repro.sat.solver import make_solver
 
 
 def _instance(symmetry_breaking: bool = True):
@@ -30,7 +30,7 @@ def _instance(symmetry_breaking: bool = True):
 def test_cdcl_default(benchmark):
     encoding = _instance()
     result = benchmark.pedantic(
-        CDCLSolver().solve, args=(encoding.cnf,), rounds=1, iterations=1
+        make_solver().solve, args=(encoding.cnf,), rounds=1, iterations=1
     )
     benchmark.extra_info["conflicts"] = result.stats.conflicts
     assert result.is_sat
@@ -39,7 +39,7 @@ def test_cdcl_default(benchmark):
 def test_cdcl_without_symmetry_breaking(benchmark):
     encoding = _instance(symmetry_breaking=False)
     result = benchmark.pedantic(
-        CDCLSolver().solve, args=(encoding.cnf,), rounds=1, iterations=1
+        make_solver().solve, args=(encoding.cnf,), rounds=1, iterations=1
     )
     benchmark.extra_info["conflicts"] = result.stats.conflicts
     assert result.is_sat
@@ -47,7 +47,7 @@ def test_cdcl_without_symmetry_breaking(benchmark):
 
 def test_cdcl_without_restarts(benchmark):
     encoding = _instance()
-    solver = CDCLSolver(restart_base=10**9)
+    solver = make_solver(restart_base=10**9)
     result = benchmark.pedantic(solver.solve, args=(encoding.cnf,), rounds=1, iterations=1)
     benchmark.extra_info["conflicts"] = result.stats.conflicts
     assert result.is_sat
@@ -55,7 +55,7 @@ def test_cdcl_without_restarts(benchmark):
 
 def test_cdcl_constructive_phase(benchmark):
     encoding = _instance()
-    solver = CDCLSolver(initial_phase=True)
+    solver = make_solver(initial_phase=True)
     result = benchmark.pedantic(solver.solve, args=(encoding.cnf,), rounds=1, iterations=1)
     benchmark.extra_info["conflicts"] = result.stats.conflicts
     assert result.is_sat

@@ -35,10 +35,11 @@ the whole constraint group is active only while the mapper assumes
 attempts use disjoint variable blocks, satisfiability under the selector
 assumption is equivalent to the standalone formula's.
 
-When the native core loads, C1–C3 are built by its emission kernel
-(``enc_*`` in ``sat/_cdcl.c``) from small per-encode tables, and the
-Python generators below are the fallback and the reference: both hand the
-sink the same clause stream.
+C1–C3 are built by the native core's emission kernel (``enc_*`` in
+``sat/_cdcl.c``) from small per-encode tables; this module allocates the
+placement variables, hands the kernel those tables and replays what it
+built into the sink.  ``tests/core/test_emission_stream.py`` pins the
+resulting clause streams.
 """
 
 from __future__ import annotations
@@ -46,22 +47,14 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, combinations
 from typing import TYPE_CHECKING
 
 from repro.cgra.architecture import CGRA
-from repro.core.mobility import KernelMobilitySchedule, MobilitySchedule
-from repro.dfg.graph import DFG, DFGEdge
+from repro.core.mobility import KernelMobilitySchedule
+from repro.dfg.graph import DFG
 from repro.exceptions import EncodingError
 from repro.sat.cnf import CNF, flatten
-from repro.sat.encodings import (
-    AUTO_PAIRWISE_LIMIT,
-    AMOEncoding,
-    at_most_one,
-    exactly_one,
-    pairwise_columns,
-    weave,
-)
+from repro.sat.encodings import AUTO_PAIRWISE_LIMIT, AMOEncoding
 
 if TYPE_CHECKING:
     from ctypes import CDLL
@@ -116,7 +109,7 @@ class EncodingStats:
     #: pruned encoding is then literal-for-literal the classic one).
     num_pruned_placements: int = 0
     #: Exact duplicate clauses the constraint generators produced and the
-    #: emitter dropped (e.g. the same implication reached through two
+    #: emission kernel dropped (e.g. the same implication reached through two
     #: dependency edges, or a same-slot pair of one node emitted by both C1
     #: and C2).
     num_duplicate_clauses: int = 0
@@ -129,39 +122,28 @@ class EncodingStats:
 class _Emitter:
     """Flat-buffer clause sink for one encoding, optionally guarding clauses.
 
-    Wraps anything exposing ``new_vars`` and the flat ``add_clauses`` (a
-    :class:`CNF` or a live solver backend).  Clauses accumulate in two
-    ``array('i')`` buffers — literals back to back, one length per clause —
-    which are handed to the sink's ``add_clauses`` unchanged, so the native
-    solver core reads them without a copy.  When ``selector`` is given,
-    every clause gets ``¬selector`` at its tail so the whole group hangs
-    off one assumption literal.  The tail keeps the watched literals (the
-    first two) the ones the unguarded encoding would watch, so propagation
-    inside a live attempt follows the same trajectory as a fresh solver on
-    the standalone formula.
+    Wraps anything exposing ``new_var``/``new_vars`` and the flat
+    ``add_clauses`` (a :class:`CNF` or a live solver backend).  A session
+    of the native emission kernel (:meth:`attach`) builds whole constraint
+    families (:meth:`run`).  When ``selector`` is given, every clause gets
+    ``¬selector`` at its tail so the whole group hangs off one assumption
+    literal; the tail keeps the watched literals (the first two) the ones
+    the unguarded encoding would watch, so propagation inside a live
+    attempt follows the same trajectory as a fresh solver on the standalone
+    formula.  Exact duplicate clauses are dropped across the whole
+    encoding, hashing only the clauses that can repeat another (see
+    :meth:`add_lists` and DESIGN.md).
 
-    Exact duplicate clauses are dropped, with one seen-set spanning the
-    whole encoding, but only clauses that *can* repeat another are hashed:
-    :meth:`add_lists` batches the caller marks ``may_repeat`` (dependency
-    clauses of self-loops and of edges sharing their node pair, units,
-    symmetry breaking) and the pairs of :meth:`pairwise` whose literals
-    share a twin key.
-    Blocks passed to :meth:`add_clauses` — at-least-one rows, sequential
-    chains, commander and occupancy clauses, each carrying a fresh
-    auxiliary variable or a node's whole literal set — cannot repeat and
-    are never hashed.  The counters feed :class:`EncodingStats` uniformly
-    in both modes.
-
-    When the native core loads, :meth:`attach` hands the emitter a session
-    of the core's emission kernel, which builds whole constraint families
-    (:meth:`run`) and holds the seen-set in place of ``_seen``; the stream
-    the sink receives is the same either way.
+    Clauses accumulate in two ``array('i')`` buffers (literals back to
+    back, one length per clause) which reach the sink's ``add_clauses``
+    unchanged, so the native solver core reads them without a copy.  The
+    counters feed :class:`EncodingStats`.
 
     Callers must :meth:`flush` once emission is complete and :meth:`close`
-    the kernel session — :meth:`MappingEncoder.encode` does.
+    the kernel session; :meth:`MappingEncoder.encode` does.
     """
 
-    __slots__ = ("_sink", "_guard", "_seen", "_lits", "_lens", "_kernel",
+    __slots__ = ("_sink", "_guard", "_lits", "_lens", "_kernel",
                  "num_clauses", "num_vars_created", "num_duplicates", "num_batches")
 
     #: Buffered literals that trigger a flush; bounds the buffers' memory
@@ -171,7 +153,6 @@ class _Emitter:
     def __init__(self, sink, selector: int | None = None) -> None:
         self._sink = sink
         self._guard = -selector if selector is not None else None
-        self._seen: set[tuple[int, ...]] = set()
         self._lits = array("i")
         self._lens = array("i")
         self._kernel: tuple[CDLL, int] | None = None
@@ -189,84 +170,16 @@ class _Emitter:
         self.num_vars_created += len(variables)
         return variables
 
-    def add_clauses(self, literals: array, lengths: array) -> None:
-        """Append a flat block of clauses that cannot repeat (not hashed).
-
-        Every block the cardinality encodings build holds clauses of one
-        width, which is what lets the guard be woven in column-wise.
-        """
-        count = len(lengths)
-        if not count:
-            return
-        if self._guard is not None:
-            width = lengths[0]
-            if not width or lengths.count(width) != count:
-                raise EncodingError("guarded blocks must hold equal-width clauses")
-            literals, lengths = weave(
-                [literals[index::width] for index in range(width)], self._guard
-            )
-        self.num_clauses += count
-        self._append(literals, lengths)
-
     def add_lists(self, clauses: list[list[int]], may_repeat: bool) -> None:
-        """Append clauses given as one list each (the emitter takes the lists
-        over and appends the guard to them).
+        """Append clauses given as one list each, guarded like the rest.
 
         When the clauses ``may_repeat`` one emitted earlier, each is hashed
         on its sorted literal tuple (the guard is not part of the key) and
         dropped when already seen.
         """
-        if self._kernel is not None:
-            literals, lengths = flatten(clauses)
-            self.run("enc_lists", _address(literals), _address(lengths),
-                     len(clauses), int(may_repeat))
-            return
-        if may_repeat:
-            seen = self._seen
-            kept = []
-            for clause in clauses:
-                key = tuple(sorted(clause))
-                if key in seen:
-                    self.num_duplicates += 1
-                else:
-                    seen.add(key)
-                    kept.append(clause)
-            clauses = kept
-        self.num_clauses += len(clauses)
-        guard = self._guard
-        if guard is not None:
-            for clause in clauses:
-                clause.append(guard)
-        self._append(chain.from_iterable(clauses), map(len, clauses))
-
-    def pairwise(self, literals: list[int], keys: list) -> None:
-        """Pairwise at-most-one over ``literals``, emitted as one block.
-
-        ``keys[i]`` is literal ``i``'s twin key: only a pair whose two keys
-        are equal can also appear elsewhere in the encoding, so only those
-        pairs are hashed (and dropped when already emitted).
-        """
-        n = len(literals)
-        if n < 2:
-            return
-        dropped: dict[int, set[int]] = {}
-        if len(set(keys)) < n:
-            members: dict[object, list[int]] = {}
-            for index, key in enumerate(keys):
-                members.setdefault(key, []).append(index)
-            seen = self._seen
-            for group in members.values():
-                for i, j in combinations(group, 2):
-                    first, second = -literals[i], -literals[j]
-                    key = (first, second) if first <= second else (second, first)
-                    if key in seen:
-                        dropped.setdefault(i, set()).add(j)
-                        self.num_duplicates += 1
-                    else:
-                        seen.add(key)
-        columns = pairwise_columns(literals, dropped)
-        self.num_clauses += len(columns[0])
-        self._append(*weave(columns, self._guard))
+        literals, lengths = flatten(clauses)
+        self.run("enc_lists", _address(literals), _address(lengths),
+                 len(clauses), int(may_repeat))
 
     def attach(self, lib: CDLL, handle: int) -> None:
         """Emit through the native kernel session ``handle`` from now on."""
@@ -282,9 +195,10 @@ class _Emitter:
     def run(self, function: str, *args) -> None:
         """Call the kernel's ``function`` and replay its output into the sink.
 
-        The kernel leaves its clauses plus a log of the allocations and
-        flushes the Python emitter would have made along the way; the log is
-        replayed in order, so the sink sees the same calls.
+        The kernel leaves its clauses plus a log of the variable
+        allocations and buffer flushes it made along the way; the log is
+        replayed in order, so the sink sees each allocation and each flat
+        batch at its place in the stream.
         """
         from repro.sat.native import emission_result
 
@@ -311,12 +225,6 @@ class _Emitter:
                 )
         self._lits.frombytes(literals[4 * done_lits:])
         self._lens.frombytes(lengths[4 * done_lens:])
-
-    def _append(self, literals, lengths) -> None:
-        self._lits.extend(literals)
-        self._lens.extend(lengths)
-        if len(self._lits) >= self.FLUSH_LITERALS:
-            self.flush()
 
     def flush(self) -> None:
         """Push the buffered clauses into the sink as one flat batch."""
@@ -385,24 +293,11 @@ class MappingEncoder:
         self._selector = selector
         self._emit = _Emitter(self._cnf if sink is None else sink, selector)
         self._variables: dict[tuple[int, int, int, int], int] = {}
-        #: ``(node, cycle, iteration) -> {pe: var}`` — the C3 loops resolve
-        #: one slot row and then index it per PE, instead of hashing a
-        #: 4-tuple per literal.
-        self._vars_by_slot: dict[tuple[int, int, int], dict[int, int]] = {}
-        self._slot_literals: dict[tuple[int, int], list[int]] = {}
-        self._occupancy_vars: dict[tuple[int, int], int] = {}
-        #: ``var -> twin key`` of every placement literal (see
-        #: :meth:`_pairwise`).
-        self._twin_keys: dict[int, tuple[int, ...]] = {}
         self._stats = EncodingStats()
-        #: Whether the native emission kernel builds C1–C3 (set by
-        #: :meth:`encode`).
-        self._native = False
         # Capability pruning: a node's literals only range over the PEs that
         # implement its opcode's class.  On a homogeneous fabric every node is
         # allowed everywhere and the encoding is unchanged.
         self._allowed_pes: dict[int, tuple[int, ...]] = {}
-        self._allowed_sets: dict[int, frozenset[int]] = {}
         for node in dfg.nodes:
             allowed = cgra.pes_supporting(node.opcode)
             if not allowed:
@@ -412,13 +307,6 @@ class MappingEncoder:
                     f"{node.node_id}, {node.opcode.value})"
                 )
             self._allowed_pes[node.node_id] = allowed
-            self._allowed_sets[node.node_id] = frozenset(allowed)
-        #: Per-PE neighbour tuples (self included), hoisted out of the C3
-        #: inner loops.
-        self._neighbours: dict[int, tuple[int, ...]] = {
-            pe: cgra.neighbours(pe, include_self=True)
-            for pe in range(cgra.num_pes)
-        }
 
     # ------------------------------------------------------------------
     # Public API
@@ -426,20 +314,16 @@ class MappingEncoder:
     def encode(self) -> MappingEncoding:
         """Generate the full CNF formula for the mapping instance.
 
-        C1–C3 are built by the native core's emission kernel when the core
-        loads (the test :func:`repro.sat.solver.make_solver` uses too) and
-        by the Python generators below otherwise; the sink receives the
-        same stream from both.
+        Loads the native core first (building it on first use); raises
+        :class:`repro.sat.backend.BackendUnavailableError` when it cannot.
         """
         # Local import: the native module is also ``python -m``'s entry
         # point, which must not be imported ahead of it.
         from repro.sat import native
 
-        return self._encode(native.load())
-
-    def _encode(self, lib: CDLL | None) -> MappingEncoding:
+        lib = native.load()
         try:
-            self._create_variables(lib)
+            self._open_kernel(lib, self._create_variables())
             self._encode_c1()
             self._encode_c2()
             self._encode_c3()
@@ -447,8 +331,7 @@ class MappingEncoder:
                 self._encode_symmetry_breaking()
             self._emit.flush()
         finally:
-            if self._native:
-                self._emit.close()
+            self._emit.close()
         self._stats.num_variables = self._emit.num_vars_created
         self._stats.num_clauses = self._emit.num_clauses
         self._stats.num_duplicate_clauses = self._emit.num_duplicates
@@ -463,23 +346,10 @@ class MappingEncoder:
     # ------------------------------------------------------------------
     # Variable creation
     # ------------------------------------------------------------------
-    def _create_variables(self, lib: CDLL | None) -> None:
-        """Allocate one variable block per node, slot-major and PE-minor.
-
-        With the native core ``lib``, the per-literal tables of the Python
-        generators are skipped and the kernel gets per-node tables instead.
-        """
+    def _create_variables(self) -> list[list[int]]:
+        """Allocate one variable block per node, slot-major and PE-minor;
+        return the blocks."""
         num_pes = self.cgra.num_pes
-        variables = self._variables
-        slot_literals = self._slot_literals
-        twin_keys = self._twin_keys
-        # Under Equation 5 a self-loop's "forbidden outright" pairs are pairs
-        # of one node's literals, which its C1 pairwise rows may already
-        # hold: such a node's literals share one twin key, so every pair of
-        # them is hashed.
-        self_looped = {
-            edge.src for edge in self.dfg.edges if edge.src == edge.dst
-        } if self.config.enforce_output_register else set()
         blocks = []
         for node_id in self.dfg.node_ids:
             slots = self.kms.node_slots(node_id)
@@ -490,36 +360,27 @@ class MappingEncoder:
             # One bulk allocation per node instead of one call chain per
             # (slot, PE) literal.
             block = self._emit.new_vars(len(slots) * len(allowed))
-            if lib is not None:
-                variables.update(zip([
-                    (node_id, pe, slot.cycle, slot.iteration)
-                    for slot in slots for pe in allowed
-                ], block))
-                blocks.append(block)
-                continue
-            block = iter(block)
-            for slot in slots:
-                cycle = slot.cycle
-                iteration = slot.iteration
-                row: dict[int, int] = {}
-                self._vars_by_slot[(node_id, cycle, iteration)] = row
-                for pe in allowed:
-                    var = next(block)
-                    variables[(node_id, pe, cycle, iteration)] = var
-                    row[pe] = var
-                    slot_literals.setdefault((pe, cycle), []).append(var)
-                    twin_keys[var] = (
-                        (node_id,) if node_id in self_looped
-                        else (node_id, pe, cycle)
-                    )
-        if lib is not None:
-            self._open_kernel(lib, blocks, self_looped)
-            self._native = True
+            self._variables.update(zip([
+                (node_id, pe, slot.cycle, slot.iteration)
+                for slot in slots for pe in allowed
+            ], block))
+            blocks.append(block)
+        return blocks
 
-    def _open_kernel(self, lib: CDLL, blocks: list[list[int]],
-                     self_looped: set[int]) -> None:
+    def _open_kernel(self, lib: CDLL, blocks: list[list[int]]) -> None:
         """Open the emission kernel session: per node its variable block's
-        first variable, its slots and its PEs; per PE its neighbours."""
+        first variable, its slots, its PEs and whether its literals share
+        one twin key; per PE its neighbours (self included)."""
+        # Two literals of one node on the same PE and kernel cycle
+        # (differing only in iteration label) are twins: their pair sits
+        # in the node's C1 rows and in the slot's C2 rows, so the kernel
+        # hashes twin pairs.  Under Equation 5 a self-loop's "forbidden
+        # outright" pairs are pairs of one node's literals, which its C1
+        # pairwise rows may already hold: every pair of such a node's
+        # literals is hashed.
+        self_looped = {
+            edge.src for edge in self.dfg.edges if edge.src == edge.dst
+        } if self.config.enforce_output_register else set()
         base, slot_off, cycles, iterations = (array("i") for _ in range(4))
         pe_off, pes, whole = array("i"), array("i"), array("i")
         for node_id, block in zip(self.dfg.node_ids, blocks):
@@ -538,7 +399,7 @@ class MappingEncoder:
         pe_off.append(len(pes))
         nbr_off, nbr = array("i", (0,)), array("i")
         for pe in range(self.cgra.num_pes):
-            nbr.extend(self._neighbours[pe])
+            nbr.extend(self.cgra.neighbours(pe, include_self=True))
             nbr_off.append(len(nbr))
         config = self.config
         span = config.max_iteration_span
@@ -559,34 +420,12 @@ class MappingEncoder:
     def _var(self, node: int, pe: int, cycle: int, iteration: int) -> int:
         return self._variables[(node, pe, cycle, iteration)]
 
-    def _pairwise(self, literals: list[int]) -> None:
-        """Pairwise at-most-one rows with only the collidable pairs hashed.
-
-        Two literals of one node on the same PE and kernel cycle (differing
-        only in iteration label) are *twins*: their pair sits in the node's
-        C1 rows and in the slot's C2 rows, the only overlap between the two
-        families.  Twins share a twin key; every other literal (auxiliary
-        commander variables included) keys on itself.
-        """
-        twin_keys = self._twin_keys
-        self._emit.pairwise(literals, list(map(twin_keys.get, literals, literals)))
-
     # ------------------------------------------------------------------
     # C1: every node is placed exactly once
     # ------------------------------------------------------------------
     def _encode_c1(self) -> None:
         before = self._emit.num_clauses
-        if self._native:
-            self._emit.run("enc_c1")
-        else:
-            for node_id in self.dfg.node_ids:
-                literals = [
-                    self._var(node_id, pe, slot.cycle, slot.iteration)
-                    for slot in self.kms.node_slots(node_id)
-                    for pe in self._allowed_pes[node_id]
-                ]
-                exactly_one(self._emit, literals, self.config.amo_encoding,
-                            self._pairwise)
+        self._emit.run("enc_c1")
         self._stats.num_c1_clauses = self._emit.num_clauses - before
 
     # ------------------------------------------------------------------
@@ -594,12 +433,7 @@ class MappingEncoder:
     # ------------------------------------------------------------------
     def _encode_c2(self) -> None:
         before = self._emit.num_clauses
-        if self._native:
-            self._emit.run("enc_c2")
-        else:
-            for literals in self._slot_literals.values():
-                at_most_one(self._emit, literals, self.config.amo_encoding,
-                            self._pairwise)
+        self._emit.run("enc_c2")
         self._stats.num_c2_clauses = self._emit.num_clauses - before
 
     # ------------------------------------------------------------------
@@ -617,155 +451,13 @@ class MappingEncoder:
             pairs[frozenset((edge.src, edge.dst))] > 1 or edge.src == edge.dst
             for edge in self.dfg.edges
         ]
-        if self._native:
-            index = {node_id: i for i, node_id in enumerate(self.dfg.node_ids)}
-            edges = array("i")
-            for edge, may_repeat in zip(self.dfg.edges, repeats):
-                edges.extend((index[edge.src], index[edge.dst], edge.distance,
-                              self.dfg.node(edge.src).latency, may_repeat))
-            self._emit.run("enc_c3", len(repeats), _address(edges))
-        else:
-            for edge, may_repeat in zip(self.dfg.edges, repeats):
-                self._encode_dependency(edge, may_repeat)
+        index = {node_id: i for i, node_id in enumerate(self.dfg.node_ids)}
+        edges = array("i")
+        for edge, may_repeat in zip(self.dfg.edges, repeats):
+            edges.extend((index[edge.src], index[edge.dst], edge.distance,
+                          self.dfg.node(edge.src).latency, may_repeat))
+        self._emit.run("enc_c3", len(repeats), _address(edges))
         self._stats.num_c3_clauses = self._emit.num_clauses - before
-
-    def _encode_dependency(self, edge: DFGEdge, may_repeat: bool) -> None:
-        src_slots = self.kms.node_slots(edge.src)
-        dst_slots = self.kms.node_slots(edge.dst)
-        latency = self.dfg.node(edge.src).latency
-        ii = self.kms.ii
-
-        # Pre-compute which destination slots are time-compatible with each
-        # source slot (independent of the PEs involved).
-        compatible_slots: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-        for src_slot in src_slots:
-            entries: list[tuple[int, int, int]] = []
-            t_src = src_slot.flat_time(ii)
-            for dst_slot in dst_slots:
-                if (
-                    self.config.max_iteration_span is not None
-                    and abs(dst_slot.iteration - src_slot.iteration)
-                    > self.config.max_iteration_span
-                ):
-                    continue
-                t_dst = dst_slot.flat_time(ii) + edge.distance * ii
-                span = t_dst - t_src
-                if span < latency:
-                    continue
-                entries.append((dst_slot.cycle, dst_slot.iteration, span))
-            compatible_slots[(src_slot.cycle, src_slot.iteration)] = entries
-
-        # Forward implications: a placed source literal needs a compatible
-        # destination literal (and vice versa).
-        self._implication_clauses(edge, compatible_slots, True, may_repeat)
-        self._implication_clauses(edge, compatible_slots, False, may_repeat)
-
-        if self.config.enforce_output_register:
-            self._overwrite_clauses(edge, compatible_slots, may_repeat)
-
-    def _implication_clauses(
-        self,
-        edge: DFGEdge,
-        compatible_slots: dict[tuple[int, int], list[tuple[int, int, int]]],
-        forward: bool,
-        may_repeat: bool,
-    ) -> None:
-        """Clauses of the form ``¬endpoint_literal ∨ (compatible other ends)``."""
-        ii = self.kms.ii
-        latency = self.dfg.node(edge.src).latency
-        if forward:
-            anchor_slots = self.kms.node_slots(edge.src)
-        else:
-            anchor_slots = self.kms.node_slots(edge.dst)
-
-        anchor_node = edge.src if forward else edge.dst
-        other_node = edge.dst if forward else edge.src
-        other_allowed = self._allowed_sets[other_node]
-        vars_by_slot = self._vars_by_slot
-        # Neighbour sets filtered by capability once per anchor PE, not once
-        # per (slot, compatible entry).
-        reachable = {
-            anchor_pe: [
-                pe for pe in self._neighbours[anchor_pe] if pe in other_allowed
-            ]
-            for anchor_pe in self._allowed_pes[anchor_node]
-        }
-        clauses: list[list[int]] = []
-        for anchor_slot in anchor_slots:
-            if forward:
-                entries = compatible_slots[(anchor_slot.cycle, anchor_slot.iteration)]
-            else:
-                t_dst = anchor_slot.flat_time(ii) + edge.distance * ii
-                entries = []
-                for src_slot in self.kms.node_slots(edge.src):
-                    if (
-                        self.config.max_iteration_span is not None
-                        and abs(anchor_slot.iteration - src_slot.iteration)
-                        > self.config.max_iteration_span
-                    ):
-                        continue
-                    if t_dst - src_slot.flat_time(ii) < latency:
-                        continue
-                    entries.append((src_slot.cycle, src_slot.iteration, 0))
-            # One row lookup per compatible slot; per-PE resolution is then
-            # a small int-keyed dict hit.
-            entry_rows = [
-                vars_by_slot[(other_node, cycle, iteration)]
-                for cycle, iteration, _span in entries
-            ]
-            anchor_row = vars_by_slot[
-                (anchor_node, anchor_slot.cycle, anchor_slot.iteration)
-            ]
-            for anchor_pe in self._allowed_pes[anchor_node]:
-                nbrs = reachable[anchor_pe]
-                clause = [-anchor_row[anchor_pe]]
-                clause += [row[pe] for row in entry_rows for pe in nbrs]
-                clauses.append(clause)
-        # An anchor without any compatible literal yields a unit, which may
-        # match a unit of another edge or of symmetry breaking.
-        if clauses:
-            self._emit.add_lists(
-                clauses, may_repeat or min(map(len, clauses)) == 1
-            )
-
-    def _overwrite_clauses(
-        self,
-        edge: DFGEdge,
-        compatible_slots: dict[tuple[int, int], list[tuple[int, int, int]]],
-        may_repeat: bool,
-    ) -> None:
-        """Equation 5: neighbour transfers must survive in the output register.
-
-        For a source literal at flat time ``t_s`` and a destination literal on
-        a *different* PE consuming at flat time ``t_s + span``:
-
-        * if ``span > II`` the producer itself re-executes before consumption
-          and the pair is forbidden outright;
-        * otherwise no instruction may occupy the producer's PE at the kernel
-          cycles strictly between production and consumption.
-        """
-        ii = self.kms.ii
-        dst_allowed = self._allowed_sets[edge.dst]
-        for src_slot in self.kms.node_slots(edge.src):
-            entries = compatible_slots[(src_slot.cycle, src_slot.iteration)]
-            for src_pe in self._allowed_pes[edge.src]:
-                src_var = self._var(edge.src, src_pe, src_slot.cycle, src_slot.iteration)
-                for cycle, iteration, span in entries:
-                    for dst_pe in self.cgra.neighbours(src_pe, include_self=False):
-                        if dst_pe not in dst_allowed:
-                            continue
-                        dst_var = self._var(edge.dst, dst_pe, cycle, iteration)
-                        if span > ii:
-                            self._emit.add_lists([[-src_var, -dst_var]], may_repeat)
-                            continue
-                        t_src = src_slot.flat_time(ii)
-                        for flat in range(t_src + 1, t_src + span):
-                            busy = self._occupancy(src_pe, flat % ii)
-                            if busy is None:
-                                continue
-                            self._emit.add_lists(
-                                [[-src_var, -dst_var, -busy]], may_repeat
-                            )
 
     # ------------------------------------------------------------------
     # Symmetry breaking
@@ -797,57 +489,3 @@ class MappingEncoder:
             if pe not in domain
         ], may_repeat=True)
         self._stats.num_symmetry_clauses = self._emit.num_clauses - before
-
-    def _occupancy(self, pe: int, cycle: int) -> int | None:
-        """Auxiliary variable that is true when any node occupies (pe, cycle).
-
-        Created lazily; returns ``None`` when no literal can occupy the slot
-        (the constraint is then vacuously satisfied).
-        """
-        key = (pe, cycle)
-        if key in self._occupancy_vars:
-            return self._occupancy_vars[key]
-        literals = self._slot_literals.get(key)
-        if not literals:
-            return None
-        busy = self._emit.new_var()
-        self._occupancy_vars[key] = busy
-        self._emit.add_clauses(*weave((
-            array("i", [-literal for literal in literals]),
-            array("i", (busy,)) * len(literals),
-        )))
-        return busy
-
-
-def kernel_mismatch() -> str | None:
-    """Check the native emission kernel against the Python generators.
-
-    Encodes one small guarded attempt (nw on a 2x2 mesh, II 2, slack 1)
-    both ways under every at-most-one encoding and under the strict
-    output-register model, and returns what differs, or ``None`` when the
-    streams are identical.  ``python -m repro.sat.native`` runs it.
-    """
-    from repro.kernels import get_kernel
-    from repro.sat import native
-
-    lib = native.load()
-    if lib is None:
-        return "the native core is unavailable"
-    dfg, cgra = get_kernel("nw"), CGRA.square(2)
-    kms = KernelMobilitySchedule.build(MobilitySchedule.build(dfg, slack=1), 2)
-    configs = [EncoderConfig(amo_encoding=amo) for amo in AMOEncoding]
-    configs.append(EncoderConfig(enforce_output_register=True, max_iteration_span=1))
-    for config in configs:
-        runs = []
-        for engine in (lib, None):
-            sink = CNF()
-            encoder = MappingEncoder(dfg, cgra, kms, config, sink=sink,
-                                     selector=sink.new_var())
-            encoding = encoder._encode(engine)
-            runs.append((sink.num_vars, sink.clauses, encoding.variables,
-                         encoding.stats))
-        names = ("variable counts", "clause streams", "placement variables", "stats")
-        for name, kernel, python in zip(names, *runs):
-            if kernel != python:
-                return f"{name} differ under {config}"
-    return None

@@ -36,12 +36,15 @@ from repro.cgra.architecture import CGRA
 from repro.cgra.capabilities import effective_minimum_ii
 from repro.core.mapper import MapperConfig, SatMapItMapper
 from repro.kernels import get_kernel
-from repro.sat import native
 from repro.search.cache import config_fingerprint
 from repro.simulator.machine import replay_validated
 
 #: Format tag written into the JSON so future schema changes are detectable.
 SCHEMA = "satmapit-bench/1"
+
+#: The CDCL engine behind every record: the native core, the only engine.
+#: Baselines recorded while a Python engine existed may name ``"python"``.
+CORE = "native"
 
 #: Default output file at the repository root.
 DEFAULT_OUTPUT = "BENCH_solver.json"
@@ -232,10 +235,7 @@ def run_case(case: BenchCase, repeats: int = 3) -> dict:
             "conflict_limit": case.conflict_limit,
             "search": case.search,
             "seeded": case.seeded,
-            # Which CDCL engine ran: "native" or "python" (the fallback).
-            # A baseline recorded with one and compared against the other
-            # shows up as a gross speed change on the solve-bound cases.
-            "core": native.status().core,
+            "core": CORE,
             "seed_ii": getattr(outcome, "seed_ii", None),
             "status": outcome.final_status,
             "ii": outcome.ii,
@@ -306,7 +306,7 @@ def run_farm_case(repeats: int = 1) -> dict:
             "conflict_limit": None,
             "search": "farm",
             "seeded": False,
-            "core": native.status().core,
+            "core": CORE,
             "seed_ii": None,
             "status": "swept",
             "ii": None,
@@ -360,7 +360,7 @@ def run_scale_case(case: ScaleCase) -> dict:
         "name": case.name,
         "kernel": case.kernel,
         "size": case.size,
-        "core": native.status().core,
+        "core": CORE,
         "config": config_fingerprint(config),
         "status": outcome.final_status,
         "ii": outcome.ii,
@@ -487,7 +487,7 @@ def run_suite(
         "repeats": repeats,
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
-        "core": native.status().core,
+        "core": CORE,
         "cases": records,
         "totals": {
             "wall_s": round(total_wall, 4),

@@ -42,9 +42,9 @@ shapes this reproduction checks:
 
 Absolute IIs and times differ from the paper because the DFGs are produced by
 this repository's own front-end (not the authors' LLVM pass), the SAT backend
-is the repository's own CDCL solver (a native C search core with a
-pure-Python fallback, not Z3), and the heuristics are re-implementations
-rather than the original binaries (see DESIGN.md).
+is the repository's own CDCL solver (a native C core, not Z3), and the
+heuristics are re-implementations rather than the original binaries (see
+DESIGN.md).
 """
 
 

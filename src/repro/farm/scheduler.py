@@ -222,6 +222,9 @@ def run_farm(config, farm: FarmConfig, report=None) -> FarmOutcome:
 
     ``report`` (optional) is called with each freshly completed record
     dict, in completion order — the runner uses it for ``--progress``.
+    Raises :class:`repro.sat.backend.BackendUnavailableError` before
+    writing the journal or starting a worker when the native core cannot
+    be loaded.
     """
     if not farm.journal_dir:
         raise FarmError("the farm needs a journal directory")
@@ -229,6 +232,9 @@ def run_farm(config, farm: FarmConfig, report=None) -> FarmOutcome:
         raise FarmError(f"farm needs at least one worker, got jobs={farm.jobs}")
 
     start = time.perf_counter()
+    # Before the journal and any worker: a native core that cannot load
+    # fails the sweep here, once, instead of every item in every worker.
+    context = procs.fork_context()
     digest = sweep_config_digest(config)
     items = materialise_items(config)
     journal = SweepJournal(farm.journal_dir)
@@ -272,7 +278,7 @@ def run_farm(config, farm: FarmConfig, report=None) -> FarmOutcome:
             if item_id in queue.items and item_id not in queue.results:
                 queue.preload_attempts(item_id, attempts)
 
-    pool = _Pool(procs.fork_context(), config, farm.faults)
+    pool = _Pool(context, config, farm.faults)
     faults = farm.faults
     corruptions_left = (
         1 if faults is not None and faults.corrupt_cache_after is not None else 0

@@ -24,7 +24,8 @@ way a child starts with the mapper stack already imported
 
 * :func:`fork_context` — ``fork``, for single-threaded parents (portfolio
   lanes, farm workers).  The parent imports the worker modules and loads
-  the native core first, so every child inherits both.
+  the native core first, so every child inherits both; a core that cannot
+  load raises here, before any child starts.
 * :func:`forkserver_context` — ``forkserver``, for a parent that runs
   threads (the service's event loop), which must not fork itself.  The
   children fork from a separate single-threaded server that preloaded the
@@ -63,7 +64,11 @@ WORKER_MODULES = (
 
 def fork_context():
     """The ``fork`` context, after importing :data:`WORKER_MODULES` and
-    loading the native core here, so forked children inherit both."""
+    loading the native core here, so forked children inherit both.
+
+    Raises :class:`repro.sat.backend.BackendUnavailableError` when the core
+    cannot be loaded, so the caller fails before it starts any child.
+    """
     for name in WORKER_MODULES:
         importlib.import_module(name)
     from repro.sat import native

@@ -5,14 +5,18 @@ This package is a self-contained SAT toolkit used by the SAT-MapIt core:
 * :mod:`repro.sat.cnf` — CNF formula container with DIMACS I/O, and the
   flat ``(literals, lengths)`` batch form every clause sink's
   ``add_clauses`` takes (:func:`repro.sat.cnf.flatten`).
-* :mod:`repro.sat.encodings` — cardinality encodings (at-most-one,
-  exactly-one) in pairwise, sequential and commander flavours.
-* :mod:`repro.sat.dpll` — a small, easy-to-audit DPLL solver used as a
+* :mod:`repro.sat.encodings` — the at-most-one encoding names (pairwise,
+  sequential, commander, auto) the mapping encoder's native emission
+  kernel implements.
+* :mod:`repro.sat.dpll` — a small, easy-to-audit DPLL solver used as the
   reference oracle in tests.
-* :mod:`repro.sat.solver` — an incremental CDCL solver (watched literals,
-  1-UIP clause learning, VSIDS, phase saving, Luby restarts, LBD clause
-  deletion; the clause database persists across ``solve`` calls) used for
-  production mapping runs.
+* :mod:`repro.sat.native` — the native core (``_cdcl.c``), built with the
+  system C compiler on first use: an incremental CDCL solver (watched
+  literals, 1-UIP clause learning, VSIDS, phase saving, Luby restarts, LBD
+  clause deletion; the clause database persists across ``solve`` calls)
+  plus the encoder's clause emission kernel.  Mapping requires it.
+* :mod:`repro.sat.solver` — the solver's result and statistics types, the
+  ``SOLVER_VERSION`` cache tag and :func:`~repro.sat.solver.make_solver`.
 * :mod:`repro.sat.backend` — the pluggable :class:`SolverBackend` protocol
   plus the ``cdcl``/``dpll`` registry the mapper selects engines from; the
   mapper drives every solve of a run through one persistent backend.
@@ -37,23 +41,15 @@ from repro.sat.backend import (
 from repro.sat.cnf import CNF, Clause
 from repro.sat.dpll import DPLLSolver
 from repro.sat.drat import ProofLogger, check_proof
-from repro.sat.encodings import (
-    AMOEncoding,
-    at_least_one,
-    at_most_one,
-    exactly_one,
-)
-from repro.sat.solver import CDCLSolver, SolverResult, SolverStats
+from repro.sat.encodings import AMOEncoding
+from repro.sat.solver import SolverResult, SolverStats, make_solver
 
 __all__ = [
     "CNF",
     "Clause",
     "AMOEncoding",
-    "at_least_one",
-    "at_most_one",
-    "exactly_one",
     "DPLLSolver",
-    "CDCLSolver",
+    "make_solver",
     "SolverResult",
     "SolverStats",
     "BackendStats",

@@ -1,29 +1,70 @@
 /*
- * Native search core of the CDCL solver (see repro/sat/solver.py).
+ * Native core of the repository's CDCL SAT solver and of the mapping
+ * encoder's clause emission kernel.
  *
- * This file is a line-for-line port of CDCLSolver's clause ingest,
- * propagation, conflict analysis, decisions, restarts and learned-clause
- * reduction.  It follows exactly the same search path as the Python engine:
+ * The solver is an incremental MiniSat-style CDCL engine: clause ingest
+ * (with a trusted mode and guard-tailed ternary routing), propagation over
+ * binary, ternary, guarded-ternary and arena clauses, first-UIP conflict
+ * analysis with learned-clause minimisation, a lazy VSIDS heap, Luby
+ * restarts, LBD-driven learned-clause reduction with arena compaction,
+ * solving under assumptions, conflict and time budgets, and a DRAT event
+ * buffer.  It was ported line for line from a pure-Python engine it
+ * matched call for call (status, model, counters and DRAT trace); its
+ * search path is therefore fixed: a VSIDS heap ordered by activity
+ * descending, then variable ascending; a stable sort of the learned
+ * clauses by (LBD, -activity); the same double arithmetic as CPython
+ * (build without -ffast-math and with -ffp-contract=off so no multiply-add
+ * is fused).
  *
- *   - the same flat layout: literals 2v / 2v+1, binary and ternary
- *     implication lists, guard-aware ternary lists, and a clause arena
- *     watched through (ref, blocker) pairs kept in the same order;
- *   - the same tagged reason codes and the same resolution order;
- *   - a lazy VSIDS heap ordered by activity descending, then variable
- *     ascending, holding the same multiset of entries as the Python heap
- *     (so it pops the same sequence);
- *   - a stable sort of the learned clauses by (LBD, -activity);
- *   - the same double arithmetic (build without -ffast-math and with
- *     -ffp-contract=off so no multiply-add is fused).
+ * Data layout (unit propagation is the hottest loop, so everything is flat
+ * integer arrays):
  *
- * Every solve call therefore returns the same status, model, counters and
- * DRAT events as the Python engine on the same call sequence.  DRAT events
- * are buffered as [kind, n, lit_1 .. lit_n] records (kind 1 = add,
- * 2 = delete, external signed literals) for the caller to drain.
+ *   - literals are re-encoded as 2v (positive) / 2v+1 (negative); truth
+ *     values live in one literal-indexed array;
+ *   - clauses of four or more literals sit contiguously in one arena and
+ *     are addressed by an integer clause ref indexing the parallel header
+ *     arrays offset / size / lbd / activity / learned (size 0 marks a
+ *     deleted clause awaiting compaction);
+ *   - watch lists hold (clause ref, blocker literal) pairs: a clause whose
+ *     blocker is already true is skipped without touching the arena.  The
+ *     two watched literals are always at arena positions offset and
+ *     offset + 1, and a clause that is a propagation reason has its
+ *     implied literal at offset.  Deletion detaches the two watch entries
+ *     by swap-remove and marks the header dead; the reduction compacts the
+ *     arena once dead literals exceed a quarter of it, remapping every
+ *     surviving ref in the watch lists, the clause lists and the reasons;
+ *   - binary clauses are stored only as implications: (a, b) becomes
+ *     -a -> b and -b -> a in per-literal implication lists;
+ *   - ternary clauses are stored only as their three implication entries:
+ *     (a, b, c) is registered under each negated literal as the pair of
+ *     the other two, so a visit is two truth-value reads and clauses never
+ *     migrate between lists;
+ *   - guard-aware ternary lists: the mapper guards every clause of an
+ *     attempt with -selector, which makes every binary clause ternary.
+ *     Such a clause goes to gterns[lit], whose entries all share the one
+ *     guard literal tern_guard[lit]: while the attempt is live a visit is
+ *     a single truth-value read, the clause registers under only its two
+ *     non-guard literals, and once the attempt is retired (guard true at
+ *     the root) a whole list is dismissed with one check.  A clause whose
+ *     guard differs from a list's falls back to the plain ternary lists;
+ *     learned ternaries carrying the negation of a current assumption join
+ *     the guarded lists.
  *
- * The same library carries the mapping encoder's clause emission kernel
- * (enc_*, at the end of this file), which builds the C1-C3 clause families
- * exactly as repro/core/encoder.py's Python generators do.
+ * Propagation reasons are tagged integers, not clause pointers: code & 3 is
+ * 0 for an arena ref (code >> 2), 1 for a binary clause (the other literal
+ * in code >> 2), 2 for a ternary clause (the two other literals packed as
+ * (a << TERN_SHIFT) | (b << 2)); -1 marks a decision.  The low literal
+ * gets 30 bits, hence MAX_VARS (1 << 29) in repro/sat/native.py.  Conflict
+ * analysis resolves straight off these codes.
+ *
+ * DRAT events are buffered as [kind, n, lit_1 .. lit_n] records (kind
+ * 1 = add, 2 = delete, external signed literals) for the caller to drain.
+ *
+ * The emission kernel (enc_*, at the end of this file) builds the mapping
+ * encoder's C1-C3 clause families for repro/core/encoder.py and logs the
+ * variable allocations and buffer flushes the encoder replays into its
+ * clause sink; tests/core/test_emission_stream.py pins the resulting
+ * streams.
  *
  * The library is built with the system C compiler on first use and loaded
  * through ctypes by repro/sat/native.py; it has no Python dependency.
@@ -307,7 +348,7 @@ static void free_state(solver *s)
     free(s->lvl_stamp);
 }
 
-/* Fresh state with only the variable-0 sentinel (CDCLSolver._reset). */
+/* Fresh state with only the variable-0 sentinel. */
 static void init_state(solver *s)
 {
     s->nvars = 0;
@@ -411,7 +452,7 @@ static void grow_vars(solver *s, int64_t count)
     }
 }
 
-/* Allocate variables nvars+1 .. nvars+count (CDCLSolver.new_var[s]). */
+/* Allocate variables nvars+1 .. nvars+count. */
 static void new_vars(solver *s, int64_t count)
 {
     grow_vars(s, (int64_t)s->nvars + count + 1);
@@ -476,7 +517,7 @@ static void proof_event(solver *s, int32_t kind, const int32_t *lits, int64_t n,
 
 /* Reads a DIMACS clause into s->tmp as simplified internal literals.
  * Returns 1 for a usable clause, 0 for a tautology / root-satisfied one,
- * -1 for a zero literal (CDCLSolver._simplify_external). */
+ * -1 for a zero literal. */
 static int simplify_external(solver *s, const int32_t *lits, int64_t n)
 {
     s->tmp.n = 0;
@@ -541,7 +582,7 @@ static int32_t push_header(solver *s, int32_t size, int32_t lbd, int32_t learned
     return ref;
 }
 
-/* CDCLSolver._attach: returns the arena ref, or -1 for a binary/ternary. */
+/* Attach a clause: returns the arena ref, or -1 for a binary/ternary. */
 static int32_t attach(solver *s, const int32_t *lits, int64_t length, int learned, int32_t lbd)
 {
     if (length == 2) {
@@ -576,7 +617,7 @@ static int32_t attach(solver *s, const int32_t *lits, int64_t length, int learne
     return ref;
 }
 
-/* CDCLSolver._attach_guarded_ternary. */
+/* Attach a guard-tailed ternary to the guarded lists (see the header). */
 static int attach_guarded_ternary(solver *s, int32_t first, int32_t second, int32_t guard)
 {
     int32_t slot_a = first ^ 1, slot_b = second ^ 1;
@@ -685,7 +726,7 @@ static inline void set_conflict(solver *s, int32_t ref, int32_t a, int32_t b, in
         ivec_push(&s->conflict_lits, c);
 }
 
-/* CDCLSolver._propagate: 1 on conflict (s->conflict_ref / conflict_lits,
+/* Unit propagation: 1 on conflict (s->conflict_ref / conflict_lits,
  * an arena conflict is read from the arena itself), else 0. */
 static int propagate(solver *s)
 {
@@ -966,7 +1007,7 @@ static int redundant(solver *s, int32_t lit)
     return 1;
 }
 
-/* CDCLSolver._analyze: leaves the learned clause in s->learnt. */
+/* First-UIP conflict analysis: leaves the learned clause in s->learnt. */
 static void analyze(solver *s, int32_t *backtrack_level, int32_t *lbd)
 {
     ivec *learnt = &s->learnt;
@@ -1168,7 +1209,8 @@ static inline int learned_before(const header *hdr, int32_t x, int32_t y)
     return hdr[x].act > hdr[y].act;
 }
 
-/* Stable bottom-up merge sort (Python's list.sort is stable too). */
+/* Stable bottom-up merge sort: ties keep their order, which the search
+ * path depends on. */
 static void sort_learned(solver *s)
 {
     int64_t n = s->learned.n;
@@ -1402,7 +1444,7 @@ void cdcl_free(solver *s)
     free(s);
 }
 
-/* Drop every variable and clause (CDCLSolver._reset); hints survive. */
+/* Drop every variable and clause; hints survive. */
 void cdcl_reset(solver *s)
 {
     free_state(s);
@@ -1444,7 +1486,7 @@ int32_t cdcl_new_vars(solver *s, int64_t count)
     return first;
 }
 
-/* CDCLSolver.add_clause: 1 / 0 as the Python method returns True / False,
+/* Add one clause: 1, or 0 once the formula is UNSAT at the root,
  * -1 for a zero literal (the caller raises ValueError). */
 int cdcl_add_clause(solver *s, const int32_t *lits, int64_t n)
 {
@@ -1493,7 +1535,7 @@ int cdcl_check_batch(const int32_t *lits, int64_t nlits, const int32_t *lens,
     return 0;
 }
 
-/* CDCLSolver.add_clauses over a flattened batch: clause i is the next
+/* Add a flattened batch: clause i is the next
  * lens[i] literals of lits.  Same returns as cdcl_add_clause. */
 int cdcl_add_clauses(solver *s, const int32_t *lits, const int32_t *lens, int64_t nclauses,
                      int32_t trusted, int32_t has_guard, int32_t guard)
@@ -1598,7 +1640,7 @@ int cdcl_add_clauses(solver *s, const int32_t *lits, const int32_t *lens, int64_
     return 1;
 }
 
-/* Start a solve call: per-call counters from here (CDCLSolver.solve). */
+/* Start a solve call: per-call counters from here. */
 void cdcl_begin(solver *s)
 {
     memset(&s->call, 0, sizeof s->call);
@@ -1671,11 +1713,12 @@ void cdcl_proof_clear(solver *s) { s->proof_buf.n = 0; }
  * Builds the constraint families of repro/core/encoder.py -- C1 (each node
  * placed exactly once), C2 (at most one node per PE and kernel cycle), C3
  * (dependency implications) and the Equation-5 overwrite clauses -- into
- * flat buffers.  The stream is the Python emitter's, clause for clause:
- * the same clause order and literal order, the selector guard at each
- * tail, the same variable allocations, and the same duplicate drops (one
- * set of sorted literal tuples spanning the whole encoding, consulted
- * only for the clauses the Python emitter hashes).
+ * flat buffers: the selector guard at each tail, and exact duplicates
+ * dropped (one set of sorted literal tuples spanning the whole encoding,
+ * consulted only for the clauses that can repeat another: twin pairs,
+ * repeatable dependencies and units, and the caller's may_repeat lists).
+ * The stream is the one the encoder's former Python generators emitted,
+ * clause for clause; tests/core/test_emission_stream.py pins it.
  *
  * The kernel never calls the clause sink.  It predicts the variables the
  * sink will hand out (sinks count up from the last one allocated) and
@@ -1685,8 +1728,8 @@ void cdcl_proof_clear(solver *s) { s->proof_buf.n = 0; }
  *   EV_NEWVAR 1 first   allocate one variable through new_var()
  *   EV_FLUSH  l c       push the first l literals / c clauses as one batch
  *
- * A flush falls where the Python emitter's would: after the block that
- * brings the buffered literals to the flush threshold.
+ * A flush falls after the block that brings the buffered literals to the
+ * flush threshold.
  */
 
 enum { AMO_PAIRWISE = 0, AMO_SEQUENTIAL = 1, AMO_COMMANDER = 2, AMO_AUTO = 3 };
@@ -1809,7 +1852,7 @@ static inline void log_event(emitter *e, int32_t kind, int64_t a, int64_t b)
     ivec_push(&e->events, (int32_t)b);
 }
 
-/* Ends one block (one append of the Python emitter). */
+/* Ends one block of clauses (a flush may follow only here). */
 static void end_block(emitter *e)
 {
     if (e->carry + e->lits.n - e->flushed_at >= e->flush_lits) {

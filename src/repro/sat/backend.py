@@ -10,10 +10,10 @@ and answers ``solve(assumptions=...)`` queries incrementally.
 Two backends ship with the repository:
 
 * ``"cdcl"`` — the production engine, a thin stats-keeping adapter over the
-  incremental CDCL engine from :func:`repro.sat.solver.make_solver` (the
-  native core, or :class:`repro.sat.solver.CDCLSolver` where it cannot be
-  built; clause database, learned clauses, activities and phases persist
-  across calls).
+  native incremental CDCL core from :func:`repro.sat.solver.make_solver`
+  (clause database, learned clauses, activities and phases persist across
+  calls).  Creating it raises :class:`BackendUnavailableError` when the
+  core cannot be built or loaded.
 * ``"dpll"`` — the easy-to-audit reference oracle, replaying the accumulated
   clause set through :class:`repro.sat.dpll.DPLLSolver` on every call.  It is
   not incremental internally but implements the same protocol, which lets the
@@ -40,17 +40,20 @@ from repro.sat.solver import SolverResult, SolverStats, make_solver
 class BackendUnavailableError(RuntimeError):
     """A requested solver backend exists but cannot run here.
 
-    No shipped backend raises it; a registered engine that depends on a
-    missing binary may, and the farm's fault injector raises it to simulate
-    one (its retry classifier treats it as transient).  Carries the
-    missing binary name and an actionable install hint; the CLI surfaces it
-    as a one-line error.
+    The ``cdcl`` backend raises it when the native core cannot be built or
+    loaded (``binary`` names the C compiler, ``reason`` says what failed);
+    a registered engine that depends on a missing binary may raise it too,
+    and the farm's fault injector raises it to simulate one (its retry
+    classifier treats it as transient).  Carries the binary name, what went
+    wrong with it and an actionable hint; the CLI surfaces it as a one-line
+    error.
     """
 
-    def __init__(self, binary: str, hint: str = "") -> None:
+    def __init__(self, binary: str, hint: str = "", reason: str = "not found") -> None:
         self.binary = binary
         self.hint = hint
-        message = f"solver backend unavailable: {binary!r} not found"
+        self.reason = reason
+        message = f"solver backend unavailable: {binary!r} {reason}"
         if hint:
             message += f" ({hint})"
         super().__init__(message)

@@ -1,12 +1,12 @@
-"""The native CDCL search core: build-on-first-use loader and ctypes wrapper.
+"""The native CDCL core: build-on-first-use loader and ctypes wrapper.
 
-``_cdcl.c`` (next to this module) is a port of :class:`repro.sat.solver.
-CDCLSolver`'s whole search loop that follows exactly the same search path,
-so every call returns the same status, model, :class:`SolverStats` counters
-and DRAT trace as the Python engine (the identity suite in
-``tests/sat/test_native.py`` checks this).  It only runs faster.  The same
-library carries the mapping encoder's clause emission kernel (``enc_*``,
-driven by :mod:`repro.core.encoder`).
+``_cdcl.c`` (next to this module) is the repository's CDCL search engine
+(:class:`NativeCDCLSolver` wraps it; :func:`repro.sat.solver.make_solver`
+hands it out) and also carries the mapping encoder's clause emission kernel
+(``enc_*``, driven by :mod:`repro.core.encoder`).  Mapping needs both, so
+the core is required: ``tests/sat/test_native.py`` checks the solver
+against the DPLL oracle and the DRAT checker, and
+``tests/core/test_emission_stream.py`` pins the kernel's clause streams.
 
 Nothing happens at import.  The first :func:`load` call:
 
@@ -20,16 +20,16 @@ Nothing happens at import.  The first :func:`load` call:
 3. loads it with :mod:`ctypes` and checks its ABI number.
 
 Any failure (no compiler, an unwritable cache directory, a compile error,
-a library that will not load) leaves the Python engine in charge and is
-recorded in :func:`status`; :func:`repro.sat.solver.make_solver` is the one
-place that chooses between the two engines.
+a library that will not load) is recorded in :func:`status`, and
+:func:`load` raises it, on that call and every later one, as a
+:class:`repro.sat.backend.BackendUnavailableError` naming the compiler and
+carrying the reason.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
-import logging
 import math
 import os
 import platform
@@ -43,10 +43,9 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.sat.backend import BackendUnavailableError
 from repro.sat.cnf import CNF, flatten
 from repro.sat.solver import SolverResult, SolverStats
-
-_LOG = logging.getLogger(__name__)
 
 #: The C source the core is built from (shipped as package data).
 SOURCE = Path(__file__).with_name("_cdcl.c")
@@ -67,7 +66,7 @@ _PROOF_ADD = 1
 #: Largest conflict budget passed to the core (effectively unbounded).
 _MAX_CONFLICTS = 1 << 62
 #: Variables must stay below this: ternary reason codes pack internal
-#: literals into 30 bits (see ``_TERN_MASK`` in solver.py).
+#: literals into 30 bits (see ``TERN_MASK`` in ``_cdcl.c``).
 MAX_VARS = 1 << 29
 
 
@@ -86,21 +85,16 @@ def find_compiler() -> str | None:
 
 @dataclass(frozen=True)
 class CoreStatus:
-    """Which engine :func:`repro.sat.solver.make_solver` hands out, and why."""
+    """Whether the native core loaded in this process, and why not."""
 
     #: ``True`` when the native core is loaded and in use.
     loaded: bool
-    #: Why the Python engine is in charge (``None`` when ``loaded``).
+    #: Why the core cannot be used (``None`` when ``loaded``).
     reason: str | None = None
     #: Path of the loaded (or attempted) shared library.
     library: str | None = None
     #: Wall time of the build this process ran (``None``: found in cache).
     build_s: float | None = None
-
-    @property
-    def core(self) -> str:
-        """``"native"`` or ``"python"``."""
-        return "native" if self.loaded else "python"
 
 
 class BuildError(RuntimeError):
@@ -120,38 +114,54 @@ def source_digest() -> str:
     return digest.hexdigest()[:20]
 
 
-def load() -> ctypes.CDLL | None:
-    """The loaded core, building it on first use; ``None`` on fallback."""
-    global _lib, _status
-    if _status is not None:
+def load() -> ctypes.CDLL:
+    """The loaded core, building it on first use.
+
+    Raises :class:`BackendUnavailableError` when the core cannot be built
+    or loaded; the first attempt's failure is kept, so every later call
+    raises it again without retrying the build.
+    """
+    if _lib is not None:
         return _lib
     with _lock:
         if _status is None:
-            library: Path | None = None
-            try:
-                library, build_s = _build()
-                lib = ctypes.CDLL(str(library))
-                _declare(lib)
-                if lib.cdcl_abi() != ABI:
-                    raise BuildError(
-                        f"{library} has ABI {lib.cdcl_abi()}, expected {ABI}"
-                    )
-            except (OSError, ImportError, BuildError, subprocess.SubprocessError) as exc:
-                reason = f"{type(exc).__name__}: {exc}"
-                _LOG.warning("native CDCL core unavailable, using the Python "
-                             "engine (%s)", reason)
-                _status = CoreStatus(
-                    False, reason, str(library) if library else None
-                )
-            else:
-                _lib = lib
-                _status = CoreStatus(True, None, str(library), build_s)
+            _open()
+    if _lib is None:
+        assert _status is not None
+        compiler = find_compiler()
+        raise BackendUnavailableError(
+            os.path.basename(compiler) if compiler else "cc",
+            "" if compiler else "install cc or gcc",
+            reason=f"cannot build the native CDCL core: {_status.reason}",
+        )
     return _lib
 
 
+def _open() -> None:
+    """Build and load the core once, recording the outcome in ``_status``."""
+    global _lib, _status
+    library: Path | None = None
+    try:
+        library, build_s = _build()
+        lib = ctypes.CDLL(str(library))
+        _declare(lib)
+        if lib.cdcl_abi() != ABI:
+            raise BuildError(f"{library} has ABI {lib.cdcl_abi()}, expected {ABI}")
+    except (OSError, ImportError, BuildError, subprocess.SubprocessError) as exc:
+        # One line: a compiler's diagnostics span many.
+        reason = " ".join(f"{type(exc).__name__}: {exc}".split())
+        _status = CoreStatus(False, reason, str(library) if library else None)
+    else:
+        _lib = lib
+        _status = CoreStatus(True, None, str(library), build_s)
+
+
 def status() -> CoreStatus:
-    """The engine decision, loading the core first if nobody has yet."""
-    load()
+    """Whether the core loaded, trying to load it first if nobody has yet."""
+    try:
+        load()
+    except BackendUnavailableError:
+        pass
     assert _status is not None
     return _status
 
@@ -292,12 +302,26 @@ def _literals(values) -> array:
 
 
 class NativeCDCLSolver:
-    """:class:`repro.sat.solver.CDCLSolver` with its search in the native core.
+    """An incremental CDCL solver whose search runs in the native core.
 
-    Same constructor, same public methods, same results: only the
-    Python-engine internals (``_watches``, ``debug_check_invariants`` …)
-    are absent.  Build instances through
-    :func:`repro.sat.solver.make_solver`, which checks the core loaded.
+    ``var_decay`` and ``clause_decay`` are the VSIDS and clause-activity
+    decay factors, ``restart_base`` the Luby restart unit (conflicts) and
+    ``learned_limit_base`` the learned-clause count that triggers the first
+    database reduction.  ``initial_phase`` is the polarity tried first for
+    a variable never assigned (``True`` makes the search constructive,
+    useful on exactly-one placement formulas; ``False`` is MiniSat's
+    default).  ``activity_hints`` warm-start VSIDS (larger values are
+    branched on first until conflict-driven activity takes over) and
+    ``phase_hints`` set per-variable initial polarities.  ``random_seed``
+    is accepted for interface parity; the search is deterministic.
+
+    ``proof`` is an optional :class:`repro.sat.drat.ProofLogger`: every
+    learned clause (a RUP, hence DRAT, derivation) and every database
+    deletion is logged, and an UNSAT answer under assumptions logs the
+    negated assumption cube as its final addition.
+
+    Build instances through :func:`repro.sat.solver.make_solver`.  Raises
+    :class:`BackendUnavailableError` when the core cannot be loaded.
     """
 
     name = "cdcl"
@@ -315,8 +339,6 @@ class NativeCDCLSolver:
         proof: "object | None" = None,
     ) -> None:
         lib = load()
-        if lib is None:
-            raise BuildError(status().reason or "native core unavailable")
         self._lib = lib
         self.var_decay = var_decay
         self.clause_decay = clause_decay
@@ -358,7 +380,7 @@ class NativeCDCLSolver:
         raise TypeError("a native solver cannot be pickled or copied")
 
     # ------------------------------------------------------------------
-    # Public API (mirrors CDCLSolver)
+    # Public API
     # ------------------------------------------------------------------
     def _read_info(self) -> _Info:
         self._lib.cdcl_info_get(self._handle, ctypes.byref(self._info))
@@ -411,7 +433,14 @@ class NativeCDCLSolver:
             self.new_vars(num_vars - current)
 
     def add_clause(self, literals: Sequence[int]) -> bool:
-        """Add a clause to the persistent database (see CDCLSolver)."""
+        """Add a clause to the persistent database.
+
+        The clause is simplified against the root-level assignment (MiniSat
+        style): literals already false at level 0 are dropped, and a clause
+        containing a root-true literal is discarded as satisfied.  Returns
+        ``False`` when the formula became unsatisfiable at level 0 (the
+        solver then answers ``UNSAT`` forever), ``True`` otherwise.
+        """
         lits = _literals(literals)
         done = self._lib.cdcl_add_clause(self._handle, _address(lits), len(lits))
         if done < 0:
@@ -425,10 +454,26 @@ class NativeCDCLSolver:
         guard: int | None = None,
         trusted: bool = False,
     ) -> bool:
-        """Bulk :meth:`add_clause` (see :meth:`CDCLSolver.add_clauses`).
+        """Bulk :meth:`add_clause`: one backtrack, batched root propagation.
 
+        The batch arrives flat (see :func:`repro.sat.cnf.flatten`): clause
+        ``i`` is the next ``lengths[i]`` entries of ``literals``.
         ``array('i')`` buffers reach the core without a copy; the core vets
         the lengths and the variable range before it ingests anything.
+        Root-level unit propagation is deferred until a later clause of the
+        batch needs an up-to-date assignment, so a batch of units (the
+        mapper retires attempts with one) costs one propagation sweep.
+
+        ``trusted=True`` promises every clause is already clean (no zero,
+        duplicate or complementary literals within a clause; the encoder's
+        emitter builds only such clauses), which skips those checks.
+        Root-level truth filtering still runs.
+
+        ``guard`` names the selector guard literal (signed) shared by the
+        batch: a ternary clause whose tail literal is the guard is routed
+        to the guard-aware implication lists, which propagate with one
+        truth-value read per entry and are dismissed wholesale once the
+        attempt is retired.
         """
         lits, lens = _int_buffer(literals), _int_buffer(lengths)
         if guard is not None and not -MAX_VARS < guard < MAX_VARS:
@@ -457,7 +502,16 @@ class NativeCDCLSolver:
         time_limit: float | None = None,
         model_vars: Iterable[int] | None = None,
     ) -> SolverResult:
-        """Decide satisfiability under ``assumptions`` (see CDCLSolver)."""
+        """Decide satisfiability under optional ``assumptions``.
+
+        Without ``cnf`` this is an incremental call on the persistent clause
+        database (learned clauses, activities and phases are reused from
+        earlier calls).  Passing a ``cnf`` resets the solver and loads the
+        formula first.  ``conflict_limit`` and ``time_limit`` (seconds)
+        bound the search; when either budget is exhausted the status is
+        ``"UNKNOWN"``.  ``model_vars`` projects a SAT model onto just those
+        variables (the mapper decodes only placement literals).
+        """
         start = time.perf_counter()
         lib, handle = self._lib, self._handle
         lib.cdcl_begin(handle)
@@ -524,28 +578,18 @@ class NativeCDCLSolver:
 
 
 def main() -> int:
-    """``python -m repro.sat.native``: build/load the core and report.
+    """``python -m repro.sat.native``: build or load the core and report.
 
-    Exits 1 on a fall-back to the Python engine, and when the emission
-    kernel's clause stream differs from the Python encoder's.
+    Exits 1, printing the reason, when the core cannot be loaded.
     """
     current = status()
-    print(f"solver core: {current.core}")
-    print(f"emission kernel: {'in use' if current.loaded else 'not in use'}")
+    if not current.loaded:
+        print(f"native core unavailable: {current.reason}")
+        return 1
+    print("solver core: native (search and clause emission)")
     print(f"library: {current.library}")
     if current.build_s is not None:
         print(f"built in {current.build_s:.2f} s")
-    if current.reason:
-        print(f"fallback reason: {current.reason}")
-    if not current.loaded:
-        return 1
-    from repro.core.encoder import kernel_mismatch
-
-    mismatch = kernel_mismatch()
-    if mismatch:
-        print(f"emission kernel check FAILED: {mismatch} from the Python encoder's")
-        return 1
-    print("emission kernel check: identical to the Python encoder")
     return 0
 
 

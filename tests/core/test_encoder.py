@@ -9,7 +9,7 @@ from repro.core.mobility import KernelMobilitySchedule, MobilitySchedule
 from repro.dfg.graph import DFG, paper_running_example
 from repro.exceptions import EncodingError
 from repro.sat.encodings import AMOEncoding
-from repro.sat.solver import CDCLSolver
+from repro.sat.solver import make_solver
 
 
 def encode(dfg, cgra, ii, slack=0, **kwargs):
@@ -89,7 +89,7 @@ class TestDecoding:
         dfg = chain(2)
         cgra = CGRA.square(2)
         encoding = encode(dfg, cgra, ii=2)
-        result = CDCLSolver().solve(encoding.cnf)
+        result = make_solver().solve(encoding.cnf)
         assert result.is_sat
         placements = encoding.decode(result.model)
         assert set(placements) == {0, 1}
@@ -112,7 +112,7 @@ class TestModelsAreLegalMappings:
         dfg = paper_running_example()
         cgra = CGRA.square(size)
         encoding = encode(dfg, cgra, ii=ii)
-        result = CDCLSolver().solve(encoding.cnf)
+        result = make_solver().solve(encoding.cnf)
         if not result.is_sat:
             pytest.skip(f"II={ii} infeasible on {size}x{size} under this encoding")
         mapping = decode_to_mapping(dfg, cgra, ii, encoding, result.model)
@@ -122,7 +122,7 @@ class TestModelsAreLegalMappings:
         dfg = paper_running_example()
         cgra = CGRA.square(2)
         encoding = encode(dfg, cgra, ii=3, enforce_output_register=True)
-        result = CDCLSolver().solve(encoding.cnf)
+        result = make_solver().solve(encoding.cnf)
         if not result.is_sat:
             pytest.skip("strict model infeasible at II=3")
         mapping = decode_to_mapping(dfg, cgra, 3, encoding, result.model)
@@ -135,7 +135,7 @@ class TestInfeasibleInstances:
         dfg = DFG.from_edge_list("five", 5, [])
         cgra = CGRA(rows=1, cols=1)
         encoding = encode(dfg, cgra, ii=2)
-        assert CDCLSolver().solve(encoding.cnf).is_unsat
+        assert make_solver().solve(encoding.cnf).is_unsat
 
     def test_non_neighbouring_dependency_unsat_on_disconnected_case(self):
         # A chain that must spread over 3 cycles but II=1 on a single PE:
@@ -143,13 +143,13 @@ class TestInfeasibleInstances:
         dfg = chain(3)
         cgra = CGRA(rows=1, cols=1)
         encoding = encode(dfg, cgra, ii=1)
-        assert CDCLSolver().solve(encoding.cnf).is_unsat
+        assert make_solver().solve(encoding.cnf).is_unsat
 
     def test_chain_on_single_pe_feasible_when_ii_large_enough(self):
         dfg = chain(3)
         cgra = CGRA(rows=1, cols=1)
         encoding = encode(dfg, cgra, ii=3)
-        assert CDCLSolver().solve(encoding.cnf).is_sat
+        assert make_solver().solve(encoding.cnf).is_sat
 
 
 class TestSymmetryBreakingSoundness:
@@ -157,8 +157,8 @@ class TestSymmetryBreakingSoundness:
     def test_same_satisfiability_with_and_without(self, ii):
         dfg = paper_running_example()
         cgra = CGRA.square(2)
-        with_sym = CDCLSolver().solve(encode(dfg, cgra, ii, symmetry_breaking=True).cnf)
-        without = CDCLSolver().solve(encode(dfg, cgra, ii, symmetry_breaking=False).cnf)
+        with_sym = make_solver().solve(encode(dfg, cgra, ii, symmetry_breaking=True).cnf)
+        without = make_solver().solve(encode(dfg, cgra, ii, symmetry_breaking=False).cnf)
         assert with_sym.status == without.status
 
 
@@ -166,10 +166,10 @@ class TestIterationSpanRestriction:
     def test_restriction_never_helps_satisfiability(self):
         dfg = paper_running_example()
         cgra = CGRA.square(2)
-        unrestricted = CDCLSolver().solve(
+        unrestricted = make_solver().solve(
             encode(dfg, cgra, ii=3, max_iteration_span=None).cnf
         )
-        restricted = CDCLSolver().solve(
+        restricted = make_solver().solve(
             encode(dfg, cgra, ii=3, max_iteration_span=1).cnf
         )
         if restricted.is_sat:

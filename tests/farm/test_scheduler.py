@@ -229,6 +229,27 @@ class TestWarmWorkers:
         assert sweep.farm.quarantined == 0
         assert [r.status for r in sweep.records] == ["mapped", "mapped"]
 
+    def test_core_that_cannot_load_fails_the_sweep_once(self, monkeypatch, tmp_path):
+        """No worker starts, no item is retried and no journal is written:
+        the loader's error surfaces from the sweep call itself."""
+        from repro.sat import native
+        from repro.sat.backend import BackendUnavailableError
+
+        monkeypatch.setattr(native, "_status", None)
+        monkeypatch.setattr(native, "_lib", None)
+        monkeypatch.setattr(native, "cache_root", lambda: tmp_path / "cache")
+        monkeypatch.setattr(native, "find_compiler", lambda: None)
+        spawned = []
+        monkeypatch.setattr(scheduler_module._Pool, "spawn",
+                            lambda pool: spawned.append(pool))
+        journal = tmp_path / "journal"
+        start = time.monotonic()
+        with pytest.raises(BackendUnavailableError, match="no C compiler"):
+            run_sweep(FAST, jobs=2, journal_dir=str(journal))
+        assert time.monotonic() - start < 5.0  # no retry backoff
+        assert spawned == []
+        assert not journal.exists() or not any(journal.iterdir())
+
 
 class TestJournalGuards:
     def test_resume_with_different_config_refuses(self, tmp_path):

@@ -1,9 +1,9 @@
-"""Unit tests for the flat-arena CDCL core's data structures.
+"""Tests of the CDCL core's clause stores, driven through its public API.
 
-Covers the pieces the classic black-box solver tests cannot see: binary and
-ternary implication-list propagation, guard-aware ternary routing, watch
-(ref, blocker) invariants under detachment and arena compaction, the bulk
-``add_clauses`` ingest (trusted and untrusted), and SAT-model projection.
+Covers binary and ternary implication-list propagation, guard-aware
+ternary routing, learned-clause detachment and arena compaction, the bulk
+``add_clauses`` ingest (trusted and untrusted), SAT-model projection and
+the mapper's guarded-group lifecycle against a DPLL oracle.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import pytest
 
 from repro.sat.cnf import CNF, flatten
 from repro.sat.dpll import DPLLSolver
-from repro.sat.solver import CDCLSolver
+from repro.sat.solver import make_solver
 
 
 def _pigeonhole(pigeons: int, holes: int) -> CNF:
@@ -43,7 +43,7 @@ def _random_clauses(rng, num_vars, num_clauses, width=3):
 
 class TestBinaryImplicationLists:
     def test_binary_clause_propagates_without_watches(self):
-        solver = CDCLSolver()
+        solver = make_solver()
         solver.ensure_vars(2)
         solver.add_clause([1, 2])
         result = solver.solve(assumptions=[-1])
@@ -53,7 +53,7 @@ class TestBinaryImplicationLists:
         assert result.stats.binary_propagations >= 1
 
     def test_binary_conflict_detected(self):
-        solver = CDCLSolver()
+        solver = make_solver()
         solver.ensure_vars(3)
         solver.add_clause([1, 2])
         solver.add_clause([1, -2])
@@ -63,7 +63,7 @@ class TestBinaryImplicationLists:
     def test_binary_chain_needs_no_decisions(self):
         # 1 -> 2 -> 3 -> ... -> 10, with 1 forced: pure implication-list work.
         cnf = CNF(clauses=[[1]] + [[-i, i + 1] for i in range(1, 10)])
-        result = CDCLSolver().solve(cnf)
+        result = make_solver().solve(cnf)
         assert result.is_sat
         assert all(result.model[i] for i in range(1, 11))
         assert result.stats.decisions == 0
@@ -72,7 +72,7 @@ class TestBinaryImplicationLists:
 class TestTernaryImplicationLists:
     def test_ternary_unit_implication_both_orders(self):
         for assumptions in ([-1, -2], [-2, -1]):
-            solver = CDCLSolver()
+            solver = make_solver()
             solver.ensure_vars(3)
             solver.add_clause([1, 2, 3])
             result = solver.solve(assumptions=assumptions)
@@ -80,7 +80,7 @@ class TestTernaryImplicationLists:
             assert result.model[3] is True
 
     def test_ternary_conflict(self):
-        solver = CDCLSolver()
+        solver = make_solver()
         solver.ensure_vars(3)
         solver.add_clause([1, 2, 3])
         solver.add_clause([1, 2, -3])
@@ -93,13 +93,13 @@ class TestTernaryImplicationLists:
             [1, 2, 3], [1, 2, -3], [1, -2, 3], [1, -2, -3],
             [-1, 2, 3], [-1, 2, -3], [-1, -2, 3], [-1, -2, -3],
         ])
-        result = CDCLSolver().solve(cnf)
+        result = make_solver().solve(cnf)
         assert result.is_unsat
 
 
 class TestGuardedTernary:
     def test_guarded_batch_propagates_under_assumption(self):
-        solver = CDCLSolver()
+        solver = make_solver()
         selector = solver.new_var()
         a, b = solver.new_var(), solver.new_var()
         # (a | b | -selector): binary-effective while selector is assumed.
@@ -108,10 +108,9 @@ class TestGuardedTernary:
         result = solver.solve(assumptions=[selector, -a])
         assert result.is_sat
         assert result.model[b] is True
-        solver.debug_check_invariants()
 
     def test_guarded_group_retires_cleanly(self):
-        solver = CDCLSolver()
+        solver = make_solver()
         selector = solver.new_var()
         a, b = solver.new_var(), solver.new_var()
         solver.add_clauses(
@@ -127,15 +126,14 @@ class TestGuardedTernary:
         result = solver.solve()
         assert result.is_sat
         assert result.model[selector] is False
-        solver.debug_check_invariants()
 
     def test_guarded_routing_matches_plain_semantics(self):
         rng = random.Random(7)
         for trial in range(30):
             num_vars = rng.randint(3, 8)
             clauses = _random_clauses(rng, num_vars, rng.randint(3, 20), width=2)
-            plain = CDCLSolver()
-            guarded = CDCLSolver()
+            plain = make_solver()
+            guarded = make_solver()
             selector = plain.new_var()
             assert guarded.new_var() == selector
             plain.ensure_vars(num_vars + 1)
@@ -151,38 +149,25 @@ class TestGuardedTernary:
             expected = plain.solve(assumptions=[selector])
             actual = guarded.solve(assumptions=[selector])
             assert expected.status == actual.status, f"trial {trial}"
-            guarded.debug_check_invariants()
 
 
-class TestWatchInvariants:
-    def test_invariants_after_plain_solves(self):
-        rng = random.Random(3)
-        for trial in range(20):
-            cnf = CNF(num_vars=8)
-            for clause in _random_clauses(rng, 8, 25, width=5):
-                cnf.add_clause(clause)
-            solver = CDCLSolver()
-            solver.solve(cnf)
-            solver.debug_check_invariants()
-
-    def test_invariants_survive_detach_and_compaction(self):
+class TestReductionAndCompaction:
+    def test_detach_and_compaction_keep_the_verdict(self):
         # A tiny learned limit forces many _reduce_learned rounds (swap-
         # remove detach) and arena compactions during one hard solve.
-        solver = CDCLSolver(learned_limit_base=30)
+        solver = make_solver(learned_limit_base=30)
         result = solver.solve(_pigeonhole(7, 6))
         assert result.is_unsat
         assert result.stats.deleted_clauses > 0
-        solver.debug_check_invariants()
 
     def test_compaction_preserves_verdicts_incrementally(self):
-        solver = CDCLSolver(learned_limit_base=25)
+        solver = make_solver(learned_limit_base=25)
         cnf = _pigeonhole(6, 5)
         solver.ensure_vars(cnf.num_vars)
         for clause in cnf.clauses:
             solver.add_clause(clause)
         extra = solver.new_var()
         assert solver.solve(assumptions=[extra]).is_unsat
-        solver.debug_check_invariants()
         # The database itself stays usable after reduction/compaction.
         assert solver.solve(assumptions=[-extra]).is_unsat
 
@@ -193,10 +178,10 @@ class TestBulkAddClauses:
         for trial in range(40):
             num_vars = rng.randint(2, 9)
             clauses = _random_clauses(rng, num_vars, rng.randint(2, 25))
-            one = CDCLSolver()
+            one = make_solver()
             one.ensure_vars(num_vars)
             ok_one = all(one.add_clause(c) for c in clauses)
-            two = CDCLSolver()
+            two = make_solver()
             two.ensure_vars(num_vars)
             ok_two = two.add_clauses(*flatten(clauses))
             assert ok_one == ok_two, f"trial {trial}"
@@ -204,7 +189,7 @@ class TestBulkAddClauses:
                 assert one.solve().status == two.solve().status
 
     def test_unit_batch_single_propagation_sweep(self):
-        solver = CDCLSolver()
+        solver = make_solver()
         solver.ensure_vars(50)
         assert solver.add_clauses(*flatten([[-v] for v in range(1, 51)]))
         result = solver.solve()
@@ -212,7 +197,7 @@ class TestBulkAddClauses:
         assert all(result.model[v] is False for v in range(1, 51))
 
     def test_bulk_detects_root_conflict(self):
-        solver = CDCLSolver()
+        solver = make_solver()
         solver.ensure_vars(2)
         assert not solver.add_clauses(*flatten([[1], [2], [-1]]))
         assert solver.solve().is_unsat
@@ -222,10 +207,10 @@ class TestBulkAddClauses:
         for trial in range(30):
             num_vars = rng.randint(2, 9)
             clauses = _random_clauses(rng, num_vars, rng.randint(2, 25))
-            plain = CDCLSolver()
+            plain = make_solver()
             plain.ensure_vars(num_vars)
             ok_plain = plain.add_clauses(*flatten(clauses))
-            trusted = CDCLSolver()
+            trusted = make_solver()
             trusted.ensure_vars(num_vars)
             ok_trusted = trusted.add_clauses(*flatten(clauses), trusted=True)
             assert ok_plain == ok_trusted, f"trial {trial}"
@@ -233,7 +218,7 @@ class TestBulkAddClauses:
                 assert plain.solve().status == trusted.solve().status
 
     def test_clauses_added_counter(self):
-        solver = CDCLSolver()
+        solver = make_solver()
         solver.ensure_vars(3)
         solver.add_clauses(*flatten([[1, 2], [2, 3], [1, 2, 3]]))
         assert solver.clauses_added == 3
@@ -242,19 +227,19 @@ class TestBulkAddClauses:
 class TestModelProjection:
     def test_projection_subset_of_full_model(self):
         cnf = CNF(clauses=[[1, 2, 3], [-1, 4], [2, -4, 5]])
-        full = CDCLSolver().solve(cnf)
-        projected = CDCLSolver().solve(cnf, model_vars=[2, 4])
+        full = make_solver().solve(cnf)
+        projected = make_solver().solve(cnf, model_vars=[2, 4])
         assert projected.is_sat
         assert set(projected.model) == {2, 4}
         for var, value in projected.model.items():
             assert full.model[var] == value
 
     def test_projection_ignores_unknown_vars(self):
-        result = CDCLSolver().solve(CNF(clauses=[[1]]), model_vars=[1, 99])
+        result = make_solver().solve(CNF(clauses=[[1]]), model_vars=[1, 99])
         assert result.model == {1: True}
 
     def test_incremental_projection(self):
-        solver = CDCLSolver()
+        solver = make_solver()
         solver.ensure_vars(4)
         solver.add_clause([1, 2])
         result = solver.solve(assumptions=[-1], model_vars=[2])
@@ -263,7 +248,7 @@ class TestModelProjection:
 
 class TestStatsCounters:
     def test_blocker_skips_and_arena_bytes_populated(self):
-        solver = CDCLSolver()
+        solver = make_solver()
         result = solver.solve(_pigeonhole(6, 5))
         assert result.is_unsat
         assert result.stats.arena_bytes >= 0
@@ -277,7 +262,7 @@ class TestStatsCounters:
             for clause in _random_clauses(rng, num_vars, rng.randint(4, 30),
                                           width=5):
                 cnf.add_clause(clause)
-            arena = CDCLSolver().solve(cnf)
+            arena = make_solver().solve(cnf)
             oracle = DPLLSolver().solve(cnf)
             assert arena.is_sat == (oracle is not None), f"trial {trial}"
             if arena.is_sat:
@@ -292,7 +277,7 @@ class TestGuardedGroupLifecycle:
     def test_sequential_groups_match_dpll(self):
         rng = random.Random(42)
         for trial in range(15):
-            solver = CDCLSolver()
+            solver = make_solver()
             for group in range(3):
                 selector = solver.new_var()
                 num_vars = rng.randint(3, 6)
@@ -332,45 +317,30 @@ class TestGuardedGroupLifecycle:
                     [[-selector]]
                     + [[-v] for v in range(base + 1, base + num_vars + 1)]
                 ))
-                solver.debug_check_invariants()
 
 
 class TestRareBranches:
-    def test_var_activity_rescale_mid_search(self):
-        solver = CDCLSolver()
-        solver._var_inc = 1e100  # next bump overflows and rescales
-        result = solver.solve(_pigeonhole(4, 3))
-        assert result.is_unsat
-        assert max(solver._activity) <= 1e100
-
-    def test_clause_activity_rescale(self):
-        solver = CDCLSolver()
-        solver._cla_inc = 1e20
-        result = solver.solve(_pigeonhole(5, 4))
-        assert result.is_unsat
-
     def test_mixed_guard_falls_back_to_plain_ternary(self):
-        solver = CDCLSolver()
+        solver = make_solver()
         s1, s2 = solver.new_var(), solver.new_var()
         a, b, c = solver.new_var(), solver.new_var(), solver.new_var()
         solver.add_clauses(*flatten([[a, b, -s1]]), trusted=True, guard=-s1)
         # Shares ``a`` but carries a different guard: must not corrupt the
         # guard table — the clause falls back to the plain ternary scheme.
         solver.add_clauses(*flatten([[a, c, -s2]]), trusted=True, guard=-s2)
-        solver.debug_check_invariants()
         result = solver.solve(assumptions=[s1, s2, -a])
         assert result.is_sat
         assert result.model[b] is True and result.model[c] is True
 
-    def test_new_vars_with_hints_uses_slow_path(self):
-        solver = CDCLSolver(activity_hints={2: 5.0}, phase_hints={1: True})
+    def test_new_vars_with_hints(self):
+        solver = make_solver(activity_hints={2: 5.0}, phase_hints={1: True})
         variables = solver.new_vars(3)
         assert variables == [1, 2, 3]
-        assert solver._activity[2] == 5.0
-        assert solver._phase[1] is True
+        # Unconstrained variables take their hinted (else default) phase.
+        assert solver.solve().model == {1: True, 2: False, 3: False}
 
     def test_bulk_resimplify_after_pending_units(self):
-        solver = CDCLSolver()
+        solver = make_solver()
         solver.ensure_vars(4)
         # The unit [1] is pending when [−1, 2, 3, 4] arrives: the batch
         # must flush propagation and re-simplify before attaching.
@@ -382,34 +352,4 @@ class TestRareBranches:
 
     def test_negative_new_vars_rejected(self):
         with pytest.raises(ValueError):
-            CDCLSolver().new_vars(-1)
-
-
-class TestHeapDedupExactness:
-    def test_freshest_entry_pop_invalidates_heap_act(self):
-        """Regression: popping a variable's freshest heap entry must not
-        leave ``heap_act`` claiming an exact entry is still queued — the
-        next backtrack would then skip the push and only stale low-priority
-        duplicates would represent the variable (wrong VSIDS order)."""
-        solver = CDCLSolver()
-        solver.ensure_vars(2)
-        solver._activity[1] = 5.0
-        solver._activity[2] = 3.0
-        import heapq
-        heapq.heappush(solver._order, (-5.0, 1))
-        solver._heap_count[1] += 1
-        solver._heap_act[1] = 5.0
-        heapq.heappush(solver._order, (-3.0, 2))
-        solver._heap_count[2] += 1
-        solver._heap_act[2] = 3.0
-        # Pop var1's fresh entry (highest priority), as a decision would.
-        lit = solver._pick_branch_literal()
-        assert lit >> 1 == 1
-        # Simulate var1 being assigned by that decision, then unassigned.
-        solver._trail.append(lit)
-        solver._trail_lim.append(0)
-        solver._value[lit] = 1
-        solver._value[lit ^ 1] = -1
-        solver._backtrack(0)
-        # The next pick must still prefer var1 (activity 5.0) over var2.
-        assert (solver._pick_branch_literal() >> 1) == 1
+            make_solver().new_vars(-1)

@@ -23,7 +23,7 @@ from repro.sat.backend import (
 )
 from repro.sat.cnf import CNF
 from repro.sat.dpll import DPLLSolver
-from repro.sat.solver import CDCLSolver
+from repro.sat.solver import make_solver
 
 
 def _random_clauses(rng, num_vars, num_clauses, width=3):
@@ -177,7 +177,7 @@ class TestIncrementalCDCL:
                 backend.add_clause(clause)
                 cnf.add_clause(clause)
             incremental = backend.solve()
-            oneshot = CDCLSolver().solve(cnf)
+            oneshot = make_solver().solve(cnf)
             assert incremental.status == oneshot.status, f"round {round_index}"
             if incremental.is_sat:
                 assert cnf.evaluate(incremental.model)

@@ -17,7 +17,7 @@ import pytest
 from repro.sat.backend import CDCLBackend
 from repro.sat.cnf import CNF
 from repro.sat.dpll import DPLLSolver
-from repro.sat.solver import CDCLSolver
+from repro.sat.solver import make_solver
 
 
 def random_cnf(
@@ -53,7 +53,7 @@ def _dpll_status(cnf: CNF, assumptions=()) -> str:
 def _check_instance(seed: int) -> None:
     rng = random.Random(seed)
     cnf = random_cnf(rng)
-    plain = CDCLSolver().solve(cnf)
+    plain = make_solver().solve(cnf)
     oracle = _dpll_status(cnf)
     assert plain.status == oracle, f"seed {seed}: CDCL {plain.status} vs DPLL {oracle}"
     if plain.is_sat:
@@ -120,7 +120,7 @@ def test_differential_extended(block):
     for seed in range(500_000 + block * 50, 500_000 + (block + 1) * 50):
         rng = random.Random(seed)
         cnf = random_cnf(rng, min_vars=8, max_vars=18, max_width=5)
-        plain = CDCLSolver().solve(cnf)
+        plain = make_solver().solve(cnf)
         oracle = _dpll_status(cnf)
         assert plain.status == oracle, seed
         if plain.is_sat:

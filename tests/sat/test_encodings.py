@@ -1,184 +1,140 @@
-"""Tests for the cardinality encodings (at-most-one / exactly-one)."""
+"""The cardinality encodings, as the native emission kernel builds them.
+
+Two tiny mapping instances isolate them.  One node with no edges on a
+``1 x n`` fabric at II 1 has ``n`` placement literals, each alone in its
+(PE, cycle) slot: its encoding is C1's exactly-one over ``n`` literals and
+nothing else.  ``n`` edge-free nodes on one PE, each free over ``cycles``
+kernel cycles, put ``n`` literals into every cycle's C2 at-most-one group.
+The DPLL oracle then checks the semantics exhaustively.
+"""
 
 import itertools
-from array import array
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from repro.cgra.architecture import CGRA
+from repro.core.encoder import EncoderConfig, MappingEncoder
+from repro.core.mobility import KernelMobilitySchedule, MobilitySchedule
+from repro.dfg.graph import DFG
 from repro.sat.cnf import CNF
 from repro.sat.dpll import DPLLSolver
-from repro.sat.encodings import (
-    AMOEncoding,
-    at_least_one,
-    at_most_one,
-    count_true,
-    exactly_one,
-    pairwise_columns,
-    sequential_columns,
-    weave,
-)
-
-def _models_over(cnf: CNF, variables: list[int]) -> set[tuple[bool, ...]]:
-    """Enumerate all satisfying assignments projected onto ``variables``."""
-    solutions: set[tuple[bool, ...]] = set()
-    free = [var for var in range(1, cnf.num_vars + 1)]
-    for bits in itertools.product([False, True], repeat=len(free)):
-        assignment = dict(zip(free, bits))
-        if cnf.evaluate(assignment):
-            solutions.add(tuple(assignment[v] for v in variables))
-    return solutions
+from repro.sat.encodings import AUTO_PAIRWISE_LIMIT, AMOEncoding
 
 
-@pytest.mark.parametrize("encoding", list(AMOEncoding))
-class TestAtMostOne:
-    def test_no_literals_is_noop(self, encoding):
-        cnf = CNF()
-        at_most_one(cnf, [], encoding)
-        assert cnf.num_clauses == 0
-
-    def test_single_literal_is_noop(self, encoding):
-        cnf = CNF(num_vars=1)
-        at_most_one(cnf, [1], encoding)
-        assert cnf.num_clauses == 0
-
-    @pytest.mark.parametrize("n", [2, 3, 5, 7])
-    def test_semantics_exhaustive(self, encoding, n):
-        """Every projected model has at most one literal true, and every
-        such combination is attainable."""
-        cnf = CNF(num_vars=n)
-        variables = list(range(1, n + 1))
-        at_most_one(cnf, variables, encoding)
-        projected = _models_over(cnf, variables)
-        expected = {
-            bits
-            for bits in itertools.product([False, True], repeat=n)
-            if sum(bits) <= 1
-        }
-        assert projected == expected
-
-    def test_two_true_unsat(self, encoding):
-        cnf = CNF(num_vars=4)
-        at_most_one(cnf, [1, 2, 3, 4], encoding)
-        cnf.add_clause([1])
-        cnf.add_clause([3])
-        assert DPLLSolver().solve(cnf) is None
+def _encode(dfg, cgra, ii, slack, amo):
+    kms = KernelMobilitySchedule.build(MobilitySchedule.build(dfg, slack=slack), ii)
+    config = EncoderConfig(amo_encoding=amo, symmetry_breaking=False)
+    return MappingEncoder(dfg, cgra, kms, config).encode()
 
 
-@pytest.mark.parametrize("encoding", list(AMOEncoding))
+def exactly_one(n, amo):
+    """C1 of one node over ``n`` literals; returns (encoding, literals)."""
+    encoding = _encode(DFG.from_edge_list("one", 1, []), CGRA(rows=1, cols=n), 1, 0,
+                       amo)
+    assert encoding.stats.num_c2_clauses == 0
+    return encoding, list(encoding.variables.values())
+
+
+def free_nodes(n, amo, cycles):
+    """``n`` edge-free nodes sharing one PE over ``cycles`` kernel cycles."""
+    return _encode(DFG.from_edge_list("free", n, []), CGRA(rows=1, cols=1), cycles,
+                   cycles - 1, amo)
+
+
+def _satisfiable(cnf: CNF, assumptions) -> bool:
+    return DPLLSolver().solve(cnf, assumptions=assumptions) is not None
+
+
+def _models(cnf: CNF, variables) -> set[tuple[bool, ...]]:
+    """Every model projected onto ``variables`` (blocking-clause loop)."""
+    found = set()
+    blocked = CNF(num_vars=cnf.num_vars, clauses=cnf.clauses)
+    while (model := DPLLSolver().solve(blocked)) is not None:
+        bits = tuple(model[var] for var in variables)
+        found.add(bits)
+        blocked.add_clause([-var if bit else var for var, bit in zip(variables, bits)])
+    return found
+
+
+@pytest.mark.parametrize("amo", list(AMOEncoding))
 class TestExactlyOne:
-    @pytest.mark.parametrize("n", [1, 2, 4, 6])
-    def test_semantics_exhaustive(self, encoding, n):
-        cnf = CNF(num_vars=n)
-        variables = list(range(1, n + 1))
-        exactly_one(cnf, variables, encoding)
-        projected = _models_over(cnf, variables)
-        expected = {
-            bits
-            for bits in itertools.product([False, True], repeat=n)
-            if sum(bits) == 1
-        }
-        assert projected == expected
+    @pytest.mark.parametrize("n", [1, 2, 4, 5, 6, 9])
+    def test_semantics_exhaustive(self, amo, n):
+        """An assignment of the literals extends to a model exactly when
+        one of them is true."""
+        encoding, literals = exactly_one(n, amo)
+        for bits in itertools.product([False, True], repeat=n):
+            cube = [lit if bit else -lit for lit, bit in zip(literals, bits)]
+            assert _satisfiable(encoding.cnf, cube) == (sum(bits) == 1), bits
 
-    def test_forcing_last_literal(self, encoding):
-        cnf = CNF(num_vars=5)
-        exactly_one(cnf, [1, 2, 3, 4, 5], encoding)
-        for var in (1, 2, 3, 4):
-            cnf.add_clause([-var])
-        model = DPLLSolver().solve(cnf)
-        assert model is not None
-        assert model[5] is True
+    def test_forcing_last_literal(self, amo):
+        encoding, literals = exactly_one(7, amo)
+        model = DPLLSolver().solve(encoding.cnf, assumptions=[-v for v in literals[:-1]])
+        assert model is not None and model[literals[-1]] is True
+
+
+@pytest.mark.parametrize("amo", list(AMOEncoding))
+class TestAtMostOne:
+    @pytest.mark.parametrize("n", [2, 5, 6, 7])
+    def test_semantics_exhaustive(self, amo, n):
+        """With a spare cycle, an assignment of one cycle's ``n`` literals
+        extends to a model exactly when at most one of them is true."""
+        encoding = free_nodes(n, amo, n + 1)
+        group = [encoding.variables[node, 0, 1, 0] for node in range(n)]
+        for bits in itertools.product([False, True], repeat=n):
+            cube = [lit if bit else -lit for lit, bit in zip(group, bits)]
+            assert _satisfiable(encoding.cnf, cube) == (sum(bits) <= 1), bits
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_one_node_per_slot(self, amo, n):
+        """The placements of ``n`` nodes on one PE over ``n`` cycles are
+        exactly the ``n!`` permutations."""
+        encoding = free_nodes(n, amo, n)
+        assert encoding.stats.num_c2_clauses > 0
+        variables = list(encoding.variables.values())
+        models = _models(encoding.cnf, variables)
+        assert len(models) == len(list(itertools.permutations(range(n))))
+        placements = [dict(zip(encoding.variables, bits)) for bits in models]
+        for placement in placements:
+            cycles = [key[2] for key, true in placement.items() if true]
+            assert sorted(cycles) == list(range(n))
+
+    def test_two_nodes_in_one_slot_unsat(self, amo):
+        encoding = free_nodes(6, amo, 6)
+        first = encoding.variables[(0, 0, 2, 0)]
+        second = encoding.variables[(4, 0, 2, 0)]
+        assert not _satisfiable(encoding.cnf, [first, second])
+        assert _satisfiable(encoding.cnf, [first])
 
 
 class TestClauseCounts:
     def test_pairwise_is_quadratic(self):
-        cnf = CNF(num_vars=10)
-        at_most_one(cnf, list(range(1, 11)), AMOEncoding.PAIRWISE)
-        assert cnf.num_clauses == 45  # C(10, 2)
+        encoding, _ = exactly_one(10, AMOEncoding.PAIRWISE)
+        assert encoding.stats.num_c1_clauses == 1 + 45  # at-least-one + C(10, 2)
+        assert encoding.stats.num_variables == 10
 
     def test_sequential_is_linear(self):
-        cnf = CNF(num_vars=20)
-        at_most_one(cnf, list(range(1, 21)), AMOEncoding.SEQUENTIAL)
-        assert cnf.num_clauses == 3 * 20 - 4
-        assert cnf.num_vars == 20 + 19  # auxiliary registers
+        encoding, _ = exactly_one(20, AMOEncoding.SEQUENTIAL)
+        assert encoding.stats.num_c1_clauses == 1 + 3 * 20 - 4
+        assert encoding.stats.num_variables == 20 + 19  # auxiliary registers
 
     def test_commander_uses_fewer_clauses_than_pairwise(self):
-        literals = list(range(1, 41))
-        pairwise = CNF(num_vars=40)
-        at_most_one(pairwise, literals, AMOEncoding.PAIRWISE)
-        commander = CNF(num_vars=40)
-        at_most_one(commander, literals, AMOEncoding.COMMANDER)
-        assert commander.num_clauses < pairwise.num_clauses
+        pairwise, _ = exactly_one(40, AMOEncoding.PAIRWISE)
+        commander, _ = exactly_one(40, AMOEncoding.COMMANDER)
+        assert commander.stats.num_c1_clauses < pairwise.stats.num_c1_clauses
 
+    def test_small_groups_are_always_pairwise(self):
+        counts = {amo: exactly_one(4, amo)[0].stats.num_c1_clauses for amo in AMOEncoding}
+        assert set(counts.values()) == {1 + 6}
 
-class TestBlocks:
-    """The bulk block functions emit exactly the textbook per-clause loops."""
-
-    @pytest.mark.parametrize("n", [2, 3, 5, 9])
-    def test_pairwise_block_is_the_double_loop(self, n):
-        lits = [3 * k + 1 for k in range(n)]
-        expected = [(-lits[i], -lits[j]) for i in range(n) for j in range(i + 1, n)]
-        firsts, seconds = pairwise_columns(lits)
-        assert list(zip(firsts, seconds)) == expected
-        dropped = {0: {1}, 2: {n - 1}} if n > 3 else {0: {1}}
-        firsts, seconds = pairwise_columns(lits, dropped)
-        assert list(zip(firsts, seconds)) == [
-            pair for pair in expected
-            if not any(pair == (-lits[i], -lits[j])
-                       for i, js in dropped.items() for j in js)
-        ]
-
-    @pytest.mark.parametrize("n", [2, 3, 5, 9])
-    def test_sequential_block_is_the_sinz_loop(self, n):
-        lits = list(range(1, n + 1))
-        regs = list(range(n + 1, 2 * n))
-        expected = [(-lits[0], regs[0]), (-lits[n - 1], -regs[n - 2])]
-        for i in range(1, n - 1):
-            expected += [(-lits[i], regs[i]), (-regs[i - 1], regs[i]),
-                         (-lits[i], -regs[i - 1])]
-        assert list(zip(*sequential_columns(lits, regs))) == expected
-
-    def test_weave_appends_the_guard(self):
-        columns = (array("i", [1, 2]), array("i", [-3, -4]))
-        assert [list(part) for part in weave(columns)] == [[1, -3, 2, -4], [2, 2]]
-        assert [list(part) for part in weave(columns, guard=-9)] == [
-            [1, -3, -9, 2, -4, -9], [3, 3]]
-
-    def test_custom_pairwise_emitter_receives_every_pairwise_group(self):
-        groups = []
-        cnf = CNF(num_vars=12)
-        at_most_one(cnf, list(range(1, 13)), AMOEncoding.COMMANDER,
-                    pairwise=groups.append)
-        # Three groups of four plus the commanders' own pairwise level.
-        assert [len(group) for group in groups] == [4, 4, 4, 3]
-
-
-class TestHelpers:
-    def test_at_least_one_empty_is_unsat(self):
-        cnf = CNF()
-        at_least_one(cnf, [])
-        assert cnf.clauses == [()]
-
-    def test_count_true(self):
-        assert count_true([1, -2, 3], {1: True, 2: True, 3: False}) == 1
+    def test_auto_switches_to_sequential_above_the_limit(self):
+        at_limit, _ = exactly_one(AUTO_PAIRWISE_LIMIT, AMOEncoding.AUTO)
+        n = AUTO_PAIRWISE_LIMIT + 1
+        above, _ = exactly_one(n, AMOEncoding.AUTO)
+        assert at_limit.stats.num_c1_clauses == 1 + AUTO_PAIRWISE_LIMIT * (
+            AUTO_PAIRWISE_LIMIT - 1) // 2
+        assert above.stats.num_c1_clauses == 1 + 3 * n - 4
 
     def test_string_encoding_names_accepted(self):
-        cnf = CNF(num_vars=3)
-        at_most_one(cnf, [1, 2, 3], "pairwise")
-        assert cnf.num_clauses == 3
-
-
-@settings(max_examples=30, deadline=None)
-@given(n=st.integers(min_value=2, max_value=9), data=st.data())
-def test_all_encodings_equisatisfiable(n, data):
-    """Under any forced partial assignment, the three encodings agree."""
-    forced_true = data.draw(st.sets(st.integers(1, n), max_size=2))
-    results = []
-    for encoding in list(AMOEncoding):
-        cnf = CNF(num_vars=n)
-        at_most_one(cnf, list(range(1, n + 1)), encoding)
-        for var in forced_true:
-            cnf.add_clause([var])
-        results.append(DPLLSolver().solve(cnf) is not None)
-    assert len(set(results)) == 1
+        encoding, _ = exactly_one(3, "pairwise")
+        assert encoding.stats.num_c1_clauses == 1 + 3

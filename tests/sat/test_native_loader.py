@@ -1,9 +1,10 @@
-"""The native core's loader: build once, load lazily, fall back with a reason."""
+"""The native core's loader: build once, load lazily, fail with one reason."""
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from repro.sat import native
-from repro.sat.solver import CDCLSolver, make_solver
+from repro.sat.backend import BackendUnavailableError, CDCLBackend
+from repro.sat.solver import make_solver
 
 SRC = Path(native.__file__).resolve().parents[2]
 
@@ -36,6 +38,22 @@ def cold_loader(monkeypatch, tmp_path):
     monkeypatch.setattr(native, "_status", None)
     monkeypatch.setattr(native, "cache_root", lambda: tmp_path / "cache")
     return tmp_path / "cache"
+
+
+def _refused(reason_part: str) -> BackendUnavailableError:
+    """Check that every way in raises the loader's error; return it."""
+    errors = []
+    for create in (make_solver, CDCLBackend, native.load):
+        with pytest.raises(BackendUnavailableError) as excinfo:
+            create()
+        errors.append(str(excinfo.value))
+    # The failure is recorded once and raised again, not retried.
+    assert len(set(errors)) == 1
+    status = native.status()
+    assert not status.loaded and reason_part in status.reason
+    assert status.reason in errors[0]
+    assert "\n" not in errors[0]
+    return excinfo.value
 
 
 @needs_compiler
@@ -66,33 +84,30 @@ def test_racing_processes_build_one_library_and_both_load_it(tmp_path):
     assert [str(path) for path in libraries] == [reports[0][1]]
 
 
-def test_unwritable_cache_directory_falls_back_to_python(cold_loader, monkeypatch):
+def test_unwritable_cache_directory_is_refused(cold_loader, monkeypatch):
     blocker = cold_loader.parent / "not-a-directory"
     blocker.write_text("")
     monkeypatch.setattr(native, "cache_root", lambda: blocker / "cache")
     monkeypatch.setattr(native, "find_compiler", lambda: sys.executable)
-    assert type(make_solver()) is CDCLSolver
-    status = native.status()
-    assert not status.loaded and status.core == "python"
-    assert "not writable" in status.reason
+    error = _refused("not writable")
+    assert error.binary == os.path.basename(sys.executable)
 
 
-def test_missing_compiler_falls_back_to_python(cold_loader, monkeypatch):
+def test_missing_compiler_is_refused(cold_loader, monkeypatch):
     monkeypatch.setattr(native, "find_compiler", lambda: None)
-    solver = make_solver(random_seed=0)
-    assert type(solver) is CDCLSolver
-    assert solver.solve(assumptions=[]).status == "SAT"
-    assert "no C compiler" in native.status().reason
+    error = _refused("no C compiler")
+    assert error.binary == "cc" and error.hint == "install cc or gcc"
+    assert str(error).startswith("solver backend unavailable: 'cc' cannot build")
     assert not cold_loader.exists()
 
 
-def test_compile_error_falls_back_to_python(cold_loader, monkeypatch, tmp_path):
+def test_compile_error_is_refused(cold_loader, monkeypatch, tmp_path):
     broken = tmp_path / "_cdcl.c"
     broken.write_text("this is not C\n")
     monkeypatch.setattr(native, "SOURCE", broken)
-    assert type(make_solver()) is CDCLSolver
-    reason = native.status().reason
-    assert reason.startswith("BuildError") and "exited" in reason
+    error = _refused("exited")
+    assert native.status().reason.startswith("BuildError")
+    assert error.binary == os.path.basename(native.find_compiler())
     # No partial library is left behind for a later process to load.
     assert not list(cold_loader.glob("*.so")) and not list(cold_loader.glob(".build-*"))
 
@@ -108,3 +123,26 @@ def test_importing_the_mapper_neither_builds_nor_loads(tmp_path):
                           capture_output=True, text=True, timeout=120, check=True)
     assert done.stdout.split() == ["True", "False"]
     assert not (tmp_path / "repro-satmapit").exists()
+
+
+def test_cli_without_a_compiler_prints_one_error_line(tmp_path):
+    """``repro map`` on a host with no compiler and a cold cache: one
+    ``error:`` line naming the compiler, no traceback, a non-zero exit."""
+    empty = tmp_path / "bin"
+    empty.mkdir()
+    env = _child_env(tmp_path / "cold-cache")
+    # A PATH on which neither cc nor gcc can be found.
+    env["PATH"] = str(empty)
+    assert shutil.which("cc", path=env["PATH"]) is None
+    assert shutil.which("gcc", path=env["PATH"]) is None
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "map", "--kernel", "srand",
+         "--rows", "2", "--cols", "2"],
+        env=env, capture_output=True, text=True, timeout=120, cwd=tmp_path,
+    )
+    assert done.returncode != 0
+    assert "Traceback" not in done.stderr + done.stdout
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
+    assert "'cc'" in lines[0] and "no C compiler" in lines[0]
+    assert not list((tmp_path / "cold-cache").rglob("*.so"))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.sat.cnf import CNF
 from repro.sat.dpll import DPLLSolver
-from repro.sat.solver import CDCLSolver, _luby
+from repro.sat.solver import make_solver
 
 
 def _pigeonhole(pigeons: int, holes: int) -> CNF:
@@ -28,33 +28,33 @@ def _pigeonhole(pigeons: int, holes: int) -> CNF:
 
 class TestBasics:
     def test_empty_formula_sat(self):
-        result = CDCLSolver().solve(CNF())
+        result = make_solver().solve(CNF())
         assert result.is_sat
         assert result.model == {}
 
     def test_unit_clauses(self):
-        result = CDCLSolver().solve(CNF(clauses=[[1], [-2]]))
+        result = make_solver().solve(CNF(clauses=[[1], [-2]]))
         assert result.is_sat
         assert result.model == {1: True, 2: False}
 
     def test_empty_clause_unsat(self):
         cnf = CNF(clauses=[[1]])
         cnf.add_clause([])
-        assert CDCLSolver().solve(cnf).is_unsat
+        assert make_solver().solve(cnf).is_unsat
 
     def test_contradictory_units_unsat(self):
-        assert CDCLSolver().solve(CNF(clauses=[[1], [-1]])).is_unsat
+        assert make_solver().solve(CNF(clauses=[[1], [-1]])).is_unsat
 
     def test_model_satisfies_formula(self):
         cnf = CNF(clauses=[[1, 2, 3], [-1, -2], [-2, -3], [-1, -3], [2, 3]])
-        result = CDCLSolver().solve(cnf)
+        result = make_solver().solve(cnf)
         assert result.is_sat
         assert cnf.evaluate(result.model)
 
     def test_implication_chain(self):
         # 1 -> 2 -> 3 -> ... -> 10, with 1 forced.
         cnf = CNF(clauses=[[1]] + [[-i, i + 1] for i in range(1, 10)])
-        result = CDCLSolver().solve(cnf)
+        result = make_solver().solve(cnf)
         assert result.is_sat
         assert all(result.model[i] for i in range(1, 11))
         # The whole chain is derived by propagation, not decisions.
@@ -64,13 +64,13 @@ class TestBasics:
         cnf = CNF(clauses=[
             [1, 2], [1, -2], [-1, 3], [-1, -3],
         ])
-        result = CDCLSolver().solve(cnf)
+        result = make_solver().solve(cnf)
         assert result.is_unsat
 
     def test_result_flags(self):
-        sat = CDCLSolver().solve(CNF(clauses=[[1]]))
+        sat = make_solver().solve(CNF(clauses=[[1]]))
         assert sat.is_sat and not sat.is_unsat
-        unsat = CDCLSolver().solve(CNF(clauses=[[1], [-1]]))
+        unsat = make_solver().solve(CNF(clauses=[[1], [-1]]))
         assert unsat.is_unsat and not unsat.is_sat
 
 
@@ -82,11 +82,11 @@ class TestPigeonhole:
         (6, 5, "UNSAT"),
     ])
     def test_pigeonhole_instances(self, pigeons, holes, expected):
-        result = CDCLSolver().solve(_pigeonhole(pigeons, holes))
+        result = make_solver().solve(_pigeonhole(pigeons, holes))
         assert result.status == expected
 
     def test_stats_populated_on_hard_instance(self):
-        result = CDCLSolver().solve(_pigeonhole(6, 5))
+        result = make_solver().solve(_pigeonhole(6, 5))
         assert result.stats.conflicts > 0
         assert result.stats.decisions > 0
         assert result.stats.propagations > 0
@@ -96,56 +96,45 @@ class TestPigeonhole:
 class TestAssumptions:
     def test_assumptions_restrict_models(self):
         cnf = CNF(clauses=[[1, 2]])
-        result = CDCLSolver().solve(cnf, assumptions=[-1])
+        result = make_solver().solve(cnf, assumptions=[-1])
         assert result.is_sat
         assert result.model[1] is False
         assert result.model[2] is True
 
     def test_assumption_conflict(self):
         cnf = CNF(clauses=[[1]])
-        assert CDCLSolver().solve(cnf, assumptions=[-1]).is_unsat
+        assert make_solver().solve(cnf, assumptions=[-1]).is_unsat
 
     def test_multiple_assumptions(self):
         cnf = CNF(num_vars=4, clauses=[[1, 2, 3, 4]])
-        result = CDCLSolver().solve(cnf, assumptions=[-1, -2, -3])
+        result = make_solver().solve(cnf, assumptions=[-1, -2, -3])
         assert result.is_sat
         assert result.model[4] is True
 
 
 class TestBudgets:
     def test_conflict_limit_returns_unknown(self):
-        result = CDCLSolver().solve(_pigeonhole(7, 6), conflict_limit=5)
+        result = make_solver().solve(_pigeonhole(7, 6), conflict_limit=5)
         assert result.status == "UNKNOWN"
         assert result.model is None
 
     def test_time_limit_returns_unknown(self):
-        result = CDCLSolver().solve(_pigeonhole(9, 8), time_limit=0.001)
+        result = make_solver().solve(_pigeonhole(9, 8), time_limit=0.001)
         assert result.status in ("UNKNOWN", "UNSAT")
 
 
 class TestRestartsAndDeletion:
     def test_restarts_happen_on_hard_instances(self):
-        solver = CDCLSolver(restart_base=10)
+        solver = make_solver(restart_base=10)
         result = solver.solve(_pigeonhole(6, 5))
         assert result.is_unsat
         assert result.stats.restarts > 0
 
     def test_clause_deletion_triggers(self):
-        solver = CDCLSolver(learned_limit_base=50)
+        solver = make_solver(learned_limit_base=50)
         result = solver.solve(_pigeonhole(7, 6))
         assert result.is_unsat
         assert result.stats.learned_clauses > 50
-
-
-class TestLuby:
-    def test_first_terms(self):
-        assert [_luby(i) for i in range(1, 16)] == [
-            1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8
-        ]
-
-    def test_invalid_index(self):
-        with pytest.raises(ValueError):
-            _luby(0)
 
 
 def _random_cnf(seed: int, num_vars: int, num_clauses: int, width: int = 3) -> CNF:
@@ -164,7 +153,7 @@ class TestCrossCheck:
     @pytest.mark.parametrize("seed", range(25))
     def test_agrees_with_dpll_on_random_formulas(self, seed):
         cnf = _random_cnf(seed, num_vars=4 + seed % 8, num_clauses=10 + 3 * (seed % 10))
-        cdcl = CDCLSolver().solve(cnf)
+        cdcl = make_solver().solve(cnf)
         dpll = DPLLSolver().solve(cnf)
         assert cdcl.is_sat == (dpll is not None)
         if cdcl.is_sat:
@@ -193,7 +182,7 @@ def test_cdcl_matches_dpll_property(num_vars, clauses, signs):
             sign_index += 1
             literals.append(variable if positive else -variable)
         cnf.add_clause(literals)
-    cdcl = CDCLSolver().solve(cnf)
+    cdcl = make_solver().solve(cnf)
     dpll = DPLLSolver().solve(cnf)
     assert cdcl.is_sat == (dpll is not None)
     if cdcl.is_sat:
