@@ -268,14 +268,18 @@ class PortfolioStrategy(SearchStrategy):
                 if best_win_ii is None or ii < best_win_ii:
                     best_win_ii = ii
                 return
+            if worker_outcome.timed_out:
+                # The lane ran out of the run's own budget (it was given
+                # what remained at launch), so the run has timed out.  Its
+                # II stays unresolved: a partial all-UNSAT record is not a
+                # proof, as untried slack levels might still map this II.
+                outcome.timed_out = True
+                return
             if (
                 worker_outcome.attempts
-                and not worker_outcome.timed_out
                 and all(a.status == "UNSAT" for a in worker_outcome.attempts)
             ):
                 # A decisive proof of infeasibility — variant-independent.
-                # (A timed-out worker's partial all-UNSAT record is *not* a
-                # proof: untried slack levels might still map this II.)
                 state.unsat_proof = True
                 return
             state.failed_lanes += 1
@@ -298,11 +302,6 @@ class PortfolioStrategy(SearchStrategy):
                 ready = procs.wait(active, ctx.remaining_time())
                 if not ready and ctx.out_of_time():
                     outcome.timed_out = True
-                    cancel_all()
-                    self._finalise_attempts(outcome)
-                    # The seed is the anytime answer of last resort:
-                    # feasible and validated, merely not proven minimal.
-                    return self._anytime_result(states, frontier) or seed
                 for worker in ready:
                     # A lane answers once, then exits; a lane that died
                     # without answering reads as a crash record.
@@ -311,6 +310,12 @@ class PortfolioStrategy(SearchStrategy):
                     worker.conn.close()
                     worker.process.join()
                     settle(ii, lane, payload)
+                if outcome.timed_out:
+                    cancel_all()
+                    self._finalise_attempts(outcome)
+                    # The seed is the anytime answer of last resort:
+                    # feasible and validated, merely not proven minimal.
+                    return self._anytime_result(states, frontier) or seed
 
                 # Advance the frontier over every freshly resolved II.
                 while True:
@@ -426,13 +431,14 @@ class PortfolioStrategy(SearchStrategy):
 
         Walking up from the frontier: a resolved-infeasible II is skipped,
         a win is returned (every II below it is proven out), and an
-        unresolved II stops the walk — a win above it would be unsound to
-        claim as minimal, matching what the ladder would have reached.
+        unresolved or never-raced II stops the walk — a win above it would
+        be unsound to claim as minimal, matching what the ladder would have
+        reached.
         """
-        for ii in sorted(states):
-            if ii < frontier:
-                continue
-            state = states[ii]
+        for ii in range(frontier, max(states, default=frontier) + 1):
+            state = states.get(ii)
+            if state is None:
+                return None
             if state.infeasible:
                 continue
             if state.win is not None:

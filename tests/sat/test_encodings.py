@@ -11,6 +11,8 @@ The DPLL oracle then checks the semantics exhaustively.
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cgra.architecture import CGRA
 from repro.core.encoder import EncoderConfig, MappingEncoder
@@ -67,6 +69,12 @@ class TestExactlyOne:
             cube = [lit if bit else -lit for lit, bit in zip(literals, bits)]
             assert _satisfiable(encoding.cnf, cube) == (sum(bits) == 1), bits
 
+    def test_single_literal_is_one_unit_clause(self, amo):
+        encoding, literals = exactly_one(1, amo)
+        assert encoding.stats.num_c1_clauses == 1
+        assert encoding.stats.num_variables == 1
+        assert encoding.cnf.clauses == [tuple(literals)]
+
     def test_forcing_last_literal(self, amo):
         encoding, literals = exactly_one(7, amo)
         model = DPLLSolver().solve(encoding.cnf, assumptions=[-v for v in literals[:-1]])
@@ -84,6 +92,13 @@ class TestAtMostOne:
         for bits in itertools.product([False, True], repeat=n):
             cube = [lit if bit else -lit for lit, bit in zip(group, bits)]
             assert _satisfiable(encoding.cnf, cube) == (sum(bits) <= 1), bits
+
+    def test_single_literal_is_noop(self, amo):
+        """One node alone on a PE: every C2 group holds one literal and
+        needs no clause."""
+        encoding = free_nodes(1, amo, 3)
+        assert encoding.stats.num_c2_clauses == 0
+        assert encoding.stats.num_variables == 3
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_one_node_per_slot(self, amo, n):
@@ -138,3 +153,20 @@ class TestClauseCounts:
     def test_string_encoding_names_accepted(self):
         encoding, _ = exactly_one(3, "pairwise")
         assert encoding.stats.num_c1_clauses == 1 + 3
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(min_value=2, max_value=7), data=st.data())
+def test_all_encodings_equisatisfiable(n, data):
+    """Under any forced partial placement of ``n`` nodes sharing one PE,
+    the encodings agree on satisfiability."""
+    keys = [(node, 0, cycle, 0) for node in range(n) for cycle in range(n)]
+    forced = data.draw(st.dictionaries(st.sampled_from(keys), st.booleans(),
+                                       max_size=4))
+    verdicts = set()
+    for amo in AMOEncoding:
+        encoding = free_nodes(n, amo, n)
+        cube = [encoding.variables[key] if value else -encoding.variables[key]
+                for key, value in forced.items()]
+        verdicts.add(_satisfiable(encoding.cnf, cube))
+    assert len(verdicts) == 1
