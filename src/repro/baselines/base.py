@@ -15,6 +15,8 @@ broken and how many retries each II receives.
 
 from __future__ import annotations
 
+import heapq
+import operator
 import random
 import time
 from dataclasses import dataclass
@@ -236,7 +238,11 @@ def modulo_schedule_with_diagnostics(
     failure-driven priority adjustment.
     """
     budget = max(budget_factor * dfg.num_nodes, 4 * dfg.num_nodes)
-    unscheduled = set(dfg.node_ids)
+    # Highest priority first, ties to the lowest node id: a min-heap on
+    # (-priority, node) pops the node ``max(unscheduled, key=(priority,
+    # -node))`` would pick.  It holds exactly the unscheduled nodes.
+    queue = [(-priorities.get(node_id, 0.0), node_id) for node_id in dfg.node_ids]
+    heapq.heapify(queue)
     flat_times: dict[int, int] = {}
     pes: dict[int, int] = {}
     slots: dict[tuple[int, int], int] = {}
@@ -244,10 +250,9 @@ def modulo_schedule_with_diagnostics(
     previous_time: dict[int, int] = {}
     operations = 0
 
-    while unscheduled and operations < budget:
+    while queue and operations < budget:
         operations += 1
-        node_id = max(unscheduled, key=lambda n: (priorities.get(n, 0.0), -n))
-        unscheduled.discard(node_id)
+        _, node_id = heapq.heappop(queue)
 
         earliest = _earliest_start(dfg, ii, node_id, flat_times)
         if node_id in previous_time:
@@ -264,16 +269,17 @@ def modulo_schedule_with_diagnostics(
         forced_time = earliest
         previous_time[node_id] = forced_time
         forced_pe = _choose_forced_pe(dfg, cgra, node_id, pes, slots, forced_time % ii, rng)
-        _evict_conflicts(
+        for victim in _evict_conflicts(
             dfg, cgra, ii, node_id, forced_pe, forced_time, flat_times, pes, slots,
-            unscheduled, enforce_output_register,
-        )
+            enforce_output_register,
+        ):
+            heapq.heappush(queue, (-priorities.get(victim, 0.0), victim))
         flat_times[node_id] = forced_time
         pes[node_id] = forced_pe
         slots[(forced_pe, forced_time % ii)] = node_id
 
-    if unscheduled:
-        return None, set(unscheduled)
+    if queue:
+        return None, {node_id for _, node_id in queue}
 
     mapping = Mapping(dfg=dfg, cgra=cgra, ii=ii)
     for node_id, flat in flat_times.items():
@@ -368,16 +374,42 @@ def _try_window(
     rng: random.Random,
     enforce_output_register: bool,
 ) -> bool:
-    """Try to place ``node_id`` inside its II-wide window without ejections."""
+    """Try to place ``node_id`` inside its II-wide window without ejections.
+
+    The window is scanned cycle by cycle, candidate PEs in affinity order,
+    and the first free slot every placed partner accepts is taken.  Each
+    partner is tested once rather than per slot: its one-hop reach keeps
+    or drops a PE for the whole window, and its timing clamps the window
+    (a predecessor from below at ``src_flat + latency - distance * ii``, a
+    successor from above at ``dst_flat + distance * ii - latency``).  Only
+    the output-register rule depends on the slot and is checked per slot.
+    """
     candidate_pes = _candidate_pes(dfg, cgra, node_id, pes, rng)
-    for flat in range(earliest, earliest + ii):
+    neighbour_sets = cgra.neighbour_sets
+    lowest = earliest
+    latest = earliest + ii - 1
+    for edge in dfg.predecessors(node_id):
+        src_flat = flat_times.get(edge.src)
+        if src_flat is not None:
+            reach = neighbour_sets[pes[edge.src]]
+            candidate_pes = [pe for pe in candidate_pes if pe in reach]
+            lowest = max(
+                lowest, src_flat + dfg.node(edge.src).latency - edge.distance * ii
+            )
+    latency = dfg.node(node_id).latency
+    for edge in dfg.successors(node_id):
+        dst_flat = flat_times.get(edge.dst)
+        if dst_flat is not None:
+            dst_pe = pes[edge.dst]
+            candidate_pes = [pe for pe in candidate_pes if dst_pe in neighbour_sets[pe]]
+            latest = min(latest, dst_flat + edge.distance * ii - latency)
+    for flat in range(lowest, latest + 1):
         cycle = flat % ii
         for pe in candidate_pes:
             if (pe, cycle) in slots:
                 continue
-            if _partner_violations(
-                dfg, cgra, ii, node_id, pe, flat, flat_times, pes, slots,
-                enforce_output_register,
+            if enforce_output_register and _partner_violations(
+                dfg, cgra, ii, node_id, pe, flat, flat_times, pes, slots, True,
             ):
                 continue
             flat_times[node_id] = flat
@@ -402,12 +434,31 @@ def _candidate_pes(
         pes[edge.dst] for edge in dfg.successors(node_id) if edge.dst in pes
     ]
     candidates = list(cgra.pes_supporting(dfg.node(node_id).opcode))
-    rng.shuffle(candidates)
+    _shuffle(candidates, rng.getrandbits)
     if not partner_pes:
         return candidates
-    rows = [cgra.affinity_table[partner] for partner in partner_pes]
-    candidates.sort(key=lambda pe: sum(row[pe] for row in rows))
+    affinity = cgra.affinity_table
+    # Per-PE affinity sums over every partner, one row at a time.
+    totals = affinity[partner_pes[0]]
+    for partner in partner_pes[1:]:
+        totals = list(map(operator.add, totals, affinity[partner]))
+    candidates.sort(key=totals.__getitem__)
     return candidates
+
+
+def _shuffle(items: list, getrandbits) -> None:
+    """Shuffle ``items`` in place exactly as ``random.Random.shuffle`` does.
+
+    The same Fisher-Yates swaps and the same ``getrandbits`` draws (the
+    rejection loop of ``Random._randbelow``), without its two method
+    calls per element.
+    """
+    for i in reversed(range(1, len(items))):
+        bits = (i + 1).bit_length()
+        j = getrandbits(bits)
+        while j > i:
+            j = getrandbits(bits)
+        items[i], items[j] = items[j], items[i]
 
 
 def _choose_forced_pe(
@@ -421,11 +472,8 @@ def _choose_forced_pe(
 ) -> int:
     """PE used for a forced placement: close to partners, low eviction cost."""
     candidates = _candidate_pes(dfg, cgra, node_id, pes, rng)
-
-    def cost(pe: int) -> int:
-        return 1 if (pe, cycle) in slots else 0
-
-    return min(candidates, key=cost)
+    # The first free candidate, else the first one (its occupant is evicted).
+    return next((pe for pe in candidates if (pe, cycle) not in slots), candidates[0])
 
 
 def _evict_conflicts(
@@ -438,10 +486,12 @@ def _evict_conflicts(
     flat_times: dict[int, int],
     pes: dict[int, int],
     slots: dict[tuple[int, int], int],
-    unscheduled: set[int],
     enforce_output_register: bool,
-) -> None:
-    """Remove the slot occupant and every partner violated by the forced node."""
+) -> list[int]:
+    """Unschedule the slot occupant and every partner the forced node violates.
+
+    Returns the evicted nodes.
+    """
     occupant = slots.get((pe, flat % ii))
     victims = set()
     if occupant is not None and occupant != node_id:
@@ -452,10 +502,12 @@ def _evict_conflicts(
             enforce_output_register,
         )
     )
+    evicted = []
     for victim in victims:
         if victim == node_id or victim not in flat_times:
             continue
         del slots[(pes[victim], flat_times[victim] % ii)]
         del flat_times[victim]
         del pes[victim]
-        unscheduled.add(victim)
+        evicted.append(victim)
+    return evicted

@@ -90,6 +90,8 @@ STALE_TEMP_AGE = 300.0
 #: or what evidence it logs, never the II of a completed run, and is
 #: deliberately excluded from the key — a seeded portfolio run primes the
 #: cache for a later unseeded ladder run of the same problem.
+#: ``random_seed`` is excluded too: the native solver is deterministic and
+#: ignores it, so runs that differ only in the seed build the same mapping.
 SEMANTIC_CONFIG_FIELDS: tuple[str, ...] = (
     "max_ii",
     "schedule_slack",
@@ -105,7 +107,6 @@ SEMANTIC_CONFIG_FIELDS: tuple[str, ...] = (
     "neighbour_register_file_access",
     "run_register_allocation",
     "solver_conflict_limit",
-    "random_seed",
 )
 
 

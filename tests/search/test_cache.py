@@ -39,12 +39,11 @@ class TestCacheKey:
         base = cache_key(dfg, cgra, config)
         assert cache_key(get_kernel("nw"), cgra, config) != base
         assert cache_key(dfg, CGRA.square(4), config) != base
-        assert cache_key(dfg, cgra, MapperConfig(random_seed=1)) != base
         assert cache_key(dfg, cgra, config, solver_version="other") != base
         assert cache_key(dfg, cgra, config, start_ii=5) != base
 
     def test_execution_details_do_not_change_the_key(self):
-        """Timeout / strategy / jobs / verbosity are not semantic."""
+        """Timeout / strategy / jobs / verbosity / seed are not semantic."""
         dfg, cgra = get_kernel("srand"), CGRA.square(3)
         base = cache_key(dfg, cgra, MapperConfig())
         for overrides in (
@@ -53,6 +52,7 @@ class TestCacheKey:
             dict(search="portfolio", search_jobs=8),
             dict(cache_dir="/elsewhere"),
             dict(attempt_time_limit=1.0),
+            dict(random_seed=1),
         ):
             assert cache_key(dfg, cgra, MapperConfig(**overrides)) == base
 
@@ -69,7 +69,6 @@ class TestCacheKey:
             "max_ii": 50,
             "max_iteration_span": None,
             "neighbour_register_file_access": True,
-            "random_seed": None,
             "regalloc_retries": 3,
             "run_register_allocation": True,
             "schedule_slack": 0,
@@ -115,8 +114,14 @@ class TestCacheRoundTrip:
 
     def test_semantic_config_change_misses(self, tmp_path):
         _map("srand", tmp_path)
-        other = _map("srand", tmp_path, random_seed=1)
+        other = _map("srand", tmp_path, run_register_allocation=False)
         assert not other.cache_hit
+
+    def test_seed_change_hits(self, tmp_path):
+        """The solver ignores the seed: a reseeded run reuses the entry."""
+        first = _map("srand", tmp_path)
+        second = _map("srand", tmp_path, random_seed=1)
+        assert second.cache_hit and second.ii == first.ii
 
     def test_failed_runs_are_not_cached(self, tmp_path):
         # gsm needs II=7 on a 2x2; an II cap below that fails the run.

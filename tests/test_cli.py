@@ -208,6 +208,18 @@ class TestCommands:
         assert "cache: hit" in captured.out
         assert "cached" in captured.out
 
+    def test_map_seeds_share_one_cache_entry(self, capsys, tmp_path):
+        cache = tmp_path / "mapcache"
+        for seed, verdict in (("1", "cache: miss"), ("2", "cache: hit")):
+            exit_code = main([
+                "map", "--kernel", "srand", "--rows", "2", "--cols", "2",
+                "--timeout", "30", "--cache", str(cache), "--seed", seed,
+            ])
+            captured = capsys.readouterr()
+            assert exit_code == 0
+            assert verdict in captured.out
+        assert len(list(cache.glob("*.json"))) == 1
+
     def test_map_with_portfolio_search(self, capsys):
         exit_code = main([
             "map", "--kernel", "srand", "--rows", "2", "--cols", "2",
