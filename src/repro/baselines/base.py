@@ -384,25 +384,28 @@ def _try_window(
     successor from above at ``dst_flat + distance * ii - latency``).  Only
     the output-register rule depends on the slot and is checked per slot.
     """
-    candidate_pes = _candidate_pes(dfg, cgra, node_id, pes, rng)
+    node = dfg.node(node_id)
+    # Each placed partner once: its PE and its bound on the start time.
+    preds = [
+        (pes[edge.src],
+         flat_times[edge.src] + dfg.node(edge.src).latency - edge.distance * ii)
+        for edge in dfg.predecessors(node_id) if edge.src in flat_times
+    ]
+    succs = [
+        (pes[edge.dst], flat_times[edge.dst] + edge.distance * ii - node.latency)
+        for edge in dfg.successors(node_id) if edge.dst in flat_times
+    ]
+    candidate_pes = _rank_pes(
+        cgra, node.opcode, [pe for pe, _ in preds] + [pe for pe, _ in succs], rng
+    )
     neighbour_sets = cgra.neighbour_sets
-    lowest = earliest
-    latest = earliest + ii - 1
-    for edge in dfg.predecessors(node_id):
-        src_flat = flat_times.get(edge.src)
-        if src_flat is not None:
-            reach = neighbour_sets[pes[edge.src]]
-            candidate_pes = [pe for pe in candidate_pes if pe in reach]
-            lowest = max(
-                lowest, src_flat + dfg.node(edge.src).latency - edge.distance * ii
-            )
-    latency = dfg.node(node_id).latency
-    for edge in dfg.successors(node_id):
-        dst_flat = flat_times.get(edge.dst)
-        if dst_flat is not None:
-            dst_pe = pes[edge.dst]
-            candidate_pes = [pe for pe in candidate_pes if dst_pe in neighbour_sets[pe]]
-            latest = min(latest, dst_flat + edge.distance * ii - latency)
+    for src_pe, _ in preds:
+        reach = neighbour_sets[src_pe]
+        candidate_pes = [pe for pe in candidate_pes if pe in reach]
+    for dst_pe, _ in succs:
+        candidate_pes = [pe for pe in candidate_pes if dst_pe in neighbour_sets[pe]]
+    lowest = max([earliest, *(bound for _, bound in preds)])
+    latest = min([earliest + ii - 1, *(bound for _, bound in succs)])
     for flat in range(lowest, latest + 1):
         cycle = flat % ii
         for pe in candidate_pes:
@@ -433,7 +436,15 @@ def _candidate_pes(
     ] + [
         pes[edge.dst] for edge in dfg.successors(node_id) if edge.dst in pes
     ]
-    candidates = list(cgra.pes_supporting(dfg.node(node_id).opcode))
+    return _rank_pes(cgra, dfg.node(node_id).opcode, partner_pes, rng)
+
+
+def _rank_pes(
+    cgra: CGRA, opcode: str, partner_pes: list[int], rng: random.Random
+) -> list[int]:
+    """The PEs able to run ``opcode``, shuffled, then stably sorted by
+    their summed affinity to ``partner_pes``."""
+    candidates = list(cgra.pes_supporting(opcode))
     _shuffle(candidates, rng.getrandbits)
     if not partner_pes:
         return candidates

@@ -212,9 +212,16 @@ class CGRA:
         """Indices of the PEs implementing ``op_class`` (ascending order)."""
         return self._capable_pes[OpClass(op_class)]
 
+    @cached_property
+    def _opcode_pes(self) -> dict[Opcode, tuple[int, ...]]:
+        return {opcode: self.capable_pes(opcode.op_class) for opcode in Opcode}
+
     def pes_supporting(self, opcode: Opcode | str) -> tuple[int, ...]:
         """Indices of the PEs able to execute ``opcode`` (ascending order)."""
-        return self.capable_pes(Opcode(opcode).op_class)
+        try:
+            return self._opcode_pes[opcode]
+        except KeyError:
+            return self._opcode_pes[Opcode(opcode)]
 
     def capability_summary(self) -> str:
         """Compact per-class PE counts, e.g. ``alu:16 mul:16 div:16 mem:12``."""
