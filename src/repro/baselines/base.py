@@ -15,6 +15,7 @@ broken and how many retries each II receives.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import operator
 import random
@@ -464,12 +465,17 @@ def _shuffle(items: list, getrandbits) -> None:
     rejection loop of ``Random._randbelow``), without its two method
     calls per element.
     """
-    for i in reversed(range(1, len(items))):
-        bits = (i + 1).bit_length()
+    for i, bits in _shuffle_steps(len(items)):
         j = getrandbits(bits)
         while j > i:
             j = getrandbits(bits)
         items[i], items[j] = items[j], items[i]
+
+
+@functools.cache
+def _shuffle_steps(length: int) -> tuple[tuple[int, int], ...]:
+    """``(i, (i + 1).bit_length())`` for each swap of a shuffle, in order."""
+    return tuple((i, (i + 1).bit_length()) for i in reversed(range(1, length)))
 
 
 def _choose_forced_pe(
