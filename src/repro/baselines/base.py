@@ -386,27 +386,32 @@ def _try_window(
     the output-register rule depends on the slot and is checked per slot.
     """
     node = dfg.node(node_id)
-    # Each placed partner once: its PE and its bound on the start time.
-    preds = [
-        (pes[edge.src],
-         flat_times[edge.src] + dfg.node(edge.src).latency - edge.distance * ii)
-        for edge in dfg.predecessors(node_id) if edge.src in flat_times
-    ]
-    succs = [
-        (pes[edge.dst], flat_times[edge.dst] + edge.distance * ii - node.latency)
-        for edge in dfg.successors(node_id) if edge.dst in flat_times
-    ]
-    candidate_pes = _rank_pes(
-        cgra, node.opcode, [pe for pe, _ in preds] + [pe for pe, _ in succs], rng
-    )
+    lowest = earliest
+    latest = earliest + ii - 1
+    pred_pes: list[int] = []
+    succ_pes: list[int] = []
+    for edge in dfg.predecessors(node_id):
+        src_flat = flat_times.get(edge.src)
+        if src_flat is not None:
+            pred_pes.append(pes[edge.src])
+            lowest = max(
+                lowest, src_flat + dfg.node(edge.src).latency - edge.distance * ii
+            )
+    for edge in dfg.successors(node_id):
+        dst_flat = flat_times.get(edge.dst)
+        if dst_flat is not None:
+            succ_pes.append(pes[edge.dst])
+            latest = min(latest, dst_flat + edge.distance * ii - node.latency)
+    # Ranked (and the random draws made) even when the window is empty.
+    candidate_pes = _rank_pes(cgra, node.opcode, pred_pes + succ_pes, rng)
+    if lowest > latest:
+        return False
     neighbour_sets = cgra.neighbour_sets
-    for src_pe, _ in preds:
+    for src_pe in pred_pes:
         reach = neighbour_sets[src_pe]
         candidate_pes = [pe for pe in candidate_pes if pe in reach]
-    for dst_pe, _ in succs:
+    for dst_pe in succ_pes:
         candidate_pes = [pe for pe in candidate_pes if dst_pe in neighbour_sets[pe]]
-    lowest = max([earliest, *(bound for _, bound in preds)])
-    latest = min([earliest + ii - 1, *(bound for _, bound in succs)])
     for flat in range(lowest, latest + 1):
         cycle = flat % ii
         for pe in candidate_pes:
