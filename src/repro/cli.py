@@ -34,6 +34,7 @@ from repro.experiments.perf import (
 )
 from repro.experiments.report import write_markdown_report
 from repro.experiments.runner import (
+    FAILURE_STATUSES,
     SAT_MAPIT,
     SCENARIOS,
     ExperimentConfig,
@@ -230,18 +231,10 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.farm.faults import FaultPlan
-
     error = _backend_error(args)
     if error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    faults = None
-    if args.chaos:
-        try:
-            faults = FaultPlan.from_spec(args.chaos)
-        except ValueError as exc:
-            return _cli_error(exc)
     journal_dir = args.resume if args.resume else args.journal
     try:
         config = ExperimentConfig(
@@ -258,7 +251,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             cache_max_mb=args.cache_max_mb,
             seed_heuristic=args.seed_heuristic,
             proof=args.proof,
-            max_retries=args.max_retries,
         )
     except ValueError as exc:
         # An out-of-range budget, e.g. a negative --timeout.
@@ -276,7 +268,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             journal_dir=journal_dir,
             resume=bool(args.resume),
-            faults=faults,
         )
     except (MappingError, BackendUnavailableError, FarmError) as exc:
         # The up-front validation cannot catch everything: a scenario
@@ -287,8 +278,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if sweep.farm is not None:
         print(f"\nfarm: {sweep.farm.summary()}")
         for record in sweep.records:
-            if record.quarantined:
-                print(f"  quarantined: {record.kernel} {record.size}x"
+            if record.status in FAILURE_STATUSES:
+                print(f"  {record.status}: {record.kernel} {record.size}x"
                       f"{record.size} {record.mapper} [{record.scenario}]: "
                       f"{record.failure}")
     if config.cache_dir:
@@ -454,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd.add_argument("--pathseeker-repeats", type=int, default=3)
     sweep_cmd.add_argument("--jobs", type=int, default=1,
                            help="run the sweep on N parallel worker "
-                                "processes (the fault-tolerant farm)")
+                                "processes (the work-queue farm)")
     sweep_cmd.add_argument("--journal", metavar="DIR",
                            help="keep the farm's work journal in DIR so a "
                                 "killed sweep can be picked up again with "
@@ -462,18 +453,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd.add_argument("--resume", metavar="DIR",
                            help="resume the journalled sweep in DIR: "
                                 "finished items are served from the "
-                                "journal, only unfinished ones are run "
-                                "(the sweep flags must match the original "
-                                "invocation)")
-    sweep_cmd.add_argument("--max-retries", type=int, default=3,
-                           help="transient-failure retries per work item "
-                                "before it is quarantined as poison "
-                                "(default: 3)")
-    sweep_cmd.add_argument("--chaos", metavar="SPEC",
-                           help="inject deterministic faults (testing), "
-                                "e.g. 'kill-after=2,backend-rate=0.5'; "
-                                "same grammar as the REPRO_CHAOS "
-                                "environment variable")
+                                "journal; unfinished items and crashed or "
+                                "deadline records are run again (the sweep "
+                                "flags must match the original invocation)")
     sweep_cmd.add_argument("--backend", default="cdcl", metavar="NAME",
                            help="solver backend for SAT-MapIt: one of "
                                 f"{', '.join(available_backends())} "

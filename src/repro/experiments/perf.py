@@ -325,7 +325,6 @@ def run_farm_case(repeats: int = 1) -> dict:
                 round(60.0 * mapped / wall, 2) if wall else 0.0
             ),
             "farm_retries": farm.retries if farm else 0,
-            "farm_quarantined": farm.quarantined if farm else 0,
         }
         runs.append((wall, record))
     runs.sort(key=lambda entry: entry[0])

@@ -14,7 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.runner import HOMOGENEOUS, SAT_MAPIT, SweepResult
+from repro.experiments.runner import (
+    FAILURE_STATUSES,
+    HOMOGENEOUS,
+    SAT_MAPIT,
+    SweepResult,
+)
 from repro.experiments.tables import (
     figure6_rows,
     headline_winrate,
@@ -254,33 +259,23 @@ def render_markdown_report(sweep: SweepResult, options: ReportOptions | None = N
     )
     if sweep.farm is not None:
         farm = sweep.farm
-        quarantined = [r for r in sweep.records if r.quarantined]
-        retried = sum(1 for r in sweep.records if r.retries)
+        failures = [r for r in sweep.records if r.status in FAILURE_STATUSES]
         lines.extend(
             [
-                "## Fault tolerance (work-queue farm)",
+                "## Work-queue farm",
                 "",
-                f"* resumed from an earlier journal: "
-                f"**{'yes' if farm.resumed else 'no'}** "
-                f"(**{farm.skipped}** finished item(s) served from the "
-                f"journal without re-solving)",
-                f"* items completed this run: **{farm.completed}** of "
+                f"* items completed this run / resumed from the journal: "
+                f"**{farm.completed}** / **{farm.skipped}** of "
                 f"**{farm.items}**",
-                f"* transient failures retried: **{farm.retries}** "
-                f"(**{retried}** item(s) needed at least one retry)",
-                f"* deadlines expired (worker reaped, item requeued): "
-                f"**{farm.deadlines_expired}**",
-                f"* worker crashes / respawns: **{farm.worker_crashes}** / "
-                f"**{farm.worker_respawns}**",
-                f"* poison items quarantined: **{farm.quarantined}**"
-                + (
-                    " — " + "; ".join(
-                        f"{r.kernel} {r.size}x{r.size} {r.mapper} "
-                        f"[{r.scenario}]: {r.failure}"
-                        for r in quarantined
-                    )
-                    if quarantined
-                    else ""
+                f"* crashed or deadline records run again by the resume: "
+                f"**{farm.retries}**",
+                f"* worker crashes / deadlines expired: "
+                f"**{farm.worker_crashes}** / **{farm.deadlines_expired}**",
+                f"* records without a mapper verdict: **{len(failures)}**",
+                *(
+                    f"  * {r.kernel} {r.size}x{r.size} {r.mapper} "
+                    f"[{r.scenario}] {r.status}: {r.failure}"
+                    for r in failures
                 ),
                 "",
             ]

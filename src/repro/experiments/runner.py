@@ -7,18 +7,21 @@ This module reproduces that protocol with configurable (smaller) budgets so
 the full sweep stays tractable on a laptop and inside the test-suite.
 
 ``run_sweep(jobs=N)`` distributes the (kernel, size, mapper) runs over the
-fault-tolerant work-queue farm (:mod:`repro.farm`): every run becomes a
-journalled work item handed to worker processes under leases, so a crashed
-worker costs one retry, not the sweep, and a SIGKILLed sweep can be resumed
-(``journal_dir=`` / ``resume=True``) without re-solving finished items.
-Runs are independent and each mapper is deterministic for a fixed
-configuration, so a parallel (or resumed, or fault-injected) sweep produces
-record-for-record the same results as the serial one, in the same order.
+work-queue farm (:mod:`repro.farm`): every run becomes a journalled work
+item handed to worker processes under leases with deadlines.  Each item
+runs once and ends in one record; a crashed or reaped worker costs its
+item a ``crashed`` or ``deadline`` record, not the sweep, and a SIGKILLed
+sweep can be resumed (``journal_dir=`` / ``resume=True``) without
+re-solving finished items.  Runs are independent and each mapper is
+deterministic for a fixed configuration, so a parallel (or resumed) sweep
+produces record-for-record the same results as the serial one, in the
+same order.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import tempfile
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -32,7 +35,7 @@ from repro.kernels import all_kernel_names, get_kernel
 from repro.sat.encodings import AMOEncoding
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard
-    from repro.farm.faults import FaultPlan
+    from repro.farm.journal import WorkItem
     from repro.farm.leases import FarmStats
 
 SAT_MAPIT = "SAT-MapIt"
@@ -47,6 +50,15 @@ MEM_EDGE = "mem_edge"
 MUL_SPARSE = "mul_sparse"
 
 SCENARIOS = (HOMOGENEOUS, MEM_EDGE, MUL_SPARSE)
+
+#: Statuses of a farm item that ended without one of the mapper's own
+#: verdicts (``mapped``, ``failed``, ``timeout``); ``RunRecord.failure``
+#: says what happened.
+INFEASIBLE = "infeasible"  # the mapper raised MappingError
+CRASHED = "crashed"  # the worker died: killed by a signal or exited
+DEADLINE = "deadline"  # the worker was reaped at the item's deadline
+ERROR = "error"  # any other exception
+FAILURE_STATUSES = (INFEASIBLE, CRASHED, DEADLINE, ERROR)
 
 
 def build_fabric(scenario: str, size: int, registers_per_pe: int = 4) -> CGRA:
@@ -107,10 +119,6 @@ class ExperimentConfig:
     #: Log DRAT proofs for UNSAT attempts in the SAT-MapIt runs (``cdcl``
     #: backend only; checked by :class:`MapperConfig` on construction).
     proof: bool = False
-    #: Farm execution knob (parallel sweeps only; excluded from the
-    #: journal compatibility digest so a resume may loosen it): retry cap
-    #: per work item before quarantine.
-    max_retries: int = 3
 
     def __post_init__(self) -> None:
         # Reject a backend/proof mismatch or an out-of-range budget up
@@ -126,7 +134,7 @@ class RunRecord:
     kernel: str
     size: int
     mapper: str
-    status: str  # "mapped", "timeout", "failed"
+    status: str  # "mapped", "timeout", "failed", or a FAILURE_STATUSES entry
     ii: int | None
     mapping_time: float
     minimum_ii: int
@@ -164,14 +172,11 @@ class RunRecord:
     seed_ii: int | None = None
     seed_used: bool = False
     seed_time: float = 0.0
-    #: Farm provenance (parallel sweeps only): transient-failure retries
-    #: this item consumed before the recorded result, whether the record
-    #: was served from a resumed journal without re-solving, whether the
-    #: item was quarantined as poison (status ``"failed"``), and the final
-    #: failure message for quarantined items.
-    retries: int = 0
+    #: Farm provenance (parallel sweeps only): whether the record was
+    #: served from a resumed journal without re-solving, and what ended an
+    #: item with one of the FAILURE_STATUSES (the exception, signal, exit
+    #: code or deadline).
     resumed: bool = False
-    quarantined: bool = False
     failure: str = ""
 
     @property
@@ -186,7 +191,7 @@ class SweepResult:
     config: ExperimentConfig
     records: list[RunRecord] = field(default_factory=list)
     #: Farm counters (``None`` for serial sweeps): completions, resumes,
-    #: retries, lease expiries, worker crashes, quarantined items.
+    #: resume re-runs, lease expiries, worker crashes.
     farm: "FarmStats | None" = None
 
     def record(
@@ -343,12 +348,11 @@ def _print_record(record: RunRecord) -> None:
     )
     cache_tag = " [cache]" if record.cache_hit else ""
     resume_tag = " [resumed]" if record.resumed else ""
-    retry_tag = f" [retries={record.retries}]" if record.retries else ""
     print(
         f"  {record.kernel:13s} {record.size}x{record.size} "
         f"{record.mapper:10s} II={ii} "
         f"({record.status}, {record.mapping_time:.2f}s)"
-        f"{scenario_tag}{cache_tag}{resume_tag}{retry_tag}",
+        f"{scenario_tag}{cache_tag}{resume_tag}",
         flush=True,
     )
 
@@ -359,34 +363,20 @@ def run_sweep(
     jobs: int = 1,
     journal_dir: str | None = None,
     resume: bool = False,
-    faults: "FaultPlan | None" = None,
 ) -> SweepResult:
     """Run the full (kernels x sizes x mappers) sweep.
 
-    ``jobs`` > 1 distributes the independent runs over the fault-tolerant
-    farm (:mod:`repro.farm`); the records come back in the same
-    deterministic order as the serial sweep.  ``journal_dir`` keeps the
-    farm's work journal in a named directory so a killed sweep can be
-    picked up again with ``resume=True`` (finished items are served from
-    the journal, not re-solved); without it the journal lives in a
-    throwaway temp directory.  ``faults`` injects deterministic failures
-    (see :class:`repro.farm.faults.FaultPlan`); when it is ``None`` the
-    ``REPRO_CHAOS`` environment variable is consulted.
+    ``jobs`` > 1 distributes the independent runs over the work-queue farm
+    (:mod:`repro.farm`); the records come back in the same deterministic
+    order as the serial sweep.  ``journal_dir`` keeps the farm's work
+    journal in a named directory so a killed sweep can be picked up again
+    with ``resume=True`` (finished items are served from the journal, not
+    re-solved; ``crashed`` and ``deadline`` records run again); without it
+    the journal lives in a throwaway temp directory.
     """
-    from repro.farm.faults import FaultPlan
-
     config = config or ExperimentConfig()
-    if faults is None:
-        faults = FaultPlan.from_env()
-    use_farm = (
-        jobs > 1
-        or journal_dir is not None
-        or resume
-        or (faults is not None and faults.active)
-    )
-    if use_farm:
-        return _run_farm_sweep(config, progress, max(1, jobs),
-                               journal_dir, resume, faults)
+    if jobs > 1 or journal_dir is not None or resume:
+        return _run_farm_sweep(config, progress, max(1, jobs), journal_dir, resume)
 
     result = SweepResult(config=config)
     for scenario in (config.scenarios or (HOMOGENEOUS,)):
@@ -406,10 +396,8 @@ def _run_farm_sweep(
     jobs: int,
     journal_dir: str | None,
     resume: bool,
-    faults: "FaultPlan | None",
 ) -> SweepResult:
     """Run the sweep through the leased work-queue farm."""
-    from repro.farm.retry import RetryPolicy
     from repro.farm.scheduler import FarmConfig, run_farm
 
     report = (lambda record: _print_record(RunRecord(**record))) if progress else None
@@ -418,49 +406,35 @@ def _run_farm_sweep(
             journal_dir = stack.enter_context(
                 tempfile.TemporaryDirectory(prefix="repro-farm-")
             )
-        farm = FarmConfig(
-            jobs=jobs,
-            policy=RetryPolicy(max_retries=config.max_retries),
-            journal_dir=journal_dir,
-            resume=resume,
-            faults=faults,
-        )
+        farm = FarmConfig(jobs=jobs, journal_dir=journal_dir, resume=resume)
         outcome = run_farm(config, farm, report=report)
 
     result = SweepResult(config=config, farm=outcome.stats)
     for item in outcome.items:
-        record = outcome.records.get(item.id)
-        if record is not None:
-            result.records.append(RunRecord(**record))
-        else:
-            result.records.append(
-                _quarantined_record(
-                    item,
-                    outcome.quarantined.get(item.id, "quarantined"),
-                    outcome.attempts.get(item.id, 0),
-                )
-            )
+        record = outcome.records[item.id]
+        result.records.append(RunRecord(**{
+            name: value for name, value in record.items() if name in _RECORD_FIELDS
+        }))
     return result
 
 
-def _quarantined_record(item, error: str, retries: int) -> RunRecord:
-    """Synthesise the record of a poison item (never completed)."""
-    try:
-        num_nodes = get_kernel(item.kernel).num_nodes
-    except Exception:
-        num_nodes = 0
+#: RunRecord's fields: a resumed journal may hold records written when the
+#: record had fields it no longer has, and those are dropped.
+_RECORD_FIELDS = frozenset(f.name for f in dataclasses.fields(RunRecord))
+
+
+def failure_record(item: "WorkItem", status: str, failure: str) -> RunRecord:
+    """The record of a farm item that ended in one of the FAILURE_STATUSES."""
     return RunRecord(
         kernel=item.kernel,
         size=item.size,
         mapper=item.mapper,
-        status="failed",
+        status=status,
         ii=None,
         mapping_time=0.0,
         minimum_ii=0,
         attempts=0,
-        num_nodes=num_nodes,
+        num_nodes=0,
         scenario=item.scenario,
-        retries=retries,
-        quarantined=True,
-        failure=error,
+        failure=failure,
     )

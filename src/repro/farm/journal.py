@@ -17,17 +17,20 @@ Line vocabulary (``type`` field):
 * ``item`` — one materialised work item, in deterministic sweep order,
   under its content-hash ID (:func:`work_item_id`, reusing the mapping
   cache's config-fingerprint keying).
-* ``lease`` / ``done`` / ``failed`` / ``requeued`` / ``quarantined`` —
-  lifecycle transitions appended by the queue.  ``done`` carries the full
-  :class:`~repro.experiments.runner.RunRecord` as plain data.
+* ``lease`` / ``done`` — lifecycle transitions appended by the queue.
+  ``done`` carries the item's one
+  :class:`~repro.experiments.runner.RunRecord` as plain data, failure
+  records (``crashed``, ``deadline``, ``error``, ...) included.
 * ``resumed`` — appended by every resume, recording how many finished
-  items were skipped.
+  items were skipped and how many crashed/deadline records run again.
 
 Replay rules: a torn final line (the scheduler died mid-append) is
 tolerated and ignored; a malformed line anywhere *else* means the file
 was edited or corrupted and raises :class:`~repro.exceptions.FarmError`.
-A ``lease`` without a later ``done``/``requeued``/``quarantined`` was in
-flight at the crash — replay expires it, so the item is pending again.
+A ``lease`` without a later ``done`` was in flight at the crash — replay
+expires it, so the item is pending again.  Lines of types replay does not
+know (such as the ``failed``/``requeued`` lines of older journals) are
+skipped.
 """
 
 from __future__ import annotations
@@ -53,13 +56,6 @@ SCHEMA = "satmapit-farm-journal/1"
 
 JOURNAL_FILENAME = "journal.jsonl"
 
-#: ExperimentConfig fields that are farm *execution* knobs, not part of
-#: the sweep protocol: resuming with a different retry cap is legitimate
-#: (e.g. loosening it after a flaky night), so they are excluded from the
-#: compatibility digest.
-_EXECUTION_FIELDS = frozenset({"max_retries"})
-
-
 def _plain(value: Any) -> Any:
     if isinstance(value, enum.Enum):
         return value.value
@@ -69,13 +65,11 @@ def _plain(value: Any) -> Any:
 
 
 def config_fingerprint(config: "ExperimentConfig") -> dict:
-    """The sweep configuration as plain data, minus execution knobs."""
-    fingerprint = {}
-    for f in dataclasses.fields(config):
-        if f.name in _EXECUTION_FIELDS:
-            continue
-        fingerprint[f.name] = _plain(getattr(config, f.name))
-    return fingerprint
+    """The sweep configuration as plain data."""
+    return {
+        f.name: _plain(getattr(config, f.name))
+        for f in dataclasses.fields(config)
+    }
 
 
 def sweep_config_digest(config: "ExperimentConfig") -> str:
@@ -146,10 +140,6 @@ class JournalState:
     items: list[WorkItem] = field(default_factory=list)
     #: item id -> RunRecord as plain data (the latest ``done`` wins).
     done: dict[str, dict] = field(default_factory=dict)
-    #: item id -> last failure message, for quarantined items.
-    quarantined: dict[str, str] = field(default_factory=dict)
-    #: item id -> retry attempts already consumed.
-    attempts: dict[str, int] = field(default_factory=dict)
     #: item ids whose lease was in flight when the journal ended.
     in_flight: set[str] = field(default_factory=set)
 
@@ -238,14 +228,6 @@ class SweepJournal:
                 state.in_flight.add(item_id)
             elif kind == "done":
                 state.done[item_id] = event.get("record", {})
-                state.in_flight.discard(item_id)
-            elif kind == "failed":
-                state.in_flight.discard(item_id)
-            elif kind == "requeued":
-                state.attempts[item_id] = int(event.get("attempt", 0))
-                state.in_flight.discard(item_id)
-            elif kind == "quarantined":
-                state.quarantined[item_id] = str(event.get("error", ""))
                 state.in_flight.discard(item_id)
             # "resumed" and unknown forward-compatible types are ignored.
         return state

@@ -2,30 +2,35 @@
 
 One scheduler process (the caller) owns the :class:`LeasedWorkQueue`, the
 journal, and N worker processes.  Workers are deliberately dumb: receive a
-work item, run :func:`repro.experiments.runner.run_single`, send back a
-verdict, repeat.  All policy — retries, backoff, quarantine, deadlines,
-respawn — lives in the scheduler, so a worker can die (or be SIGKILLed by
-the fault injector) at any instant without losing anything but the attempt
-in flight.
+work item, run :func:`repro.experiments.runner.run_single`, send back its
+record, repeat.  Each item runs once and ends in exactly one record:
+
+* the mapper's own verdict (``mapped``, ``failed``, ``timeout``);
+* ``infeasible`` when it raised :class:`~repro.exceptions.MappingError`,
+  ``error`` (with ``"{Type}: {message}"``) for any other exception — both
+  built in the worker;
+* ``crashed`` (naming the signal or exit code) when the worker died, and
+  ``deadline`` when it was reaped at the item's deadline — both built
+  here.  A solve is deterministic, so re-running any other failure cannot
+  change it; a resume (:func:`run_farm` with ``resume``) runs the
+  ``crashed`` and ``deadline`` records again.
 
 Protocol
 --------
 
 * Each worker is a :mod:`repro.procs` child with its own pipe: the
-  scheduler sends one ``{"item": ..., "attempt": n}`` message per lease,
-  and the worker answers ``("done" | "failed", payload)`` per attempt.
+  scheduler sends one work item per lease, and the worker answers
+  ``(item id, record)``.
 * Every lease carries a wall deadline: the item's own budget
   (``ExperimentConfig.timeout``, times ``pathseeker_repeats`` for
   PathSeeker items) plus :data:`_DEADLINE_GRACE`.  A worker still holding
   a lease past it — wedged (SIGSTOP), or busy in a loop that never
   returns — is reaped (:func:`repro.procs.reap`: SIGTERM, bounded grace,
-  SIGKILL, which also reaches a stopped process); the lease expires, the
-  item requeues, and a replacement worker is spawned.  A worker that
-  *dies* (nonzero exit, signal) reads as EOF on its pipe and is handled
-  the same way, without waiting for the deadline.
-* Respawned workers get fresh monotonic IDs — a lease can never be
-  confused between a dead worker and its replacement, and one-shot
-  injected faults (targeted at worker 0) fire exactly once.
+  SIGKILL, which also reaches a stopped process) and a replacement worker
+  is spawned.  A worker that *dies* (nonzero exit, signal) reads as EOF on
+  its pipe and is handled the same way, without waiting for the deadline.
+* Respawned workers get fresh monotonic IDs, so a lease can never be
+  confused between a dead worker and its replacement.
 
 Workers are forked, not spawned: the scheduler imports the whole mapper
 stack and loads the native core first (:func:`repro.procs.fork_context`),
@@ -38,11 +43,11 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro import procs
-from repro.exceptions import FarmError
-from repro.farm.faults import FaultPlan
+from repro.exceptions import FarmError, MappingError
+from repro.experiments import runner
 from repro.farm.journal import (
     SweepJournal,
     WorkItem,
@@ -50,7 +55,6 @@ from repro.farm.journal import (
     work_item_id,
 )
 from repro.farm.leases import FarmStats, LeasedWorkQueue
-from repro.farm.retry import TRANSIENT, RetryPolicy, classify_failure
 
 __all__ = ["FarmConfig", "FarmOutcome", "materialise_items", "run_farm"]
 
@@ -64,7 +68,7 @@ _DEADLINE_GRACE = 10.0
 _REAP_GRACE = 2.0
 
 #: Longest the scheduler waits for a worker event before it re-checks
-#: deadlines and backed-off items.
+#: deadlines.
 _TICK = 0.1
 
 
@@ -73,12 +77,10 @@ class FarmConfig:
     """Execution knobs of one farm run (not part of the sweep protocol)."""
 
     jobs: int = 2
-    policy: RetryPolicy = field(default_factory=RetryPolicy)
     #: Journal directory (required — the journal is the resume contract).
     journal_dir: str = ""
     #: Resume an existing journal instead of starting a fresh one.
     resume: bool = False
-    faults: FaultPlan | None = None
 
 
 @dataclass
@@ -86,12 +88,8 @@ class FarmOutcome:
     """Everything the farm hands back to the sweep runner."""
 
     items: list[WorkItem]
-    #: item id -> RunRecord as plain data, annotated with retries/resumed.
+    #: item id -> RunRecord as plain data, annotated with ``resumed``.
     records: dict[str, dict]
-    #: item id -> final error message of poisoned items.
-    quarantined: dict[str, str]
-    #: item id -> retry attempts consumed (for items that needed any).
-    attempts: dict[str, int]
     stats: FarmStats
 
 
@@ -102,11 +100,9 @@ def materialise_items(config) -> list[WorkItem]:
     mapper), so farm output sorted by item index is record-for-record the
     serial output.
     """
-    from repro.experiments.runner import HOMOGENEOUS
-
     digest = sweep_config_digest(config)
     items: list[WorkItem] = []
-    for scenario in (config.scenarios or (HOMOGENEOUS,)):
+    for scenario in (config.scenarios or (runner.HOMOGENEOUS,)):
         for kernel in config.kernels:
             for size in config.sizes:
                 for mapper in config.mappers:
@@ -125,9 +121,7 @@ def materialise_items(config) -> list[WorkItem]:
 
 def item_budget(config, item: WorkItem) -> float:
     """Wall seconds a lease on ``item`` lasts before its worker is reaped."""
-    from repro.experiments.runner import PATHSEEKER
-
-    repeats = config.pathseeker_repeats if item.mapper == PATHSEEKER else 1
+    repeats = config.pathseeker_repeats if item.mapper == runner.PATHSEEKER else 1
     return config.timeout * max(1, repeats) + _DEADLINE_GRACE
 
 
@@ -135,42 +129,22 @@ def item_budget(config, item: WorkItem) -> float:
 # Worker side
 # ---------------------------------------------------------------------------
 
-def _farm_worker(
-    conn, worker_id: int, config, faults: FaultPlan | None
-) -> None:
-    """Worker main: lease in, verdict out, until the scheduler reaps it."""
-    from repro.experiments.runner import run_single
-
-    received = 0
+def _farm_worker(conn, config) -> None:
+    """Worker main: item in, record out, until the scheduler reaps it."""
     while True:
-        task = conn.recv()
-        received += 1
-        if faults is not None:
-            # May SIGKILL or SIGSTOP this very process — before any solving
-            # or sending, so the lease is provably still open when we die.
-            faults.on_item_received(worker_id, received)
-        item = WorkItem.from_payload(task["item"])
-        attempt = int(task["attempt"])
+        item = WorkItem.from_payload(conn.recv())
         try:
-            if faults is not None:
-                faults.check_backend(item.id, attempt)
-            record = run_single(
+            # Looked up per item, so a test's patched run_single applies.
+            record = runner.run_single(
                 item.kernel, item.size, item.mapper, config, item.scenario
             )
-            conn.send(
-                ("done", {"id": item.id, "record": dataclasses.asdict(record)})
+        except Exception as exc:
+            status = (runner.INFEASIBLE if isinstance(exc, MappingError)
+                      else runner.ERROR)
+            record = runner.failure_record(
+                item, status, f"{type(exc).__name__}: {exc}"
             )
-        except BaseException as exc:
-            conn.send(
-                (
-                    "failed",
-                    {
-                        "id": item.id,
-                        "error": f"{type(exc).__name__}: {exc}",
-                        "kind": classify_failure(exc),
-                    },
-                )
-            )
+        conn.send((item.id, dataclasses.asdict(record)))
 
 
 # ---------------------------------------------------------------------------
@@ -187,20 +161,16 @@ class _Worker:
 class _Pool:
     """The worker processes, with monotonic IDs across respawns."""
 
-    def __init__(self, ctx, config, faults: FaultPlan | None) -> None:
+    def __init__(self, ctx, config) -> None:
         self._ctx = ctx
         self._config = config
-        self._faults = faults
         self._next_id = 0
         self.workers: dict[int, _Worker] = {}
 
     def spawn(self) -> _Worker:
         worker_id = self._next_id
         self._next_id += 1
-        handle = procs.start(
-            self._ctx, _farm_worker, worker_id, self._config, self._faults,
-            daemon=False,
-        )
+        handle = procs.start(self._ctx, _farm_worker, self._config, daemon=False)
         worker = _Worker(id=worker_id, handle=handle)
         self.workers[worker_id] = worker
         return worker
@@ -218,7 +188,7 @@ class _Pool:
 
 
 def run_farm(config, farm: FarmConfig, report=None) -> FarmOutcome:
-    """Run one sweep through the fault-tolerant farm.
+    """Run one sweep through the farm.
 
     ``report`` (optional) is called with each freshly completed record
     dict, in completion order — the runner uses it for ``--progress``.
@@ -238,8 +208,10 @@ def run_farm(config, farm: FarmConfig, report=None) -> FarmOutcome:
     digest = sweep_config_digest(config)
     items = materialise_items(config)
     journal = SweepJournal(farm.journal_dir)
+    queue = LeasedWorkQueue(
+        items, budget=lambda item: item_budget(config, item), journal=journal
+    )
 
-    resumed_ids: set[str] = set()
     if farm.resume:
         state = journal.replay()
         if state.config_digest != digest:
@@ -248,42 +220,31 @@ def run_farm(config, farm: FarmConfig, report=None) -> FarmOutcome:
                 f"sweep configuration (or solver version); it cannot be "
                 f"resumed with these settings"
             )
+        queue.stats.resumed = True
+        for item_id, record in state.done.items():
+            if item_id not in queue.items:
+                continue
+            if record.get("status") in (runner.CRASHED, runner.DEADLINE):
+                # Only a dead or reaped worker can end differently on a
+                # second run; it runs again in its sweep position.
+                queue.stats.retries += 1
+            else:
+                queue.preload_done(item_id, {**record, "resumed": True})
         journal.reopen()
         journal.append(
             "resumed",
-            done=len(state.done),
-            quarantined=len(state.quarantined),
+            done=queue.stats.skipped,
+            rerun=queue.stats.retries,
             in_flight_expired=len(state.in_flight),
         )
     else:
-        state = None
         journal.create(digest, items)
 
-    queue = LeasedWorkQueue(
-        items,
-        policy=farm.policy,
-        budget=lambda item: item_budget(config, item),
-        journal=journal,
-    )
-    if state is not None:
-        queue.stats.resumed = True
-        for item_id, record in state.done.items():
-            if item_id in queue.items:
-                queue.preload_done(item_id, record)
-                resumed_ids.add(item_id)
-        for item_id, error in state.quarantined.items():
-            if item_id in queue.items and item_id not in resumed_ids:
-                queue.preload_quarantined(item_id, error)
-        for item_id, attempts in state.attempts.items():
-            if item_id in queue.items and item_id not in queue.results:
-                queue.preload_attempts(item_id, attempts)
+    def finish(item_id: str, record: dict) -> None:
+        if queue.complete(item_id, record) and report is not None:
+            report(record)
 
-    pool = _Pool(context, config, farm.faults)
-    faults = farm.faults
-    corruptions_left = (
-        1 if faults is not None and faults.corrupt_cache_after is not None else 0
-    )
-
+    pool = _Pool(context, config)
     try:
         for _ in range(farm.jobs):
             if queue.outstanding > len(pool.workers):
@@ -296,60 +257,29 @@ def run_farm(config, farm: FarmConfig, report=None) -> FarmOutcome:
                 worker = by_handle[handle]
                 reply = procs.receive(handle)
                 if isinstance(reply, procs.Crash):
-                    _lost(pool, queue, worker, reply)
+                    _lost(pool, queue, worker, reply, finish)
                     continue
-                kind, payload = reply
                 worker.busy = False
-                if kind == "failed":
-                    queue.fail(payload["id"], payload["error"], payload["kind"])
-                elif queue.complete(payload["id"], payload["record"]):
-                    if report is not None:
-                        report(payload["record"])
-                    if (
-                        corruptions_left
-                        and queue.stats.completed > faults.corrupt_cache_after
-                        and getattr(config, "cache_dir", None)
-                    ):
-                        from repro.farm.faults import corrupt_newest_entry
-
-                        corrupt_newest_entry(config.cache_dir)
-                        corruptions_left = 0
-            _expire_deadlines(pool, queue)
+                finish(*reply)
+            _expire_deadlines(pool, queue, finish)
     finally:
         pool.stop(pool.workers.values())
         queue.stats.wall_s = time.perf_counter() - start
         journal.close()
 
-    records: dict[str, dict] = {}
-    for item_id, record in queue.results.items():
-        annotated = dict(record)
-        annotated["retries"] = queue.attempts_of(item_id)
-        annotated["resumed"] = item_id in resumed_ids
-        records[item_id] = annotated
-    return FarmOutcome(
-        items=items,
-        records=records,
-        quarantined=dict(queue.quarantined),
-        attempts={
-            item_id: queue.attempts_of(item_id)
-            for item_id in queue.items
-            if queue.attempts_of(item_id)
-        },
-        stats=queue.stats,
-    )
+    return FarmOutcome(items=items, records=queue.results, stats=queue.stats)
 
 
 def _dispatch(pool: _Pool, queue: LeasedWorkQueue) -> None:
     for worker in pool.idle():
-        leased = queue.acquire(worker.id)
-        if leased is None:
+        item = queue.acquire(worker.id)
+        if item is None:
             return
-        item, attempt = leased
         worker.busy = True
         try:
-            worker.handle.conn.send({"item": item.payload(), "attempt": attempt})
+            worker.handle.conn.send(item.payload())
         except OSError:
-            pass  # died idle: the next wait reads its crash, requeues the item
+            pass  # died idle: the next wait reads its crash
 
 
 def _respawn(pool: _Pool, queue: LeasedWorkQueue) -> None:
@@ -358,21 +288,22 @@ def _respawn(pool: _Pool, queue: LeasedWorkQueue) -> None:
         queue.stats.worker_respawns += 1
 
 
-def _lost(pool: _Pool, queue: LeasedWorkQueue, worker: _Worker, crash) -> None:
-    """A worker died without delivering: requeue its item and respawn."""
+def _lost(pool: _Pool, queue: LeasedWorkQueue, worker: _Worker, crash, finish) -> None:
+    """A worker died without delivering: its item ends ``crashed``."""
     pool.stop([worker])
     queue.stats.worker_crashes += 1
     item_id = queue.lease_of(worker.id)
     if item_id is not None:
-        queue.fail(
-            item_id, f"{crash} while holding the lease (worker {worker.id})",
-            TRANSIENT,
+        record = runner.failure_record(
+            queue.items[item_id], runner.CRASHED, f"{crash} (worker {worker.id})"
         )
+        finish(item_id, dataclasses.asdict(record))
     _respawn(pool, queue)
 
 
-def _expire_deadlines(pool: _Pool, queue: LeasedWorkQueue) -> None:
-    """Reap the workers of leases past their deadline; requeue the items.
+def _expire_deadlines(pool: _Pool, queue: LeasedWorkQueue, finish) -> None:
+    """Reap the workers of leases past their deadline; the items end
+    ``deadline``.
 
     A wedged (SIGSTOPped) or runaway worker is still *alive*, so only the
     deadline catches it.  The reap's SIGKILL escalation reaches a stopped
@@ -381,5 +312,12 @@ def _expire_deadlines(pool: _Pool, queue: LeasedWorkQueue) -> None:
     expired = queue.expired()
     pool.stop(pool.workers[lease.worker] for lease in expired)
     for lease in expired:
-        queue.expire(lease)
+        queue.stats.deadlines_expired += 1
+        record = runner.failure_record(
+            lease.item,
+            runner.DEADLINE,
+            f"deadline of {queue.budget(lease.item):.1f}s exceeded "
+            f"(worker {lease.worker} reaped)",
+        )
+        finish(lease.item.id, dataclasses.asdict(record))
         _respawn(pool, queue)

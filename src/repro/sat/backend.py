@@ -42,11 +42,9 @@ class BackendUnavailableError(RuntimeError):
 
     The ``cdcl`` backend raises it when the native core cannot be built or
     loaded (``binary`` names the C compiler, ``reason`` says what failed);
-    a registered engine that depends on a missing binary may raise it too,
-    and the farm's fault injector raises it to simulate one (its retry
-    classifier treats it as transient).  Carries the binary name, what went
-    wrong with it and an actionable hint; the CLI surfaces it as a one-line
-    error.
+    a registered engine that depends on a missing binary may raise it too.
+    Carries the binary name, what went wrong with it and an actionable
+    hint; the CLI surfaces it as a one-line error.
     """
 
     def __init__(self, binary: str, hint: str = "", reason: str = "not found") -> None:

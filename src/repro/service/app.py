@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import signal
 from typing import Any
 from urllib.parse import parse_qsl, urlsplit
 
@@ -232,6 +233,10 @@ def run_service(
         finally:
             await manager.shutdown()
 
+    # A shell starts background jobs with SIGINT ignored, and Python keeps
+    # an inherited SIG_IGN: without this, such a service never sees a
+    # KeyboardInterrupt and SIGINT cannot stop it.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     try:
         asyncio.run(_main())
     except KeyboardInterrupt:

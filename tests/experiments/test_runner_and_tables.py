@@ -233,6 +233,26 @@ class TestReport:
         assert "retries served without re-encoding: **2**" in text
         assert "learned clauses carried across (II, slack) attempts: **150**" in text
 
+    def test_farm_section_lists_failure_records(self):
+        from repro.farm.leases import FarmStats
+
+        sweep = synthetic_sweep()
+        assert "## Work-queue farm" not in render_markdown_report(sweep)
+        sweep.farm = FarmStats(items=9, completed=2, skipped=7, retries=1,
+                               deadlines_expired=1, resumed=True)
+        sweep.records[7] = dataclasses.replace(
+            sweep.records[7], status="deadline", ii=None,
+            failure="deadline of 11.0s exceeded (worker 1 reaped)",
+        )
+        text = render_markdown_report(sweep)
+        assert "## Work-queue farm" in text
+        assert "completed this run / resumed from the journal: **2** / **7**" in text
+        assert "run again by the resume: **1**" in text
+        assert "worker crashes / deadlines expired: **0** / **1**" in text
+        assert "records without a mapper verdict: **1**" in text
+        assert ("  * c 2x2 RAMP [homogeneous] deadline: "
+                "deadline of 11.0s exceeded (worker 1 reaped)") in text
+
     def test_committed_report_is_byte_stable(self):
         """Two renders from the same records are byte-identical, and so are
         renders from records that differ only in mapping time."""

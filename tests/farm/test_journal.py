@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -46,19 +47,14 @@ class TestDigest:
         assert sweep_config_digest(ExperimentConfig(kernels=("srand",))) != base
         assert sweep_config_digest(ExperimentConfig(backend="dpll")) != base
 
-    def test_execution_knobs_do_not_change_the_digest(self):
-        # Resuming with a looser retry cap is legitimate: the item IDs and
-        # results are unaffected by it.
-        base = sweep_config_digest(ExperimentConfig())
-        assert sweep_config_digest(ExperimentConfig(max_retries=9)) == base
-        fingerprint = config_fingerprint(ExperimentConfig())
-        assert "max_retries" not in fingerprint
-        assert "lease_ttl" not in fingerprint
-
     def test_default_digest_is_pinned(self):
-        # Journals written while ``lease_ttl`` still existed (excluded from
-        # the digest) must keep resuming: same digest, same item IDs.
+        # Journals written while ``lease_ttl`` and the retry cap still
+        # existed (both excluded from the digest) must keep resuming: same
+        # digest, same item IDs.
         digest = sweep_config_digest(ExperimentConfig())
+        assert set(config_fingerprint(ExperimentConfig())) == {
+            f.name for f in dataclasses.fields(ExperimentConfig)
+        }
         assert digest == (
             "667f457b92f4b3db56705c864d983654ecb7b9d01a76e03cf3ca22cdb501c196"
         )
@@ -107,7 +103,7 @@ class TestCreateReplay:
         with pytest.raises(FarmError, match="no sweep journal"):
             SweepJournal(tmp_path / "nowhere").replay()
 
-    def test_requeue_and_quarantine_fold(self, tmp_path):
+    def test_retry_lines_of_older_journals_are_skipped(self, tmp_path):
         items = _items(2)
         journal = SweepJournal(tmp_path)
         journal.create("cfg", items)
@@ -115,16 +111,16 @@ class TestCreateReplay:
         journal.append("failed", id=items[0].id, error="boom", kind="transient",
                        attempt=0)
         journal.append("requeued", id=items[0].id, attempt=1, backoff_s=0.1)
-        journal.append("lease", id=items[1].id, worker=1, attempt=0)
-        journal.append("failed", id=items[1].id, error="unmappable",
-                       kind="permanent", attempt=0)
-        journal.append("quarantined", id=items[1].id, error="unmappable")
+        journal.append("lease", id=items[0].id, worker=1, attempt=1)
+        journal.append("done", id=items[0].id, record={"ii": 3})
+        journal.append("lease", id=items[1].id, worker=0, attempt=0)
+        journal.append("failed", id=items[1].id, error="boom", kind="transient",
+                       attempt=0)
         journal.close()
 
         state = journal.replay()
-        assert state.attempts == {items[0].id: 1}
-        assert state.quarantined == {items[1].id: "unmappable"}
-        assert not state.in_flight
+        assert state.done == {items[0].id: {"ii": 3}}
+        assert state.in_flight == {items[1].id}  # pending again on resume
 
 
 class TestCrashTolerance:
@@ -172,7 +168,7 @@ class TestCrashTolerance:
         journal = SweepJournal(tmp_path)
         journal.create("cfg", _items(1))
         journal.append("telemetry", id="whatever", extra=1)
-        journal.append("resumed", done=0, quarantined=0)
+        journal.append("resumed", done=0, rerun=0)
         journal.close()
         state = journal.replay()  # must not raise
         assert state.config_digest == "cfg"

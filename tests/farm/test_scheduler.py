@@ -1,13 +1,19 @@
-"""Chaos suite: the farm under injected faults must produce exactly the
-records of a fault-free sweep, with nonzero fault counters.
+"""The farm runs each item once and ends it in one record.
 
-Every fault here is deterministic (see repro.farm.faults), so these tests
-assert equality, not survival.  The sweeps are tiny (one kernel, one
-size, two mappers) to keep the suite inside tier-1 budgets.
+A fault-free farm sweep equals the serial one.  A worker that is killed,
+wedged or runaway, and an item that raises, each end in one failure record
+after one run, and every other record stays what the clean sweep gives.
+Faults are injected through a monkeypatched ``runner.run_single``: the
+farm forks its workers, so they inherit the patch.  The sweeps are tiny
+to keep the suite inside tier-1 budgets.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
+import os
+import signal
 import time
 
 import pytest
@@ -16,13 +22,17 @@ import repro.experiments.runner as runner_module
 import repro.farm.scheduler as scheduler_module
 from repro.exceptions import FarmError, MappingError
 from repro.experiments.runner import (
+    CRASHED,
+    DEADLINE,
+    ERROR,
+    HOMOGENEOUS,
+    INFEASIBLE,
     PATHSEEKER,
     RAMP,
     SAT_MAPIT,
     ExperimentConfig,
     run_sweep,
 )
-from repro.farm.faults import FaultPlan
 
 FAST = ExperimentConfig(
     kernels=("srand",),
@@ -30,6 +40,15 @@ FAST = ExperimentConfig(
     mappers=(SAT_MAPIT, RAMP),
     timeout=15.0,
 )
+
+#: Four items; the last one is the faulty one.
+GRID = ExperimentConfig(
+    kernels=("srand", "basicmath"),
+    sizes=(3,),
+    mappers=(SAT_MAPIT, RAMP),
+    timeout=3.0,
+)
+FAULTY = ("basicmath", 3, RAMP)
 
 
 def _shape(sweep):
@@ -39,10 +58,53 @@ def _shape(sweep):
     ]
 
 
+def _comparable(record) -> dict:
+    """A record without its timings and farm provenance."""
+    data = dataclasses.asdict(record)
+    for name in ("mapping_time", "seed_time", "resumed"):
+        del data[name]
+    return data
+
+
+def _calls(path) -> list[str]:
+    return path.read_text(encoding="utf-8").splitlines() if path.exists() else []
+
+
+def _patched(fault, calls, target=FAULTY):
+    """``run_single`` that logs every call to ``calls`` and runs ``fault``
+    on the ``target`` item before solving it."""
+    real_run_single = runner_module.run_single
+
+    def run_single(kernel, size, mapper_name, config=None, scenario=HOMOGENEOUS):
+        with calls.open("a", encoding="utf-8") as log:
+            log.write(f"{kernel} {size} {mapper_name}\n")
+        if (kernel, size, mapper_name) == target:
+            fault()
+        return real_run_single(kernel, size, mapper_name, config, scenario)
+
+    return run_single
+
+
+def _signal_self(signum):
+    return lambda: os.kill(os.getpid(), signum)
+
+
+def _raise(exc):
+    def fault():
+        raise exc
+
+    return fault
+
+
 @pytest.fixture(scope="module")
 def clean():
     """The fault-free reference sweep (serial path)."""
     return run_sweep(FAST)
+
+
+@pytest.fixture(scope="module")
+def clean_grid():
+    return run_sweep(GRID)
 
 
 class TestFarmMatchesSerial:
@@ -58,96 +120,97 @@ class TestFarmMatchesSerial:
     def test_portfolio_items_race_lanes_inside_farm_workers(self, clean):
         # Farm workers are not daemons, so a SAT-MapIt item may start
         # portfolio lanes of its own.
-        config = ExperimentConfig(
-            kernels=FAST.kernels,
-            sizes=FAST.sizes,
-            mappers=FAST.mappers,
-            timeout=FAST.timeout,
-            search="portfolio",
-        )
+        config = dataclasses.replace(FAST, search="portfolio")
         farmed = run_sweep(config, jobs=2)
         assert _shape(farmed) == _shape(clean)
-        assert farmed.farm.quarantined == 0
-
-    def test_env_chaos_routes_serial_sweep_through_farm(self, clean, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS", "backend-rate=1.0,backend-attempts=1")
-        faulted = run_sweep(FAST)  # jobs=1, but chaos forces the farm
-        assert _shape(faulted) == _shape(clean)
-        assert faulted.farm is not None
-        assert faulted.farm.retries == len(clean.records)
 
 
-class TestKillChaos:
-    def test_worker_kill_is_retried_to_identical_records(self, clean):
-        # Worker 0 SIGKILLs itself upon receiving its first item, while
-        # the lease is open: the scheduler must requeue and respawn.
-        plan = FaultPlan(kill_worker_after=0)
-        faulted = run_sweep(FAST, jobs=2, faults=plan)
-        assert _shape(faulted) == _shape(clean)
-        assert faulted.farm.worker_crashes >= 1
-        assert faulted.farm.retries >= 1
-        assert sum(r.retries for r in faulted.records) >= 1
+#: fault -> (status, how ``failure`` is checked, (crashes, deadlines)).
+CASES = {
+    "sigkill": (
+        _signal_self(signal.SIGKILL), CRASHED,
+        lambda failure: "SIGKILL" in failure, (1, 0),
+    ),
+    "sigstop": (
+        _signal_self(signal.SIGSTOP), DEADLINE,
+        lambda failure: failure.startswith("deadline of 3.5s exceeded"), (0, 1),
+    ),
+    "mapping-error": (
+        _raise(MappingError("injected: cannot fit")), INFEASIBLE,
+        lambda failure: failure == "MappingError: injected: cannot fit", (0, 0),
+    ),
+    "runtime-error": (
+        _raise(RuntimeError("boom")), ERROR,
+        lambda failure: failure == "RuntimeError: boom", (0, 0),
+    ),
+}
 
-    def test_sole_worker_kill_forces_respawn(self, clean):
-        # With one worker, its death leaves more outstanding work than
-        # live workers — the scheduler must respawn or the sweep hangs.
-        plan = FaultPlan(kill_worker_after=0)
-        faulted = run_sweep(FAST, jobs=1, journal_dir=None, faults=plan)
-        assert _shape(faulted) == _shape(clean)
-        assert faulted.farm.worker_crashes >= 1
-        assert faulted.farm.worker_respawns >= 1
 
-
-class TestWedgeChaos:
-    def test_sigstop_wedge_expires_lease_and_recovers(self, clean, monkeypatch):
-        # Worker 0 SIGSTOPs itself with an item leased.  Its process stays
-        # alive, so only the item deadline can save the sweep: the lease
-        # must expire, the worker must be reaped (SIGKILL reaches stopped
-        # processes), and the item must be re-run elsewhere.
+class TestFailureRecords:
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_fault_ends_in_one_record_after_one_run(
+        self, case, clean_grid, monkeypatch, tmp_path
+    ):
+        fault, status, failure_ok, (crashes, deadlines) = CASES[case]
+        calls = tmp_path / "calls"
+        monkeypatch.setattr(runner_module, "run_single", _patched(fault, calls))
+        # The wedged worker is reaped 0.5 s past its 3 s budget.
         monkeypatch.setattr(scheduler_module, "_DEADLINE_GRACE", 0.5)
-        plan = FaultPlan(wedge_worker_after=0)
-        config = ExperimentConfig(
-            kernels=FAST.kernels,
-            sizes=FAST.sizes,
-            mappers=FAST.mappers,
-            timeout=2.0,
+        sweep = run_sweep(GRID, jobs=2)
+
+        # Every item, the faulty one included, ran exactly once.
+        assert sorted(_calls(calls)) == sorted(
+            f"{r.kernel} {r.size} {r.mapper}" for r in clean_grid.records
         )
-        faulted = run_sweep(config, jobs=2, faults=plan)
-        assert _shape(faulted) == _shape(clean)
-        assert faulted.farm.deadlines_expired >= 1
-        assert faulted.farm.retries >= 1
+        for record, reference in zip(sweep.records, clean_grid.records, strict=True):
+            if (record.kernel, record.size, record.mapper) == FAULTY:
+                assert record.status == status
+                assert failure_ok(record.failure), record.failure
+                assert record.ii is None
+            else:
+                assert _comparable(record) == _comparable(reference)
+        farm = sweep.farm
+        assert farm.completed == farm.items == len(sweep.records)
+        assert farm.retries == 0
+        assert (farm.worker_crashes, farm.deadlines_expired) == (crashes, deadlines)
+
+    def test_sole_worker_crash_forces_respawn(self, clean, monkeypatch, tmp_path):
+        # With one worker, its death leaves more outstanding work than
+        # live workers: the scheduler must respawn or the sweep hangs.
+        calls = tmp_path / "calls"
+        monkeypatch.setattr(
+            runner_module, "run_single",
+            _patched(_signal_self(signal.SIGKILL), calls, ("srand", 3, SAT_MAPIT)),
+        )
+        sweep = run_sweep(FAST, jobs=1, journal_dir=str(tmp_path / "journal"))
+        assert [r.status for r in sweep.records] == [CRASHED, "mapped"]
+        assert sweep.records[1].ii == clean.records[1].ii
+        assert sweep.farm.worker_crashes == 1
+        assert sweep.farm.worker_respawns == 1
 
 
 class TestDeadline:
-    def test_runaway_item_is_reaped_and_quarantined(self, monkeypatch):
-        real_run_single = runner_module.run_single
+    def test_runaway_item_ends_in_a_deadline_record(self, monkeypatch, tmp_path):
+        # Alive and busy, never returning: the SIGTERM of the reap ends it.
+        def runaway():
+            while True:
+                pass
 
-        def runaway(kernel, size, mapper_name, config=None, scenario="homogeneous"):
-            while mapper_name == RAMP:
-                pass  # an item that never returns, and never crashes
-            return real_run_single(kernel, size, mapper_name, config, scenario)
-
-        # Forked workers resolve the patched function; the deadline grace
-        # is read by the scheduler in this process.
-        monkeypatch.setattr(runner_module, "run_single", runaway)
+        calls = tmp_path / "calls"
+        target = ("srand", 3, RAMP)
+        monkeypatch.setattr(runner_module, "run_single",
+                            _patched(runaway, calls, target))
         monkeypatch.setattr(scheduler_module, "_DEADLINE_GRACE", 0.5)
-        config = ExperimentConfig(
-            kernels=FAST.kernels,
-            sizes=FAST.sizes,
-            mappers=FAST.mappers,
-            timeout=2.0,
-            max_retries=1,
-        )
+        config = dataclasses.replace(FAST, timeout=2.0)
         start = time.monotonic()
         sweep = run_sweep(config, jobs=2)
         assert time.monotonic() - start < 30.0
-        assert sweep.farm.quarantined == 1
-        assert sweep.farm.deadlines_expired == 2  # first try and one retry
+        assert sweep.farm.deadlines_expired == 1
         by_mapper = {r.mapper: r for r in sweep.records}
-        bad = by_mapper[RAMP]
-        assert bad.quarantined and bad.status == "failed"
-        assert "deadline" in bad.failure
+        assert by_mapper[RAMP].status == DEADLINE
+        assert "deadline" in by_mapper[RAMP].failure
         assert by_mapper[SAT_MAPIT].status == "mapped"
+        assert sorted(_calls(calls)) == ["srand 3 RAMP", "srand 3 SAT-MapIt"]
 
     def test_budget_covers_every_pathseeker_repeat(self):
         config = ExperimentConfig(timeout=4.0, pathseeker_repeats=3)
@@ -160,53 +223,49 @@ class TestDeadline:
         assert budget(config, items[PATHSEEKER]) == 12.0 + grace
 
 
-class TestBackendChaos:
-    def test_doomed_first_attempts_converge(self, clean):
-        plan = FaultPlan(backend_fail_rate=1.0, backend_fail_attempts=1)
-        faulted = run_sweep(FAST, jobs=2, faults=plan)
-        assert _shape(faulted) == _shape(clean)
-        # Every item burned exactly its one doomed attempt.
-        assert faulted.farm.retries == len(clean.records)
-        assert all(r.retries == 1 for r in faulted.records)
-        assert faulted.farm.quarantined == 0
-
-    def test_cache_corruption_mid_run_is_recovered(self, clean, tmp_path):
-        plan = FaultPlan(corrupt_cache_after=0)
-        config = ExperimentConfig(
-            kernels=FAST.kernels,
-            sizes=FAST.sizes,
-            mappers=FAST.mappers,
-            timeout=FAST.timeout,
-            cache_dir=str(tmp_path / "cache"),
+class TestResume:
+    def test_resume_reruns_only_the_crashed_item(
+        self, clean_grid, monkeypatch, tmp_path
+    ):
+        journal = str(tmp_path / "journal")
+        calls = tmp_path / "calls"
+        monkeypatch.setattr(
+            runner_module, "run_single",
+            _patched(_signal_self(signal.SIGKILL), calls),
         )
-        first = run_sweep(config, jobs=2, faults=plan)
-        assert _shape(first) == _shape(clean)
-        # The corrupted entry must be detected and re-solved, never served:
-        # a second sweep over the same cache still produces clean records.
-        second = run_sweep(config, jobs=2)
-        assert _shape(second) == _shape(clean)
+        first = run_sweep(GRID, jobs=2, journal_dir=journal)
+        assert [r.status for r in first.records].count(CRASHED) == 1
 
+        calls.unlink()
+        monkeypatch.undo()
+        monkeypatch.setattr(runner_module, "run_single",
+                            _patched(lambda: None, calls))
+        resumed = run_sweep(GRID, jobs=2, journal_dir=journal, resume=True)
+        assert _calls(calls) == ["basicmath 3 RAMP"]
+        assert resumed.farm.retries == 1
+        assert resumed.farm.completed == 1
+        assert resumed.farm.skipped == len(resumed.records) - 1
+        assert [r.resumed for r in resumed.records] == [True, True, True, False]
+        assert [_comparable(r) for r in resumed.records] == [
+            _comparable(r) for r in clean_grid.records
+        ]
 
-class TestQuarantine:
-    def test_permanent_failure_is_quarantined_not_retried(self, monkeypatch):
-        real_run_single = runner_module.run_single
-
-        def poisoned(kernel, size, mapper_name, config=None, scenario="homogeneous"):
-            if mapper_name == RAMP:
-                raise MappingError("injected: kernel cannot fit this fabric")
-            return real_run_single(kernel, size, mapper_name, config, scenario)
-
-        # Farm workers are forked, so the patched module function is what
-        # they resolve at start-up.
-        monkeypatch.setattr(runner_module, "run_single", poisoned)
-        sweep = run_sweep(FAST, jobs=2)
-        assert sweep.farm.quarantined == 1
-        assert sweep.farm.retries == 0  # permanent: no retry burned
-        by_mapper = {r.mapper: r for r in sweep.records}
-        bad = by_mapper[RAMP]
-        assert bad.quarantined and bad.status == "failed" and bad.ii is None
-        assert "cannot fit" in bad.failure
-        assert by_mapper[SAT_MAPIT].status == "mapped"
+    def test_other_failure_records_are_served_from_the_journal(
+        self, monkeypatch, tmp_path
+    ):
+        # A solve is deterministic: re-running an item that raised would
+        # raise again, so the resume keeps its record.
+        journal = str(tmp_path / "journal")
+        calls = tmp_path / "calls"
+        monkeypatch.setattr(runner_module, "run_single",
+                            _patched(_raise(RuntimeError("boom")), calls))
+        run_sweep(GRID, jobs=2, journal_dir=journal)
+        calls.unlink()
+        resumed = run_sweep(GRID, jobs=2, journal_dir=journal, resume=True)
+        assert _calls(calls) == []
+        assert resumed.farm.retries == 0
+        assert resumed.records[-1].status == ERROR
+        assert resumed.records[-1].resumed
 
 
 class TestWarmWorkers:
@@ -226,12 +285,11 @@ class TestWarmWorkers:
         monkeypatch.setattr(native, "_lib", None)
         monkeypatch.setattr(runner_module, "run_single", probe)
         sweep = run_sweep(FAST, jobs=2)
-        assert sweep.farm.quarantined == 0
         assert [r.status for r in sweep.records] == ["mapped", "mapped"]
 
     def test_core_that_cannot_load_fails_the_sweep_once(self, monkeypatch, tmp_path):
-        """No worker starts, no item is retried and no journal is written:
-        the loader's error surfaces from the sweep call itself."""
+        """No worker starts and no journal is written: the loader's error
+        surfaces from the sweep call itself."""
         from repro.sat import native
         from repro.sat.backend import BackendUnavailableError
 
@@ -246,7 +304,7 @@ class TestWarmWorkers:
         start = time.monotonic()
         with pytest.raises(BackendUnavailableError, match="no C compiler"):
             run_sweep(FAST, jobs=2, journal_dir=str(journal))
-        assert time.monotonic() - start < 5.0  # no retry backoff
+        assert time.monotonic() - start < 5.0
         assert spawned == []
         assert not journal.exists() or not any(journal.iterdir())
 
@@ -255,12 +313,7 @@ class TestJournalGuards:
     def test_resume_with_different_config_refuses(self, tmp_path):
         journal = str(tmp_path / "journal")
         run_sweep(FAST, jobs=2, journal_dir=journal)
-        other = ExperimentConfig(
-            kernels=FAST.kernels,
-            sizes=FAST.sizes,
-            mappers=FAST.mappers,
-            timeout=FAST.timeout + 1.0,  # protocol change
-        )
+        other = dataclasses.replace(FAST, timeout=FAST.timeout + 1.0)
         with pytest.raises(FarmError, match="different"):
             run_sweep(other, jobs=2, journal_dir=journal, resume=True)
 
@@ -270,17 +323,18 @@ class TestJournalGuards:
         with pytest.raises(FarmError, match="resume"):
             run_sweep(FAST, jobs=2, journal_dir=journal)
 
-    def test_resume_with_looser_execution_knobs_is_legal(self, tmp_path):
-        journal = str(tmp_path / "journal")
-        run_sweep(FAST, jobs=2, journal_dir=journal)
-        loosened = ExperimentConfig(
-            kernels=FAST.kernels,
-            sizes=FAST.sizes,
-            mappers=FAST.mappers,
-            timeout=FAST.timeout,
-            max_retries=9,
-        )
-        resumed = run_sweep(loosened, jobs=2, journal_dir=journal, resume=True)
-        assert resumed.farm.resumed
+    def test_resume_serves_records_with_fields_since_removed(self, clean, tmp_path):
+        # Records journalled by an older farm carry a ``retries`` field
+        # the record no longer has.
+        journal = tmp_path / "journal"
+        run_sweep(FAST, jobs=2, journal_dir=str(journal))
+        path = journal / "journal.jsonl"
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        for event in events:
+            if event["type"] == "done":
+                event["record"]["retries"] = 0
+        path.write_text("".join(json.dumps(e) + "\n" for e in events))
+        resumed = run_sweep(FAST, jobs=2, journal_dir=str(journal), resume=True)
         assert resumed.farm.skipped == len(resumed.records)
         assert all(r.resumed for r in resumed.records)
+        assert _shape(resumed) == _shape(clean)

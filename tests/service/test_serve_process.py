@@ -93,3 +93,42 @@ def test_serve_answers_a_miss_and_a_hit_and_leaves_no_process(tmp_path):
     assert hit["result"]["mapping"] == miss["result"]["mapping"]
     assert stats["requests"]["solves_started"] == 1
     assert stats["requests"]["worker_crashes"] == 0
+
+
+def _ignore_sigint() -> None:
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="lists the process group from /proc")
+def test_serve_started_with_sigint_ignored_still_stops_on_sigint():
+    # A non-interactive shell starts background jobs (and ``nohup``
+    # scripts) with SIGINT ignored, and the child inherits that.
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--port", "0"],
+        stdout=subprocess.PIPE, text=True, env=env, start_new_session=True,
+        preexec_fn=_ignore_sigint,
+    )
+    try:
+        with selectors.DefaultSelector() as selector:
+            selector.register(server.stdout, selectors.EVENT_READ)
+            assert selector.select(timeout=60.0), "no banner within 60 s"
+        assert "listening" in server.stdout.readline()
+        server.send_signal(signal.SIGINT)
+        try:
+            output, _ = server.communicate(timeout=10.0)
+        except subprocess.TimeoutExpired:
+            pytest.fail("the service did not stop within 10 s of SIGINT")
+    finally:
+        if server.poll() is None:
+            os.killpg(server.pid, signal.SIGKILL)
+            server.communicate()
+    assert "shut down" in output
+    deadline = time.monotonic() + 10.0
+    while _group(server.pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    leftovers = _group(server.pid)
+    for pid in leftovers:
+        os.kill(pid, signal.SIGKILL)
+    assert leftovers == []

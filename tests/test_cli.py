@@ -422,6 +422,32 @@ class TestSweepErrorPath:
         assert captured.err.count("\n") == 1
 
 
+    def test_farm_failure_records_are_listed(self, capsys, monkeypatch):
+        import repro.cli as cli_module
+        from repro.experiments.runner import RunRecord, SweepResult
+        from repro.farm.leases import FarmStats
+
+        def crashed_sweep(config, progress=True, jobs=1, **farm_kwargs):
+            sweep = SweepResult(config=config, farm=FarmStats(
+                items=3, completed=3, worker_crashes=1))
+            sweep.records = [
+                RunRecord("srand", 2, "SAT-MapIt", "mapped", 3, 0.1, 3, 1, 10),
+                RunRecord("srand", 2, "RAMP", "crashed", None, 0.0, 0, 0, 0,
+                          failure="worker died unexpectedly (killed by SIGKILL)"),
+                RunRecord("srand", 2, "PathSeeker", "mapped", 4, 0.1, 3, 2, 10),
+            ]
+            return sweep
+
+        monkeypatch.setattr(cli_module, "run_sweep", crashed_sweep)
+        exit_code = main([
+            "sweep", "--kernels", "srand", "--sizes", "2", "--jobs", "2",
+        ])
+        out = capsys.readouterr().out
+        assert exit_code == 0
+        assert "1 worker crash(es)" in out
+        assert ("  crashed: srand 2x2 RAMP [homogeneous]: "
+                "worker died unexpectedly (killed by SIGKILL)") in out
+
 class TestServeParser:
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
