@@ -12,6 +12,7 @@ from repro.experiments.report import (
     write_markdown_report,
 )
 from repro.experiments.runner import (
+    FAILURE_STATUSES,
     HOMOGENEOUS,
     MEM_EDGE,
     MUL_SPARSE,
@@ -23,6 +24,7 @@ from repro.experiments.runner import (
     SweepResult,
     build_fabric,
     build_mapper,
+    failure_record,
     run_single,
     run_sweep,
 )
@@ -163,6 +165,24 @@ class TestRunnerHelpers:
         assert record.succeeded
 
 
+    @pytest.mark.parametrize("status", FAILURE_STATUSES)
+    def test_failure_record_keeps_the_items_coordinates(self, status):
+        from repro.farm.journal import WorkItem
+
+        item = WorkItem(index=5, id="x" * 64, kernel="gsm", size=3,
+                        mapper=RAMP, scenario=MEM_EDGE)
+        record = failure_record(item, status, "killed by SIGKILL")
+        assert (record.kernel, record.size, record.mapper, record.scenario) == (
+            "gsm", 3, RAMP, MEM_EDGE
+        )
+        assert (record.status, record.failure) == (status, "killed by SIGKILL")
+        assert record.ii is None and not record.succeeded
+        assert (record.minimum_ii, record.attempts, record.mapping_time) == (
+            0, 0, 0.0
+        )
+        assert not record.resumed
+
+
 class TestSweep:
     def test_small_sweep_produces_all_records(self):
         sweep = run_sweep(FAST_CONFIG)
@@ -252,6 +272,28 @@ class TestReport:
         assert "records without a mapper verdict: **1**" in text
         assert ("  * c 2x2 RAMP [homogeneous] deadline: "
                 "deadline of 11.0s exceeded (worker 1 reaped)") in text
+
+    @pytest.mark.parametrize(
+        "status, listed",
+        [(status, True) for status in FAILURE_STATUSES]
+        + [("failed", False), ("timeout", False)],
+    )
+    def test_farm_section_lists_only_records_without_a_verdict(
+        self, status, listed
+    ):
+        from repro.farm.leases import FarmStats
+
+        sweep = synthetic_sweep()
+        sweep.farm = FarmStats(items=9, completed=9)
+        sweep.records[4] = dataclasses.replace(
+            sweep.records[4], status=status, ii=None, failure="why"
+        )
+        text = render_markdown_report(sweep)
+        line = f"  * b 2x2 RAMP [homogeneous] {status}: why"
+        assert (line in text) is listed
+        # The heuristics' own failed/timeout verdicts in kernel c are
+        # mapper answers, not farm failures.
+        assert f"records without a mapper verdict: **{int(listed)}**" in text
 
     def test_committed_report_is_byte_stable(self):
         """Two renders from the same records are byte-identical, and so are

@@ -5,8 +5,10 @@ from __future__ import annotations
 
 import pytest
 
+import json
+
 from repro.farm.journal import SweepJournal, WorkItem
-from repro.farm.leases import LeasedWorkQueue
+from repro.farm.leases import FarmStats, LeasedWorkQueue
 
 
 class FakeClock:
@@ -86,6 +88,36 @@ class TestLeaseProtocol:
         clock.advance(1e9)
         assert queue.expired() == []
 
+    def test_deadline_counts_from_the_grant(self):
+        queue, clock = _queue(2, budget=lambda item: 10.0)
+        queue.acquire(worker=0)
+        clock.advance(5.0)
+        queue.acquire(worker=1)
+        clock.advance(7.0)
+        assert [lease.worker for lease in queue.expired()] == [0]
+        assert queue.expired(now=15.1)[-1].worker == 1
+
+    def test_freed_worker_leases_the_next_item(self):
+        queue, _clock = _queue(2)
+        first = queue.acquire(worker=0)
+        queue.complete(first.id, {"ii": 3})
+        assert queue.acquire(worker=0).index == 1
+        assert queue.lease_of(0) == "item-001"
+
+    def test_outstanding_counts_pending_and_leased_items(self):
+        queue, _clock = _queue(3)
+        assert queue.outstanding == 3
+        item = queue.acquire(worker=0)
+        assert queue.outstanding == 3
+        queue.complete(item.id, {"ii": 3})
+        assert queue.outstanding == 2
+        assert not queue.finished
+
+    def test_empty_sweep_is_finished_at_once(self):
+        queue, _clock = _queue(0)
+        assert queue.finished
+        assert queue.acquire(worker=0) is None
+
     def test_expiry_past_deadline(self):
         queue, clock = _queue(1, budget=lambda item: 10.0)
         item = queue.acquire(worker=0)
@@ -113,6 +145,17 @@ class TestResumePreload:
         assert queue.stats.skipped == 1
         assert queue.outstanding == 2
 
+    def test_preloaded_record_is_served_without_a_journal_line(self, tmp_path):
+        items = _items(2)
+        journal = SweepJournal(tmp_path)
+        journal.create("cfg", items)
+        queue = LeasedWorkQueue(items, journal=journal, clock=FakeClock())
+        queue.preload_done("item-000", {"ii": 5, "resumed": True})
+        journal.close()
+        assert queue.results == {"item-000": {"ii": 5, "resumed": True}}
+        assert queue.stats.completed == 0
+        assert SweepJournal(tmp_path).replay().done == {}
+
     def test_duplicate_item_ids_rejected(self):
         items = _items(2)
         clone = WorkItem(index=1, id=items[0].id, kernel="x", size=2,
@@ -137,3 +180,43 @@ class TestJournalMirroring:
         state = SweepJournal(tmp_path).replay()
         assert state.done == {item.id: {"ii": 3}, item2.id: crashed}
         assert not state.in_flight
+
+    def test_lease_lines_name_the_worker(self, tmp_path):
+        items = _items(2)
+        journal = SweepJournal(tmp_path)
+        journal.create("cfg", items)
+        queue = LeasedWorkQueue(items, journal=journal, clock=FakeClock())
+        queue.acquire(worker=4)
+        queue.acquire(worker=7)
+        journal.close()
+        events = [json.loads(line) for line in
+                  journal.path.read_text(encoding="utf-8").splitlines()]
+        leases = [(e["id"], e["worker"]) for e in events if e["type"] == "lease"]
+        assert leases == [("item-000", 4), ("item-001", 7)]
+        assert set(SweepJournal(tmp_path).replay().in_flight) == {
+            "item-000", "item-001"
+        }
+
+
+class TestFarmStats:
+    def test_fresh_queue_counts_its_items_and_no_reruns(self):
+        queue, _clock = _queue(4)
+        assert queue.stats == FarmStats(items=4)
+        assert queue.stats.retries == 0
+        assert not queue.stats.resumed
+
+    def test_summary_names_each_counter(self):
+        stats = FarmStats(items=9, completed=6, skipped=3, retries=2,
+                          deadlines_expired=1, worker_crashes=1)
+        # The CI resume round trip greps "3 resumed from journal".
+        assert stats.summary() == (
+            "6/9 item(s) completed, 3 resumed from journal, "
+            "2 crashed/deadline item(s) re-run, 1 deadline(s) expired, "
+            "1 worker crash(es)"
+        )
+
+    def test_to_dict_is_plain_json(self):
+        stats = FarmStats(items=2, completed=2, resumed=True, wall_s=0.5)
+        data = json.loads(json.dumps(stats.to_dict()))
+        assert data["items"] == 2 and data["resumed"] is True
+        assert FarmStats(**data) == stats

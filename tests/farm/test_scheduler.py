@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import shutil
 import signal
 import time
 
@@ -31,8 +32,10 @@ from repro.experiments.runner import (
     RAMP,
     SAT_MAPIT,
     ExperimentConfig,
+    RunRecord,
     run_sweep,
 )
+from repro.farm.journal import WorkItem
 
 FAST = ExperimentConfig(
     kernels=("srand",),
@@ -189,6 +192,65 @@ class TestFailureRecords:
         assert sweep.farm.worker_respawns == 1
 
 
+class _OneItemConn:
+    """A worker's pipe end that hands out one item, then reads as closed."""
+
+    def __init__(self, item: WorkItem) -> None:
+        self._payloads = [item.payload()]
+        self.sent: list = []
+
+    def recv(self):
+        if not self._payloads:
+            raise EOFError
+        return self._payloads.pop()
+
+    def send(self, message) -> None:
+        self.sent.append(message)
+
+
+class TestWorkerRecords:
+    """The worker loop, run in this process: what it sends for one item."""
+
+    ITEM = WorkItem(index=0, id="i" * 64, kernel="gsm", size=3, mapper=RAMP,
+                    scenario=HOMOGENEOUS)
+
+    def _run(self, monkeypatch, run_single):
+        monkeypatch.setattr(runner_module, "run_single", run_single)
+        conn = _OneItemConn(self.ITEM)
+        with pytest.raises(EOFError):
+            scheduler_module._farm_worker(conn, GRID)
+        ((item_id, record),) = conn.sent
+        assert item_id == self.ITEM.id
+        return record
+
+    @pytest.mark.parametrize(
+        "exc, status, failure",
+        [
+            (MappingError("no route"), INFEASIBLE, "MappingError: no route"),
+            (RuntimeError("boom"), ERROR, "RuntimeError: boom"),
+            (KeyError("k"), ERROR, "KeyError: 'k'"),
+        ],
+    )
+    def test_exception_becomes_one_failure_record(
+        self, monkeypatch, exc, status, failure
+    ):
+        def run_single(*args):
+            raise exc
+
+        record = self._run(monkeypatch, run_single)
+        assert (record["status"], record["failure"]) == (status, failure)
+        assert (record["kernel"], record["size"], record["mapper"]) == (
+            "gsm", 3, RAMP
+        )
+        assert record["ii"] is None
+
+    def test_verdict_is_sent_as_the_mappers_record(self, monkeypatch):
+        verdict = RunRecord("gsm", 3, RAMP, "failed", None, 1.5, 4, 6, 30)
+        record = self._run(monkeypatch, lambda *args: verdict)
+        assert record == dataclasses.asdict(verdict)
+        assert record["failure"] == ""
+
+
 class TestDeadline:
     def test_runaway_item_ends_in_a_deadline_record(self, monkeypatch, tmp_path):
         # Alive and busy, never returning: the SIGTERM of the reap ends it.
@@ -266,6 +328,48 @@ class TestResume:
         assert resumed.farm.retries == 0
         assert resumed.records[-1].status == ERROR
         assert resumed.records[-1].resumed
+
+
+@pytest.fixture(scope="module")
+def fast_journal(tmp_path_factory):
+    """A finished two-item farm journal of ``FAST``."""
+    journal = tmp_path_factory.mktemp("fast") / "journal"
+    run_sweep(FAST, jobs=2, journal_dir=str(journal))
+    return journal
+
+
+class TestResumeRule:
+    @pytest.mark.parametrize(
+        "status, rerun",
+        [("mapped", False), ("failed", False), ("timeout", False),
+         (INFEASIBLE, False), (ERROR, False), (CRASHED, True),
+         (DEADLINE, True)],
+    )
+    def test_only_worker_failures_run_again(
+        self, fast_journal, monkeypatch, tmp_path, status, rerun
+    ):
+        # A record of the last item, rewritten to ``status``: only a dead
+        # or reaped worker can end differently on a second run.
+        journal = tmp_path / "journal"
+        shutil.copytree(fast_journal, journal)
+        path = journal / "journal.jsonl"
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        (ramp,) = [e["record"] for e in events
+                   if e["type"] == "done" and e["record"]["mapper"] == RAMP]
+        ramp.update(status=status, failure="why")
+        path.write_text("".join(json.dumps(e) + "\n" for e in events))
+
+        calls = tmp_path / "calls"
+        monkeypatch.setattr(runner_module, "run_single",
+                            _patched(lambda: None, calls))
+        resumed = run_sweep(FAST, jobs=2, journal_dir=str(journal), resume=True)
+        assert _calls(calls) == (["srand 3 RAMP"] if rerun else [])
+        assert resumed.farm.retries == int(rerun)
+        assert resumed.farm.skipped == 2 - int(rerun)
+        ramp = resumed.records[-1]
+        assert ramp.mapper == RAMP
+        assert ramp.resumed is not rerun
+        assert ramp.status == ("mapped" if rerun else status)
 
 
 class TestWarmWorkers:
