@@ -2,8 +2,11 @@
 
 Starts ``repro serve`` as a real subprocess, maps one kernel through
 ``POST /map`` + ``GET /jobs/{id}``, posts it again and requires a cache
-hit answered without a second worker process (same II, the mapping
-replays in the simulator), stops the service with SIGINT and requires
+hit answered without a second worker process (the cold answer's mapping,
+which replays in the simulator), then posts the same problem under a
+second tenant and with one semantic config field changed and requires
+each to be a miss that starts one solve (the server's problem table must
+not carry a cache key across either), stops the service with SIGINT and requires
 its whole process group (server, forkserver, resource tracker, workers)
 gone within 10 s, maps the same kernel through ``repro map``, and fails
 unless both report the same II.  Run by the CI ``service-smoke`` job::
@@ -126,6 +129,7 @@ def main() -> int:
                 status, payload = http(f"{base}/jobs/{job_id}")
                 assert status == 200, payload
             assert payload["status"] == "done", payload
+            cold_mapping = payload["result"]["mapping"]
             served_ii = payload["result"]["ii"]
             print(f"service: {KERNEL} on {ROWS}x{COLS} -> II={served_ii}")
 
@@ -140,6 +144,7 @@ def main() -> int:
             assert status == 200 and warm["status"] == "done", warm
             assert warm["result"]["cache_hit"] is True, warm["result"]
             assert warm["result"]["ii"] == served_ii, warm["result"]
+            assert warm["result"]["mapping"] == cold_mapping, "warm != cold"
             replay_error = replay(warm["result"]["mapping"])
             if replay_error:
                 raise SystemExit(f"warm answer does not replay: {replay_error}")
@@ -148,6 +153,29 @@ def main() -> int:
             assert stats["requests"]["solves_started"] == 1, stats
             assert stats["cache"]["hits"] == 1, stats["cache"]
             print(f"service: warm repeat -> cache hit, II={served_ii}, replayed")
+
+            # The same problem is a new one under another tenant (its own
+            # namespace) and with a semantic config field changed (a new
+            # key): each misses and starts exactly one solve.
+            problem = json.loads(body)
+            variants = (
+                ("tenant team-b", {**problem, "tenant": "team-b"}),
+                ("no register allocation", {
+                    **problem,
+                    "config": {**problem["config"], "run_register_allocation": False},
+                }),
+            )
+            for solves, (label, variant) in enumerate(variants, start=2):
+                status, answer = http(
+                    f"{base}/map?wait={SOLVE_DEADLINE_S}", json.dumps(variant).encode()
+                )
+                assert status == 200 and answer["status"] == "done", answer
+                assert answer["result"]["cache_hit"] is False, answer["result"]
+                status, stats = http(base + "/stats")
+                assert status == 200, stats
+                assert stats["requests"]["solves_started"] == solves, stats
+                assert stats["cache"]["hits"] == 1, stats["cache"]
+                print(f"service: {label} -> miss, II={answer['result']['ii']}")
         finally:
             server.send_signal(signal.SIGINT)
             try:

@@ -8,10 +8,10 @@ hit.  *Which* II is tried next is a pluggable policy: ``map()`` delegates
 the walk to a :mod:`repro.search` strategy (the paper's sequential ladder
 by default; a process-parallel portfolio on request) and can short-circuit
 the whole search through the persistent mapping cache
-(``MapperConfig.cache_dir``).  The two halves are public for callers that
-run them apart: ``lookup()`` is the cache-hit step and ``solve()`` the
-search that stores its result (the mapping service answers hits itself
-and hands only misses to a worker process).
+(``MapperConfig.cache_dir``).  ``solve()`` is the search half alone, for
+callers that have looked the cache up themselves: the mapping service
+answers hits from :meth:`MappingCache.lookup_key` and hands only misses to
+a worker process, which stores what ``solve()`` finds.
 
 One persistent solver backend serves the whole mapping run; it is the only
 solving path.  Each (II, slack) attempt encodes its constraint group guarded
@@ -385,8 +385,8 @@ class SatMapItMapper:
         portfolio on request — every strategy funnels its attempts through
         the same per-II machinery, so the outcome's per-attempt stats are
         complete regardless of the policy.  With
-        ``MapperConfig.cache_dir`` set, this is :meth:`lookup` in the
-        persistent mapping cache, else :meth:`solve`, which stores what it
+        ``MapperConfig.cache_dir`` set, a hit in the persistent mapping
+        cache is served, else this is :meth:`solve`, which stores what it
         finds.  A kernel whose opcode histogram cannot fit the fabric at any
         II (an op class with no capable PE) raises :class:`MappingError`
         before any SAT work.
@@ -395,28 +395,6 @@ class SatMapItMapper:
         if cache is not None and self._serve_hit(cache, outcome, dfg, cgra, start):
             return outcome
         return self._search(outcome, cache, dfg, cgra, first_ii, start)
-
-    def lookup(self, dfg: DFG, cgra: CGRA, key: str) -> MappingOutcome:
-        """The cache-hit step of :meth:`map`, for a caller holding the key.
-
-        ``key`` is the problem's :func:`repro.search.cache.cache_key`, whose
-        caller has already validated the problem, so nothing is re-checked
-        or re-hashed here; ``MapperConfig.cache_dir`` must be set.  On a hit
-        the outcome is the one :meth:`map` returns: the archived mapping,
-        its register allocation recomputed, ``cache_hit`` set.  On a miss it
-        is unsuccessful and carries only the key and the lookup's counters
-        (a corrupt or stale entry is deleted and counted, never served); the
-        caller goes on with :meth:`solve`.
-        """
-        if not self.config.cache_dir:
-            raise ValueError("lookup() needs MapperConfig.cache_dir")
-        start = time.perf_counter()
-        cache = self._open_cache()
-        outcome = self._new_outcome(dfg, cgra, minimum_ii=1)
-        outcome.cache_key = key
-        outcome.cache_stats = cache.stats
-        self._serve_hit(cache, outcome, dfg, cgra, start)
-        return outcome
 
     def solve(
         self, dfg: DFG, cgra: CGRA, start_ii: int | None = None
@@ -444,15 +422,6 @@ class SatMapItMapper:
             search_strategy=create_strategy(self.config.search).name,
         )
 
-    def _open_cache(self) -> MappingCache:
-        from repro.search.cache import MappingCache, resolve_cache_dir
-
-        config = self.config
-        return MappingCache(
-            resolve_cache_dir(config.cache_dir, config.cache_namespace),
-            max_mb=config.cache_max_mb,
-        )
-
     def _prepare(self, dfg: DFG, cgra: CGRA, start_ii: int | None):
         """Validate the problem and open a run: ``(outcome, cache, first_ii,
         start)``, with the cache handle and key only when caching is on."""
@@ -463,9 +432,15 @@ class SatMapItMapper:
         first_ii = max(start_ii or mii, 1)
         outcome = self._new_outcome(dfg, cgra, minimum_ii=mii)
         cache = None
-        if self.config.cache_dir:
-            cache = self._open_cache()
-            outcome.cache_key = cache.key(dfg, cgra, self.config, start_ii=first_ii)
+        config = self.config
+        if config.cache_dir:
+            from repro.search.cache import MappingCache, resolve_cache_dir
+
+            cache = MappingCache(
+                resolve_cache_dir(config.cache_dir, config.cache_namespace),
+                max_mb=config.cache_max_mb,
+            )
+            outcome.cache_key = cache.key(dfg, cgra, config, start_ii=first_ii)
             outcome.cache_stats = cache.stats
         return outcome, cache, first_ii, start
 

@@ -31,11 +31,7 @@ from urllib.parse import parse_qsl, urlsplit
 from repro.exceptions import MappingError
 from repro.sat.backend import BackendUnavailableError
 from repro.service.jobs import Job, JobManager
-from repro.service.protocol import (
-    ProtocolError,
-    ServiceLimits,
-    parse_map_request,
-)
+from repro.service.protocol import ProtocolError
 
 _REASONS = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
@@ -45,15 +41,11 @@ _REASONS = {
 
 
 class ServiceApp:
-    """Routes HTTP requests onto one :class:`JobManager`."""
+    """Routes HTTP requests onto one :class:`JobManager`, under its limits."""
 
-    def __init__(
-        self,
-        manager: JobManager,
-        limits: ServiceLimits | None = None,
-    ) -> None:
+    def __init__(self, manager: JobManager) -> None:
         self.manager = manager
-        self.limits = limits or manager.limits
+        self.limits = manager.limits
 
     # ------------------------------------------------------------------
     async def handle_client(
@@ -157,8 +149,8 @@ class ServiceApp:
         self, query: dict, headers: dict, body: Any
     ) -> tuple[int, dict]:
         try:
-            request = parse_map_request(
-                body, self.limits, header_tenant=headers.get("x-tenant")
+            request = self.manager.parse(
+                body, header_tenant=headers.get("x-tenant")
             )
             if "wait" in query:
                 request.wait = min(

@@ -1,20 +1,28 @@
 """Job lifecycle for the mapping service.
 
-Every accepted ``POST /map`` becomes a :class:`Job`.  A job first takes
-the mapper's cache-hit step (:meth:`SatMapItMapper.lookup`) in a thread of
-the server process; a hit is answered there and then, without a pool slot
-or a process.  Only a miss waits for one of ``pool_size`` slots and runs
-its search (:meth:`SatMapItMapper.solve`) in its *own worker process*:
+Every accepted ``POST /map`` becomes a :class:`Job`.  A job first looks
+its key up in the persistent cache (:meth:`MappingCache.lookup_key`) in a
+thread of the server process; a hit is answered there and then, from the
+cache entry, without a pool slot or a process.  Only a miss waits for one
+of ``pool_size`` slots and runs its search (:meth:`SatMapItMapper.solve`)
+in its *own worker process*:
 
 * **Isolation / re-entrancy** — the mapper core is stateless, but a SAT
   solve is CPU-bound and can be asked to die at any moment; a process per
   solve gives the GIL-free parallelism and a kill target, with no state
-  shared between requests.  A cache hit is a file read, a legality check
-  and a register-allocation recompute: milliseconds, nothing to kill, and
-  every check of the cache (schema, solver version, key,
-  ``Mapping.violations()``, deletion of corrupt entries) runs unchanged.
-  Each request looks the cache up exactly once, so the ``/stats`` cache
-  counters stay exact and ``solves_started`` counts worker processes.
+  shared between requests.  A cache hit is a file read plus the cache's
+  checks: milliseconds, nothing to kill, and every check (schema, solver
+  version, key, ``ii``, ``Mapping.violations()``, deletion of corrupt
+  entries) runs unchanged.  The answer carries the entry's mapping dict as
+  stored, so no register allocation is recomputed.  Each request looks the
+  cache up exactly once, so the ``/stats`` cache counters stay exact and
+  ``solves_started`` counts worker processes.
+* **Problem table** — a repeated problem is parsed and validated once:
+  :meth:`JobManager.parse` keeps the last :data:`PROBLEM_TABLE_SIZE`
+  validated problems (DFG, CGRA, config, cache key) under their canonical
+  body text (:func:`repro.service.protocol.problem_text`).  Requests for one
+  problem share its DFG read-only: a hit reads only its name, and a miss
+  hands its worker a pickled copy.
 * **Warm starts** — a worker is forked from a ``forkserver`` the manager
   starts when it is built, which has preloaded the mapper stack
   (:func:`repro.procs.forkserver_context`).  A miss pays a fork, not a
@@ -33,7 +41,8 @@ its search (:meth:`SatMapItMapper.solve`) in its *own worker process*:
   ``POST /map``\\ s share one Job and one solve.  Once a job finishes the
   index entry is dropped — later repeats are served by the persistent
   cache instead, in the server.  Finished jobs of one (tenant, cache key)
-  share one mapping dict, dropped with the last of them from the registry.
+  share one mapping dict, dropped with the last of them from the registry,
+  which drops its oldest finished jobs first.
 * **Tenancy** — each tenant's cache lives under its own namespace
   directory (``MapperConfig.cache_namespace``); tenants share nothing on
   disk.
@@ -51,6 +60,7 @@ import signal
 import threading
 import time
 import uuid
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -59,11 +69,20 @@ from repro.cgra.capabilities import check_kernel_fits, effective_minimum_ii
 from repro.core.mapper import MapperConfig, SatMapItMapper
 from repro.exceptions import MappingError
 from repro.sat.backend import BackendUnavailableError, validate_backend
-from repro.search.cache import MappingCache, cache_key, resolve_cache_dir
+from repro.search.cache import (
+    CacheStats,
+    MappingCache,
+    cache_key,
+    resolve_cache_dir,
+)
 from repro.service.protocol import (
     MapRequest,
     ServiceLimits,
+    hit_payload,
     outcome_payload,
+    parse_map_request,
+    problem_text,
+    reuse_problem,
 )
 
 #: Seconds between cancellation/deadline checks while a worker solves.
@@ -75,6 +94,9 @@ _BUDGET_GRACE = 30.0
 
 #: Seconds a worker that answered gets to exit before it is reaped.
 _EXIT_WAIT = 2.0
+
+#: Validated problems the manager keeps parsed (least recently used out).
+PROBLEM_TABLE_SIZE = 128
 
 #: TERM grace for job workers.  Deliberately longer than the portfolio's
 #: internal 5 s lane grace: a cancelled worker may itself be escalating
@@ -280,10 +302,16 @@ class JobManager:
         self._ctx = mp_context or procs.forkserver_context(__name__)
         self._semaphore = asyncio.Semaphore(self.pool_size)
         self.jobs: dict[str, Job] = {}
+        #: Finished jobs of the registry in finish order: the pruning queue.
+        self._finished: deque[Job] = deque()
+        #: Registry jobs per (tenant, cache key) slot.
+        self._slot_jobs: dict[tuple[str, str], int] = {}
         self._inflight: dict[tuple[str, str], Job] = {}
         #: Shared mapping dict per (tenant, cache key) of the finished jobs
         #: in the registry; pruned with it (see ``_finish_done``).
         self._mappings: dict[tuple[str, str], dict] = {}
+        #: Validated problems by canonical body text (see :meth:`parse`).
+        self._problems: OrderedDict[str, MapRequest] = OrderedDict()
         self._tenants: set[str] = set()
         self._max_jobs_tracked = max_jobs_tracked
         self.stats = ServiceStats()
@@ -301,29 +329,65 @@ class JobManager:
             )
         return replace(request.config, **fields) if fields else request.config
 
+    def _validated_key(self, request: MapRequest) -> str:
+        """Refute ``request`` before any work, or return its cache key.
+
+        Raises ``MappingError`` / ``BackendUnavailableError`` for requests
+        that can be refuted up front (unmappable kernel, missing solver
+        binary) — the HTTP layer turns those into a 400, mirroring the
+        CLI's one-line error contract — and counts them as rejected.
+        """
+        try:
+            validate_backend(request.config.backend)
+            request.dfg.validate()
+            check_kernel_fits(request.dfg, request.cgra)
+            first_ii = max(effective_minimum_ii(request.dfg, request.cgra), 1)
+            # The key reads only semantic config fields, none of which
+            # the tenant or the service's cache settings touch.
+            return cache_key(
+                request.dfg, request.cgra, request.config, start_ii=first_ii
+            )
+        except Exception:
+            self.stats.rejected += 1
+            raise
+
+    def parse(self, body: Any, header_tenant: str | None = None) -> MapRequest:
+        """A ``POST /map`` body as a validated request with its cache key.
+
+        A problem seen before is taken from the problem table, and only the
+        per-request options (tenant, ``wait``, ``timeout``) are parsed; a
+        new one is parsed and validated in full, and enters the table only
+        if it passes.  Raises what :func:`parse_map_request` and
+        :meth:`_validated_key` raise.
+        """
+        text = problem_text(body)
+        problem = self._problems.get(text) if text is not None else None
+        if problem is not None:
+            self._problems.move_to_end(text)
+            return reuse_problem(problem, body, self.limits, header_tenant)
+        request = parse_map_request(body, self.limits, header_tenant)
+        request.cache_key = self._validated_key(request)
+        if text is not None:
+            # A copy: the caller may still set its own request's ``wait``.
+            self._problems[text] = replace(request)
+            if len(self._problems) > PROBLEM_TABLE_SIZE:
+                self._problems.popitem(last=False)
+        return request
+
     def submit(self, request: MapRequest) -> tuple[Job, bool]:
         """Accept one request; returns ``(job, created)``.
 
         ``created`` is ``False`` when the request joined an identical
         in-flight job (same tenant, same cache key) instead of starting a
-        new solve.  Raises ``MappingError`` / ``BackendUnavailableError``
-        for requests that can be refuted before any work (unmappable
-        kernel, missing solver binary) — the HTTP layer turns those into
-        a 400, mirroring the CLI's one-line error contract.
+        new solve.  A request without a cache key (one not made by
+        :meth:`parse`) is validated first, raising as :meth:`parse` does.
         """
+        key = request.cache_key
+        if key is None:
+            key = self._validated_key(request)
         self.stats.requests += 1
-        config = self._specialise(request)
-        try:
-            validate_backend(config.backend)
-            request.dfg.validate()
-            check_kernel_fits(request.dfg, request.cgra)
-            first_ii = max(effective_minimum_ii(request.dfg, request.cgra), 1)
-            key = cache_key(request.dfg, request.cgra, config, start_ii=first_ii)
-        except Exception:
-            self.stats.rejected += 1
-            self.stats.requests -= 1
-            raise
-        existing = self._inflight.get((request.tenant, key))
+        slot = (request.tenant, key)
+        existing = self._inflight.get(slot)
         if existing is not None and not existing.finished:
             existing.requests += 1
             self.stats.dedup_joined += 1
@@ -336,27 +400,43 @@ class JobManager:
             cgra_name=request.cgra.name,
         )
         self.jobs[job.id] = job
-        self._inflight[(request.tenant, key)] = job
+        self._slot_jobs[slot] = self._slot_jobs.get(slot, 0) + 1
+        self._inflight[slot] = job
         self._tenants.add(request.tenant)
         self._prune_finished()
-        asyncio.get_running_loop().create_task(self._run(job, request, config))
+        asyncio.get_running_loop().create_task(self._run(job, request))
         return job, True
 
-    async def _run(self, job: Job, request: MapRequest, config: MapperConfig) -> None:
+    def _lookup(self, job: Job, request: MapRequest) -> tuple[dict | None, CacheStats]:
+        """The cache-hit step (thread context): one lookup of the job's key
+        in its tenant's namespace; the hit's payload, or ``None``, with the
+        lookup's counters."""
+        start = time.perf_counter()
+        cache = MappingCache(
+            resolve_cache_dir(self.cache_dir, job.tenant),
+            max_mb=self.cache_max_mb,
+        )
+        hit = cache.lookup_key(job.cache_key)
+        if hit is None:
+            return None, cache.stats
+        elapsed = time.perf_counter() - start
+        return hit_payload(hit, request, cache.stats, elapsed), cache.stats
+
+    async def _run(self, job: Job, request: MapRequest) -> None:
         acquired = False
         try:
-            if config.cache_dir:
-                # The cache-hit step runs here, under the key ``submit()``
-                # computed; only a miss goes on to a pool slot and a worker,
-                # whose ``solve()`` does not look the key up again.
-                outcome = await asyncio.to_thread(
-                    SatMapItMapper(config).lookup,
-                    request.dfg, request.cgra, job.cache_key,
+            if self.cache_dir is not None:
+                # The cache-hit step runs here, under the key the request
+                # was validated with; only a miss goes on to a pool slot and
+                # a worker, whose ``solve()`` does not look the key up again.
+                payload, cache_stats = await asyncio.to_thread(
+                    self._lookup, job, request
                 )
-                self.stats.fold_cache(dataclasses.asdict(outcome.cache_stats))
-                if outcome.cache_hit:
-                    self._finish_done(job, outcome_payload(outcome))
+                self.stats.fold_cache(dataclasses.asdict(cache_stats))
+                if payload is not None:
+                    self._finish_done(job, payload)
                     return
+            config = self._specialise(request)
             # Acquire a pool slot, staying responsive to cancellation of a
             # still-queued job.
             while True:
@@ -408,6 +488,7 @@ class JobManager:
                     self.running -= 1
                 self._semaphore.release()
             job.finished_at = time.time()
+            self._finished.append(job)
             if self._inflight.get((job.tenant, job.cache_key)) is job:
                 del self._inflight[(job.tenant, job.cache_key)]
             job.done_event.set()
@@ -454,19 +535,16 @@ class JobManager:
             await job.done_event.wait()
 
     def _prune_finished(self) -> None:
-        """Bound the job registry: drop the oldest finished jobs."""
-        overflow = len(self.jobs) - self._max_jobs_tracked
-        if overflow <= 0:
-            return
-        finished = sorted(
-            (job for job in self.jobs.values() if job.finished),
-            key=lambda job: job.finished_at or 0.0,
-        )
-        for job in finished[:overflow]:
+        """Bound the job registry: drop the oldest finished jobs, and with
+        the last registry job of a (tenant, cache key) its mapping dict."""
+        while len(self.jobs) > self._max_jobs_tracked and self._finished:
+            job = self._finished.popleft()
             del self.jobs[job.id]
-        live = {(job.tenant, job.cache_key) for job in self.jobs.values()}
-        for slot in [slot for slot in self._mappings if slot not in live]:
-            del self._mappings[slot]
+            slot = (job.tenant, job.cache_key)
+            self._slot_jobs[slot] -= 1
+            if not self._slot_jobs[slot]:
+                del self._slot_jobs[slot]
+                self._mappings.pop(slot, None)
 
     # ------------------------------------------------------------------
     def stats_payload(self) -> dict:

@@ -18,18 +18,26 @@ explicit wall-clock budget (``ServiceLimits.default_timeout`` when the
 request names none) bounded by ``ServiceLimits.max_timeout``, so no
 request can hold a worker slot forever.
 
+A body's problem fields (:data:`PROBLEM_FIELDS`) fix everything parsing
+derives from it except three per-request options: the tenant, ``wait``
+and the config's ``timeout``.  :func:`problem_text` renders those fields
+canonically, so the job manager can parse a repeated problem once and
+:func:`reuse_problem` only parses the options of a later request.
+
 The response side (:func:`outcome_payload`) renders a
 :class:`~repro.core.mapper.MappingOutcome` as plain JSON — mapping
 included on success, cache/search/portfolio telemetry always — and is
 what the worker process ships back over its pipe, so everything in it
-must be picklable and JSON-serializable plain data.
+must be picklable and JSON-serializable plain data.  A cache hit answered
+in the server is rendered by :func:`hit_payload` into the same payload.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 from repro.baselines import HEURISTIC_MAPPERS
@@ -39,8 +47,8 @@ from repro.core.mapper import MapperConfig, MappingOutcome
 from repro.dfg.graph import DFG
 from repro.exceptions import ArchitectureError
 from repro.sat.encodings import AMOEncoding
-from repro.search import PORTFOLIO_VARIANTS, available_strategies
-from repro.search.cache import resolve_cache_dir
+from repro.search import PORTFOLIO_VARIANTS, available_strategies, create_strategy
+from repro.search.cache import CacheHit, CacheStats, resolve_cache_dir
 
 
 class ProtocolError(ValueError):
@@ -78,6 +86,9 @@ class MapRequest:
     tenant: str = DEFAULT_TENANT
     #: Seconds ``POST /map`` may block for a synchronous answer.
     wait: float = 0.0
+    #: Cache key of the validated problem, when the job manager has
+    #: already validated it; ``JobManager.submit`` derives it otherwise.
+    cache_key: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +268,72 @@ def _parse_tenant(payload: dict, header_tenant: str | None) -> str:
     return tenant
 
 
+def _parse_timeout(config_spec: dict, limits: ServiceLimits) -> float:
+    timeout = _coerce("timeout", config_spec.get("timeout"), _CONFIG_FIELDS["timeout"])
+    if timeout is None:
+        timeout = limits.default_timeout
+    if timeout <= 0:
+        raise ProtocolError("'timeout' must be positive")
+    return min(timeout, limits.max_timeout)
+
+
+def _parse_wait(payload: dict, limits: ServiceLimits) -> float:
+    wait = payload.get("wait", 0.0)
+    if not isinstance(wait, (int, float)) or isinstance(wait, bool) or wait < 0:
+        raise ProtocolError("'wait' must be a non-negative number of seconds")
+    return min(float(wait), limits.max_wait)
+
+
+#: Body fields that state the mapping problem, less the config's
+#: ``timeout``: a request's budget, not part of its problem.
+PROBLEM_FIELDS: tuple[str, ...] = ("kernel", "dfg", "source", "arch", "config")
+
+
+def problem_text(payload: Any) -> str | None:
+    """Canonical JSON of ``payload``'s problem fields, or ``None`` for a
+    body too malformed to have them (parsing it reports why).
+
+    Two bodies with the same text parse to the same DFG, CGRA and config
+    up to the config's ``timeout``.
+    """
+    if not isinstance(payload, dict):
+        return None
+    config = payload.get("config", {})
+    if not isinstance(config, dict):
+        return None
+    problem = {name: payload.get(name) for name in PROBLEM_FIELDS}
+    problem["config"] = {
+        name: value for name, value in config.items() if name != "timeout"
+    }
+    return json.dumps(problem, sort_keys=True, separators=(",", ":"))
+
+
+def reuse_problem(
+    problem: MapRequest,
+    payload: dict,
+    limits: ServiceLimits,
+    header_tenant: str | None = None,
+) -> MapRequest:
+    """A request for the already parsed ``problem`` of ``payload``.
+
+    Only the per-request options are parsed: the tenant, ``wait`` and the
+    config's ``timeout``.  The DFG and CGRA are ``problem``'s own, shared
+    read-only with every other request for it.
+    """
+    timeout = _parse_timeout(payload.get("config", {}), limits)
+    config = problem.config
+    if config.timeout != timeout:
+        config = replace(config, timeout=timeout)
+    return MapRequest(
+        dfg=problem.dfg,
+        cgra=problem.cgra,
+        config=config,
+        tenant=_parse_tenant(payload, header_tenant),
+        wait=_parse_wait(payload, limits),
+        cache_key=problem.cache_key,
+    )
+
+
 def parse_map_request(
     payload: Any,
     limits: ServiceLimits | None = None,
@@ -284,23 +361,14 @@ def parse_map_request(
             )
         fields[name] = _coerce(name, value, kind)
     _check_names(fields)
-
-    timeout = fields.get("timeout")
-    if timeout is None:
-        timeout = limits.default_timeout
-    if timeout <= 0:
-        raise ProtocolError("'timeout' must be positive")
-    fields["timeout"] = min(timeout, limits.max_timeout)
+    fields["timeout"] = _parse_timeout(config_spec, limits)
     fields["search_jobs"] = max(
         1, min(fields.get("search_jobs", 2), limits.max_search_jobs)
     )
     # The service owns all output: workers must stay silent.
     fields["verbose"] = False
 
-    wait = payload.get("wait", 0.0)
-    if not isinstance(wait, (int, float)) or isinstance(wait, bool) or wait < 0:
-        raise ProtocolError("'wait' must be a non-negative number of seconds")
-
+    wait = _parse_wait(payload, limits)
     try:
         config = MapperConfig(**fields)
     except (TypeError, ValueError) as exc:
@@ -310,7 +378,7 @@ def parse_map_request(
         cgra=_parse_arch(payload),
         config=config,
         tenant=_parse_tenant(payload, header_tenant),
-        wait=min(float(wait), limits.max_wait),
+        wait=wait,
     )
 
 
@@ -356,4 +424,35 @@ def outcome_payload(outcome: MappingOutcome) -> dict:
             "time_s": round(outcome.seed_time, 4),
             "used": outcome.seed_used,
         }
+    return payload
+
+
+def hit_payload(
+    hit: CacheHit,
+    request: MapRequest,
+    cache_stats: CacheStats,
+    total_time: float,
+) -> dict:
+    """The :func:`outcome_payload` of the mapper's cache hit on ``request``.
+
+    The mapping is the entry's own dict, which :meth:`MappingCache.lookup_key`
+    has checked (``Mapping.violations()`` included) and which holds the
+    register assignment the search stored: the payload carries no
+    register-allocation object, so nothing is recomputed or re-serialised.
+    """
+    outcome = MappingOutcome(
+        success=True,
+        dfg_name=request.dfg.name,
+        cgra_name=request.cgra.name,
+        ii=hit.ii,
+        minimum_ii=hit.minimum_ii,
+        total_time=total_time,
+        backend_name=request.config.backend,
+        search_strategy=create_strategy(request.config.search).name,
+        cache_hit=True,
+        cache_key=hit.key,
+        cache_stats=cache_stats,
+    )
+    payload = outcome_payload(outcome)
+    payload["mapping"] = hit.entry["mapping"]
     return payload

@@ -132,7 +132,7 @@ class TestCacheRoundTrip:
 
 
 class TestLookupAndSolve:
-    """``map()`` is ``lookup()`` on a hit, else ``solve()``."""
+    """``map()`` serves a ``lookup_key()`` hit, else runs ``solve()``."""
 
     def _mapper(self, tmp_path):
         config = MapperConfig(timeout=60, random_seed=0, cache_dir=str(tmp_path))
@@ -141,23 +141,27 @@ class TestLookupAndSolve:
     def test_lookup_of_a_warm_key_is_the_map_hit(self, tmp_path):
         mapper, dfg, cgra = self._mapper(tmp_path)
         cold = mapper.map(dfg, cgra)
-        hit = mapper.lookup(dfg, cgra, cold.cache_key)
+        cache = MappingCache(tmp_path)
+        hit = cache.lookup_key(cold.cache_key)
         warm = mapper.map(dfg, cgra)
-        assert hit.cache_hit and warm.cache_hit
+        assert warm.cache_hit and warm.attempts == []
+        assert warm.register_allocation.success
+        assert hit.key == warm.cache_key == cold.cache_key
         assert hit.ii == warm.ii == cold.ii
         assert hit.minimum_ii == warm.minimum_ii
+        # The entry's stored dict is the mapping the hit serves, register
+        # assignment included: the service answers with it as it stands.
         assert hit.mapping.to_dict() == warm.mapping.to_dict()
-        assert hit.register_allocation.success
-        assert hit.attempts == []
-        assert (hit.cache_stats.hits, hit.cache_stats.misses) == (1, 0)
+        assert hit.entry["mapping"] == warm.mapping.to_dict()
+        assert (cache.stats.hits, cache.stats.misses) == (1, 0)
 
     def test_lookup_miss_carries_only_its_counters(self, tmp_path):
         mapper, dfg, cgra = self._mapper(tmp_path)
         key = cache_key(dfg, cgra, mapper.config, start_ii=2)
-        miss = mapper.lookup(dfg, cgra, key)
-        assert not miss.success and not miss.cache_hit
-        assert miss.cache_key == key and miss.mapping is None
-        assert (miss.cache_stats.hits, miss.cache_stats.misses) == (0, 1)
+        cache = MappingCache(tmp_path)
+        assert cache.lookup_key(key) is None
+        assert (cache.stats.hits, cache.stats.misses) == (0, 1)
+        assert cache.stats.corrupted == cache.stats.invalidated == 0
 
     def test_solve_never_reads_the_cache(self, tmp_path):
         mapper, dfg, cgra = self._mapper(tmp_path)
@@ -169,10 +173,15 @@ class TestLookupAndSolve:
         stats = solved.cache_stats
         assert (stats.hits, stats.misses, stats.writes) == (0, 0, 1)
 
-    def test_lookup_needs_a_cache(self):
-        mapper = SatMapItMapper(MapperConfig())
-        with pytest.raises(ValueError, match="cache_dir"):
-            mapper.lookup(get_kernel("srand"), CGRA.square(3), "0" * 64)
+    def test_lookup_of_a_key_naming_no_entry_is_a_plain_miss(self, tmp_path):
+        mapper, dfg, cgra = self._mapper(tmp_path)
+        mapper.map(dfg, cgra)
+        entries = sorted(tmp_path.glob("*.json"))
+        cache = MappingCache(tmp_path)
+        assert cache.lookup_key("0" * 64) is None
+        assert (cache.stats.hits, cache.stats.misses) == (0, 1)
+        # A miss deletes nothing and writes nothing.
+        assert sorted(tmp_path.glob("*.json")) == entries
 
 
 class TestInvalidationAndRecovery:

@@ -10,6 +10,7 @@ is a module-level function: a forkserver child imports it by name.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import multiprocessing
 import os
 import signal
@@ -530,23 +531,158 @@ class TestRegistryMemory:
         assert warm.result["mapping"] is cold.result["mapping"]
 
     def test_shared_table_never_outgrows_the_registry(self, tmp_path):
-        seeds = range(5)
+        # Five problems that differ in a semantic field, so five keys.
+        caps = [40 + offset for offset in range(5)]
 
         async def scenario():
             manager = JobManager(
                 pool_size=1, cache_dir=str(tmp_path), max_jobs_tracked=3,
             )
-            for seed in seeds:
-                _prefill(manager, request(random_seed=seed))
-            sizes = []
+            for cap in caps:
+                _prefill(manager, request(max_ii=cap))
+            sizes, keys, finish_order = [], set(), []
             for _round in range(2):
-                for seed in seeds:
-                    await _answer(manager, request(random_seed=seed))
+                for cap in caps:
+                    job = await _answer(manager, request(max_ii=cap))
+                    keys.add(job.cache_key)
+                    finish_order.append(job.id)
                     sizes.append((len(manager._mappings), len(manager.jobs)))
-            return manager, sizes
+            return manager, sizes, keys, finish_order
 
-        manager, sizes = run(scenario())
+        manager, sizes, keys, finish_order = run(scenario())
+        assert len(keys) == 5
         assert manager.stats.cache["hits"] == 10
         assert all(shared <= tracked <= 3 for shared, tracked in sizes)
         live = {(job.tenant, job.cache_key) for job in manager.jobs.values()}
-        assert set(manager._mappings) <= live
+        assert set(manager._mappings) == live
+        # The oldest finished jobs went first: the last three remain.
+        assert list(manager.jobs) == finish_order[-3:]
+
+
+def _body(**config):
+    fields = {"timeout": 60, "random_seed": 0}
+    fields.update(config)
+    return {"kernel": "srand", "arch": {"rows": 3, "cols": 3}, "config": fields}
+
+
+async def _post(manager: JobManager, body: dict, header_tenant=None):
+    return await _answer(manager, manager.parse(body, header_tenant))
+
+
+class TestProblemTable:
+    """A repeated problem is parsed and validated once; the per-request
+    options (tenant, wait, timeout) are parsed every time."""
+
+    def test_same_problem_under_a_second_tenant_misses_in_its_namespace(
+        self, tmp_path
+    ):
+        async def scenario():
+            manager = JobManager(pool_size=1, cache_dir=str(tmp_path))
+            first = await _post(manager, _body())
+            warm = await _post(manager, _body())
+            other = await _post(manager, {**_body(), "tenant": "team-b"})
+            by_header = await _post(manager, _body(), header_tenant="team-b")
+            return manager, first, warm, other, by_header
+
+        manager, first, warm, other, by_header = run(scenario())
+        assert len(manager._problems) == 1
+        assert other.cache_key == first.cache_key
+        assert warm.result["cache_hit"] and not other.result["cache_hit"]
+        assert by_header.result["cache_hit"] and by_header.tenant == "team-b"
+        assert manager.stats.solves_started == 2
+        assert (manager.stats.cache["hits"], manager.stats.cache["misses"]) == (2, 2)
+        assert list((tmp_path / "team-b").glob("*.json"))
+
+    def test_semantic_config_change_is_a_new_key_and_a_new_solve(self, tmp_path):
+        async def scenario():
+            manager = JobManager(pool_size=1, cache_dir=str(tmp_path))
+            first = await _post(manager, _body())
+            changed = await _post(manager, _body(run_register_allocation=False))
+            return manager, first, changed
+
+        manager, first, changed = run(scenario())
+        assert changed.cache_key != first.cache_key
+        assert not changed.result["cache_hit"]
+        assert manager.stats.solves_started == 2
+        assert len(manager._problems) == 2
+
+    def test_timeout_and_wait_reuse_the_entry(self, tmp_path):
+        manager = JobManager(pool_size=1, cache_dir=str(tmp_path))
+        first = manager.parse(_body())
+        longer = manager.parse(_body(timeout=90))
+        waiting = manager.parse({**_body(), "wait": 5})
+        assert len(manager._problems) == 1
+        assert longer.dfg is first.dfg and waiting.dfg is first.dfg
+        assert longer.cache_key == waiting.cache_key == first.cache_key
+        assert (first.config.timeout, longer.config.timeout) == (60, 90)
+        assert longer.config == dataclasses.replace(first.config, timeout=90)
+        assert (first.wait, waiting.wait) == (0.0, 5.0)
+        # The options are still checked on every request.
+        from repro.service.protocol import ProtocolError
+
+        for body in (_body(timeout=0), {**_body(), "wait": -1},
+                     {**_body(), "tenant": "../escape"}):
+            with pytest.raises(ProtocolError):
+                manager.parse(body)
+        assert len(manager._problems) == 1
+
+    def test_malformed_bodies_never_enter_the_table(self, tmp_path, monkeypatch):
+        from repro.exceptions import MappingError
+        from repro.service.protocol import ProtocolError
+
+        manager = JobManager(pool_size=1, cache_dir=str(tmp_path))
+        for body in (_body(max_ii="many"), {**_body(), "kernel": "nope"},
+                     {**_body(), "config": []}, ["not", "an", "object"]):
+            for _attempt in range(2):
+                with pytest.raises(ProtocolError):
+                    manager.parse(body)
+
+        def refute(dfg, cgra):
+            raise MappingError("kernel cannot fit fabric at any II")
+
+        monkeypatch.setattr(jobs_module, "check_kernel_fits", refute)
+        for _attempt in range(2):
+            with pytest.raises(MappingError):
+                manager.parse(_body())
+        assert len(manager._problems) == 0
+        assert manager.stats.rejected == 2
+
+    def test_table_stays_within_its_bound(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(jobs_module, "PROBLEM_TABLE_SIZE", 3)
+        manager = JobManager(pool_size=1, cache_dir=str(tmp_path))
+        for cap in range(40, 46):
+            manager.parse(_body(max_ii=cap))
+            assert len(manager._problems) <= 3
+        # Least recently used out: a reused entry outlives newer ones.
+        kept = manager.parse(_body(max_ii=43))
+        manager.parse(_body(max_ii=46))
+        caps = [request.config.max_ii for request in manager._problems.values()]
+        assert caps == [45, 43, 46]
+        assert manager.parse(_body(max_ii=43)).dfg is kept.dfg
+
+    def test_table_held_dfg_survives_a_solve_and_hits(self, tmp_path):
+        async def scenario():
+            manager = JobManager(pool_size=1, cache_dir=str(tmp_path))
+            held = manager.parse(_body()).dfg
+            before = held.to_dict()
+            cold = await _post(manager, _body())
+            warm = [await _post(manager, _body()) for _ in range(3)]
+            return manager, held, before, cold, warm
+
+        manager, held, before, cold, warm = run(scenario())
+        assert cold.pid is not None and not cold.result["cache_hit"]
+        assert all(job.result["cache_hit"] for job in warm)
+        [entry] = manager._problems.values()
+        assert entry.dfg is held
+        assert held.to_dict() == before
+
+    def test_without_a_cache_every_request_is_solved(self):
+        async def scenario():
+            manager = JobManager(pool_size=1)
+            jobs = [await _post(manager, _body()) for _ in range(2)]
+            return manager, jobs
+
+        manager, jobs = run(scenario())
+        assert all(job.status == DONE and job.pid for job in jobs)
+        assert manager.stats.solves_started == 2
+        assert manager.stats.cache["hits"] == manager.stats.cache["misses"] == 0
