@@ -26,14 +26,13 @@ one auxiliary *occupancy* variable per (PE, cycle) slot to stay compact.
 
 The encoder can emit into two kinds of targets.  By default it builds a
 standalone :class:`repro.sat.cnf.CNF` (the classic one-shot interface).  For
-the incremental mapping loop it instead emits straight into a live
+the mapping loop it instead emits straight into the attempt's live
 :class:`repro.sat.backend.SolverBackend`, with every clause guarded by a
 per-attempt *selector* literal: ``clause`` becomes ``¬selector ∨ clause``, so
 the whole constraint group is active only while the mapper assumes
-``selector`` and is retired by simply dropping that assumption (plus a final
-``¬selector`` unit so the solver can simplify it away).  Because distinct
-attempts use disjoint variable blocks, satisfiability under the selector
-assumption is equivalent to the standalone formula's.
+``selector``, and satisfiability under that assumption is equivalent to the
+standalone formula's.  The guard also routes guard-tailed ternary clauses
+onto the solver's guarded implication lists.
 
 C1–C3 are built by the native core's emission kernel (``enc_*`` in
 ``sat/_cdcl.c``) from small per-encode tables; this module allocates the
@@ -281,8 +280,8 @@ class MappingEncoder:
         selector: int | None = None,
     ) -> None:
         """``sink`` is a live solver backend to emit into (``None`` builds a
-        standalone CNF); ``selector`` guards every emitted clause for
-        assumption-based retirement and requires a ``sink``."""
+        standalone CNF); ``selector`` guards every emitted clause, to be
+        solved under the assumption ``selector``, and requires a ``sink``."""
         if selector is not None and sink is None:
             raise EncodingError("a selector literal requires a backend sink")
         self.dfg = dfg

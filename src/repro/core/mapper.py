@@ -13,20 +13,21 @@ callers that have looked the cache up themselves: the mapping service
 answers hits from :meth:`MappingCache.lookup_key` and hands only misses to
 a worker process, which stores what ``solve()`` finds.
 
-One persistent solver backend serves the whole mapping run; it is the only
-solving path.  Each (II, slack) attempt encodes its constraint group guarded
-by a fresh selector literal and is solved under the assumption that the
-selector is true; retiring the attempt is an assumption flip plus one
-``¬selector`` unit.  Register-allocation rejections stay inside the same
-attempt — one blocking clause is added and the backend re-solves with all
-learned clauses, activities and phases intact, with zero re-encoded base
-clauses (the per-attempt stats prove it).
+Each (II, slack) attempt is encoded into a fresh solver backend, as the
+paper builds a new formula for every II, and the backend is dropped when the
+attempt ends.  The attempt's constraint group is guarded by a selector
+literal and solved under the assumption that the selector is true.
+Register-allocation rejections stay inside the same attempt — one blocking
+clause is added and the backend re-solves with all learned clauses,
+activities and phases intact, with zero re-encoded base clauses (the
+per-attempt stats prove it).
 """
 
 from __future__ import annotations
 
+import os
+import tempfile
 import time
-from array import array
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -39,7 +40,7 @@ from repro.core.regalloc import RegisterAllocation, allocate_registers
 from repro.dfg.analysis import critical_path_length
 from repro.dfg.graph import DFG
 from repro.exceptions import MappingError
-from repro.sat.backend import SolverBackend
+from repro.sat.backend import SolverBackend, create_backend
 from repro.sat.encodings import AMOEncoding
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard
@@ -93,17 +94,18 @@ class MapperConfig:
     #: each (II, slack) attempt is first *probed* with the compact
     #: sequential encoding under this conflict budget — easy attempts
     #: conclude without ever paying the quadratic pairwise emission; an
-    #: inconclusive probe retires its group and re-encodes the same attempt
-    #: with the propagation-optimal ``AUTO`` form.  ``None`` disables the
-    #: probe.  Sound because each phase is its own selector-guarded group.
+    #: inconclusive probe drops its solver and re-encodes the same attempt
+    #: with the propagation-optimal ``AUTO`` form in a fresh one.  ``None``
+    #: disables the probe.
     amo_probe_conflicts: int | None = 600
     #: Solver backend name (see :mod:`repro.sat.backend`); ``"cdcl"`` is the
     #: production engine, ``"dpll"`` the slow reference oracle.
     backend: str = "cdcl"
-    #: Emit DRAT proofs (see :mod:`repro.sat.drat`): the CDCL engine logs
-    #: learned clauses/deletions to a trace file under the system temp dir
-    #: (``TMPDIR``).  UNSAT attempts then record a proof digest and
-    #: ``MappingOutcome.proof_path`` names the trace.  Only ``"cdcl"``
+    #: Emit DRAT proofs (see :mod:`repro.sat.drat`): each attempt's CDCL
+    #: solver logs learned clauses/deletions to its own trace file under
+    #: the system temp dir (``TMPDIR``), kept only when the attempt ends
+    #: UNSAT.  UNSAT attempts then record a proof digest and
+    #: ``MappingOutcome.proof_path`` names the latest trace.  Only ``"cdcl"``
     #: writes proofs; any other backend is rejected when the config is
     #: built.
     proof: bool = False
@@ -213,11 +215,8 @@ class IIAttempt:
     #: measured at the sink.  Equal to ``blocking_clauses`` — the proof that
     #: retry rounds never re-emit the base encoding (asserted in tests).
     retry_clauses_added: int = 0
-    #: Learned clauses alive in the persistent backend when this attempt
-    #: started — inference carried over from earlier attempts (0 for the
-    #: first attempt).
-    learned_carried_in: int = 0
-    #: Assumption literal guarding this attempt's constraint group.
+    #: Assumption literal guarding this attempt's constraint group (the
+    #: first variable of the attempt's solver).
     selector: int | None = None
     #: Solver-core counters summed over this attempt's solve calls:
     #: propagations, implications served by the binary/ternary implication
@@ -298,9 +297,9 @@ class MappingOutcome:
     seed_mapper: str | None = None
     seed_time: float = 0.0
     seed_used: bool = False
-    #: Path of the most recent DRAT trace emitted during the run (``None``
-    #: unless ``MapperConfig.proof`` was on and an UNSAT attempt produced
-    #: one); per-attempt digests live in ``IIAttempt.proof_digest``.
+    #: Path of the DRAT trace of the run's latest UNSAT attempt (``None``
+    #: unless ``MapperConfig.proof`` was on and an attempt ended UNSAT);
+    #: per-attempt digests live in ``IIAttempt.proof_digest``.
     proof_path: str | None = None
 
     @property
@@ -311,11 +310,6 @@ class MappingOutcome:
         retry answered by adding one blocking clause and re-solving.
         """
         return sum(max(0, attempt.solve_calls - 1) for attempt in self.attempts)
-
-    @property
-    def learned_carried(self) -> int:
-        """Learned clauses carried across attempt boundaries (summed)."""
-        return sum(attempt.learned_carried_in for attempt in self.attempts)
 
     @property
     def binary_propagations(self) -> int:
@@ -538,7 +532,6 @@ class SatMapItMapper:
         ii: int,
         outcome: MappingOutcome,
         start: float,
-        backend: SolverBackend,
     ) -> tuple[Mapping, RegisterAllocation | None] | None:
         """Attempt one II, trying increasing schedule slack before giving up."""
         config = self.config
@@ -561,37 +554,63 @@ class SatMapItMapper:
                     conflict_limit = config.slack_conflict_limit
                 else:
                     conflict_limit = min(conflict_limit, config.slack_conflict_limit)
+            # The attempt's solvers die when ``_attempt`` returns, so at most
+            # one attempt's clauses are alive at a time.
+            found = self._attempt(dfg, cgra, attempt, conflict_limit, outcome, start)
+            if found is not None or outcome.timed_out:
+                return found
+            # Try the next slack level / II.
+        return None
 
-            encode_start = time.perf_counter()
-            mobility = MobilitySchedule.build(dfg, slack=slack)
-            kms = KernelMobilitySchedule.build(mobility, ii)
+    def _attempt(
+        self,
+        dfg: DFG,
+        cgra: CGRA,
+        attempt: IIAttempt,
+        conflict_limit: int | None,
+        outcome: MappingOutcome,
+        start: float,
+    ) -> tuple[Mapping, RegisterAllocation | None] | None:
+        """Encode, solve and register-allocate one (II, slack) attempt.
 
-            def encode_group(amo: AMOEncoding):
-                """Encode this attempt's constraint group (one per phase).
+        Like the paper, every attempt builds its formula in a fresh solver
+        (and a second one when its probe escalates); the solver lives only
+        as long as the attempt.
+        """
+        config = self.config
+        ii, slack = attempt.ii, attempt.schedule_slack
+        encode_start = time.perf_counter()
+        mobility = MobilitySchedule.build(dfg, slack=slack)
+        kms = KernelMobilitySchedule.build(mobility, ii)
 
-                The group is emitted into the persistent backend, guarded by
-                a fresh selector literal that is assumed on every solve call
-                and negated at retirement.
-                """
-                encoder_config = EncoderConfig(
-                    amo_encoding=amo,
-                    max_iteration_span=config.max_iteration_span,
-                    enforce_output_register=config.enforce_output_register,
-                    symmetry_breaking=config.symmetry_breaking,
-                )
-                group_selector = backend.new_var()
-                group_encoding = MappingEncoder(
-                    dfg, cgra, kms, encoder_config,
-                    sink=backend, selector=group_selector,
-                ).encode()
-                attempt.num_variables += group_encoding.stats.num_variables
-                attempt.num_clauses += group_encoding.stats.num_clauses
-                attempt.emission_batches += group_encoding.stats.num_batches
-                attempt.duplicate_clauses_dropped += (
-                    group_encoding.stats.num_duplicate_clauses
-                )
-                return group_encoding, group_selector
+        def encode_group(backend: SolverBackend, amo: AMOEncoding):
+            """Encode this attempt's constraint group into ``backend``.
 
+            The group is guarded by a selector literal, the solver's first
+            variable, that every solve call assumes.  The guard routes the
+            group's ternary clauses onto the core's guarded-ternary lists.
+            """
+            encoder_config = EncoderConfig(
+                amo_encoding=amo,
+                max_iteration_span=config.max_iteration_span,
+                enforce_output_register=config.enforce_output_register,
+                symmetry_breaking=config.symmetry_breaking,
+            )
+            attempt.selector = backend.new_var()
+            group_encoding = MappingEncoder(
+                dfg, cgra, kms, encoder_config,
+                sink=backend, selector=attempt.selector,
+            ).encode()
+            attempt.num_variables += group_encoding.stats.num_variables
+            attempt.num_clauses += group_encoding.stats.num_clauses
+            attempt.emission_batches += group_encoding.stats.num_batches
+            attempt.duplicate_clauses_dropped += (
+                group_encoding.stats.num_duplicate_clauses
+            )
+            return group_encoding
+
+        backend = self._new_backend(dfg, cgra, attempt)
+        try:
             # Two-phase escalation: probe with the compact sequential
             # encoding first; only attempts too hard for the probe budget
             # pay the quadratic pairwise emission (where its propagation
@@ -608,17 +627,10 @@ class SatMapItMapper:
                 and getattr(backend, "instrumented", True)
             )
             first_amo = AMOEncoding.SEQUENTIAL if probing else config.amo_encoding
-            encoding, selector = encode_group(first_amo)
-            attempt.selector = selector
-            attempt.learned_carried_in = backend.stats.learned_in_db
+            encoding = encode_group(backend, first_amo)
             attempt.encode_time = time.perf_counter() - encode_start
 
-            time_limit = self._remaining_time(start)
-            if config.attempt_time_limit is not None:
-                if time_limit is None:
-                    time_limit = config.attempt_time_limit
-                else:
-                    time_limit = min(time_limit, config.attempt_time_limit)
+            time_limit = self._attempt_time_limit(start)
             # Solve, decode and run register allocation.  A colouring failure
             # is handled the way the paper treats an uncolourable interference
             # graph: instead of walking straight to the next II, the same
@@ -630,13 +642,12 @@ class SatMapItMapper:
             retry_baseline: int | None = None
             # The mapper only ever decodes placement literals, so every SAT
             # model is projected onto them instead of materialising the full
-            # ``{var: bool}`` dict over the persistent solver's whole
-            # (attempt-accumulating) variable universe.
+            # ``{var: bool}`` dict over the encoding's auxiliary variables.
             placement_vars = list(encoding.variables.values())
             pending_result = None
             if probing:
                 probe_result = backend.solve(
-                    assumptions=[selector],
+                    assumptions=[attempt.selector],
                     conflict_limit=probe_budget,
                     time_limit=time_limit,
                     model_vars=placement_vars,
@@ -648,15 +659,16 @@ class SatMapItMapper:
                     and not self._out_of_time(start)
                 ):
                     # Too hard for the probe (the *conflict* budget ran out,
-                    # not the clock): drop the sequential group and
-                    # re-encode the same attempt pairwise-optimised.
-                    self._retire_group(backend, selector)
+                    # not the clock): drop the probe's solver and re-encode
+                    # the same attempt pairwise-optimised in a fresh one.
+                    self._close_phase(backend, keep_trace=False)
+                    backend = None  # freed before the pairwise solver is built
                     attempt.escalated = True
                     self._log(f"II={ii} slack={slack}: escalating to "
                               f"pairwise AMO after {probe_budget} conflicts")
                     escalate_start = time.perf_counter()
-                    encoding, selector = encode_group(config.amo_encoding)
-                    attempt.selector = selector
+                    backend = self._new_backend(dfg, cgra, attempt)
+                    encoding = encode_group(backend, config.amo_encoding)
                     attempt.encode_time += time.perf_counter() - escalate_start
                     placement_vars = list(encoding.variables.values())
                     # The probe's spend counts against the attempt's budgets:
@@ -666,12 +678,7 @@ class SatMapItMapper:
                         conflict_limit = max(
                             1, conflict_limit - probe_result.stats.conflicts
                         )
-                    time_limit = self._remaining_time(start)
-                    if config.attempt_time_limit is not None:
-                        if time_limit is None:
-                            time_limit = config.attempt_time_limit
-                        else:
-                            time_limit = min(time_limit, config.attempt_time_limit)
+                    time_limit = self._attempt_time_limit(start)
                 else:
                     # The probe concluded (or ran out the clock): its result
                     # feeds the round below as-is.
@@ -682,7 +689,7 @@ class SatMapItMapper:
                     result, pending_result = pending_result, None
                 else:
                     result = backend.solve(
-                        assumptions=[selector],
+                        assumptions=[attempt.selector],
                         conflict_limit=conflict_limit,
                         time_limit=time_limit,
                         model_vars=placement_vars,
@@ -697,16 +704,15 @@ class SatMapItMapper:
                     attempt.status = "UNKNOWN"
                     if self._out_of_time(start):
                         outcome.timed_out = True
-                        return None
                     # Inconclusive bounded attempt: fall through to the next
                     # slack level / II.
-                    break
+                    return None
                 if result.is_unsat:
                     attempt.status = "UNSAT"
                     self._record_proof(attempt, outcome, backend)
                     self._log(f"II={ii} slack={slack}: UNSAT "
                               f"({attempt.num_clauses} clauses)")
-                    break
+                    return None
 
                 attempt.status = "SAT"
                 assert result.model is not None
@@ -740,36 +746,52 @@ class SatMapItMapper:
                     attempt.retry_clauses_added = (
                         backend.stats.clauses_added - retry_baseline
                     )
-            # Retire the attempt's constraint group: one root-level unit lets
-            # the solver satisfy (and effectively ignore) every guarded
-            # clause while learned inference stays available.  The group's
-            # variables are don't-cares from here on (every clause over them
-            # is guarded by the now-false selector), so pin them false too —
-            # otherwise every later solve would re-branch over them.
-            self._retire_group(backend, selector)
-            # Try the next slack level / II.
-        return None
+            return None
+        finally:
+            self._close_phase(backend, keep_trace=attempt.status == "UNSAT")
+
+    def _attempt_time_limit(self, start: float) -> float | None:
+        """The run's remaining time, capped by ``attempt_time_limit``."""
+        limits = (self._remaining_time(start), self.config.attempt_time_limit)
+        return min((limit for limit in limits if limit is not None), default=None)
+
+    def _new_backend(self, dfg: DFG, cgra: CGRA, attempt: IIAttempt) -> SolverBackend:
+        """A fresh solver for one phase of ``attempt``."""
+        kwargs: dict[str, object] = {"random_seed": self.config.random_seed}
+        if self.config.proof:
+            # The CDCL engine (the only proof-capable one; MapperConfig
+            # rejects the rest) streams the phase's DRAT trace to a file in
+            # the system temp dir.  The attempt's digest is the durable
+            # artefact.
+            fd, path = tempfile.mkstemp(
+                prefix=f"{dfg.name}@{cgra.name}-ii{attempt.ii}"
+                       f"-slack{attempt.schedule_slack}-",
+                suffix=".drat",
+            )
+            os.close(fd)
+            kwargs["proof_path"] = path
+        return create_backend(self.config.backend, **kwargs)
 
     @staticmethod
-    def _retire_group(backend: SolverBackend, selector: int) -> None:
-        """Retire a selector-guarded constraint group.
-
-        One bulk submission: the ``¬selector`` unit (which root-satisfies
-        every guarded clause) plus a pin for each of the group's variables
-        (don't-cares from here on — without the pins every later solve
-        would re-branch over them), propagated in a single root sweep.
-        """
-        # -selector, -(selector + 1), ..., -num_vars: one unit each.
-        units = array("i", range(-selector, -backend.num_vars - 1, -1))
-        backend.add_clauses(units, array("i", (1,)) * len(units))
+    def _close_phase(backend: SolverBackend | None, keep_trace: bool) -> None:
+        """Close a phase's proof trace; delete it unless the phase refuted
+        its attempt."""
+        close = getattr(backend, "close", None)
+        if close is not None:
+            close()
+        path = getattr(backend, "proof_path", None)
+        if path and not keep_trace:
+            os.unlink(path)
 
     @staticmethod
     def _record_proof(attempt, outcome, backend: SolverBackend) -> None:
         """Attach the backing DRAT evidence to an UNSAT attempt.
 
-        Backends that log proofs expose ``proof_digest()`` (the CDCL
-        engine's running trace digest); attempts and the outcome record
-        digest and path so cached lower bounds stay independently checkable.
+        Backends that log proofs expose ``proof_digest()``: the digest of
+        the trace of the attempt's own solver, which refutes the attempt's
+        group alone under its selector assumption.  Attempts and the
+        outcome record digest and path so cached lower bounds stay
+        independently checkable.
         """
         digest_fn = getattr(backend, "proof_digest", None)
         if digest_fn is None:
@@ -803,9 +825,9 @@ class SatMapItMapper:
                 literals.append(-var)
         if not literals:
             return 0
-        # Guard the blocking clause with the attempt's selector so it is
-        # retired together with the rest of the constraint group (tail
-        # position keeps the watched literals the same as unguarded).
+        # Guard the blocking clause with the attempt's selector like the
+        # rest of the constraint group (tail position keeps the watched
+        # literals the same as unguarded).
         literals.append(-encoding.selector)
         backend.add_clause(literals)
         return 1

@@ -64,17 +64,13 @@ class ReportOptions:
     timings: bool = True
 
 
-def solver_reuse_totals(sweep: SweepResult) -> tuple[int, int]:
-    """Aggregate solver-reuse metrics over the SAT-MapIt runs of a sweep.
-
-    Returns ``(incremental_resolves, learned_carried)``: solve calls served
-    by the persistent backend without re-encoding the base formula, and
-    learned clauses carried across (II, slack) attempt boundaries.
-    """
-    records = [entry for entry in sweep.records if entry.mapper == SAT_MAPIT]
-    resolves = sum(entry.incremental_resolves for entry in records)
-    carried = sum(entry.learned_carried for entry in records)
-    return resolves, carried
+def solver_reuse_totals(sweep: SweepResult) -> int:
+    """Solve calls served by an attempt's solver without re-encoding the
+    base formula (register-allocation retries), over the SAT-MapIt runs."""
+    return sum(
+        entry.incremental_resolves
+        for entry in sweep.records if entry.mapper == SAT_MAPIT
+    )
 
 
 def flat_core_totals(sweep: SweepResult) -> tuple[int, int, int, int, int]:
@@ -193,7 +189,7 @@ def render_markdown_report(sweep: SweepResult, options: ReportOptions | None = N
     options = options or ReportOptions()
     config = sweep.config
     wins, total, fraction = headline_winrate(sweep)
-    resolves, carried = solver_reuse_totals(sweep)
+    resolves = solver_reuse_totals(sweep)
     bin_props, blocker_skips, arena_bytes, batches, dups = flat_core_totals(sweep)
     strategies, cache_hits, cache_misses, launched, cancelled = (
         search_cache_totals(sweep)
@@ -231,8 +227,6 @@ def render_markdown_report(sweep: SweepResult, options: ReportOptions | None = N
             "",
             f"* register-allocation retries served without re-encoding: "
             f"**{resolves}**",
-            f"* learned clauses carried across (II, slack) attempts: "
-            f"**{carried}**",
             "",
             "## Flat-arena solver core",
             "",

@@ -142,12 +142,10 @@ class RunRecord:
     num_nodes: int
     #: Architecture scenario the run used (``"homogeneous"`` by default).
     scenario: str = HOMOGENEOUS
-    #: Solver-reuse metrics (SAT-MapIt only; zero for the heuristics):
-    #: solve calls served by the persistent backend without re-encoding the
-    #: base formula (register-allocation retries), and learned clauses
-    #: carried across (II, slack) attempt boundaries.
+    #: Solver reuse (SAT-MapIt only; zero for the heuristics): solve calls
+    #: served by an attempt's solver without re-encoding the base formula
+    #: (register-allocation retries).
     incremental_resolves: int = 0
-    learned_carried: int = 0
     #: Flat-core solver counters (SAT-MapIt only): implications served by
     #: the binary/ternary implication lists, watch entries dismissed by
     #: their blocker literal, and the peak flat clause-store footprint.
@@ -301,7 +299,6 @@ def run_single(
         num_nodes=dfg.num_nodes,
         scenario=scenario,
         incremental_resolves=outcome.incremental_resolves,
-        learned_carried=outcome.learned_carried,
         binary_propagations=getattr(outcome, "binary_propagations", 0),
         blocker_skips=getattr(outcome, "blocker_skips", 0),
         arena_bytes=getattr(outcome, "arena_bytes", 0),

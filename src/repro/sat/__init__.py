@@ -19,7 +19,7 @@ This package is a self-contained SAT toolkit used by the SAT-MapIt core:
   ``SOLVER_VERSION`` cache tag and :func:`~repro.sat.solver.make_solver`.
 * :mod:`repro.sat.backend` — the pluggable :class:`SolverBackend` protocol
   plus the ``cdcl``/``dpll`` registry the mapper selects engines from; the
-  mapper drives every solve of a run through one persistent backend.
+  mapper builds one backend per (II, slack) attempt.
 * :mod:`repro.sat.drat` — DRAT proof logging, a bundled forward proof
   checker, and the optional ``drat-trim`` hook.
 

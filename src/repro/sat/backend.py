@@ -1,11 +1,12 @@
 """Pluggable incremental solver backends (the mapper's solving layer).
 
-The mapping loop re-solves a closely related formula at every (II, slack)
-attempt and after every register-allocation rejection.  Rebuilding a solver
-for each call throws away learned clauses, VSIDS activities and saved phases,
-so the mapper talks to the SAT engine through a :class:`SolverBackend`: a
-persistent object that accumulates variables and clauses over its lifetime
-and answers ``solve(assumptions=...)`` queries incrementally.
+The mapper builds one backend per (II, slack) attempt and re-solves the
+attempt's formula after every register-allocation rejection.  Rebuilding a
+solver for each of those calls would throw away learned clauses, VSIDS
+activities and saved phases, so the mapper talks to the SAT engine through
+a :class:`SolverBackend`: an object that accumulates variables and clauses
+over its lifetime and answers ``solve(assumptions=...)`` queries
+incrementally.
 
 Two backends ship with the repository:
 
@@ -148,6 +149,11 @@ class CDCLBackend:
         self._proof = ProofLogger(proof_path) if proof_path is not None else None
         self._solver = make_solver(proof=self._proof, **solver_kwargs)
         self.stats = BackendStats()
+
+    def close(self) -> None:
+        """Close the DRAT trace file, if one is being written."""
+        if self._proof is not None:
+            self._proof.close()
 
     def proof_digest(self) -> str | None:
         """Running SHA-256 over the DRAT trace emitted so far."""

@@ -461,8 +461,8 @@ class NativeCDCLSolver:
         ``array('i')`` buffers reach the core without a copy; the core vets
         the lengths and the variable range before it ingests anything.
         Root-level unit propagation is deferred until a later clause of the
-        batch needs an up-to-date assignment, so a batch of units (the
-        mapper retires attempts with one) costs one propagation sweep.
+        batch needs an up-to-date assignment, so a batch of units costs
+        one propagation sweep.
 
         ``trusted=True`` promises every clause is already clean (no zero,
         duplicate or complementary literals within a clause; the encoder's
@@ -473,7 +473,7 @@ class NativeCDCLSolver:
         batch: a ternary clause whose tail literal is the guard is routed
         to the guard-aware implication lists, which propagate with one
         truth-value read per entry and are dismissed wholesale once the
-        attempt is retired.
+        guard is satisfied.
         """
         lits, lens = _int_buffer(literals), _int_buffer(lengths)
         if guard is not None and not -MAX_VARS < guard < MAX_VARS:

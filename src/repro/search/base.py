@@ -2,10 +2,11 @@
 
 A *search strategy* decides which candidate IIs to attempt and in what
 order; the mapper keeps owning what one attempt means (mobility schedule,
-encoding, solving, register allocation, per-attempt stats).  The bridge
-between the two is :class:`SearchContext`: a thin facade over one mapping
-run that lets a strategy request "attempt this II" without seeing any of
-the encoding machinery, while every attempt it triggers lands in the run's
+a fresh solver, encoding, solving, register allocation, per-attempt
+stats).  The bridge between the two is :class:`SearchContext`: a thin
+facade over one mapping run that lets a strategy request "attempt this II"
+without seeing any of the solving machinery, while every attempt it
+triggers lands in the run's
 :class:`~repro.core.mapper.MappingOutcome` exactly as before.
 
 The contract every strategy must honour:
@@ -31,7 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (mapper imports us)
     from repro.core.mapping import Mapping
     from repro.core.regalloc import RegisterAllocation
     from repro.dfg.graph import DFG
-    from repro.sat.backend import SolverBackend
 
 
 @dataclass
@@ -76,37 +76,16 @@ class SearchContext:
     def max_ii(self) -> int:
         return self.config.max_ii
 
-    def make_backend(self) -> "SolverBackend":
-        """A fresh persistent backend for the run's configured engine."""
-        from repro.sat.backend import create_backend
-
-        config = self.config
-        kwargs: dict[str, object] = {"random_seed": config.random_seed}
-        if config.proof:
-            # The CDCL engine (the only proof-capable one; MapperConfig
-            # rejects the rest) streams its DRAT trace to a file in the
-            # system temp dir.  The per-attempt digest is the durable
-            # artefact.
-            import os
-            import tempfile
-
-            fd, path = tempfile.mkstemp(
-                prefix=f"{self.dfg.name}@{self.cgra.name}-",
-                suffix=".drat",
-            )
-            os.close(fd)
-            kwargs["proof_path"] = path
-        return create_backend(self.outcome.backend_name, **kwargs)
-
-    def attempt(self, ii: int, backend: "SolverBackend") -> SearchResult | None:
+    def attempt(self, ii: int) -> SearchResult | None:
         """Attempt one II (all slack levels) through the mapper's machinery.
 
-        Every (II, slack) attempt is appended to the run's outcome; a
-        timeout inside the attempt sets ``outcome.timed_out``.
+        Every (II, slack) attempt is solved in its own fresh solver and
+        appended to the run's outcome; a timeout inside the attempt sets
+        ``outcome.timed_out``.
         """
         before = len(self.outcome.attempts)
         found = self.mapper._try_ii(
-            self.dfg, self.cgra, ii, self.outcome, self.start, backend
+            self.dfg, self.cgra, ii, self.outcome, self.start
         )
         if self.seed is not None:
             for attempt in self.outcome.attempts[before:]:

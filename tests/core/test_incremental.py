@@ -1,53 +1,27 @@
-"""Tests for the incremental mapping loop (persistent backend, selectors).
+"""Tests for the incremental part of the mapping loop.
 
-Covers the acceptance criteria of the incremental rework: the persistent
-backend finds the same final II as a fresh backend per II (the test-local
-``fresh-per-ii`` strategy from ``conftest.py``), register allocation
-retries are pure incremental re-solves (exactly one blocking clause, zero
-re-encoded base clauses), and the parallel sweep produces the same results
-as the serial one.
+Every (II, slack) attempt is solved in its own fresh solver, guarded by a
+selector literal, and at most one attempt's solver is alive at a time.
+Inside an attempt the solver is reused: register-allocation retries are
+pure incremental re-solves (exactly one blocking clause, zero re-encoded
+base clauses).  The parallel sweep produces the same results as the serial
+one.  ``test_trajectory_golden.py`` pins the trajectories themselves.
 """
 
-import pytest
+import weakref
 
 import repro.core.mapper as mapper_module
+import repro.sat.backend as backend_module
 from repro.cgra.architecture import CGRA
 from repro.core.mapper import MapperConfig, SatMapItMapper
 from repro.core.regalloc import RegisterAllocation
 from repro.dfg.graph import DFG, paper_running_example
 from repro.experiments.runner import SAT_MAPIT, ExperimentConfig, run_sweep
 from repro.kernels import get_kernel
+from repro.sat.backend import CDCLBackend, register_backend
 
 
 class TestSemanticEquivalence:
-    """Persistent-backend runs match fresh-backend-per-II solving."""
-
-    @pytest.mark.parametrize("kernel,size", [
-        ("srand", 2), ("basicmath", 2), ("stringsearch", 3), ("nw", 3),
-        ("gsm", 2),
-    ])
-    def test_same_final_ii_as_fresh_solving(self, kernel, size, fresh_per_ii):
-        dfg = get_kernel(kernel)
-        cgra = CGRA.square(size)
-        incremental = SatMapItMapper(MapperConfig(timeout=60)).map(dfg, cgra)
-        fresh = SatMapItMapper(
-            MapperConfig(timeout=60, search=fresh_per_ii)
-        ).map(dfg, cgra)
-        assert incremental.success and fresh.success
-        assert incremental.ii == fresh.ii
-        assert incremental.mapping.violations() == []
-
-    def test_same_attempt_statuses_on_running_example(self, fresh_per_ii):
-        dfg = paper_running_example()
-        cgra = CGRA.square(2)
-        incremental = SatMapItMapper(MapperConfig(timeout=60)).map(dfg, cgra)
-        fresh = SatMapItMapper(
-            MapperConfig(timeout=60, search=fresh_per_ii)
-        ).map(dfg, cgra)
-        assert [(a.ii, a.schedule_slack, a.status) for a in incremental.attempts] == [
-            (a.ii, a.schedule_slack, a.status) for a in fresh.attempts
-        ]
-
     def test_dpll_backend_reaches_same_ii_on_tiny_instance(self):
         dfg = DFG.from_edge_list("tiny", 3, [(0, 1), (1, 2)])
         cgra = CGRA.square(2)
@@ -66,9 +40,8 @@ class TestIncrementalBookkeeping:
             get_kernel("gsm"), CGRA.square(2)
         )
         assert outcome.success
-        selectors = [a.selector for a in outcome.attempts]
-        assert all(s is not None for s in selectors)
-        assert len(set(selectors)) == len(selectors)  # one fresh guard each
+        # Each attempt's guard is the first variable of its own solver.
+        assert all(a.selector == 1 for a in outcome.attempts)
         # From each attempt's first solve onwards, only blocking clauses may
         # reach the solver — the base encoding is never re-emitted.
         assert all(
@@ -76,35 +49,35 @@ class TestIncrementalBookkeeping:
         )
         assert all(a.solve_calls >= 1 for a in outcome.attempts)
 
-    def test_learned_clauses_carried_across_attempts(self):
-        """A run whose first attempts are refuted carries inference forward."""
-        outcome = SatMapItMapper(MapperConfig(timeout=60)).map(
-            get_kernel("gsm"), CGRA.square(2)
+    def test_one_solver_alive_per_attempt_phase(self, monkeypatch):
+        """Every attempt (and every escalation) builds a fresh solver, and
+        the previous one is freed before the next is built."""
+        alive = weakref.WeakSet()
+        built = []
+
+        class TrackedBackend(CDCLBackend):
+            def __init__(self, **kwargs) -> None:
+                built.append(len(alive))
+                super().__init__(**kwargs)
+                alive.add(self)
+
+        monkeypatch.setattr(backend_module, "_REGISTRY",
+                            dict(backend_module._REGISTRY))
+        register_backend("tracked", TrackedBackend)
+        outcome = SatMapItMapper(MapperConfig(backend="tracked")).map(
+            get_kernel("gsm"), CGRA.square(4)
         )
         assert outcome.success
-        assert len(outcome.attempts) >= 2
-        assert outcome.learned_carried > 0
-
-    def test_fresh_per_ii_reference_isolates_iis(self, fresh_per_ii):
-        """The reference strategy really isolates IIs from each other."""
-        outcome = SatMapItMapper(
-            MapperConfig(timeout=60, search=fresh_per_ii)
-        ).map(get_kernel("bitcount"), CGRA.square(3))
-        assert outcome.success
-        assert len({a.ii for a in outcome.attempts}) >= 2
-        first_per_ii = {}
-        for attempt in outcome.attempts:
-            first_per_ii.setdefault(attempt.ii, attempt)
-        assert all(a.learned_carried_in == 0 for a in first_per_ii.values())
+        escalations = sum(a.escalated for a in outcome.attempts)
+        assert escalations
+        assert len(built) == len(outcome.attempts) + escalations
+        assert built == [0] * len(built)
 
 
 class TestRegallocRetriesArePureIncremental:
     """The satellite fix: retry rounds add one blocking clause, re-encode nothing."""
 
-    @pytest.mark.parametrize("persistent", [True, False])
-    def test_forced_retries_add_one_blocking_clause_each(
-        self, monkeypatch, fresh_per_ii, persistent
-    ):
+    def test_forced_retries_add_one_blocking_clause_each(self, monkeypatch):
         real_allocate = mapper_module.allocate_registers
         rejections = 2
         calls = {"n": 0}
@@ -122,11 +95,7 @@ class TestRegallocRetriesArePureIncremental:
 
         monkeypatch.setattr(mapper_module, "allocate_registers", flaky_allocate)
         outcome = SatMapItMapper(
-            MapperConfig(
-                timeout=60,
-                search="ladder" if persistent else fresh_per_ii,
-                regalloc_retries=3,
-            )
+            MapperConfig(timeout=60, regalloc_retries=3)
         ).map(paper_running_example(), CGRA.square(2))
         assert outcome.success
         assert calls["n"] == rejections + 1

@@ -260,6 +260,48 @@ class TestProofLogging:
         assert os.path.dirname(outcome.proof_path) == str(tmp_path)
         assert os.path.getsize(outcome.proof_path) > 0
 
+    def test_unsat_attempt_trace_refutes_the_attempt_alone(
+        self, tmp_path, monkeypatch
+    ):
+        """Each attempt's solver writes its own trace: re-encoding the
+        refuted attempt alone gives a formula the trace refutes."""
+        from pathlib import Path
+
+        from repro.core.encoder import EncoderConfig, MappingEncoder
+        from repro.core.mobility import KernelMobilitySchedule, MobilitySchedule
+        from repro.sat.cnf import CNF
+        from repro.sat.drat import check_proof, proof_digest
+        from repro.sat.encodings import AMOEncoding
+
+        dfg, cgra = get_kernel("gsm"), CGRA.square(2)
+        outcome = self._map_gsm(tmp_path, monkeypatch)
+        attempt = [a for a in outcome.attempts if a.status == "UNSAT"][-1]
+        # gsm@2x2 II 7 slack 0 is refuted inside its sequential probe.
+        assert (attempt.ii, attempt.schedule_slack) == (7, 0)
+        assert not attempt.escalated
+        trace = Path(outcome.proof_path).read_text()
+        assert proof_digest(trace) == attempt.proof_digest
+
+        kms = KernelMobilitySchedule.build(
+            MobilitySchedule.build(dfg, slack=attempt.schedule_slack), attempt.ii
+        )
+        cnf = CNF()
+        selector = cnf.new_var()  # the fresh solver's first variable
+        assert selector == attempt.selector
+        MappingEncoder(
+            dfg, cgra, kms, EncoderConfig(amo_encoding=AMOEncoding.SEQUENTIAL),
+            sink=cnf, selector=selector,
+        ).encode()
+        assert cnf.num_clauses == attempt.num_clauses
+        result = check_proof(cnf.clauses, trace, assumptions=[selector])
+        assert result.ok, result.reason
+
+    def test_only_unsat_attempts_leave_a_trace(self, tmp_path, monkeypatch):
+        outcome = self._map_gsm(tmp_path, monkeypatch)
+        unsat = [a for a in outcome.attempts if a.status == "UNSAT"]
+        assert len(unsat) < len(outcome.attempts)
+        assert len(list(tmp_path.glob("*.drat"))) == len(unsat)
+
     def test_mapper_records_proof_digests_and_cache_entry(
         self, tmp_path, monkeypatch
     ):

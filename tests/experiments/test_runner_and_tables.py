@@ -63,7 +63,7 @@ def synthetic_sweep() -> SweepResult:
         RunRecord("b", 2, PATHSEEKER, "mapped", 5, 1.5, 4, 3, 20),
         # kernel c: heuristics fail, SAT-MapIt maps (with solver reuse)
         RunRecord("c", 2, SAT_MAPIT, "mapped", 10, 5.0, 10, 3, 40,
-                  incremental_resolves=2, learned_carried=150),
+                  incremental_resolves=2),
         RunRecord("c", 2, RAMP, "failed", None, 3.0, 10, 8, 40),
         RunRecord("c", 2, PATHSEEKER, "timeout", None, 6.0, 10, 9, 40),
     ]
@@ -147,15 +147,13 @@ class TestRunnerHelpers:
         assert record.ii >= record.minimum_ii
         assert record.kernel == "srand"
         assert record.num_nodes > 0
-        # Solver-reuse metrics are recorded (zero when the run needed no
-        # retries and carried no learned clauses, but never negative).
+        # Solver reuse is recorded (zero when the run needed no retries,
+        # but never negative).
         assert record.incremental_resolves >= 0
-        assert record.learned_carried >= 0
 
     def test_run_single_baseline_has_no_reuse_metrics(self):
         record = run_single("srand", 2, RAMP, FAST_CONFIG)
         assert record.incremental_resolves == 0
-        assert record.learned_carried == 0
 
     def test_run_single_pathseeker_repeats(self):
         config = ExperimentConfig(
@@ -246,12 +244,11 @@ class TestReport:
 
     def test_solver_reuse_totals_and_section(self):
         sweep = synthetic_sweep()
-        resolves, carried = solver_reuse_totals(sweep)
-        assert (resolves, carried) == (2, 150)
+        assert solver_reuse_totals(sweep) == 2
         text = render_markdown_report(sweep)
         assert "## Solver reuse (incremental backend)" in text
         assert "retries served without re-encoding: **2**" in text
-        assert "learned clauses carried across (II, slack) attempts: **150**" in text
+        assert "learned clauses carried" not in text
 
     def test_farm_section_lists_failure_records(self):
         from repro.farm.leases import FarmStats

@@ -270,9 +270,9 @@ class TestStatsCounters:
 
 
 class TestGuardedGroupLifecycle:
-    """Fuzz the mapper's attempt lifecycle: guarded groups solved under an
-    assumption, then retired with a root unit plus variable pins — the
-    incremental verdicts must match a DPLL oracle on the active group."""
+    """Fuzz the guarded-group lifecycle: groups solved under an assumption,
+    then retired with a root unit plus variable pins — the incremental
+    verdicts must match a DPLL oracle on the active group."""
 
     def test_sequential_groups_match_dpll(self):
         rng = random.Random(42)

@@ -151,7 +151,7 @@ class TestIncrementalCDCL:
         assert backend.stats.learned_in_db >= carried
 
     def test_selector_guarded_groups(self):
-        """The mapper's retirement pattern: groups hang off selector literals."""
+        """Constraint groups hang off selector literals, as the mapper's do."""
         backend = create_backend("cdcl")
         s1, s2 = backend.new_var(), backend.new_var()
         x = backend.new_var()

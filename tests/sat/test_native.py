@@ -94,7 +94,7 @@ class _Differential:
 
 @st.composite
 def _sequences(draw):
-    """Incremental call sequences shaped like the mapper's.
+    """Incremental call sequences over guarded constraint groups.
 
     Constraint groups hang off fresh selector variables (guard-tailed
     clauses, solved under the selector, then retired with the negated
@@ -133,7 +133,7 @@ def _sequences(draw):
         ops.append(("solve", assumptions, rng.choice((None, None, 1, 25, 200)),
                     rng.random() < 0.5))
         if live and rng.random() < 0.5:
-            # Group retirement, as the mapper does it: one bulk batch.
+            # Group retirement: the negated selector plus pins, one batch.
             selector = live.pop()
             pins = [[-v] for v in range(selector + 1, num_vars + 1)]
             ops.append(("clauses", [[-selector]] + pins, False, None))
