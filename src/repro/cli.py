@@ -59,8 +59,6 @@ from repro.sat.backend import (
     validate_backend,
 )
 from repro.sat.encodings import AMOEncoding
-from repro.search import available_strategies
-from repro.search.portfolio import PORTFOLIO_VARIANTS
 
 
 def _load_dfg(args: argparse.Namespace):
@@ -130,16 +128,12 @@ def _cmd_map(args: argparse.Namespace) -> int:
         backend=args.backend,
         amo_encoding=AMOEncoding(args.amo_encoding),
         random_seed=args.seed,
-        search=args.search,
-        search_jobs=args.jobs,
         cache_dir=args.cache,
         cache_max_mb=args.cache_max_mb,
         seed_heuristic=args.seed_heuristic,
         seed_time_budget=args.seed_budget,
         proof=args.proof,
     )
-    if args.portfolio_variants:
-        config_fields["portfolio_variants"] = tuple(args.portfolio_variants)
     try:
         mapper = SatMapItMapper(MapperConfig(**config_fields))
     except ValueError as exc:
@@ -181,16 +175,6 @@ def _cmd_map(args: argparse.Namespace) -> int:
                 f"seed: no feasible heuristic mapping within "
                 f"{outcome.seed_time:.3f}s — unseeded search"
             )
-    if outcome.search_strategy == "portfolio" and not outcome.cache_hit:
-        winner = (
-            f", winning variant: {outcome.portfolio_winner}"
-            if outcome.portfolio_winner
-            else ""
-        )
-        print(
-            f"portfolio: {outcome.portfolio_launched} worker(s) launched, "
-            f"{outcome.portfolio_cancelled} cancelled{winner}"
-        )
     if outcome.cache_stats is not None:
         verdict = "hit" if outcome.cache_hit else "miss"
         key = (outcome.cache_key or "")[:12]
@@ -246,7 +230,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             amo_encoding=AMOEncoding(args.amo_encoding),
             seed=args.seed,
             scenarios=tuple(args.scenarios),
-            search=args.search,
             cache_dir=args.cache,
             cache_max_mb=args.cache_max_mb,
             seed_heuristic=args.seed_heuristic,
@@ -393,25 +376,12 @@ def build_parser() -> argparse.ArgumentParser:
                               "TMPDIR; attempt digests are recorded in the "
                               "outcome and mapping cache")
     map_cmd.add_argument("--seed", type=int, default=None,
-                         help="random seed forwarded to the solver")
+                         help="solver random seed; both solver backends "
+                              "are deterministic and ignore it")
     map_cmd.add_argument("--amo-encoding", choices=[e.value for e in AMOEncoding],
                          default=AMOEncoding.AUTO.value,
                          help="at-most-one encoding (default: auto — "
                               "pairwise for small groups, sequential above)")
-    map_cmd.add_argument("--search", choices=available_strategies(),
-                         default="ladder",
-                         help="II search strategy: the paper's sequential "
-                              "ladder or a process-parallel portfolio "
-                              "(default: ladder)")
-    map_cmd.add_argument("--jobs", type=int, default=2,
-                         help="worker processes for --search portfolio "
-                              "(default: 2)")
-    map_cmd.add_argument("--portfolio-variants", nargs="+",
-                         choices=sorted(PORTFOLIO_VARIANTS),
-                         help="solver-configuration variants the portfolio "
-                              "races at each II (default: no-probe, "
-                              "default, pairwise — trimmed to the core "
-                              "count)")
     map_cmd.add_argument("--cache", metavar="DIR",
                          help="persistent mapping-cache directory: "
                               "successful runs are stored keyed by "
@@ -464,7 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="log DRAT proofs for UNSAT attempts in the "
                                 "SAT-MapIt runs (cdcl backend only)")
     sweep_cmd.add_argument("--seed", type=int, default=None,
-                           help="random seed forwarded to the SAT-MapIt solver")
+                           help="random seed of the PathSeeker runs "
+                                "(default: 1); the SAT-MapIt solver "
+                                "backends are deterministic and ignore it")
     sweep_cmd.add_argument("--amo-encoding", choices=[e.value for e in AMOEncoding],
                            default=AMOEncoding.AUTO.value,
                            help="at-most-one encoding (default: auto — "
@@ -473,10 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
                            default=["homogeneous"],
                            help="architecture scenarios to sweep "
                                 "(default: homogeneous)")
-    sweep_cmd.add_argument("--search", choices=available_strategies(),
-                           default="ladder",
-                           help="II search strategy for the SAT-MapIt runs "
-                                "(default: ladder)")
     sweep_cmd.add_argument("--cache", metavar="DIR",
                            help="persistent mapping-cache directory shared "
                                 "by all SAT-MapIt runs of the sweep (reused "

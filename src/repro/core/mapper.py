@@ -2,13 +2,12 @@
 
 For a candidate II the driver builds the KMS, encodes the mapping problem,
 calls the SAT backend, and — on SAT — runs register allocation.  If the
-formula is UNSAT or the colouring fails, the search moves to another II,
+formula is UNSAT or the colouring fails, the search moves on to II+1,
 until a mapping is found or a bound (maximum II, wall-clock timeout) is
-hit.  *Which* II is tried next is a pluggable policy: ``map()`` delegates
-the walk to a :mod:`repro.search` strategy (the paper's sequential ladder
-by default; a process-parallel portfolio on request) and can short-circuit
-the whole search through the persistent mapping cache
-(``MapperConfig.cache_dir``).  ``solve()`` is the search half alone, for
+hit.  ``map()`` can short-circuit the whole search through the persistent
+mapping cache (``MapperConfig.cache_dir``) and cap it from above with a
+heuristic seed (``MapperConfig.seed_heuristic``, see
+:mod:`repro.search.seed`).  ``solve()`` is the search half alone, for
 callers that have looked the cache up themselves: the mapping service
 answers hits from :meth:`MappingCache.lookup_key` and hands only misses to
 a worker process, which stores what ``solve()`` finds.
@@ -117,17 +116,6 @@ class MapperConfig:
     solver_conflict_limit: int | None = None
     random_seed: int | None = None
     verbose: bool = False
-    #: II-search strategy (see :mod:`repro.search`): ``"ladder"`` is the
-    #: paper's sequential climb, and ``"portfolio"`` races several IIs and
-    #: solver-configuration variants across worker processes, cancelling
-    #: the losers on the first win at the frontier.
-    search: str = "ladder"
-    #: Worker processes the portfolio strategy may keep in flight.
-    search_jobs: int = 2
-    #: Solver-configuration variants the portfolio races at each II (names
-    #: from :data:`repro.search.portfolio.PORTFOLIO_VARIANTS`; the strategy
-    #: trims the line-up to the machine's core count, keeping the order).
-    portfolio_variants: tuple[str, ...] = ("no-probe", "default", "pairwise")
     #: Directory of the persistent mapping cache
     #: (:class:`repro.search.cache.MappingCache`); ``None`` disables
     #: caching.  Successful runs are stored keyed by a canonical hash of
@@ -148,11 +136,10 @@ class MapperConfig:
     cache_namespace: str | None = None
     #: Run the heuristic mappers as a budgeted pre-pass before any SAT work
     #: (see :mod:`repro.search.seed`).  A validated heuristic mapping gives
-    #: every strategy a feasible upper bound — the ladder stops below it,
-    #: the portfolio only races IIs below it — and is the anytime answer
-    #: when the SAT search times out.  Like the search strategy, seeding
-    #: never changes the II of a completed run, only how fast it is reached
-    #: (CI-gated), so it is excluded from the cache key.
+    #: the ladder a feasible upper bound — it stops below it — and is the
+    #: anytime answer when the SAT search times out.  Seeding never changes
+    #: the II of a completed run, only how fast it is reached (CI-gated),
+    #: so it is excluded from the cache key.
     seed_heuristic: bool = False
     #: Wall-clock budget (seconds) for the whole seeding pre-pass.
     seed_time_budget: float = 2.0
@@ -187,6 +174,21 @@ class MapperConfig:
             raise ValueError(
                 f"MapperConfig.attempt_time_limit must be None or > 0, "
                 f"got {self.attempt_time_limit}"
+            )
+        # Checked here, not in the pre-pass: ``run_seed`` skips a mapper
+        # that raises, so a bad name would silently run unseeded.
+        from repro.baselines import HEURISTIC_MAPPERS
+
+        unknown = [n for n in self.seed_mappers if n not in HEURISTIC_MAPPERS]
+        if unknown:
+            raise ValueError(
+                f"MapperConfig.seed_mappers: unknown mapper(s) {unknown}; "
+                f"available: {sorted(HEURISTIC_MAPPERS)}"
+            )
+        if self.seed_time_budget < 0:
+            raise ValueError(
+                f"MapperConfig.seed_time_budget must be >= 0, "
+                f"got {self.seed_time_budget}"
             )
 
 
@@ -271,8 +273,6 @@ class MappingOutcome:
     timed_out: bool = False
     #: Name of the solver backend that served the run.
     backend_name: str = "cdcl"
-    #: Name of the search strategy that drove the II search.
-    search_strategy: str = "ladder"
     #: Whether the result was served by the persistent mapping cache (in
     #: which case ``attempts`` is empty — no SAT work was done).
     cache_hit: bool = False
@@ -281,13 +281,6 @@ class MappingOutcome:
     #: Per-run cache counters (:class:`repro.search.cache.CacheStats`);
     #: ``None`` when caching is off.
     cache_stats: object | None = None
-    #: Portfolio-strategy counters: worker processes launched, and workers
-    #: cancelled because a rival answered first.
-    portfolio_launched: int = 0
-    portfolio_cancelled: int = 0
-    #: Configuration variant that produced the winning mapping (portfolio
-    #: runs only).
-    portfolio_winner: str | None = None
     #: Heuristic-seeding pre-pass results (``seed_heuristic`` runs only):
     #: II and producing mapper of the validated seed (``None``/empty when
     #: the pre-pass found nothing), wall-clock spent seeding, and whether
@@ -373,15 +366,10 @@ class SatMapItMapper:
 
         The search starts at the minimum initiation interval (max of ResMII,
         RecMII and — on heterogeneous fabrics — the capability-constrained
-        resource bound) unless ``start_ii`` overrides it.  *How* the II range
-        is walked is delegated to the configured search strategy (see
-        :mod:`repro.search`): the sequential ladder by default, a parallel
-        portfolio on request — every strategy funnels its attempts through
-        the same per-II machinery, so the outcome's per-attempt stats are
-        complete regardless of the policy.  With
-        ``MapperConfig.cache_dir`` set, a hit in the persistent mapping
-        cache is served, else this is :meth:`solve`, which stores what it
-        finds.  A kernel whose opcode histogram cannot fit the fabric at any
+        resource bound) unless ``start_ii`` overrides it and climbs one II at
+        a time (see :meth:`_search`).  With ``MapperConfig.cache_dir`` set,
+        a hit in the persistent mapping cache is served, else this is
+        :meth:`solve`, which stores what it finds.  A kernel whose opcode histogram cannot fit the fabric at any
         II (an op class with no capable PE) raises :class:`MappingError`
         before any SAT work.
         """
@@ -404,16 +392,12 @@ class SatMapItMapper:
 
     # ------------------------------------------------------------------
     def _new_outcome(self, dfg: DFG, cgra: CGRA, minimum_ii: int) -> MappingOutcome:
-        # Imported lazily: repro.search imports mapper types at module load.
-        from repro.search import create_strategy
-
         return MappingOutcome(
             success=False,
             dfg_name=dfg.name,
             cgra_name=cgra.name,
             minimum_ii=minimum_ii,
             backend_name=self.config.backend,
-            search_strategy=create_strategy(self.config.search).name,
         )
 
     def _prepare(self, dfg: DFG, cgra: CGRA, start_ii: int | None):
@@ -474,9 +458,15 @@ class SatMapItMapper:
         self, outcome: MappingOutcome, cache: MappingCache | None,
         dfg: DFG, cgra: CGRA, first_ii: int, start: float,
     ) -> MappingOutcome:
-        """Run the II search into ``outcome``; store a complete success."""
-        from repro.search import SearchContext, create_strategy
+        """Climb from ``first_ii`` one II at a time (the paper's ladder)
+        into ``outcome``; store a complete success.
 
+        A heuristic seed caps the climb: its mapping is a validated answer
+        at ``seed.ii``, so the ladder only probes strictly below it and
+        returns the seed when the capped climb exhausts or times out.  At
+        ``seed.ii == first_ii`` the seed is provably optimal (the MII is a
+        lower bound) and no SAT work runs at all.
+        """
         config = self.config
         seed = None
         if config.seed_heuristic:
@@ -487,15 +477,14 @@ class SatMapItMapper:
             budget = config.seed_time_budget
             if remaining is not None:
                 budget = min(budget, remaining)
-            seed_result = run_seed(dfg, cgra, config, first_ii, budget=budget)
+            seed = run_seed(dfg, cgra, config, first_ii, budget=budget)
             outcome.seed_time = time.perf_counter() - seed_start
-            if seed_result is not None:
-                outcome.seed_ii = seed_result.ii
-                outcome.seed_mapper = seed_result.mapper_name
-                seed = seed_result.as_search_result()
+            if seed is not None:
+                outcome.seed_ii = seed.ii
+                outcome.seed_mapper = seed.mapper_name
                 self._log(
-                    f"heuristic seed: {seed_result.mapper_name} found "
-                    f"II={seed_result.ii} in {outcome.seed_time:.3f}s"
+                    f"heuristic seed: {seed.mapper_name} found "
+                    f"II={seed.ii} in {outcome.seed_time:.3f}s"
                 )
             else:
                 self._log(
@@ -503,19 +492,27 @@ class SatMapItMapper:
                     f"{budget:.1f}s"
                 )
 
-        context = SearchContext(
-            self, dfg, cgra, outcome, start, first_ii, seed=seed
-        )
-        found = create_strategy(config.search).search(context)
+        found = None
+        top_ii = config.max_ii if seed is None else min(config.max_ii, seed.ii - 1)
+        for ii in range(first_ii, top_ii + 1):
+            # ``_try_ii`` checks the clock before every attempt and flags
+            # a timeout on the outcome.
+            mapped = self._try_ii(dfg, cgra, ii, outcome, start)
+            if mapped is not None:
+                found = (ii, *mapped)
+                break
+            if outcome.timed_out:
+                break
+        if seed is not None:
+            for attempt in outcome.attempts:
+                attempt.seed_ceiling = seed.ii
+            if found is None:
+                found = (seed.ii, seed.mapping, seed.allocation)
+                outcome.seed_used = True
         outcome.total_time = time.perf_counter() - start
         if found is not None:
             outcome.success = True
-            outcome.ii = found.ii
-            outcome.mapping = found.mapping
-            outcome.register_allocation = found.allocation
-            outcome.seed_used = (
-                seed is not None and found.mapping is seed.mapping
-            )
+            outcome.ii, outcome.mapping, outcome.register_allocation = found
             # A timed-out search may have returned an anytime (feasible but
             # possibly non-minimal) II; the cache key ignores budgets, so
             # caching it would pin the weaker answer for generously-budgeted

@@ -56,10 +56,7 @@ class BenchCase:
 
     ``conflict_limit`` turns the case into a bounded-workload throughput
     probe: the mapper runs a single (II = MII, slack 0) attempt for exactly
-    that many conflicts and stops.  ``search`` / ``jobs`` select the II
-    search strategy (``"portfolio"`` cases measure the orchestrator's
-    wall-clock win over their same-kernel ladder twin, which ``run_suite``
-    annotates as ``speedup_vs_ladder``).
+    that many conflicts and stops.
     """
 
     name: str
@@ -67,8 +64,6 @@ class BenchCase:
     size: int
     conflict_limit: int | None = None
     timeout: float = 120.0
-    search: str = "ladder"
-    jobs: int = 1
     #: Run the heuristic II-seeding pre-pass (``!seeded`` cases measure its
     #: wall-clock win over the same-kernel unseeded twin, annotated by
     #: ``run_suite`` as ``speedup_vs_unseeded``).
@@ -91,15 +86,9 @@ PINNED_SUITE: tuple[BenchCase, ...] = (
     BenchCase("gsm@2x2", "gsm", 2),
     BenchCase("backprop@3x3", "backprop", 3),
     BenchCase("gsm@4x4", "gsm", 4, timeout=300.0),
-    # Multi-attempt kernels (a hard UNSAT/slack rung before the final SAT)
-    # twice each: the sequential ladder, then the parallel portfolio racing
-    # the same II range — the pair records the orchestrator's wall-clock win.
+    # Multi-attempt kernels: a hard UNSAT/slack rung before the final SAT.
     BenchCase("hotspot@4x4", "hotspot", 4, timeout=300.0),
-    BenchCase("hotspot@4x4!portfolio2", "hotspot", 4, timeout=300.0,
-              search="portfolio", jobs=2),
     BenchCase("nw@4x4", "nw", 4, timeout=300.0),
-    BenchCase("nw@4x4!portfolio2", "nw", 4, timeout=300.0,
-              search="portfolio", jobs=2),
     # Heuristic-seeding twins: the same ladder search with the budgeted
     # RAMP/PathSeeker pre-pass priming the II frontier.  Where the heuristic
     # lands on (or near) the SAT-optimal II, the entire upward UNSAT climb
@@ -204,8 +193,6 @@ def _case_config(case: BenchCase, dfg, cgra: CGRA) -> tuple[MapperConfig, int | 
         slack_conflict_limit=None,
         run_register_allocation=False,
         random_seed=BENCH_SEED,
-        search=case.search,
-        search_jobs=case.jobs,
         seed_heuristic=case.seeded,
     )
     return config, None
@@ -233,7 +220,6 @@ def run_case(case: BenchCase, repeats: int = 3) -> dict:
             "size": case.size,
             "bounded": case.bounded,
             "conflict_limit": case.conflict_limit,
-            "search": case.search,
             "seeded": case.seeded,
             "core": CORE,
             "seed_ii": getattr(outcome, "seed_ii", None),
@@ -304,7 +290,6 @@ def run_farm_case(repeats: int = 1) -> dict:
             "size": FARM_SIZE,
             "bounded": False,
             "conflict_limit": None,
-            "search": "farm",
             "seeded": False,
             "core": CORE,
             "seed_ii": None,
@@ -410,41 +395,19 @@ def run_suite(
                 f"kernels/min={record['kernels_mapped_per_minute']}",
                 flush=True,
             )
-    # Annotate every non-ladder case with its wall-clock ratio against the
-    # same (kernel, size) ladder twin — the portfolio's headline number —
-    # every seeded case with its ratio against the unseeded twin of the
-    # same (kernel, size, search).  Seeded cases are excluded from the
-    # ladder/unseeded reference tables so they never masquerade as a
-    # reference.
-    ladder_walls = {
-        (r["kernel"], r["size"]): r["wall_s"]
-        for r in records
-        if r.get("search", "ladder") == "ladder"
-        and not r["bounded"]
-        and not r.get("seeded")
-    }
+    # Annotate every seeded case with its wall-clock ratio against the
+    # unseeded twin of the same (kernel, size).
     unseeded_walls = {
-        (r["kernel"], r["size"], r.get("search", "ladder")): r["wall_s"]
+        (r["kernel"], r["size"]): r["wall_s"]
         for r in records
         if not r["bounded"] and not r.get("seeded")
     }
     for record in records:
-        if record["bounded"]:
+        if record["bounded"] or not record.get("seeded"):
             continue
-        if record.get("seeded"):
-            twin_wall = unseeded_walls.get(
-                (record["kernel"], record["size"], record.get("search", "ladder"))
-            )
-            if twin_wall and record["wall_s"]:
-                record["speedup_vs_unseeded"] = round(
-                    twin_wall / record["wall_s"], 2
-                )
-            continue
-        if record.get("search", "ladder") == "ladder":
-            continue
-        twin_wall = ladder_walls.get((record["kernel"], record["size"]))
+        twin_wall = unseeded_walls.get((record["kernel"], record["size"]))
         if twin_wall and record["wall_s"]:
-            record["speedup_vs_ladder"] = round(twin_wall / record["wall_s"], 2)
+            record["speedup_vs_unseeded"] = round(twin_wall / record["wall_s"], 2)
     total_wall = sum(r["wall_s"] for r in records)
     total_solve = sum(r["solve_s"] for r in records)
     # Solver-core totals skip the farm probe's ``null`` counters.
@@ -540,9 +503,6 @@ def compare(
     a shared non-bounded case that completed within its limits on both
     sides, ``conflicts`` and ``propagations`` are exact functions of the
     code and the seed, and any difference from the baseline fails.
-    Portfolio cases are exempt from the drift check: their lanes race in
-    separate processes, and which lane's attempts land in the record
-    depends on timing.
     """
     lines: list[str] = []
     ok = True
@@ -611,7 +571,7 @@ def compare(
 def _trajectory_drift(base: dict, entry: dict) -> str | None:
     """Name the search counters that moved on a case both runs completed."""
     completed = base.get("status") == entry.get("status") == "mapped"
-    if entry.get("bounded") or entry.get("search") == "portfolio" or not completed:
+    if entry.get("bounded") or not completed:
         return None
     moved = [
         f"{counter} changed {base[counter]} -> {entry[counter]}"
@@ -628,65 +588,46 @@ def check_strategy_equivalence(
     progress: bool = False,
     reference_doc: dict | None = None,
 ) -> tuple[bool, list[str]]:
-    """CI gate: every strategy — seeded or not — must match the ladder's II.
+    """CI gate: a seeded run must match the unseeded ladder's II.
 
-    Every completing (non-bounded) unseeded-ladder case of the suite is run
-    once under the portfolio *and* once under each strategy with the
-    heuristic seeding pre-pass enabled; achieved II and final
-    status must equal the unseeded ladder's.  The suite's completing cases
-    are configured so the II is a formula property (decisive attempts, no
-    regalloc post-pass) — any divergence is an orchestration bug, not
-    noise; in particular a seed may only *bound* the search, never inflate
-    the returned II.  ``reference_doc`` (a document from :func:`run_suite`)
-    supplies the ladder answers without re-solving them; missing cases fall
-    back to a fresh reference run.
+    Every completing (non-bounded) unseeded case of the suite is run once
+    more with the heuristic seeding pre-pass enabled; achieved II and
+    final status must equal the unseeded run's.  The suite's completing
+    cases are configured so the II is a formula property (decisive
+    attempts, no regalloc post-pass) — any divergence is a seeding bug,
+    not noise: a seed may only *bound* the search, never inflate the
+    returned II.  ``reference_doc`` (a document from :func:`run_suite`)
+    supplies the unseeded answers without re-solving them; missing cases
+    fall back to a fresh reference run.
     """
     from dataclasses import replace as dc_replace
 
     cases = [
-        case
-        for case in SUITES[suite]
-        if not case.bounded and case.search == "ladder" and not case.seeded
+        case for case in SUITES[suite] if not case.bounded and not case.seeded
     ]
     references = {
         record["name"]: record
         for record in (reference_doc or {}).get("cases", [])
     }
-    variants = [
-        ("portfolio", False),
-        ("ladder", True),
-        ("portfolio", True),
-    ]
     lines: list[str] = []
     ok = True
     for case in cases:
         reference = references.get(case.name) or run_case(case, repeats=1)
-        rows = [
-            (f"{strategy}+seed" if seeded else strategy,
-             dict(search=strategy,
-                  jobs=2 if strategy == "portfolio" else 1,
-                  seeded=seeded))
-            for strategy, seeded in variants
-        ]
-        for label, overrides in rows:
-            variant = dc_replace(
-                case, name=f"{case.name}!{label}", **overrides
-            )
-            result = run_case(variant, repeats=1)
-            same = (
-                result["ii"] == reference["ii"]
-                and result["status"] == reference["status"]
-            )
-            verdict = "ok" if same else "FAIL"
-            if not same:
-                ok = False
-            line = (
-                f"{case.name}: ladder II={reference['ii']} "
-                f"{label} II={result['ii']} ({verdict})"
-            )
-            lines.append(line)
-            if progress:
-                print(f"  {line}", flush=True)
+        variant = dc_replace(case, name=f"{case.name}!seed", seeded=True)
+        result = run_case(variant, repeats=1)
+        same = (
+            result["ii"] == reference["ii"]
+            and result["status"] == reference["status"]
+        )
+        if not same:
+            ok = False
+        line = (
+            f"{case.name}: unseeded II={reference['ii']} "
+            f"seeded II={result['ii']} ({'ok' if same else 'FAIL'})"
+        )
+        lines.append(line)
+        if progress:
+            print(f"  {line}", flush=True)
     return ok, lines
 
 
@@ -717,9 +658,9 @@ def main(argv: list[str] | None = None) -> int:
                              "mappings of gsm@4x4, sha2@8x8 and sha@16x16 "
                              "(minutes-scale; informational, never gated)")
     parser.add_argument("--check-strategies", action="store_true",
-                        help="re-run every completing case under the "
-                             "portfolio and with the seeding pre-pass, and "
-                             "fail on any II divergence from the ladder")
+                        help="re-run every completing case with the "
+                             "seeding pre-pass and fail on any II "
+                             "divergence from the unseeded run")
     args = parser.parse_args(argv)
 
     print(f"perf harness: suite={args.suite} repeats={args.repeats} "
@@ -747,8 +688,7 @@ def main(argv: list[str] | None = None) -> int:
         print("perf gate passed")
 
     if args.check_strategies:
-        print("\nstrategy equivalence (ladder vs portfolio, with and "
-              "without seed):")
+        print("\nstrategy equivalence (seeded vs unseeded):")
         ok, _lines = check_strategy_equivalence(
             args.suite, progress=True, reference_doc=results,
         )

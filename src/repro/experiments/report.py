@@ -145,27 +145,16 @@ def _markdown_scenarios(sweep: SweepResult, size: int) -> list[str]:
     return lines
 
 
-def search_cache_totals(sweep: SweepResult) -> tuple[dict[str, int], int, int, int, int]:
-    """Aggregate search-orchestration metrics over the SAT-MapIt runs.
-
-    Returns ``(runs_per_strategy, cache_hits, cache_misses,
-    portfolio_launched, portfolio_cancelled)``; cache misses count only the
-    runs that could have hit (i.e. all SAT-MapIt runs when a cache was
-    configured).
-    """
+def cache_totals(sweep: SweepResult) -> tuple[int, int]:
+    """``(cache_hits, cache_misses)`` over the SAT-MapIt runs; misses count
+    only the runs that could have hit (i.e. all SAT-MapIt runs when a cache
+    was configured)."""
     records = [entry for entry in sweep.records if entry.mapper == SAT_MAPIT]
-    strategies: dict[str, int] = {}
-    for entry in records:
-        strategies[entry.search_strategy] = (
-            strategies.get(entry.search_strategy, 0) + 1
-        )
     hits = sum(1 for entry in records if entry.cache_hit)
     misses = (
         len(records) - hits if sweep.config.cache_dir is not None else 0
     )
-    launched = sum(entry.portfolio_launched for entry in records)
-    cancelled = sum(entry.portfolio_cancelled for entry in records)
-    return strategies, hits, misses, launched, cancelled
+    return hits, misses
 
 
 def seed_totals(sweep: SweepResult) -> tuple[int, int, int, float]:
@@ -191,9 +180,7 @@ def render_markdown_report(sweep: SweepResult, options: ReportOptions | None = N
     wins, total, fraction = headline_winrate(sweep)
     resolves = solver_reuse_totals(sweep)
     bin_props, blocker_skips, arena_bytes, batches, dups = flat_core_totals(sweep)
-    strategies, cache_hits, cache_misses, launched, cancelled = (
-        search_cache_totals(sweep)
-    )
+    cache_hits, cache_misses = cache_totals(sweep)
     lines = [f"# {options.title}", ""]
     if options.include_expectations:
         lines.extend([_PAPER_EXPECTATIONS, ""])
@@ -208,9 +195,6 @@ def render_markdown_report(sweep: SweepResult, options: ReportOptions | None = N
             f"* registers per PE: {config.registers_per_pe}, 4-neighbour mesh",
             f"* architecture scenarios: "
             f"{', '.join(config.scenarios or (HOMOGENEOUS,))}",
-            f"* II search strategy: {config.search}"
-            + (f" ({config.search_jobs} workers)"
-               if config.search == "portfolio" else ""),
             f"* mapping cache: "
             f"{config.cache_dir if config.cache_dir else 'off'}",
             f"* heuristic II seeding: "
@@ -238,16 +222,10 @@ def render_markdown_report(sweep: SweepResult, options: ReportOptions | None = N
             f"* batched emission flushes: **{batches}** "
             f"(duplicate clauses dropped at the emitter: **{dups}**)",
             "",
-            "## II search & mapping cache",
+            "## Mapping cache",
             "",
-            f"* strategy mix over the SAT-MapIt runs: "
-            + (", ".join(
-                f"**{name}** x{count}" for name, count in sorted(strategies.items())
-            ) or "none"),
             f"* cache: **{cache_hits}** hit(s), **{cache_misses}** miss(es)"
             + ("" if config.cache_dir else " (caching off)"),
-            f"* portfolio workers launched / cancelled: "
-            f"**{launched}** / **{cancelled}**",
             "",
         ]
     )

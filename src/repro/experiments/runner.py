@@ -102,10 +102,6 @@ class ExperimentConfig:
     #: protocol on the corresponding heterogeneous fabric so the II cost of
     #: capability constraints can be tabulated per kernel.
     scenarios: tuple[str, ...] = (HOMOGENEOUS,)
-    #: II-search strategy for the SAT-MapIt runs (see :mod:`repro.search`).
-    search: str = "ladder"
-    #: Worker processes per portfolio search (``search="portfolio"`` only).
-    search_jobs: int = 2
     #: Persistent mapping-cache directory shared by every SAT-MapIt run of
     #: the sweep (``None`` disables caching).  Because the cache key ignores
     #: execution details, re-sweeping the same kernels — or sweeping extra
@@ -156,13 +152,8 @@ class RunRecord:
     #: solver and exact duplicate clauses its hashed dedup dropped.
     emission_batches: int = 0
     duplicate_clauses_dropped: int = 0
-    #: II-search strategy that served the run (SAT-MapIt only).
-    search_strategy: str = "ladder"
     #: Whether the persistent mapping cache served the result outright.
     cache_hit: bool = False
-    #: Portfolio-strategy process counters (zero for other strategies).
-    portfolio_launched: int = 0
-    portfolio_cancelled: int = 0
     #: Heuristic-seeding metrics (``seed_heuristic=True`` SAT-MapIt runs):
     #: the pre-pass II (None when no feasible heuristic mapping was found),
     #: whether the seed mapping ended up as the returned answer, and the
@@ -248,8 +239,6 @@ def build_mapper(name: str, config: ExperimentConfig, seed: int | None = None):
                 backend=config.backend,
                 amo_encoding=config.amo_encoding,
                 random_seed=config.seed,
-                search=config.search,
-                search_jobs=config.search_jobs,
                 cache_dir=config.cache_dir,
                 cache_max_mb=config.cache_max_mb,
                 seed_heuristic=config.seed_heuristic,
@@ -304,10 +293,7 @@ def run_single(
         arena_bytes=getattr(outcome, "arena_bytes", 0),
         emission_batches=getattr(outcome, "emission_batches", 0),
         duplicate_clauses_dropped=getattr(outcome, "duplicate_clauses_dropped", 0),
-        search_strategy=getattr(outcome, "search_strategy", "ladder"),
         cache_hit=getattr(outcome, "cache_hit", False),
-        portfolio_launched=getattr(outcome, "portfolio_launched", 0),
-        portfolio_cancelled=getattr(outcome, "portfolio_cancelled", 0),
         seed_ii=getattr(outcome, "seed_ii", None),
         seed_used=getattr(outcome, "seed_used", False),
         seed_time=getattr(outcome, "seed_time", 0.0),

@@ -72,6 +72,12 @@ def config_fingerprint(config: "ExperimentConfig") -> dict:
     }
 
 
+#: Fields ``ExperimentConfig`` no longer has, at the one value every sweep
+#: now runs with.  Hashing them keeps the digest, and so the item IDs, of
+#: a journal written before they were removed.
+_RETIRED_FIELDS = {"search": "ladder", "search_jobs": 2}
+
+
 def sweep_config_digest(config: "ExperimentConfig") -> str:
     """Content hash deciding journal/resume compatibility.
 
@@ -81,7 +87,7 @@ def sweep_config_digest(config: "ExperimentConfig") -> str:
     payload = {
         "schema": SCHEMA,
         "solver_version": SOLVER_VERSION,
-        "config": config_fingerprint(config),
+        "config": {**_RETIRED_FIELDS, **config_fingerprint(config)},
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -35,8 +35,7 @@ Protocol
 Workers are forked, not spawned: the scheduler imports the whole mapper
 stack and loads the native core first (:func:`repro.procs.fork_context`),
 so every worker inherits both and per-respawn latency stays in
-milliseconds.  They are not daemons, so a SAT-MapIt item may race
-portfolio lanes.
+milliseconds.
 """
 
 from __future__ import annotations
@@ -170,7 +169,7 @@ class _Pool:
     def spawn(self) -> _Worker:
         worker_id = self._next_id
         self._next_id += 1
-        handle = procs.start(self._ctx, _farm_worker, self._config, daemon=False)
+        handle = procs.start(self._ctx, _farm_worker, self._config)
         worker = _Worker(id=worker_id, handle=handle)
         self.workers[worker_id] = worker
         return worker

@@ -1,8 +1,7 @@
 """Worker processes: start, wait, receive, reap.
 
-The portfolio's lanes, the service's solve jobs and the farm's sweep
-workers all run the mapper in a child process.  This module is their one
-process lifecycle:
+The service's solve jobs and the farm's sweep workers both run the mapper
+in a child process.  This module is their one process lifecycle:
 
 * :func:`start` — a child with its own duplex :func:`~multiprocessing.Pipe`;
   the parent keeps one end and closes the child's, so the child's exit
@@ -22,10 +21,10 @@ The start method is the caller's choice and stays explicit, and either
 way a child starts with the mapper stack already imported
 (:data:`WORKER_MODULES`), never importing it itself:
 
-* :func:`fork_context` — ``fork``, for single-threaded parents (portfolio
-  lanes, farm workers).  The parent imports the worker modules and loads
-  the native core first, so every child inherits both; a core that cannot
-  load raises here, before any child starts.
+* :func:`fork_context` — ``fork``, for single-threaded parents (the farm's
+  scheduler).  The parent imports the worker modules and loads the native
+  core first, so every child inherits both; a core that cannot load
+  raises here, before any child starts.
 * :func:`forkserver_context` — ``forkserver``, for a parent that runs
   threads (the service's event loop), which must not fork itself.  The
   children fork from a separate single-threaded server that preloaded the
@@ -52,11 +51,12 @@ _TERM_GRACE = 5.0
 #: so its exit code can be read.
 _EXIT_WAIT = 2.0
 
-#: What a mapping worker runs: the encoder, the II ladder, the native
-#: core's loader and the sweep runner, with everything they import.
+#: What a mapping worker runs: the encoder, the mapper and its II ladder,
+#: the native core's loader and the sweep runner, with everything they
+#: import.
 WORKER_MODULES = (
     "repro.core.encoder",
-    "repro.search.ladder",
+    "repro.core.mapper",
     "repro.sat.native",
     "repro.experiments.runner",
 )
@@ -160,16 +160,11 @@ class Crash:
         return f"worker died unexpectedly (exit code {self.exit_code})"
 
 
-def start(ctx, target, *args, daemon: bool = True) -> Worker:
-    """Start ``target(conn, *args)`` in a child process of context ``ctx``.
-
-    ``daemon=False`` is for children that start children of their own
-    (a daemon process may not).
-    """
+def start(ctx, target, *args) -> Worker:
+    """Start ``target(conn, *args)`` in a daemon child process of context
+    ``ctx``; a mapping worker starts no children of its own."""
     parent_conn, child_conn = ctx.Pipe()
-    process = ctx.Process(
-        target=target, args=(child_conn, *args), daemon=daemon
-    )
+    process = ctx.Process(target=target, args=(child_conn, *args), daemon=True)
     process.start()
     child_conn.close()
     return Worker(process, parent_conn)

@@ -56,7 +56,7 @@ class ProofLogger:
     """Append-only DRAT trace writer with a running SHA-256 digest.
 
     With a ``path`` the trace streams to disk; without one it accumulates
-    in memory (portfolio workers and unit tests use the in-memory form).
+    in memory (unit tests use the in-memory form).
     The digest covers the exact emitted bytes, so two runs producing the
     same trace produce the same digest — and a tampered cache entry cannot
     forge one without re-deriving a trace.

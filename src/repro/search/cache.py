@@ -9,9 +9,9 @@ successful mapping runs on disk:
   spec, the *semantic* mapper-configuration fields, the starting II and the
   solver-core version (:data:`repro.sat.solver.SOLVER_VERSION`).  Execution
   details that cannot change which mapping is found — timeouts, verbosity,
-  the search strategy, worker counts, the cache directory itself — are
-  excluded, so a portfolio run primes the cache for a later ladder run of
-  the same problem.  Bumping the solver version changes every key, which
+  the heuristic seed, the cache directory itself — are excluded, so a
+  seeded run primes the cache for a later unseeded run of the same
+  problem.  Bumping the solver version changes every key, which
   is how stale results from an older engine are invalidated wholesale.
 * **Entry** — one ``<key>.json`` file under the cache directory holding the
   achieved II and the full mapping (placements plus register assignment),
@@ -84,12 +84,11 @@ def resolve_cache_dir(
 STALE_TEMP_AGE = 300.0
 
 #: MapperConfig fields that determine *which* mapping a run can produce.
-#: Everything else (timeout, attempt_time_limit, verbose, search,
-#: search_jobs, portfolio_variants, the cache and heuristic-seeding knobs,
-#: proof) only affects how fast or whether the run finishes within budget
-#: or what evidence it logs, never the II of a completed run, and is
-#: deliberately excluded from the key — a seeded portfolio run primes the
-#: cache for a later unseeded ladder run of the same problem.
+#: Everything else (timeout, attempt_time_limit, verbose, the cache and
+#: heuristic-seeding knobs, proof) only affects how fast or whether the
+#: run finishes within budget or what evidence it logs, never the II of a
+#: completed run, and is deliberately excluded from the key — a seeded run
+#: primes the cache for a later unseeded run of the same problem.
 #: ``random_seed`` is excluded too: the native solver is deterministic and
 #: ignores it, so runs that differ only in the seed build the same mapping.
 SEMANTIC_CONFIG_FIELDS: tuple[str, ...] = (
@@ -297,16 +296,16 @@ class MappingCache:
             "minimum_ii": outcome.minimum_ii,
             "attempts": len(outcome.attempts),
             "total_time": round(outcome.total_time, 4),
-            "search_strategy": outcome.search_strategy,
             "created_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             "mapping": outcome.mapping.to_dict(),
         }
         # UNSAT attempts below the final II are the entry's *lower-bound
         # evidence*; with proof logging on each carries the SHA-256 digest
         # of its DRAT trace (see repro.sat.drat), so a served bound remains
-        # independently checkable against a retained trace.
+        # independently checkable against a retained trace.  Keyed by
+        # "II/slack": one II can end UNSAT at several slack levels.
         proof_digests = {
-            str(attempt.ii): attempt.proof_digest
+            f"{attempt.ii}/{attempt.schedule_slack}": attempt.proof_digest
             for attempt in outcome.attempts
             if attempt.status == "UNSAT" and attempt.proof_digest
         }

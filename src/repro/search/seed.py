@@ -1,16 +1,13 @@
 """Heuristic II-seeding: prime the SAT search with a feasible upper bound.
 
-The SAT strategies spend nearly all of their wall-clock proving IIs
-infeasible upward from the MII and then solving the final II — yet the
-repo's heuristic mappers (RAMP, PathSeeker) can often *realise* a feasible
-II in milliseconds.  This module runs them as a budgeted pre-pass and turns
-the best validated result into a :class:`~repro.search.base.SearchResult`
-every strategy can exploit:
+The SAT ladder spends nearly all of its wall-clock proving IIs infeasible
+upward from the MII and then solving the final II — yet the repo's
+heuristic mappers (RAMP, PathSeeker) can often *realise* a feasible II in
+milliseconds.  This module runs them as a budgeted pre-pass, and the
+mapper uses the best validated result as an upper bound:
 
-* the **ladder** stops climbing at ``seed.ii - 1`` and falls back to the
+* the ladder stops climbing at ``seed.ii - 1`` and falls back to the
   seed mapping when the climb exhausts or times out;
-* the **portfolio** only races IIs below the seed, so SAT lanes prove
-  optimality *downward* instead of discovering feasibility upward;
 * a seed at the first candidate II (the MII is a lower bound) is returned
   immediately — provably optimal with zero SAT attempts.
 
@@ -21,10 +18,10 @@ too, with the same :func:`repro.simulator.replay_validated`; the re-check
 here keeps the seeding layer sound even against a future mapper that does
 not.
 
-Seeding never changes the *cache* identity of a problem: like the search
-strategy, it can only change which of several equally-minimal mappings is
-found, never the II of a completed run — the CI equivalence gate
-(``repro.experiments.perf --check-strategies``) holds seeded strategies to
+Seeding never changes the *cache* identity of a problem: it can only
+change which of several equally-minimal mappings is found, never the II
+of a completed run — the CI equivalence gate
+(``repro.experiments.perf --check-strategies``) holds seeded runs to
 exactly that.
 """
 
@@ -36,7 +33,6 @@ from typing import TYPE_CHECKING
 
 from repro.baselines import run_budgeted
 from repro.exceptions import ReproError
-from repro.search.base import SearchResult
 from repro.simulator.machine import replay_validated
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard
@@ -57,11 +53,6 @@ class SeedResult:
     #: Wall-clock seconds the whole seeding pre-pass spent (all mappers).
     wall_time: float
 
-    def as_search_result(self) -> SearchResult:
-        return SearchResult(
-            ii=self.ii, mapping=self.mapping, allocation=self.allocation
-        )
-
 
 def run_seed(
     dfg: "DFG",
@@ -77,7 +68,7 @@ def run_seed(
     is ``best.ii - 1``), and the pre-pass stops early once a seed reaches
     ``first_ii`` — the MII is a lower bound, nothing can beat it.  Returns
     ``None`` when no mapper produces a validated mapping within budget,
-    in which case every strategy falls back to its exact unseeded walk.
+    in which case the mapper falls back to its exact unseeded walk.
     """
     total_budget = config.seed_time_budget if budget is None else budget
     if total_budget <= 0:

@@ -29,13 +29,11 @@ in its *own worker process*:
   fresh interpreter's imports; the event loop's threads never fork.
 * **Cancellation** — the worker installs a SIGTERM handler that raises
   ``SystemExit``, so terminating it unwinds through the mapper's
-  ``finally`` blocks and the portfolio strategy's own ``cancel_all``
-  discipline reaps its racing grandchildren before the worker exits.  The
-  worker lifecycle is :mod:`repro.procs`, the one the portfolio lanes and
+  ``finally`` blocks and the interpreter's normal shutdown instead of
+  dying outright.  The worker lifecycle is :mod:`repro.procs`, the one
   the farm workers use: a pipe per worker, a crash record on EOF, and
   the SIGTERM-grace-SIGKILL reap, here with a longer grace so a
-  cooperatively-cancelling worker is never SIGKILLed while it is still
-  cleaning up its own children.
+  cooperatively-cancelling worker is never SIGKILLed mid-unwind.
 * **Dedup** — in-flight requests are indexed by ``(tenant, cache key)``
   using the persistent cache's content hash: two identical concurrent
   ``POST /map``\\ s share one Job and one solve.  Once a job finishes the
@@ -98,22 +96,16 @@ _EXIT_WAIT = 2.0
 #: Validated problems the manager keeps parsed (least recently used out).
 PROBLEM_TABLE_SIZE = 128
 
-#: TERM grace for job workers.  Deliberately longer than the portfolio's
-#: internal 5 s lane grace: a cancelled worker may itself be escalating
-#: stubborn grandchildren, and SIGKILLing it mid-cleanup would orphan
-#: them (SIGKILL runs no handlers, so the daemon children would outlive
-#: everything).
+#: TERM grace for job workers: time for the unwind ``_sigterm_to_exit``
+#: starts, since SIGKILL runs no handlers.
 _JOB_TERM_GRACE = 20.0
 
 
 def _sigterm_to_exit(signum, frame):  # pragma: no cover - runs in worker
     """Turn SIGTERM into an orderly unwind.
 
-    Raising ``SystemExit`` runs every active ``finally`` — most
-    importantly the portfolio strategy's ``cancel_all``, which
-    kill-escalates its racing lane processes — before the worker exits.
-    A bare ``terminate()`` would leave those daemon grandchildren running
-    whenever the worker dies without Python-level cleanup.
+    Raising ``SystemExit`` runs every active ``finally`` (the mapper
+    closes its open solver in one) before the worker exits.
     """
     raise SystemExit(128 + signal.SIGTERM)
 
@@ -252,8 +244,7 @@ def _solve_in_process(
     ``("crashed", Crash)`` / ``("cancelled", None)``.  Guarantees the
     worker is dead on return, whatever happened.
     """
-    # Not a daemon: a portfolio request's worker starts lanes of its own.
-    worker = procs.start(ctx, _job_worker, dfg, cgra, config, daemon=False)
+    worker = procs.start(ctx, _job_worker, dfg, cgra, config)
     job.pid = worker.process.pid
     deadline = time.monotonic() + budget
     try:

@@ -5,7 +5,7 @@ A ``POST /map`` body is a JSON object with three parts::
     {
       "kernel": "gsm",                  // or "dfg": {...} or "source": "..."
       "arch":   {"preset": "mem_edge_4x4"},   // or rows/cols or "spec": {...}
-      "config": {"timeout": 60, "search": "portfolio", "search_jobs": 4},
+      "config": {"timeout": 60, "seed_heuristic": true},
       "tenant": "team-a",               // optional; also X-Tenant header
       "wait":   5                       // optional: block up to N s for the result
     }
@@ -26,7 +26,7 @@ canonically, so the job manager can parse a repeated problem once and
 
 The response side (:func:`outcome_payload`) renders a
 :class:`~repro.core.mapper.MappingOutcome` as plain JSON — mapping
-included on success, cache/search/portfolio telemetry always — and is
+included on success, cache and seed telemetry always — and is
 what the worker process ships back over its pipe, so everything in it
 must be picklable and JSON-serializable plain data.  A cache hit answered
 in the server is rendered by :func:`hit_payload` into the same payload.
@@ -36,18 +36,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from dataclasses import dataclass, replace
 from typing import Any
 
-from repro.baselines import HEURISTIC_MAPPERS
 from repro.cgra.architecture import CGRA
 from repro.cgra.presets import arch_preset_names, get_arch_preset
 from repro.core.mapper import MapperConfig, MappingOutcome
 from repro.dfg.graph import DFG
 from repro.exceptions import ArchitectureError
 from repro.sat.encodings import AMOEncoding
-from repro.search import PORTFOLIO_VARIANTS, available_strategies, create_strategy
 from repro.search.cache import CacheHit, CacheStats, resolve_cache_dir
 
 
@@ -67,8 +64,6 @@ class ServiceLimits:
     default_timeout: float = 60.0
     #: Hard ceiling on any request's ``timeout``.
     max_timeout: float = 600.0
-    #: Ceiling on ``search_jobs`` (portfolio worker processes per solve).
-    max_search_jobs: int = max(1, min(8, os.cpu_count() or 1))
     #: Longest a ``POST /map`` may block waiting for its result before the
     #: caller is handed the job id to poll.
     max_wait: float = 300.0
@@ -98,8 +93,8 @@ class MapRequest:
 #: MapperConfig fields a request may set, with their expected JSON shape.
 #: File-system knobs (cache directory, namespaces) and debug output are
 #: service-owned and deliberately absent — a request must never choose
-#: where the server writes.  ``search``, ``portfolio_variants`` and
-#: ``seed_mappers`` are further checked against their registries.
+#: where the server writes.  Values are checked by ``MapperConfig``
+#: itself (``seed_mappers`` against the heuristic-mapper registry).
 _CONFIG_FIELDS: dict[str, str] = {
     "max_ii": "int",
     "timeout": "float?",
@@ -118,32 +113,10 @@ _CONFIG_FIELDS: dict[str, str] = {
     "run_register_allocation": "bool",
     "solver_conflict_limit": "int?",
     "random_seed": "int?",
-    "search": "str",
-    "search_jobs": "int",
-    "portfolio_variants": "strs",
     "seed_heuristic": "bool",
     "seed_time_budget": "float",
     "seed_mappers": "strs",
 }
-
-
-def _check_names(fields: dict[str, Any]) -> None:
-    """Reject unknown strategy / variant / seed-mapper names up front."""
-    registries = {
-        "search": available_strategies(),
-        "portfolio_variants": sorted(PORTFOLIO_VARIANTS),
-        "seed_mappers": sorted(HEURISTIC_MAPPERS),
-    }
-    for name, allowed in registries.items():
-        value = fields.get(name)
-        if value is None:
-            continue
-        for item in (value,) if isinstance(value, str) else value:
-            if item not in allowed:
-                raise ProtocolError(
-                    f"config field {name!r}: unknown name {item!r}; "
-                    f"allowed: {allowed}"
-                )
 
 
 def _coerce(name: str, value: Any, kind: str) -> Any:
@@ -342,7 +315,7 @@ def parse_map_request(
     """Validate one ``POST /map`` body into a :class:`MapRequest`.
 
     Raises :class:`ProtocolError` on any malformed part; clamps the
-    request's time and parallelism budgets to the service limits so every
+    request's time budget to the service limits so every
     accepted request carries explicit, bounded budgets.
     """
     limits = limits or ServiceLimits()
@@ -360,11 +333,7 @@ def parse_map_request(
                 f"allowed: {sorted(_CONFIG_FIELDS)}"
             )
         fields[name] = _coerce(name, value, kind)
-    _check_names(fields)
     fields["timeout"] = _parse_timeout(config_spec, limits)
-    fields["search_jobs"] = max(
-        1, min(fields.get("search_jobs", 2), limits.max_search_jobs)
-    )
     # The service owns all output: workers must stay silent.
     fields["verbose"] = False
 
@@ -404,19 +373,12 @@ def outcome_payload(outcome: MappingOutcome) -> dict:
         "total_time_s": round(outcome.total_time, 4),
         "timed_out": outcome.timed_out,
         "backend": outcome.backend_name,
-        "search_strategy": outcome.search_strategy,
         "cache_hit": outcome.cache_hit,
         "cache_key": outcome.cache_key,
         "mapping": outcome.mapping.to_dict() if outcome.mapping else None,
     }
     if outcome.cache_stats is not None:
         payload["cache"] = dataclasses.asdict(outcome.cache_stats)
-    if outcome.search_strategy == "portfolio":
-        payload["portfolio"] = {
-            "launched": outcome.portfolio_launched,
-            "cancelled": outcome.portfolio_cancelled,
-            "winner": outcome.portfolio_winner,
-        }
     if outcome.seed_ii is not None or outcome.seed_time:
         payload["seed"] = {
             "ii": outcome.seed_ii,
@@ -448,7 +410,6 @@ def hit_payload(
         minimum_ii=hit.minimum_ii,
         total_time=total_time,
         backend_name=request.config.backend,
-        search_strategy=create_strategy(request.config.search).name,
         cache_hit=True,
         cache_key=hit.key,
         cache_stats=cache_stats,

@@ -20,6 +20,9 @@ OUT_OF_RANGE = [
     ("timeout", -1.0),
     ("attempt_time_limit", -2.0),
     ("attempt_time_limit", 0.0),
+    ("seed_time_budget", -1.0),
+    ("seed_mappers", ("bogus",)),
+    ("seed_mappers", ("ramp", "bogus")),
 ]
 
 
@@ -39,7 +42,8 @@ def test_service_request_rejects_out_of_range_value(name, value):
 
 def test_boundary_values_are_accepted():
     MapperConfig(max_ii=1, schedule_slack=0, max_extra_slack=0,
-                 regalloc_retries=0, attempt_time_limit=0.5)
+                 regalloc_retries=0, attempt_time_limit=0.5,
+                 seed_time_budget=0.0, seed_mappers=())
     # The anytime probe: a zero budget reports a timeout after 0 attempts.
     MapperConfig(timeout=0.0)
 

@@ -120,6 +120,12 @@ class TestFailureModes:
         assert not outcome.success
         assert outcome.final_status == "timeout"
 
+    def test_timed_out_run_is_not_cached(self, tmp_path):
+        config = MapperConfig(timeout=0.0, random_seed=0, cache_dir=str(tmp_path))
+        outcome = SatMapItMapper(config).map(get_kernel("gsm"), CGRA.square(2))
+        assert outcome.final_status == "timeout"
+        assert list(tmp_path.glob("*.json")) == []
+
     def test_invalid_dfg_rejected(self):
         dfg = DFG()
         dfg.add_node(0)
@@ -239,14 +245,14 @@ class TestProofLogging:
     """DRAT proof logging: only the CDCL backend writes proofs."""
 
     @staticmethod
-    def _map_gsm(tmp_path, monkeypatch, **extra):
-        # Decisive attempts, so gsm@2x2 refutes IIs below the answer.
+    def _map_gsm(tmp_path, monkeypatch, size=2, **extra):
+        # Decisive attempts, so gsm refutes IIs below the answer.
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         config = MapperConfig(
             timeout=120.0, slack_conflict_limit=None,
             run_register_allocation=False, random_seed=0, proof=True, **extra,
         )
-        return SatMapItMapper(config).map(get_kernel("gsm"), CGRA.square(2))
+        return SatMapItMapper(config).map(get_kernel("gsm"), CGRA.square(size))
 
     def test_mapper_proof_digests_with_internal_backend(
         self, tmp_path, monkeypatch
@@ -313,8 +319,25 @@ class TestProofLogging:
         assert len(entries) == 1
         entry = json.loads(entries[0].read_text())
         assert entry["unsat_proof_digests"] == {
-            str(a.ii): a.proof_digest for a in unsat
+            f"{a.ii}/{a.schedule_slack}": a.proof_digest for a in unsat
         }
+
+    def test_cache_entry_keeps_every_slack_level_digest(
+        self, tmp_path, monkeypatch
+    ):
+        """gsm@4x4 refutes II 2 at two slack levels: the entry keeps both
+        digests, not only the last one."""
+        cache = tmp_path / "cache"
+        outcome = self._map_gsm(
+            tmp_path, monkeypatch, size=4, cache_dir=str(cache)
+        )
+        assert outcome.final_status == "mapped"
+        (entry_path,) = cache.glob("*.json")
+        digests = json.loads(entry_path.read_text())["unsat_proof_digests"]
+        ii2 = {key: value for key, value in digests.items()
+               if key.startswith("2/")}
+        assert len(ii2) == 2
+        assert len(set(ii2.values())) == 2
 
     def test_proof_requires_capable_solver(self):
         with pytest.raises(ValueError, match="'dpll'"):

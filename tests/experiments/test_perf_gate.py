@@ -76,14 +76,6 @@ class TestCompareGate:
         assert compare(_doc([base]), _doc([timed_out]))[0]
         assert compare(_doc([dict(base, bounded=True)]), _doc([bounded]))[0]
 
-    def test_portfolio_races_are_exempt_from_counter_drift(self):
-        """Which portfolio lane wins depends on timing, so its counters
-        legitimately vary run to run."""
-        base = dict(_case("a@4x4!portfolio2", 1.0), status="mapped",
-                    search="portfolio", conflicts=3016, propagations=442728)
-        raced = dict(base, conflicts=2350, propagations=216802)
-        assert compare(_doc([base]), _doc([raced]))[0]
-
     def test_bounded_cases_exempt_from_ii_gate(self):
         ok, _ = compare(
             _doc([_case("a@3x3#c1500", 1.0, ii=None, bounded=True)]),
@@ -122,26 +114,11 @@ class TestSuiteShape:
         names = {case.name for case in PINNED_SUITE}
         assert {case.name for case in QUICK_SUITE} <= names
 
-    def test_portfolio_cases_have_ladder_twins(self):
-        """Every portfolio case needs its same-(kernel, size) ladder twin so
-        run_suite can annotate speedup_vs_ladder."""
-        ladder_pairs = {
-            (case.kernel, case.size)
-            for case in PINNED_SUITE
-            if case.search == "ladder" and not case.bounded and not case.seeded
-        }
-        portfolio_cases = [
-            case for case in PINNED_SUITE if case.search == "portfolio"
-        ]
-        assert portfolio_cases, "the pinned suite must race a portfolio case"
-        for case in portfolio_cases:
-            assert (case.kernel, case.size) in ladder_pairs, case.name
-
     def test_seeded_cases_have_unseeded_twins(self):
-        """Every seeded case needs its same-(kernel, size, search) unseeded
-        twin so run_suite can annotate speedup_vs_unseeded."""
+        """Every seeded case needs its same-(kernel, size) unseeded twin so
+        run_suite can annotate speedup_vs_unseeded."""
         unseeded = {
-            (case.kernel, case.size, case.search)
+            (case.kernel, case.size)
             for case in PINNED_SUITE
             if not case.bounded and not case.seeded
         }
@@ -150,7 +127,7 @@ class TestSuiteShape:
             "the pinned suite must measure at least two seeded twins"
         )
         for case in seeded_cases:
-            assert (case.kernel, case.size, case.search) in unseeded, case.name
+            assert (case.kernel, case.size) in unseeded, case.name
 
 
 class TestSuiteAnnotations:
@@ -165,7 +142,6 @@ class TestSuiteAnnotations:
                 "kernel": case.kernel,
                 "size": case.size,
                 "bounded": case.bounded,
-                "search": case.search,
                 "seeded": case.seeded,
                 "status": "mapped",
                 "ii": 3,

@@ -72,29 +72,25 @@ def synthetic_sweep() -> SweepResult:
 
 
 class TestSearchAndCachePlumbing:
-    def test_run_single_with_cache_and_search(self, tmp_path):
+    def test_run_single_with_cache(self, tmp_path):
         config = ExperimentConfig(
             kernels=("srand",), sizes=(2,), timeout=30.0,
-            pathseeker_repeats=1, search="portfolio",
-            cache_dir=str(tmp_path / "cache"),
+            pathseeker_repeats=1, cache_dir=str(tmp_path / "cache"),
         )
         first = run_single("srand", 2, SAT_MAPIT, config)
-        assert first.search_strategy == "portfolio"
         assert not first.cache_hit
         second = run_single("srand", 2, SAT_MAPIT, config)
         assert second.cache_hit
         assert second.ii == first.ii
 
-    def test_baseline_records_have_default_search_fields(self):
+    def test_baseline_records_have_default_cache_fields(self):
         config = ExperimentConfig(
             kernels=("srand",), sizes=(2,), timeout=30.0, pathseeker_repeats=1
         )
         record = run_single("srand", 2, RAMP, config)
-        assert record.search_strategy == "ladder"
         assert not record.cache_hit
-        assert record.portfolio_launched == 0
 
-    def test_report_renders_search_cache_section(self, tmp_path):
+    def test_report_renders_cache_section(self, tmp_path):
         config = ExperimentConfig(
             kernels=("srand",), sizes=(2,), timeout=30.0,
             pathseeker_repeats=1, cache_dir=str(tmp_path / "cache"),
@@ -102,9 +98,9 @@ class TestSearchAndCachePlumbing:
         sweep = run_sweep(config)
         sweep.records.extend(run_sweep(config).records)
         text = render_markdown_report(sweep)
-        assert "## II search & mapping cache" in text
+        assert "## Mapping cache" in text
         assert "**1** hit(s)" in text
-        assert "* II search strategy: ladder" in text
+        assert "strategy" not in text
 
     def test_run_single_records_seed_metrics(self):
         config = ExperimentConfig(

@@ -120,13 +120,6 @@ class TestFarmMatchesSerial:
         assert farmed.farm.worker_crashes == 0
         assert clean.farm is None  # serial sweeps bypass the farm
 
-    def test_portfolio_items_race_lanes_inside_farm_workers(self, clean):
-        # Farm workers are not daemons, so a SAT-MapIt item may start
-        # portfolio lanes of its own.
-        config = dataclasses.replace(FAST, search="portfolio")
-        farmed = run_sweep(config, jobs=2)
-        assert _shape(farmed) == _shape(clean)
-
 
 #: fault -> (status, how ``failure`` is checked, (crashes, deadlines)).
 CASES = {

@@ -43,13 +43,13 @@ class TestCacheKey:
         assert cache_key(dfg, cgra, config, start_ii=5) != base
 
     def test_execution_details_do_not_change_the_key(self):
-        """Timeout / strategy / jobs / verbosity / seed are not semantic."""
+        """Timeout / verbosity / heuristic seeding / seed are not semantic."""
         dfg, cgra = get_kernel("srand"), CGRA.square(3)
         base = cache_key(dfg, cgra, MapperConfig())
         for overrides in (
             dict(timeout=5.0),
             dict(verbose=True),
-            dict(search="portfolio", search_jobs=8),
+            dict(seed_heuristic=True, seed_time_budget=0.5),
             dict(cache_dir="/elsewhere"),
             dict(attempt_time_limit=1.0),
             dict(random_seed=1),
@@ -105,11 +105,12 @@ class TestCacheRoundTrip:
         simulation = CGRASimulator(second.mapping, None).run(4)
         assert simulation.success, simulation.errors
 
-    def test_hit_across_strategies(self, tmp_path):
-        """Strategy and jobs are execution details: portfolio primes ladder."""
-        first = _map("srand", tmp_path, search="portfolio", search_jobs=2)
+    def test_hit_across_seeding(self, tmp_path):
+        """Seeding is an execution detail: a seeded run primes an unseeded
+        one."""
+        first = _map("srand", tmp_path, seed_heuristic=True)
         assert first.success and not first.cache_hit
-        second = _map("srand", tmp_path, search="ladder")
+        second = _map("srand", tmp_path)
         assert second.cache_hit and second.ii == first.ii
 
     def test_semantic_config_change_misses(self, tmp_path):

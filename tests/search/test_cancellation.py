@@ -1,11 +1,9 @@
-"""Worker-process cancellation: SIGTERM escalation and no-leak guarantees.
+"""Worker-process cancellation: SIGTERM escalation.
 
-The portfolio's old cancellation path was terminate-and-hope: a worker
-that ignored SIGTERM (stuck in native solver code, or with a handler
-installed) silently outlived the strategy.  These tests pin down the
-kill-escalation discipline (:func:`repro.procs.reap`)
-and the strategy-exit invariant that no spawned worker survives — the
-properties a long-lived service process depends on.
+Terminate-and-hope is not enough: a worker that ignores SIGTERM (stuck in
+native solver code, or with a handler installed) would silently outlive
+its parent.  These tests pin down the kill-escalation discipline
+(:func:`repro.procs.reap`) that the service and the farm depend on.
 """
 
 from __future__ import annotations
@@ -15,12 +13,7 @@ import signal
 import time
 
 import repro.procs as procs_module
-import repro.search.portfolio as portfolio_module
-from repro.cgra.architecture import CGRA
-from repro.core.mapper import MapperConfig, SatMapItMapper
-from repro.kernels import get_kernel
 from repro.procs import reap
-from repro.search.portfolio import _portfolio_worker
 
 
 def _sleep_forever() -> None:
@@ -90,45 +83,3 @@ class TestReapProcess:
 
 def _noop() -> None:
     pass
-
-
-def _stubborn_portfolio_worker(conn, dfg, cgra, config, ii):
-    """Portfolio lane stand-in: the frontier II solves for real, every
-    higher II ignores SIGTERM and naps — the worst-case worker the
-    cancellation path must still reap."""
-    if ii <= 3:  # srand on 3x3 is feasible at its minimum II of 3
-        time.sleep(0.5)  # let the stubborn siblings install SIG_IGN first
-        _portfolio_worker(conn, dfg, cgra, config, ii)
-        return
-    signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    time.sleep(600)
-
-
-class TestPortfolioCancellation:
-    def test_frontier_win_reaps_sigterm_ignoring_workers(self, monkeypatch):
-        """A win must cancel the moot lanes even when they shrug off
-        SIGTERM; the strategy asserts no worker outlives it."""
-        monkeypatch.setattr(procs_module, "_TERM_GRACE", 0.5)
-        monkeypatch.setattr(
-            portfolio_module, "_portfolio_worker", _stubborn_portfolio_worker
-        )
-        before = {p.pid for p in multiprocessing.active_children()}
-        outcome = SatMapItMapper(
-            MapperConfig(
-                timeout=120,
-                random_seed=0,
-                search="portfolio",
-                search_jobs=4,
-                portfolio_variants=("default",),
-                seed_heuristic=False,
-            )
-        ).map(get_kernel("srand"), CGRA.square(3))
-        assert outcome.success
-        assert outcome.ii == 3
-        # Lanes for II >= 4 were launched (search_jobs=4, one variant per
-        # II) and must have been cancelled, not leaked.
-        assert outcome.portfolio_cancelled >= 1
-        leaked = [
-            p for p in multiprocessing.active_children() if p.pid not in before
-        ]
-        assert leaked == [], f"portfolio leaked workers: {leaked}"

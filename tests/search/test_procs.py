@@ -1,6 +1,5 @@
-"""The worker-process primitive shared by the portfolio, the service and
-the farm: a pipe per worker, a crash record on EOF, the shared-grace
-reap."""
+"""The worker-process primitive shared by the service and the farm: a
+pipe per worker, a crash record on EOF, the shared-grace reap."""
 
 from __future__ import annotations
 

@@ -96,7 +96,7 @@ class TestRoutes:
                 results["removed_strategy"] = await asyncio.to_thread(
                     post_map,
                     base,
-                    {"kernel": "srand", "config": {"search": "bisect"}},
+                    {"kernel": "srand", "config": {"search": "ladder"}},
                 )
                 results["removed_backend"] = await asyncio.to_thread(
                     post_map,
@@ -124,7 +124,7 @@ class TestRoutes:
         assert results["removed_field"][0] == 400
         assert "unknown config field" in results["removed_field"][1]["error"]
         assert results["removed_strategy"][0] == 400
-        assert "allowed: " in results["removed_strategy"][1]["error"]
+        assert "unknown config field" in results["removed_strategy"][1]["error"]
         assert results["removed_backend"][0] == 400
         assert "unknown solver backend" in results["removed_backend"][1]["error"]
 

@@ -59,7 +59,7 @@ def _stubborn_worker(conn, dfg, cgra, config):
 #: Modules a default-context worker must find loaded when it starts.
 PRELOADED = (
     "repro.core.encoder",
-    "repro.search.ladder",
+    "repro.core.mapper",
     "repro.sat.native",
     "repro.experiments.runner",
 )

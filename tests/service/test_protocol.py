@@ -101,29 +101,19 @@ class TestConfigValidation:
             parse({"kernel": "srand", "config": {field: False}})
 
     @pytest.mark.parametrize("field, value", [
-        ("search", "bogus"),
-        ("search", "bisect"),
-        ("portfolio_variants", ["default", "nope"]),
-        ("portfolio_variants", ["kissat"]),
-        ("seed_mappers", ["nope"]),
+        ("search", "ladder"),
+        ("search_jobs", 2),
+        ("portfolio_variants", ["default"]),
     ])
-    def test_unknown_registry_names_rejected(self, field, value):
-        # Names are checked against their registries at parse time, so a
-        # bad request never reaches a spawned worker.
-        with pytest.raises(ProtocolError, match="allowed: ") as excinfo:
+    def test_removed_search_fields_rejected(self, field, value):
+        # The II search has one path; its old knobs are unknown fields.
+        with pytest.raises(ProtocolError, match="unknown config field"):
             parse({"kernel": "srand", "config": {field: value}})
-        assert field in str(excinfo.value)
-        if field == "search":
-            assert "['ladder', 'portfolio']" in str(excinfo.value)
 
-    def test_known_registry_names_accepted(self):
+    def test_known_seed_mappers_accepted(self):
         request = parse({"kernel": "srand", "config": {
-            "search": "portfolio",
-            "portfolio_variants": ["sequential", "pairwise"],
             "seed_mappers": ["ramp"],
         }})
-        assert request.config.search == "portfolio"
-        assert request.config.portfolio_variants == ("sequential", "pairwise")
         assert request.config.seed_mappers == ("ramp",)
 
     def test_amo_encoding_parsed_and_validated(self):
@@ -145,12 +135,6 @@ class TestConfigValidation:
     def test_non_positive_timeout_rejected(self):
         with pytest.raises(ProtocolError, match="positive"):
             parse({"kernel": "srand", "config": {"timeout": 0}})
-
-    def test_search_jobs_clamped(self):
-        request = parse({"kernel": "srand", "config": {"search_jobs": 10_000}})
-        assert request.config.search_jobs == LIMITS.max_search_jobs
-        request = parse({"kernel": "srand", "config": {"search_jobs": -3}})
-        assert request.config.search_jobs == 1
 
     def test_verbose_is_forced_off(self):
         assert parse({"kernel": "srand"}).config.verbose is False
@@ -205,4 +189,4 @@ class TestOutcomePayload:
         assert payload["mapping"] is not None
         assert payload["attempts"] == len(outcome.attempts)
         assert payload["backend"] == outcome.backend_name
-        assert payload["search_strategy"] == outcome.search_strategy
+        assert "search_strategy" not in payload

@@ -103,21 +103,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["map", "--kernel", "unknown"])
 
-    def test_search_flags_parsed(self):
-        args = build_parser().parse_args(
-            ["map", "--kernel", "srand", "--search", "portfolio",
-             "--jobs", "4", "--cache", "/tmp/cache",
-             "--portfolio-variants", "no-probe", "sequential"]
-        )
-        assert args.search == "portfolio"
-        assert args.jobs == 4
-        assert args.cache == "/tmp/cache"
-        assert args.portfolio_variants == ["no-probe", "sequential"]
-        args = build_parser().parse_args(
-            ["sweep", "--search", "portfolio", "--cache", "/tmp/cache"]
-        )
-        assert args.search == "portfolio"
-        assert args.cache == "/tmp/cache"
+    def test_cache_flag_parsed(self):
+        for command in (["map", "--kernel", "srand"], ["sweep"]):
+            args = build_parser().parse_args([*command, "--cache", "/tmp/cache"])
+            assert args.cache == "/tmp/cache"
+
+    @pytest.mark.parametrize("argv", [
+        ["map", "--kernel", "srand", "--search", "ladder"],
+        ["map", "--kernel", "srand", "--jobs", "2"],
+        ["map", "--kernel", "srand", "--portfolio-variants", "default"],
+        ["sweep", "--search", "ladder"],
+    ])
+    def test_removed_search_flags_rejected(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
 
     def test_seed_flags_parsed(self):
         args = build_parser().parse_args(
@@ -136,17 +135,6 @@ class TestParser:
         assert sweep.seed_heuristic is True
         assert sweep.cache_max_mb == 8.0
 
-    def test_unknown_search_strategy_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["map", "--kernel", "srand", "--search", "random-walk"]
-            )
-
-    def test_unknown_portfolio_variant_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["map", "--kernel", "srand", "--portfolio-variants", "quantum"]
-            )
 
 
 class TestCommands:
@@ -219,17 +207,6 @@ class TestCommands:
             assert exit_code == 0
             assert verdict in captured.out
         assert len(list(cache.glob("*.json"))) == 1
-
-    def test_map_with_portfolio_search(self, capsys):
-        exit_code = main([
-            "map", "--kernel", "srand", "--rows", "2", "--cols", "2",
-            "--timeout", "60", "--search", "portfolio", "--jobs", "2",
-        ])
-        captured = capsys.readouterr()
-        assert exit_code == 0
-        assert "II=" in captured.out
-        assert "portfolio:" in captured.out
-        assert "worker(s) launched" in captured.out
 
     def test_map_with_seed_heuristic_reports_seed(self, capsys):
         exit_code = main([
