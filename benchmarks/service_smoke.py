@@ -1,9 +1,10 @@
 """End-to-end service smoke: serve == CLI on the same problem.
 
 Starts ``repro serve`` as a real subprocess, maps one kernel through
-``POST /map`` + ``GET /jobs/{id}``, posts it again and requires a cache
-hit answered without a second worker process (the cold answer's mapping,
-which replays in the simulator), then posts the same problem under a
+``POST /map`` + ``GET /jobs/{id}``, posts it again without ``?wait`` and
+requires a cache hit answered ``200 done`` in that same response, without a
+second worker process (the cold answer's mapping, which replays in the
+simulator), then posts the same problem under a
 second tenant and with one semantic config field changed and requires
 each to be a miss that starts one solve (the server's problem table must
 not carry a cache key across either), stops the service with SIGINT and requires
@@ -138,9 +139,10 @@ def main() -> int:
             assert stats["requests"]["completed"] == 1, stats
             print(f"service stats: {json.dumps(stats['requests'])}")
 
-            # A repeat is a cache hit answered by the server itself: same
-            # II, a mapping that replays, and no second worker process.
-            status, warm = http(f"{base}/map?wait={SOLVE_DEADLINE_S}", body)
+            # A repeat is a cache hit answered by the server itself, in the
+            # first response even without ``?wait``: same II, a mapping
+            # that replays, and no second worker process.
+            status, warm = http(f"{base}/map", body)
             assert status == 200 and warm["status"] == "done", warm
             assert warm["result"]["cache_hit"] is True, warm["result"]
             assert warm["result"]["ii"] == served_ii, warm["result"]

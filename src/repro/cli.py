@@ -17,6 +17,7 @@ cumulative functions — the profiling recipe from DESIGN.md in one flag.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Sequence
 
@@ -527,7 +528,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point: parse ``argv`` and dispatch to the sub-command."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left (``| head``); the flush at exit must not raise.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return status
 
 
 if __name__ == "__main__":

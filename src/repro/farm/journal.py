@@ -3,10 +3,12 @@
 One sweep = one ``journal.jsonl`` file in the journal directory.  The
 scheduler appends a JSON line per state transition; nothing is ever
 rewritten, so any prefix of the file is a consistent snapshot and a
-SIGKILLed sweep can be resumed from whatever made it to disk.  Each
-append is flushed and fsynced — the journal is the farm's source of
-truth, and an entry that was reported durable must survive power loss
-exactly like a mapping-cache entry does.
+SIGKILLed sweep can be resumed from whatever made it to disk.  Appends
+are flushed; :meth:`SweepJournal.sync` fsyncs them, once for a fresh
+journal and once per scheduler wake-up, before that wake-up's ``done``
+records are reported, so a reported or returned record survives power
+loss like a mapping-cache entry.  ``lease`` lines need no fsync: replay
+re-runs a leased item without a ``done`` either way.
 
 Line vocabulary (``type`` field):
 
@@ -134,9 +136,6 @@ class WorkItem:
             scenario=str(data["scenario"]),
         )
 
-    def label(self) -> str:
-        return f"{self.kernel}@{self.size}x{self.size}/{self.mapper} [{self.scenario}]"
-
 
 @dataclass
 class JournalState:
@@ -176,6 +175,7 @@ class SweepJournal:
         )
         for item in items:
             self.append("item", **item.payload())
+        self.sync()
 
     def reopen(self) -> None:
         """Append to an existing journal (the resume path)."""
@@ -184,11 +184,14 @@ class SweepJournal:
         self._handle = self.path.open("a", encoding="utf-8")
 
     def append(self, type_: str, **fields: Any) -> None:
-        """Durably append one event line (flush + fsync)."""
+        """Append one event line and flush it (see :meth:`sync`)."""
         assert self._handle is not None, "journal not opened"
         line = json.dumps({"type": type_, **fields}, sort_keys=True)
         self._handle.write(line + "\n")
         self._handle.flush()
+
+    def sync(self) -> None:
+        """Make every line appended so far durable (fsync)."""
         os.fsync(self._handle.fileno())
 
     def close(self) -> None:

@@ -239,9 +239,11 @@ def run_farm(config, farm: FarmConfig, report=None) -> FarmOutcome:
     else:
         journal.create(digest, items)
 
+    fresh: list[dict] = []
+
     def finish(item_id: str, record: dict) -> None:
-        if queue.complete(item_id, record) and report is not None:
-            report(record)
+        if queue.complete(item_id, record):
+            fresh.append(record)
 
     pool = _Pool(context, config)
     try:
@@ -249,8 +251,8 @@ def run_farm(config, farm: FarmConfig, report=None) -> FarmOutcome:
             if queue.outstanding > len(pool.workers):
                 pool.spawn()
 
+        _dispatch(pool, queue)
         while not queue.finished:
-            _dispatch(pool, queue)
             by_handle = {w.handle: w for w in pool.workers.values()}
             for handle in procs.wait(by_handle, _TICK):
                 worker = by_handle[handle]
@@ -261,6 +263,14 @@ def run_farm(config, farm: FarmConfig, report=None) -> FarmOutcome:
                 worker.busy = False
                 finish(*reply)
             _expire_deadlines(pool, queue, finish)
+            # Workers first, then one fsync before any ``done`` is reported.
+            _dispatch(pool, queue)
+            if fresh:
+                journal.sync()
+                if report is not None:
+                    for record in fresh:
+                        report(record)
+                fresh.clear()
     finally:
         pool.stop(pool.workers.values())
         queue.stats.wall_s = time.perf_counter() - start

@@ -9,9 +9,9 @@ five routes:
 =======  ========================  ===========================================
 Method   Path                      Meaning
 =======  ========================  ===========================================
-POST     ``/map``                  submit a mapping problem; ``wait`` seconds
-                                   for a synchronous answer (200) before
-                                   falling back to a job handle (202)
+POST     ``/map``                  submit a mapping problem: a cache hit, or
+                                   an answer within ``wait`` seconds, is a
+                                   200; otherwise a job handle (202)
 GET      ``/jobs/{id}``            poll a job (result embedded once done)
 POST     ``/jobs/{id}/cancel``     cancel a job (``DELETE /jobs/{id}`` works
                                    too); the worker process is reaped

@@ -1,11 +1,11 @@
 """Job lifecycle for the mapping service.
 
-Every accepted ``POST /map`` becomes a :class:`Job`.  A job first looks
-its key up in the persistent cache (:meth:`MappingCache.lookup_key`) in a
-thread of the server process; a hit is answered there and then, from the
-cache entry, without a pool slot or a process.  Only a miss waits for one
-of ``pool_size`` slots and runs its search (:meth:`SatMapItMapper.solve`)
-in its *own worker process*:
+Every accepted ``POST /map`` becomes a :class:`Job`.  ``submit()`` first
+looks its key up in the persistent cache (:meth:`MappingCache.lookup_key`)
+on the event loop; a hit returns the job already finished, answered from
+the cache entry with no task, thread, pool slot or process.  Only a miss
+starts a task that waits for one of ``pool_size`` slots and runs its
+search (:meth:`SatMapItMapper.solve`) in its *own worker process*:
 
 * **Isolation / re-entrancy** — the mapper core is stateless, but a SAT
   solve is CPU-bound and can be asked to die at any moment; a process per
@@ -13,10 +13,11 @@ in its *own worker process*:
   shared between requests.  A cache hit is a file read plus the cache's
   checks: milliseconds, nothing to kill, and every check (schema, solver
   version, key, ``ii``, ``Mapping.violations()``, deletion of corrupt
-  entries) runs unchanged.  The answer carries the entry's mapping dict as
-  stored, so no register allocation is recomputed.  Each request looks the
-  cache up exactly once, so the ``/stats`` cache counters stay exact and
-  ``solves_started`` counts worker processes.
+  entries) runs unchanged; it holds the GIL wherever it runs, so a thread
+  would only add a GIL hand-off.  The answer carries the entry's mapping
+  dict as stored, so no register allocation is recomputed.  Each request
+  looks the cache up exactly once, so the ``/stats`` cache counters stay
+  exact and ``solves_started`` counts worker processes.
 * **Problem table** — a repeated problem is parsed and validated once:
   :meth:`JobManager.parse` keeps the last :data:`PROBLEM_TABLE_SIZE`
   validated problems (DFG, CGRA, config, cache key) under their canonical
@@ -27,13 +28,10 @@ in its *own worker process*:
   starts when it is built, which has preloaded the mapper stack
   (:func:`repro.procs.forkserver_context`).  A miss pays a fork, not a
   fresh interpreter's imports; the event loop's threads never fork.
-* **Cancellation** — the worker installs a SIGTERM handler that raises
-  ``SystemExit``, so terminating it unwinds through the mapper's
-  ``finally`` blocks and the interpreter's normal shutdown instead of
-  dying outright.  The worker lifecycle is :mod:`repro.procs`, the one
-  the farm workers use: a pipe per worker, a crash record on EOF, and
-  the SIGTERM-grace-SIGKILL reap, here with a longer grace so a
-  cooperatively-cancelling worker is never SIGKILLed mid-unwind.
+* **Cancellation** — a worker starts no children and leaves nothing
+  half-written (cache writes are atomic renames), so SIGTERM just ends
+  it.  The lifecycle is :mod:`repro.procs`, shared with the farm: a pipe
+  per worker, a crash record on EOF, and the SIGTERM-grace-SIGKILL reap.
 * **Dedup** — in-flight requests are indexed by ``(tenant, cache key)``
   using the persistent cache's content hash: two identical concurrent
   ``POST /map``\\ s share one Job and one solve.  Once a job finishes the
@@ -54,11 +52,10 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import signal
 import threading
 import time
 import uuid
-from collections import OrderedDict, deque
+from collections import Counter, OrderedDict, deque
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -68,7 +65,6 @@ from repro.core.mapper import MapperConfig, SatMapItMapper
 from repro.exceptions import MappingError
 from repro.sat.backend import BackendUnavailableError, validate_backend
 from repro.search.cache import (
-    CacheStats,
     MappingCache,
     cache_key,
     resolve_cache_dir,
@@ -96,31 +92,15 @@ _EXIT_WAIT = 2.0
 #: Validated problems the manager keeps parsed (least recently used out).
 PROBLEM_TABLE_SIZE = 128
 
-#: TERM grace for job workers: time for the unwind ``_sigterm_to_exit``
-#: starts, since SIGKILL runs no handlers.
-_JOB_TERM_GRACE = 20.0
-
-
-def _sigterm_to_exit(signum, frame):  # pragma: no cover - runs in worker
-    """Turn SIGTERM into an orderly unwind.
-
-    Raising ``SystemExit`` runs every active ``finally`` (the mapper
-    closes its open solver in one) before the worker exits.
-    """
-    raise SystemExit(128 + signal.SIGTERM)
-
 
 def _job_worker(conn, dfg, cgra, config: MapperConfig) -> None:
     """Run one mapping search (a cache miss) and ship a plain-data
     verdict back."""
-    signal.signal(signal.SIGTERM, _sigterm_to_exit)
     try:
         outcome = SatMapItMapper(config).solve(dfg, cgra)
         conn.send(("ok", outcome_payload(outcome)))
     except (MappingError, BackendUnavailableError) as exc:
         conn.send(("error", str(exc)))
-    except SystemExit:  # pragma: no cover - cancellation path
-        raise
     except BaseException as exc:  # pragma: no cover - crash containment
         try:
             conn.send(("error", f"{type(exc).__name__}: {exc}"))
@@ -151,7 +131,6 @@ class Job:
     cgra_name: str
     status: str = QUEUED
     created_at: float = field(default_factory=time.time)
-    started_at: float | None = None
     finished_at: float | None = None
     result: dict | None = None
     error: str | None = None
@@ -264,7 +243,7 @@ def _solve_in_process(
                 return reply
         return ("cancelled", None)
     finally:
-        procs.reap([worker.process], grace=_JOB_TERM_GRACE)
+        procs.reap([worker.process])
         worker.conn.close()
 
 
@@ -306,7 +285,6 @@ class JobManager:
         self._tenants: set[str] = set()
         self._max_jobs_tracked = max_jobs_tracked
         self.stats = ServiceStats()
-        self.running = 0
 
     # ------------------------------------------------------------------
     def _specialise(self, request: MapRequest) -> MapperConfig:
@@ -370,8 +348,9 @@ class JobManager:
 
         ``created`` is ``False`` when the request joined an identical
         in-flight job (same tenant, same cache key) instead of starting a
-        new solve.  A request without a cache key (one not made by
-        :meth:`parse`) is validated first, raising as :meth:`parse` does.
+        new solve; a hit comes back finished.  A request without a cache
+        key (one not made by :meth:`parse`) is validated first, raising as
+        :meth:`parse` does.
         """
         key = request.cache_key
         if key is None:
@@ -395,58 +374,50 @@ class JobManager:
         self._inflight[slot] = job
         self._tenants.add(request.tenant)
         self._prune_finished()
-        asyncio.get_running_loop().create_task(self._run(job, request))
+        if self.cache_dir is None or not self._answer_hit(job, request):
+            asyncio.get_running_loop().create_task(self._run(job, request))
         return job, True
 
-    def _lookup(self, job: Job, request: MapRequest) -> tuple[dict | None, CacheStats]:
-        """The cache-hit step (thread context): one lookup of the job's key
-        in its tenant's namespace; the hit's payload, or ``None``, with the
-        lookup's counters."""
+    def _answer_hit(self, job: Job, request: MapRequest) -> bool:
+        """Look the job's validated key up once in its tenant's namespace;
+        on a hit, finish and close ``job`` here and return ``True``.  A miss
+        goes to a worker, whose ``solve()`` does not look it up again."""
         start = time.perf_counter()
-        cache = MappingCache(
-            resolve_cache_dir(self.cache_dir, job.tenant),
-            max_mb=self.cache_max_mb,
-        )
-        hit = cache.lookup_key(job.cache_key)
-        if hit is None:
-            return None, cache.stats
-        elapsed = time.perf_counter() - start
-        return hit_payload(hit, request, cache.stats, elapsed), cache.stats
+        try:
+            cache = MappingCache(
+                resolve_cache_dir(self.cache_dir, job.tenant),
+                max_mb=self.cache_max_mb,
+            )
+            hit = cache.lookup_key(job.cache_key)
+        except Exception as exc:  # an unusable cache root fails only the job
+            self._fail(job, f"{type(exc).__name__}: {exc}")
+        else:
+            self.stats.fold_cache(dataclasses.asdict(cache.stats))
+            if hit is None:
+                return False
+            elapsed = time.perf_counter() - start
+            self._finish_done(job, hit_payload(hit, request, cache.stats, elapsed))
+        self._close(job)
+        return True
 
     async def _run(self, job: Job, request: MapRequest) -> None:
+        """A miss: wait for a pool slot, then solve in a worker process."""
         acquired = False
         try:
-            if self.cache_dir is not None:
-                # The cache-hit step runs here, under the key the request
-                # was validated with; only a miss goes on to a pool slot and
-                # a worker, whose ``solve()`` does not look the key up again.
-                payload, cache_stats = await asyncio.to_thread(
-                    self._lookup, job, request
-                )
-                self.stats.fold_cache(dataclasses.asdict(cache_stats))
-                if payload is not None:
-                    self._finish_done(job, payload)
-                    return
             config = self._specialise(request)
             # Acquire a pool slot, staying responsive to cancellation of a
             # still-queued job.
-            while True:
+            while not acquired and not job.cancel_event.is_set():
                 try:
                     await asyncio.wait_for(self._semaphore.acquire(), timeout=0.2)
                     acquired = True
-                    break
                 except TimeoutError:
-                    if job.cancel_event.is_set():
-                        job.status = CANCELLED
-                        self.stats.cancelled += 1
-                        return
+                    pass
             if job.cancel_event.is_set():
                 job.status = CANCELLED
                 self.stats.cancelled += 1
                 return
             job.status = RUNNING
-            job.started_at = time.time()
-            self.running += 1
             self.stats.solves_started += 1
             budget = (config.timeout or self.limits.max_timeout) + _BUDGET_GRACE
             verdict, payload = await asyncio.to_thread(
@@ -460,29 +431,32 @@ class JobManager:
                 job.status = CANCELLED
                 self.stats.cancelled += 1
             elif verdict == "crashed":
-                job.failure = payload.record()
-                job.error = f"mapping {payload}"
-                job.status = FAILED
-                self.stats.failed += 1
                 self.stats.worker_crashes += 1
+                self._fail(job, f"mapping {payload}", payload.record())
             else:
-                job.error = payload
-                job.status = FAILED
-                self.stats.failed += 1
+                self._fail(job, payload)
         except Exception as exc:  # pragma: no cover - scheduler bug guard
-            job.error = f"{type(exc).__name__}: {exc}"
-            job.status = FAILED
-            self.stats.failed += 1
+            self._fail(job, f"{type(exc).__name__}: {exc}")
         finally:
             if acquired:
-                if job.started_at is not None:
-                    self.running -= 1
                 self._semaphore.release()
-            job.finished_at = time.time()
-            self._finished.append(job)
-            if self._inflight.get((job.tenant, job.cache_key)) is job:
-                del self._inflight[(job.tenant, job.cache_key)]
-            job.done_event.set()
+            self._close(job)
+
+    def _close(self, job: Job) -> None:
+        """End a finished job's run: stamp it, queue it for pruning, free
+        its dedup slot and wake its waiters."""
+        job.finished_at = time.time()
+        self._finished.append(job)
+        if self._inflight.get((job.tenant, job.cache_key)) is job:
+            del self._inflight[(job.tenant, job.cache_key)]
+        job.done_event.set()
+
+    def _fail(self, job: Job, error: str, failure: dict | None = None) -> None:
+        """Mark ``job`` FAILED with ``error`` and its structured detail."""
+        job.error = error
+        job.failure = failure
+        job.status = FAILED
+        self.stats.failed += 1
 
     def _finish_done(self, job: Job, payload: dict) -> None:
         """Mark ``job`` DONE with ``payload``, sharing its mapping dict.
@@ -541,13 +515,13 @@ class JobManager:
     def stats_payload(self) -> dict:
         """The ``GET /stats`` body: counters plus on-disk cache telemetry."""
         stats = self.stats
-        queued = sum(1 for job in self.jobs.values() if job.status == QUEUED)
+        statuses = Counter(job.status for job in self.jobs.values())
         payload: dict[str, Any] = {
             "service": {
                 "uptime_s": round(time.time() - stats.started_at, 3),
                 "pool_size": self.pool_size,
-                "running": self.running,
-                "queued": queued,
+                "running": statuses[RUNNING],
+                "queued": statuses[QUEUED],
                 "jobs_tracked": len(self.jobs),
             },
             "requests": {

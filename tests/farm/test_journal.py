@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 
 import pytest
 
@@ -91,6 +92,25 @@ class TestCreateReplay:
         assert state.done == {items[0].id: {"ii": 3}}
         # The unresolved lease was in flight at the crash point.
         assert state.in_flight == {items[1].id}
+
+    def test_create_syncs_once_after_every_item(self, tmp_path, monkeypatch):
+        synced = []
+        fsync = os.fsync
+
+        def recording_fsync(fd):
+            synced.append(len(journal.path.read_text().splitlines()))
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        journal = SweepJournal(tmp_path)
+        journal.create("cfg", _items(5))
+        # Header plus five item lines, all on disk at the one fsync.
+        assert synced == [6]
+        journal.append("lease", id="x", worker=0)
+        assert synced == [6]
+        journal.sync()
+        journal.close()
+        assert synced == [6, 7]
 
     def test_create_refuses_existing_journal(self, tmp_path):
         journal = SweepJournal(tmp_path)

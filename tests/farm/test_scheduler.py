@@ -121,6 +121,40 @@ class TestFarmMatchesSerial:
         assert clean.farm is None  # serial sweeps bypass the farm
 
 
+class TestJournalDurability:
+    def test_done_lines_are_synced_before_they_are_reported(
+        self, monkeypatch, tmp_path
+    ):
+        """One fsync per scheduler wake-up, and never a ``done`` record
+        reported (or returned) before the fsync that covers it."""
+        path = tmp_path / "journal" / "journal.jsonl"
+        synced_done, reported = [], []
+        fsync = os.fsync
+
+        def done_lines() -> int:
+            return sum('"type": "done"' in line for line in _calls(path))
+
+        def recording_fsync(fd):
+            fsync(fd)
+            synced_done.append(done_lines())
+
+        def report(record):
+            reported.append(record)
+            assert len(reported) <= synced_done[-1]
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        outcome = scheduler_module.run_farm(
+            GRID,
+            scheduler_module.FarmConfig(jobs=2, journal_dir=str(path.parent)),
+            report=report,
+        )
+        assert len(reported) == len(outcome.records) == 4
+        assert done_lines() == synced_done[-1] == 4
+        # The fresh journal's one sync, then at most one per done record.
+        assert synced_done[0] == 0
+        assert len(synced_done) <= 1 + 4
+
+
 #: fault -> (status, how ``failure`` is checked, (crashes, deadlines)).
 CASES = {
     "sigkill": (

@@ -196,6 +196,31 @@ class TestMapEndpoint:
         assert payload["status"] == "done"
         assert payload["result"]["ii"] == 3
 
+    def test_warm_hit_answers_without_wait(self, tmp_path):
+        """A cache hit needs no ``wait`` and no poll: the first response
+        carries the finished job."""
+
+        async def scenario():
+            manager = JobManager(pool_size=1, cache_dir=str(tmp_path))
+            server, base = await serve(manager)
+            try:
+                cold = await asyncio.to_thread(post_map, base, SRAND_BODY)
+                warm = await asyncio.to_thread(
+                    post_map, base, dict(SRAND_BODY, wait=0)
+                )
+                stats = await aget(base, "/stats")
+            finally:
+                server.close()
+                await server.wait_closed()
+                await manager.shutdown()
+            return cold, warm, stats[1]
+
+        (_, cold), (status, warm), stats = run(scenario())
+        assert status == 200 and warm["status"] == "done"
+        assert warm["result"]["cache_hit"] is True
+        assert warm["result"]["mapping"] == cold["result"]["mapping"]
+        assert stats["requests"]["solves_started"] == 1
+
     def test_tenant_header_routes_cache_namespace(self, tmp_path):
         async def scenario():
             manager = JobManager(pool_size=1, cache_dir=str(tmp_path))

@@ -24,7 +24,14 @@ import repro.service.jobs as jobs_module
 from repro.cgra.architecture import CGRA
 from repro.core.mapper import MapperConfig, SatMapItMapper
 from repro.kernels import get_kernel
-from repro.service.jobs import CANCELLED, DONE, FAILED, RUNNING, JobManager
+from repro.service.jobs import (
+    CANCELLED,
+    DONE,
+    FAILED,
+    QUEUED,
+    RUNNING,
+    JobManager,
+)
 from repro.service.protocol import MapRequest, ServiceLimits, outcome_payload
 
 
@@ -69,17 +76,11 @@ def _modules_probe(conn, dfg, cgra, config):
     conn.send(("ok", {"loaded": [name for name in PRELOADED if name in sys.modules]}))
 
 
-def _unwinding_worker(conn, dfg, cgra, config):
-    """The real worker's SIGTERM handler around a sleep standing in for a
-    long search; markers in the cache directory show it started and that
-    a cancel unwound its ``finally``."""
-    signal.signal(signal.SIGTERM, jobs_module._sigterm_to_exit)
-    directory = Path(config.cache_dir)
-    try:
-        (directory / "started").touch()
-        time.sleep(600)
-    finally:
-        (directory / "unwound").touch()
+def _marking_worker(conn, dfg, cgra, config):
+    """A sleep standing in for a long search, after a marker in the cache
+    directory that shows the worker started."""
+    (Path(config.cache_dir) / "started").touch()
+    time.sleep(600)
 
 
 def _fork_manager(**kwargs):
@@ -214,7 +215,7 @@ class TestCancellation:
         """A worker that shrugs off SIGTERM is SIGKILLed after the grace,
         leaving no orphan — the service-side half of the reap discipline."""
         monkeypatch.setattr(jobs_module, "_job_worker", _stubborn_worker)
-        monkeypatch.setattr(jobs_module, "_JOB_TERM_GRACE", 0.3)
+        monkeypatch.setattr(jobs_module.procs, "_TERM_GRACE", 0.3)
 
         async def scenario():
             manager = _fork_manager(pool_size=1)
@@ -228,6 +229,33 @@ class TestCancellation:
 
         manager, job = run(scenario())
         assert job.status == CANCELLED
+        assert multiprocessing.active_children() == []
+
+    def test_cancel_reaps_with_the_default_grace(self, monkeypatch):
+        """A job worker has no cleanup to wait for, so its reap names no
+        grace of its own."""
+        monkeypatch.setattr(jobs_module, "_job_worker", _sleepy_worker)
+        graces = []
+        reap = jobs_module.procs.reap
+
+        def recording_reap(processes, grace=None):
+            graces.append(grace)
+            reap(processes, grace)
+
+        monkeypatch.setattr(jobs_module.procs, "reap", recording_reap)
+
+        async def scenario():
+            manager = _fork_manager(pool_size=1)
+            job, _ = manager.submit(request())
+            while job.pid is None:
+                await asyncio.sleep(0.05)
+            manager.cancel(job.id)
+            await asyncio.wait_for(job.done_event.wait(), timeout=30.0)
+            return job
+
+        job = run(scenario())
+        assert job.status == CANCELLED
+        assert graces == [None]
         assert multiprocessing.active_children() == []
 
     def test_cancel_of_queued_job_never_starts_a_solve(self, monkeypatch):
@@ -286,8 +314,8 @@ class TestDefaultContext:
         assert job.status == DONE, job.error
         assert job.result["loaded"] == list(PRELOADED)
 
-    def test_cancel_unwinds_and_reaps_a_running_worker(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(jobs_module, "_job_worker", _unwinding_worker)
+    def test_cancel_reaps_a_running_worker(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(jobs_module, "_job_worker", _marking_worker)
 
         async def scenario():
             manager = JobManager(pool_size=1, cache_dir=str(tmp_path))
@@ -303,7 +331,6 @@ class TestDefaultContext:
         manager, job = run(scenario())
         assert job.status == CANCELLED
         assert manager.stats.cancelled == 1
-        assert (tmp_path / "unwound").exists()
         with pytest.raises(ProcessLookupError):
             os.kill(job.pid, 0)
         assert multiprocessing.active_children() == []
@@ -474,6 +501,8 @@ class TestServerSideHits:
                 # Bounded: a hit queued behind the sleeper would never end.
                 await asyncio.wait_for(hit.done_event.wait(), timeout=30.0)
                 still_running = sleeper.status == RUNNING
+                service = manager.stats_payload()["service"]
+                assert (service["running"], service["queued"]) == (1, 0)
             finally:
                 await manager.shutdown()
             return manager, hit, still_running
@@ -501,6 +530,134 @@ class TestServerSideHits:
         del served["total_time_s"], direct["total_time_s"]
         assert served == direct
         assert manager.stats.solves_started == 0
+
+
+class TestHitsOnTheLoop:
+    """A hit is answered inside ``submit()``, on the event loop: the job
+    comes back finished, with no task, no thread and no wait."""
+
+    def test_hit_needs_no_thread_and_no_task(self, tmp_path, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a cache hit must not hop to a thread")
+
+        async def scenario():
+            manager = JobManager(pool_size=1, cache_dir=str(tmp_path))
+            _prefill(manager, request())
+            monkeypatch.setattr(asyncio, "to_thread", no_thread)
+            tasks = asyncio.all_tasks()
+            job, created = manager.submit(request())
+            return manager, job, created, asyncio.all_tasks() == tasks
+
+        manager, job, created, no_new_task = run(scenario())
+        assert created and no_new_task
+        assert job.status == DONE and job.finished_at is not None
+        assert job.done_event.is_set() and job.pid is None
+        assert job.result["cache_hit"] is True and job.result["ii"] == 3
+        assert manager._inflight == {}
+
+    def test_hits_keep_the_stats_exact(self, tmp_path):
+        async def scenario():
+            manager = JobManager(pool_size=1, cache_dir=str(tmp_path))
+            await _answer(manager, request())
+            before = manager.stats_payload()
+            for _ in range(3):
+                manager.submit(request())
+            return before, manager.stats_payload()
+
+        before, after = run(scenario())
+        assert after["cache"]["hits"] == before["cache"]["hits"] + 3
+        assert after["cache"]["misses"] == before["cache"]["misses"]
+        received, completed, solves = (
+            after["requests"][name] - before["requests"][name]
+            for name in ("received", "completed", "solves_started")
+        )
+        assert (received, completed, solves) == (3, 3, 0)
+        assert after["service"]["queued"] == after["service"]["running"] == 0
+
+    def test_registry_prunes_jobs_finished_inside_submit(self, tmp_path):
+        caps = [40 + offset for offset in range(3)]
+
+        async def scenario():
+            manager = JobManager(
+                pool_size=1, cache_dir=str(tmp_path), max_jobs_tracked=4,
+            )
+            for cap in caps:
+                _prefill(manager, request(max_ii=cap))
+            order = []
+            for _round in range(3):
+                for cap in caps:
+                    job, _ = manager.submit(request(max_ii=cap))
+                    assert job.status == DONE
+                    order.append(job)
+            return manager, order
+
+        manager, order = run(scenario())
+        # The newest four remain, the oldest first in the pruning queue.
+        assert list(manager.jobs) == [job.id for job in order[-4:]]
+        assert list(manager._finished) == order[-4:]
+        slots = [(job.tenant, job.cache_key) for job in order[-4:]]
+        assert manager._slot_jobs == {
+            slot: slots.count(slot) for slot in set(slots)
+        }
+        assert set(manager._mappings) == set(slots)
+        for job in order[-4:]:
+            slot = (job.tenant, job.cache_key)
+            assert job.result["mapping"] is manager._mappings[slot]
+
+    def test_corrupt_entry_is_discarded_and_solved_as_a_miss(self, tmp_path):
+        async def scenario():
+            manager = JobManager(pool_size=1, cache_dir=str(tmp_path))
+            cold = await _answer(manager, request())
+            entry = tmp_path / "default" / f"{cold.cache_key}.json"
+            entry.write_text("{ not json")
+            job, _ = manager.submit(request())
+            queued = (job.status, entry.exists(), dict(manager.stats.cache))
+            await asyncio.wait_for(job.done_event.wait(), timeout=120.0)
+            return manager, job, queued
+
+        manager, job, (status, entry_left, cache) = run(scenario())
+        assert status == QUEUED and not entry_left
+        assert cache["corrupted"] == 1 and cache["hits"] == 0
+        assert job.status == DONE and job.pid is not None
+        assert job.result["cache_hit"] is False
+        assert manager.stats.solves_started == 2
+
+    def test_unusable_cache_root_fails_the_job_and_frees_its_slot(
+        self, tmp_path
+    ):
+        root = tmp_path / "not-a-directory"
+        root.write_text("")
+
+        async def scenario():
+            manager = JobManager(pool_size=1, cache_dir=str(root))
+            first, _ = manager.submit(request())
+            second, created = manager.submit(request())
+            return manager, first, second, created
+
+        manager, first, second, created = run(scenario())
+        assert first.status == FAILED and first.done_event.is_set()
+        assert "Error" in first.error
+        # Closed, so a repeat is a new job rather than joining the failure.
+        assert created and second is not first
+        assert manager.stats.failed == 2 and manager.stats.solves_started == 0
+        assert manager._inflight == {}
+
+    def test_miss_goes_through_the_pool(self, tmp_path):
+        async def scenario():
+            manager = JobManager(pool_size=1, cache_dir=str(tmp_path))
+            tasks = asyncio.all_tasks()
+            job, _ = manager.submit(request())
+            started = len(asyncio.all_tasks() - tasks)
+            queued = job.status
+            await asyncio.wait_for(job.done_event.wait(), timeout=120.0)
+            return manager, job, started, queued
+
+        manager, job, started, queued = run(scenario())
+        assert started == 1 and queued == QUEUED
+        assert job.status == DONE and job.pid is not None
+        assert job.result["cache_hit"] is False
+        assert manager.stats.solves_started == 1
+        assert manager.stats.cache["misses"] == 1
 
 
 class TestRegistryMemory:

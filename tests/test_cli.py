@@ -165,6 +165,32 @@ class TestCommands:
         assert "MII on 2x2" in captured.out
         assert "KMS (II=3" in captured.out
 
+    def test_closed_stdout_exits_without_a_traceback(self, tmp_path, monkeypatch):
+        """``repro show ... | head``: the reader is gone, so the command
+        exits non-zero quietly and later output goes to devnull."""
+        target = tmp_path / "stdout"
+        fd = os.open(target, os.O_WRONLY | os.O_CREAT)
+
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return fd
+
+        monkeypatch.setattr("sys.stdout", ClosedPipe())
+        try:
+            exit_code = main(["show", "--kernel", "nw", "--sizes", "2", "--ii", "3"])
+            redirected = os.fstat(fd)
+        finally:
+            os.close(fd)
+        assert exit_code == 1
+        devnull = os.stat(os.devnull)
+        assert (redirected.st_dev, redirected.st_ino) == (devnull.st_dev, devnull.st_ino)
+
     def test_sweep_command_tiny(self, capsys, tmp_path):
         report = tmp_path / "report.md"
         exit_code = main([
