@@ -14,8 +14,8 @@ from repro.cgra.architecture import CGRA
 from repro.core.encoder import EncoderConfig, MappingEncoder
 from repro.core.mobility import KernelMobilitySchedule, MobilitySchedule
 from repro.kernels import get_kernel
+from repro.sat.backend import CDCLBackend
 from repro.sat.encodings import AMOEncoding
-from repro.sat.solver import make_solver
 
 _KERNEL = "basicmath"
 _SIZE = 3
@@ -27,7 +27,7 @@ def _encode_and_solve(amo: AMOEncoding):
     cgra = CGRA.square(_SIZE)
     kms = KernelMobilitySchedule.build(MobilitySchedule.build(dfg), _II)
     encoding = MappingEncoder(dfg, cgra, kms, EncoderConfig(amo_encoding=amo)).encode()
-    result = make_solver().solve(encoding.cnf, time_limit=60)
+    result = CDCLBackend().solve(encoding.cnf, time_limit=60)
     return encoding, result
 
 

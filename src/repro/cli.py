@@ -54,11 +54,7 @@ from repro.kernels import (
     get_kernel_spec,
     scale_kernel_names,
 )
-from repro.sat.backend import (
-    BackendUnavailableError,
-    available_backends,
-    validate_backend,
-)
+from repro.sat.backend import BackendUnavailableError
 from repro.sat.encodings import AMOEncoding
 
 
@@ -84,21 +80,6 @@ def _load_cgra(args: argparse.Namespace) -> CGRA:
     return CGRA(rows=args.rows, cols=args.cols, registers_per_pe=args.registers)
 
 
-def _backend_error(args: argparse.Namespace) -> str | None:
-    """One clear line for a bad ``--backend`` / ``--proof`` combination.
-
-    Checked before any mapping work (or worker processes) start: an unknown
-    registry name, or a proof request against a backend that cannot write
-    DRAT (the check :class:`MapperConfig` itself runs on construction).
-    """
-    try:
-        validate_backend(args.backend)
-        MapperConfig(backend=args.backend, proof=args.proof)
-    except ValueError as exc:
-        return str(exc)
-    return None
-
-
 def _cli_error(exc: BaseException) -> int:
     """The one-line CLI error contract, shared by every sub-command.
 
@@ -119,14 +100,9 @@ def _cmd_map(args: argparse.Namespace) -> int:
     except ArchitectureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    error = _backend_error(args)
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     config_fields = dict(
         timeout=args.timeout,
         verbose=args.verbose,
-        backend=args.backend,
         amo_encoding=AMOEncoding(args.amo_encoding),
         random_seed=args.seed,
         cache_dir=args.cache,
@@ -216,10 +192,6 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    error = _backend_error(args)
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     journal_dir = args.resume if args.resume else args.journal
     try:
         config = ExperimentConfig(
@@ -227,7 +199,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             sizes=tuple(args.sizes),
             timeout=args.timeout,
             pathseeker_repeats=args.pathseeker_repeats,
-            backend=args.backend,
             amo_encoding=AMOEncoding(args.amo_encoding),
             seed=args.seed,
             scenarios=tuple(args.scenarios),
@@ -367,18 +338,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the found mapping as JSON for archiving "
                               "and simulator replay")
     map_cmd.add_argument("--timeout", type=float, default=120.0)
-    map_cmd.add_argument("--backend", default="cdcl", metavar="NAME",
-                         help="solver backend: one of "
-                              f"{', '.join(available_backends())} "
-                              "(default: cdcl)")
     map_cmd.add_argument("--proof", action="store_true",
                          help="log a DRAT proof for every UNSAT attempt "
-                              "(cdcl backend only) to a trace file under "
-                              "TMPDIR; attempt digests are recorded in the "
-                              "outcome and mapping cache")
+                              "to a trace file under TMPDIR; attempt "
+                              "digests are recorded in the outcome and "
+                              "mapping cache")
     map_cmd.add_argument("--seed", type=int, default=None,
-                         help="solver random seed; both solver backends "
-                              "are deterministic and ignore it")
+                         help="accepted and ignored: the solver is "
+                              "deterministic")
     map_cmd.add_argument("--amo-encoding", choices=[e.value for e in AMOEncoding],
                          default=AMOEncoding.AUTO.value,
                          help="at-most-one encoding (default: auto — "
@@ -427,17 +394,13 @@ def build_parser() -> argparse.ArgumentParser:
                                 "journal; unfinished items and crashed or "
                                 "deadline records are run again (the sweep "
                                 "flags must match the original invocation)")
-    sweep_cmd.add_argument("--backend", default="cdcl", metavar="NAME",
-                           help="solver backend for SAT-MapIt: one of "
-                                f"{', '.join(available_backends())} "
-                                "(default: cdcl)")
     sweep_cmd.add_argument("--proof", action="store_true",
                            help="log DRAT proofs for UNSAT attempts in the "
-                                "SAT-MapIt runs (cdcl backend only)")
+                                "SAT-MapIt runs")
     sweep_cmd.add_argument("--seed", type=int, default=None,
-                           help="random seed of the PathSeeker runs "
-                                "(default: 1); the SAT-MapIt solver "
-                                "backends are deterministic and ignore it")
+                           help="accepted and ignored: the SAT-MapIt solver "
+                                "is deterministic, and PathSeeker repeat k "
+                                "runs with seed k")
     sweep_cmd.add_argument("--amo-encoding", choices=[e.value for e in AMOEncoding],
                            default=AMOEncoding.AUTO.value,
                            help="at-most-one encoding (default: auto — "

@@ -27,7 +27,7 @@ one auxiliary *occupancy* variable per (PE, cycle) slot to stay compact.
 The encoder can emit into two kinds of targets.  By default it builds a
 standalone :class:`repro.sat.cnf.CNF` (the classic one-shot interface).  For
 the mapping loop it instead emits straight into the attempt's live
-:class:`repro.sat.backend.SolverBackend`, with every clause guarded by a
+:class:`repro.sat.backend.CDCLBackend`, with every clause guarded by a
 per-attempt *selector* literal: ``clause`` becomes ``¬selector ∨ clause``, so
 the whole constraint group is active only while the mapper assumes
 ``selector``, and satisfiability under that assumption is equivalent to the
@@ -122,7 +122,7 @@ class _Emitter:
     """Flat-buffer clause sink for one encoding, optionally guarding clauses.
 
     Wraps anything exposing ``new_var``/``new_vars`` and the flat
-    ``add_clauses`` (a :class:`CNF` or a live solver backend).  A session
+    ``add_clauses`` (a :class:`CNF` or a live solver).  A session
     of the native emission kernel (:meth:`attach`) builds whole constraint
     families (:meth:`run`).  When ``selector`` is given, every clause gets
     ``¬selector`` at its tail so the whole group hangs off one assumption
@@ -244,7 +244,7 @@ class MappingEncoding:
     """A mapping instance plus the variable bookkeeping to decode models.
 
     ``cnf`` holds the standalone formula in one-shot mode and is ``None``
-    when the encoder emitted into a live backend; ``selector`` is the
+    when the encoder emitted into a live solver; ``selector`` is the
     assumption literal guarding the attempt's constraint group in that case.
     """
 
@@ -279,7 +279,7 @@ class MappingEncoder:
         sink=None,
         selector: int | None = None,
     ) -> None:
-        """``sink`` is a live solver backend to emit into (``None`` builds a
+        """``sink`` is a live solver to emit into (``None`` builds a
         standalone CNF); ``selector`` guards every emitted clause, to be
         solved under the assumption ``selector``, and requires a ``sink``."""
         if selector is not None and sink is None:

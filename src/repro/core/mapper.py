@@ -1,7 +1,7 @@
 """SAT-MapIt iterative mapping driver (paper Figure 3).
 
 For a candidate II the driver builds the KMS, encodes the mapping problem,
-calls the SAT backend, and — on SAT — runs register allocation.  If the
+calls the SAT solver, and — on SAT — runs register allocation.  If the
 formula is UNSAT or the colouring fails, the search moves on to II+1,
 until a mapping is found or a bound (maximum II, wall-clock timeout) is
 hit.  ``map()`` can short-circuit the whole search through the persistent
@@ -12,12 +12,12 @@ callers that have looked the cache up themselves: the mapping service
 answers hits from :meth:`MappingCache.lookup_key` and hands only misses to
 a worker process, which stores what ``solve()`` finds.
 
-Each (II, slack) attempt is encoded into a fresh solver backend, as the
-paper builds a new formula for every II, and the backend is dropped when the
+Each (II, slack) attempt is encoded into a fresh solver, as the paper
+builds a new formula for every II, and the solver is dropped when the
 attempt ends.  The attempt's constraint group is guarded by a selector
 literal and solved under the assumption that the selector is true.
 Register-allocation rejections stay inside the same attempt — one blocking
-clause is added and the backend re-solves with all learned clauses,
+clause is added and the solver re-solves with all learned clauses,
 activities and phases intact, with zero re-encoded base clauses (the
 per-attempt stats prove it).
 """
@@ -39,7 +39,7 @@ from repro.core.regalloc import RegisterAllocation, allocate_registers
 from repro.dfg.analysis import critical_path_length
 from repro.dfg.graph import DFG
 from repro.exceptions import MappingError
-from repro.sat.backend import SolverBackend, create_backend
+from repro.sat.backend import CDCLBackend
 from repro.sat.encodings import AMOEncoding
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard
@@ -88,25 +88,19 @@ class MapperConfig:
     #: several times fewer literals per conflict on the flat-core's
     #: implication lists than a fixed sequential counter.
     amo_encoding: AMOEncoding = AMOEncoding.AUTO
-    #: Two-phase encoding escalation (``AUTO`` encoding, instrumented
-    #: backends only):
-    #: each (II, slack) attempt is first *probed* with the compact
-    #: sequential encoding under this conflict budget — easy attempts
-    #: conclude without ever paying the quadratic pairwise emission; an
+    #: Two-phase encoding escalation (``AUTO`` encoding only): each
+    #: (II, slack) attempt is first *probed* with the compact sequential
+    #: encoding under this conflict budget — easy attempts conclude
+    #: without ever paying the quadratic pairwise emission; an
     #: inconclusive probe drops its solver and re-encodes the same attempt
     #: with the propagation-optimal ``AUTO`` form in a fresh one.  ``None``
     #: disables the probe.
     amo_probe_conflicts: int | None = 600
-    #: Solver backend name (see :mod:`repro.sat.backend`); ``"cdcl"`` is the
-    #: production engine, ``"dpll"`` the slow reference oracle.
-    backend: str = "cdcl"
     #: Emit DRAT proofs (see :mod:`repro.sat.drat`): each attempt's CDCL
     #: solver logs learned clauses/deletions to its own trace file under
     #: the system temp dir (``TMPDIR``), kept only when the attempt ends
     #: UNSAT.  UNSAT attempts then record a proof digest and
-    #: ``MappingOutcome.proof_path`` names the latest trace.  Only ``"cdcl"``
-    #: writes proofs; any other backend is rejected when the config is
-    #: built.
+    #: ``MappingOutcome.proof_path`` names the latest trace.
     proof: bool = False
     max_iteration_span: int | None = None
     enforce_output_register: bool = False
@@ -114,6 +108,7 @@ class MapperConfig:
     neighbour_register_file_access: bool = True
     run_register_allocation: bool = True
     solver_conflict_limit: int | None = None
+    #: Accepted and ignored: the solver is deterministic.
     random_seed: int | None = None
     verbose: bool = False
     #: Directory of the persistent mapping cache
@@ -149,11 +144,6 @@ class MapperConfig:
     seed_mappers: tuple[str, ...] = ("ramp", "pathseeker")
 
     def __post_init__(self) -> None:
-        if self.proof and self.backend != "cdcl":
-            raise ValueError(
-                f"proof logging needs the 'cdcl' backend; backend "
-                f"{self.backend!r} cannot write DRAT proofs"
-            )
         # A value below these bounds would not fail: the search would walk
         # no II at all, or burn attempts it can never conclude, and report
         # a plain failure (or raise halfway through ``map()``).
@@ -271,8 +261,6 @@ class MappingOutcome:
     total_time: float = 0.0
     minimum_ii: int = 1
     timed_out: bool = False
-    #: Name of the solver backend that served the run.
-    backend_name: str = "cdcl"
     #: Whether the result was served by the persistent mapping cache (in
     #: which case ``attempts`` is empty — no SAT work was done).
     cache_hit: bool = False
@@ -397,7 +385,6 @@ class SatMapItMapper:
             dfg_name=dfg.name,
             cgra_name=cgra.name,
             minimum_ii=minimum_ii,
-            backend_name=self.config.backend,
         )
 
     def _prepare(self, dfg: DFG, cgra: CGRA, start_ii: int | None):
@@ -580,7 +567,7 @@ class SatMapItMapper:
         mobility = MobilitySchedule.build(dfg, slack=slack)
         kms = KernelMobilitySchedule.build(mobility, ii)
 
-        def encode_group(backend: SolverBackend, amo: AMOEncoding):
+        def encode_group(backend: CDCLBackend, amo: AMOEncoding):
             """Encode this attempt's constraint group into ``backend``.
 
             The group is guarded by a selector literal, the solver's first
@@ -617,11 +604,6 @@ class SatMapItMapper:
                 config.amo_encoding is AMOEncoding.AUTO
                 and probe_budget is not None
                 and (conflict_limit is None or conflict_limit > probe_budget)
-                # Escalation keys on the probe's *conflict count* reaching
-                # the budget; engines that cannot report conflicts (the
-                # DPLL oracle) would make every hard probe look
-                # inconclusive-for-free, so they skip probing entirely.
-                and getattr(backend, "instrumented", True)
             )
             first_amo = AMOEncoding.SEQUENTIAL if probing else config.amo_encoding
             encoding = encode_group(backend, first_amo)
@@ -695,7 +677,7 @@ class SatMapItMapper:
                 if retry_baseline is None:
                     # Sink clause count after the first solve: everything
                     # added past this point is retry work.
-                    retry_baseline = backend.stats.clauses_added
+                    retry_baseline = backend.clauses_added
 
                 if result.status == "UNKNOWN":
                     attempt.status = "UNKNOWN"
@@ -741,7 +723,7 @@ class SatMapItMapper:
                         encoding, mapping, allocation, backend
                     )
                     attempt.retry_clauses_added = (
-                        backend.stats.clauses_added - retry_baseline
+                        backend.clauses_added - retry_baseline
                     )
             return None
         finally:
@@ -752,57 +734,48 @@ class SatMapItMapper:
         limits = (self._remaining_time(start), self.config.attempt_time_limit)
         return min((limit for limit in limits if limit is not None), default=None)
 
-    def _new_backend(self, dfg: DFG, cgra: CGRA, attempt: IIAttempt) -> SolverBackend:
+    def _new_backend(self, dfg: DFG, cgra: CGRA, attempt: IIAttempt) -> CDCLBackend:
         """A fresh solver for one phase of ``attempt``."""
-        kwargs: dict[str, object] = {"random_seed": self.config.random_seed}
-        if self.config.proof:
-            # The CDCL engine (the only proof-capable one; MapperConfig
-            # rejects the rest) streams the phase's DRAT trace to a file in
-            # the system temp dir.  The attempt's digest is the durable
-            # artefact.
-            fd, path = tempfile.mkstemp(
-                prefix=f"{dfg.name}@{cgra.name}-ii{attempt.ii}"
-                       f"-slack{attempt.schedule_slack}-",
-                suffix=".drat",
-            )
-            os.close(fd)
-            kwargs["proof_path"] = path
-        return create_backend(self.config.backend, **kwargs)
+        if not self.config.proof:
+            return CDCLBackend()
+        # The phase's DRAT trace streams to a file in the system temp dir;
+        # the attempt's digest is the durable artefact.
+        fd, path = tempfile.mkstemp(
+            prefix=f"{dfg.name}@{cgra.name}-ii{attempt.ii}"
+                   f"-slack{attempt.schedule_slack}-",
+            suffix=".drat",
+        )
+        os.close(fd)
+        return CDCLBackend(proof_path=path)
 
     @staticmethod
-    def _close_phase(backend: SolverBackend | None, keep_trace: bool) -> None:
+    def _close_phase(backend: CDCLBackend | None, keep_trace: bool) -> None:
         """Close a phase's proof trace; delete it unless the phase refuted
         its attempt."""
-        close = getattr(backend, "close", None)
-        if close is not None:
-            close()
-        path = getattr(backend, "proof_path", None)
-        if path and not keep_trace:
-            os.unlink(path)
+        if backend is None:
+            return
+        backend.close()
+        if backend.proof_path and not keep_trace:
+            os.unlink(backend.proof_path)
 
     @staticmethod
-    def _record_proof(attempt, outcome, backend: SolverBackend) -> None:
+    def _record_proof(attempt, outcome, backend: CDCLBackend) -> None:
         """Attach the backing DRAT evidence to an UNSAT attempt.
 
-        Backends that log proofs expose ``proof_digest()``: the digest of
-        the trace of the attempt's own solver, which refutes the attempt's
-        group alone under its selector assumption.  Attempts and the
-        outcome record digest and path so cached lower bounds stay
-        independently checkable.
+        The digest is that of the trace of the attempt's own solver, which
+        refutes the attempt's group alone under its selector assumption.
+        Attempts and the outcome record digest and path so cached lower
+        bounds stay independently checkable.
         """
-        digest_fn = getattr(backend, "proof_digest", None)
-        if digest_fn is None:
-            return
-        digest = digest_fn()
+        digest = backend.proof_digest()
         if digest:
             attempt.proof_digest = digest
-        path = getattr(backend, "proof_path", None)
-        if path:
-            outcome.proof_path = str(path)
+        if backend.proof_path:
+            outcome.proof_path = backend.proof_path
 
     @staticmethod
     def _block_overloaded_pe(
-        encoding, mapping: Mapping, allocation, backend: SolverBackend
+        encoding, mapping: Mapping, allocation, backend: CDCLBackend
     ) -> int:
         """Forbid the placement combination that overloaded a register file.
 

@@ -207,7 +207,7 @@ def render_markdown_report(sweep: SweepResult, options: ReportOptions | None = N
             f"**{wins}/{total} = {fraction:.2%}** (paper: 47.72 %)",
             f"* SAT-MapIt never worse than the best heuristic: **{never_worse(sweep)}**",
             "",
-            "## Solver reuse (incremental backend)",
+            "## Register-allocation retries",
             "",
             f"* register-allocation retries served without re-encoding: "
             f"**{resolves}**",

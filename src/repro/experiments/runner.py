@@ -91,11 +91,10 @@ class ExperimentConfig:
     #: PathSeeker is randomised; the paper repeats it 10 times and keeps the
     #: best result.
     pathseeker_repeats: int = 3
-    #: Solver backend for the SAT-MapIt runs (see :mod:`repro.sat.backend`).
-    backend: str = "cdcl"
     #: At-most-one encoding used by the SAT-MapIt CNF construction.
     amo_encoding: AMOEncoding = AMOEncoding.AUTO
-    #: Random seed forwarded to the SAT-MapIt solver configuration.
+    #: Random seed forwarded to the SAT-MapIt configuration, whose
+    #: deterministic solver ignores it.
     seed: int | None = None
     #: Architecture scenarios to sweep.  ``"homogeneous"`` is the paper's
     #: setup; adding ``"mem_edge"`` / ``"mul_sparse"`` re-runs the whole
@@ -112,15 +111,12 @@ class ExperimentConfig:
     #: Run the budgeted heuristic seeding pre-pass before every SAT-MapIt
     #: search (see :mod:`repro.search.seed`).
     seed_heuristic: bool = False
-    #: Log DRAT proofs for UNSAT attempts in the SAT-MapIt runs (``cdcl``
-    #: backend only; checked by :class:`MapperConfig` on construction).
+    #: Log DRAT proofs for UNSAT attempts in the SAT-MapIt runs.
     proof: bool = False
 
     def __post_init__(self) -> None:
-        # Reject a backend/proof mismatch or an out-of-range budget up
-        # front, not per work item.
-        MapperConfig(backend=self.backend, proof=self.proof,
-                     timeout=self.timeout, max_ii=self.max_ii)
+        # Reject an out-of-range budget up front, not per work item.
+        MapperConfig(timeout=self.timeout, max_ii=self.max_ii)
 
 
 @dataclass
@@ -236,7 +232,6 @@ def build_mapper(name: str, config: ExperimentConfig, seed: int | None = None):
                 # the iterative search can keep climbing the II (anytime
                 # behaviour on the largest kernels).
                 attempt_time_limit=max(5.0, config.timeout / 5.0),
-                backend=config.backend,
                 amo_encoding=config.amo_encoding,
                 random_seed=config.seed,
                 cache_dir=config.cache_dir,

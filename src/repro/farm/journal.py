@@ -77,7 +77,7 @@ def config_fingerprint(config: "ExperimentConfig") -> dict:
 #: Fields ``ExperimentConfig`` no longer has, at the one value every sweep
 #: now runs with.  Hashing them keeps the digest, and so the item IDs, of
 #: a journal written before they were removed.
-_RETIRED_FIELDS = {"search": "ladder", "search_jobs": 2}
+_RETIRED_FIELDS = {"search": "ladder", "search_jobs": 2, "backend": "cdcl"}
 
 
 def sweep_config_digest(config: "ExperimentConfig") -> str:

@@ -11,15 +11,15 @@ This package is a self-contained SAT toolkit used by the SAT-MapIt core:
 * :mod:`repro.sat.dpll` — a small, easy-to-audit DPLL solver used as the
   reference oracle in tests.
 * :mod:`repro.sat.native` — the native core (``_cdcl.c``), built with the
-  system C compiler on first use: an incremental CDCL solver (watched
-  literals, 1-UIP clause learning, VSIDS, phase saving, Luby restarts, LBD
-  clause deletion; the clause database persists across ``solve`` calls)
-  plus the encoder's clause emission kernel.  Mapping requires it.
-* :mod:`repro.sat.solver` — the solver's result and statistics types, the
-  ``SOLVER_VERSION`` cache tag and :func:`~repro.sat.solver.make_solver`.
-* :mod:`repro.sat.backend` — the pluggable :class:`SolverBackend` protocol
-  plus the ``cdcl``/``dpll`` registry the mapper selects engines from; the
-  mapper builds one backend per (II, slack) attempt.
+  system C compiler on first use: an incremental CDCL search engine plus
+  the encoder's clause emission kernel.  Mapping requires it.
+* :mod:`repro.sat.backend` — :class:`CDCLBackend`, the solver: an
+  incremental CDCL engine (watched literals, 1-UIP clause learning, VSIDS,
+  phase saving, Luby restarts, LBD clause deletion; the clause database
+  persists across ``solve`` calls) with optional DRAT logging.  The mapper
+  builds one per (II, slack) attempt.
+* :mod:`repro.sat.solver` — the solver's result and statistics types and
+  the ``SOLVER_VERSION`` cache tag.
 * :mod:`repro.sat.drat` — DRAT proof logging, a bundled forward proof
   checker, and the optional ``drat-trim`` hook.
 
@@ -27,40 +27,22 @@ Literals follow the DIMACS convention: variables are positive integers and a
 negative integer denotes the negation of the corresponding variable.
 """
 
-from repro.sat.backend import (
-    BackendStats,
-    BackendUnavailableError,
-    CDCLBackend,
-    DPLLBackend,
-    SolverBackend,
-    available_backends,
-    create_backend,
-    register_backend,
-    validate_backend,
-)
+from repro.sat.backend import BackendUnavailableError, CDCLBackend
 from repro.sat.cnf import CNF, Clause
 from repro.sat.dpll import DPLLSolver
 from repro.sat.drat import ProofLogger, check_proof
 from repro.sat.encodings import AMOEncoding
-from repro.sat.solver import SolverResult, SolverStats, make_solver
+from repro.sat.solver import SolverResult, SolverStats
 
 __all__ = [
     "CNF",
     "Clause",
     "AMOEncoding",
     "DPLLSolver",
-    "make_solver",
     "SolverResult",
     "SolverStats",
-    "BackendStats",
     "BackendUnavailableError",
     "CDCLBackend",
-    "DPLLBackend",
-    "SolverBackend",
     "ProofLogger",
     "check_proof",
-    "available_backends",
-    "create_backend",
-    "register_backend",
-    "validate_backend",
 ]

@@ -54,7 +54,7 @@
  * 0 for an arena ref (code >> 2), 1 for a binary clause (the other literal
  * in code >> 2), 2 for a ternary clause (the two other literals packed as
  * (a << TERN_SHIFT) | (b << 2)); -1 marks a decision.  The low literal
- * gets 30 bits, hence MAX_VARS (1 << 29) in repro/sat/native.py.  Conflict
+ * gets 30 bits, hence MAX_VARS (1 << 29) in repro/sat/backend.py.  Conflict
  * analysis resolves straight off these codes.
  *
  * DRAT events are buffered as [kind, n, lit_1 .. lit_n] records (kind
@@ -77,7 +77,7 @@
 #include <string.h>
 #include <time.h>
 
-#define CDCL_ABI 3
+#define CDCL_ABI 4
 
 #define V_UNASSIGNED 0
 #define V_TRUE 1
@@ -179,11 +179,6 @@ typedef struct {
     double var_decay, clause_decay;
     int64_t restart_base, learned_limit_base;
     int32_t initial_phase, proof;
-    /* per-variable warm-start hints (dense, indexed by variable) */
-    int32_t hints;
-    double *hint_act;
-    int8_t *hint_phase; /* -1 = none, else 0/1 */
-    int64_t hint_act_n, hint_phase_n;
 
     int32_t nvars;
     int64_t var_cap;
@@ -460,12 +455,6 @@ static void new_vars(solver *s, int64_t count)
         int32_t var = ++s->nvars;
         double act = 0.0;
         uint8_t ph = (uint8_t)s->initial_phase;
-        if (s->hints) {
-            if (var < s->hint_act_n)
-                act = s->hint_act[var];
-            if (var < s->hint_phase_n && s->hint_phase[var] >= 0)
-                ph = (uint8_t)s->hint_phase[var];
-        }
         s->value[2 * var] = V_UNASSIGNED;
         s->value[2 * var + 1] = V_UNASSIGNED;
         s->level[var] = 0;
@@ -1438,45 +1427,15 @@ void cdcl_free(solver *s)
     if (s == NULL)
         return;
     free_state(s);
-    free(s->hint_act);
-    free(s->hint_phase);
     free(s->proof_buf.d);
     free(s);
 }
 
-/* Drop every variable and clause; hints survive. */
+/* Drop every variable and clause. */
 void cdcl_reset(solver *s)
 {
     free_state(s);
     init_state(s);
-}
-
-/* Warm-start hints: activities and polarities for listed variables. */
-void cdcl_set_hints(solver *s, int64_t n_act, const int32_t *act_vars, const double *acts,
-                    int64_t n_phase, const int32_t *phase_vars, const int8_t *phases)
-{
-    int64_t top = 0;
-    for (int64_t i = 0; i < n_act; i++)
-        if (act_vars[i] + 1 > top)
-            top = act_vars[i] + 1;
-    s->hint_act = xrealloc(s->hint_act, (size_t)(top ? top : 1) * sizeof *s->hint_act);
-    for (int64_t i = 0; i < top; i++)
-        s->hint_act[i] = 0.0;
-    for (int64_t i = 0; i < n_act; i++)
-        if (act_vars[i] >= 0)
-            s->hint_act[act_vars[i]] = acts[i];
-    s->hint_act_n = top;
-    top = 0;
-    for (int64_t i = 0; i < n_phase; i++)
-        if (phase_vars[i] + 1 > top)
-            top = phase_vars[i] + 1;
-    s->hint_phase = xrealloc(s->hint_phase, (size_t)(top ? top : 1));
-    memset(s->hint_phase, -1, (size_t)(top ? top : 1));
-    for (int64_t i = 0; i < n_phase; i++)
-        if (phase_vars[i] >= 0)
-            s->hint_phase[phase_vars[i]] = phases[i] ? 1 : 0;
-    s->hint_phase_n = top;
-    s->hints = (n_act > 0 || n_phase > 0);
 }
 
 int32_t cdcl_new_vars(solver *s, int64_t count)

@@ -1,51 +1,51 @@
-"""Pluggable incremental solver backends (the mapper's solving layer).
+"""The mapper's SAT solver: incremental CDCL running in the native core.
 
-The mapper builds one backend per (II, slack) attempt and re-solves the
-attempt's formula after every register-allocation rejection.  Rebuilding a
-solver for each of those calls would throw away learned clauses, VSIDS
-activities and saved phases, so the mapper talks to the SAT engine through
-a :class:`SolverBackend`: an object that accumulates variables and clauses
-over its lifetime and answers ``solve(assumptions=...)`` queries
-incrementally.
+:class:`CDCLBackend` drives the MiniSat-style engine in ``_cdcl.c``
+(two-watched-literal propagation with blocker literals, binary and ternary
+implication lists, first-UIP learning with clause minimisation, VSIDS,
+phase saving, Luby restarts, LBD-driven learned-clause reduction with arena
+compaction) through the declarations in :mod:`repro.sat.native`.  Its calls
+follow the incremental shape of IPASIR (add clauses, solve under assumed
+literals, read the model): variables and clauses accumulate over the
+solver's life, and every ``solve`` decides the current clause set under a
+cube of assumption literals, with learned clauses, activities and saved
+phases carried into the next call.  The mapper builds one per (II, slack) attempt
+and re-solves it after every register-allocation rejection.
 
-Two backends ship with the repository:
-
-* ``"cdcl"`` — the production engine, a thin stats-keeping adapter over the
-  native incremental CDCL core from :func:`repro.sat.solver.make_solver`
-  (clause database, learned clauses, activities and phases persist across
-  calls).  Creating it raises :class:`BackendUnavailableError` when the
-  core cannot be built or loaded.
-* ``"dpll"`` — the easy-to-audit reference oracle, replaying the accumulated
-  clause set through :class:`repro.sat.dpll.DPLLSolver` on every call.  It is
-  not incremental internally but implements the same protocol, which lets the
-  test-suite cross-check the incremental engine under assumptions.
-
-Only ``cdcl`` writes DRAT proofs.  Further engines plug in through
-:func:`register_backend` (the test-suite registers fakes this way) and are
-selected by name via ``MapperConfig.backend`` / the CLI's ``--backend``.
+Creating one builds the core on first use and raises
+:class:`BackendUnavailableError` when it cannot be built or loaded.  The
+core (and :mod:`ctypes`) is imported then, not with this module: a process
+that never solves does not pay for it, and ``python -m repro.sat.native``
+must be the first to load it.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass
-from collections.abc import Callable, Iterable, Sequence
-from typing import Protocol, runtime_checkable
+from array import array
+from collections.abc import Iterable, Sequence
 
-from repro.sat.cnf import CNF, clause_slices
-from repro.sat.dpll import DPLLSolver
+from repro.sat.cnf import CNF, flatten
 from repro.sat.drat import ProofLogger
-from repro.sat.solver import SolverResult, SolverStats, make_solver
+from repro.sat.solver import SolverResult, SolverStats
+
+#: Variables must stay below this: ternary reason codes pack internal
+#: literals into 30 bits (see ``TERN_MASK`` in ``_cdcl.c``).
+MAX_VARS = 1 << 29
+
+_STATUS_NAMES = {10: "SAT", 20: "UNSAT", 0: "UNKNOWN"}
+_PROOF_ADD = 1
+#: Largest conflict budget passed to the core (effectively unbounded).
+_MAX_CONFLICTS = 1 << 62
 
 
 class BackendUnavailableError(RuntimeError):
-    """A requested solver backend exists but cannot run here.
+    """The solver cannot run here: the native core cannot be built or loaded.
 
-    The ``cdcl`` backend raises it when the native core cannot be built or
-    loaded (``binary`` names the C compiler, ``reason`` says what failed);
-    a registered engine that depends on a missing binary may raise it too.
-    Carries the binary name, what went wrong with it and an actionable
-    hint; the CLI surfaces it as a one-line error.
+    :func:`repro.sat.native.load` raises it; ``binary`` names the C
+    compiler, ``reason`` says what failed and ``hint`` how to fix it.  The
+    CLI surfaces it as a one-line error.
     """
 
     def __init__(self, binary: str, hint: str = "", reason: str = "not found") -> None:
@@ -58,128 +58,157 @@ class BackendUnavailableError(RuntimeError):
         super().__init__(message)
 
 
-@dataclass
-class BackendStats:
-    """Cumulative counters over the lifetime of one backend instance.
-
-    Unlike :class:`repro.sat.solver.SolverStats` (which describes a single
-    ``solve`` call) these accumulate across calls, which is what the mapper's
-    reuse metrics are built from.
-    """
-
-    solve_calls: int = 0
-    variables_added: int = 0
-    clauses_added: int = 0
-    conflicts: int = 0
-    decisions: int = 0
-    propagations: int = 0
-    learned_clauses: int = 0
-    solve_time: float = 0.0
-    #: Learned clauses currently alive in the database — i.e. inference
-    #: carried over into the *next* call (always 0 for non-learning engines).
-    learned_in_db: int = 0
+def _address(values: array) -> int:
+    return values.buffer_info()[0]
 
 
-@runtime_checkable
-class SolverBackend(Protocol):
-    """Protocol every pluggable solving engine implements.
+def _int_buffer(values) -> array:
+    """``values`` as a C int array, without a copy when it already is one."""
+    if type(values) is array and values.typecode == "i":
+        return values
+    return array("i", values)
 
-    A backend is a *persistent* solver: ``new_var`` and ``add_clause`` grow
-    the formula monotonically, and every ``solve`` call decides the current
-    clause set under the given assumption literals.  The variable/clause
-    interface is deliberately identical to :class:`repro.sat.cnf.CNF` so the
-    mapping encoder can emit straight into a live backend; bulk batches
-    arrive in the one flat form of :func:`repro.sat.cnf.flatten`.
-    """
 
-    name: str
-    stats: BackendStats
-
-    @property
-    def num_vars(self) -> int:
-        """Number of variables allocated so far."""
-        ...
-
-    def new_var(self) -> int:
-        """Allocate and return one fresh variable."""
-        ...
-
-    def new_vars(self, count: int) -> list[int]:
-        """Allocate ``count`` fresh variables in one call."""
-        ...
-
-    def add_clause(self, literals: Sequence[int]) -> None:
-        """Add one clause to the persistent formula."""
-        ...
-
-    def add_clauses(
-        self,
-        literals: Sequence[int],
-        lengths: Sequence[int],
-        guard: int | None = None,
-        trusted: bool = False,
-    ) -> None:
-        """Bulk clause ingestion; see :meth:`CDCLBackend.add_clauses`."""
-        ...
-
-    def solve(
-        self,
-        assumptions: Sequence[int] = (),
-        conflict_limit: int | None = None,
-        time_limit: float | None = None,
-        model_vars: Iterable[int] | None = None,
-    ) -> SolverResult:
-        """Decide the current formula under the given assumption cube."""
-        ...
+def _literals(values) -> array:
+    """``values`` as a C int array, rejecting variables the core cannot hold."""
+    lits = array("i", values)
+    if lits and (max(lits) >= MAX_VARS or min(lits) <= -MAX_VARS):
+        raise ValueError(f"variables must be below {MAX_VARS}")
+    return lits
 
 
 class CDCLBackend:
-    """The production backend: incremental CDCL with cumulative stats."""
+    """An incremental CDCL solver whose search runs in the native core.
 
-    name = "cdcl"
-    #: This engine populates solver-core counters (conflicts, propagations)
-    #: that budget probing and bench rate metrics are derived from.
-    instrumented = True
+    ``proof_path`` names a file to stream a DRAT trace to (see
+    :mod:`repro.sat.drat`); ``proof`` hands over an existing
+    :class:`ProofLogger` instead, such as an in-memory one.  Every learned
+    clause (a RUP, hence DRAT, derivation) and every database deletion is
+    logged, and an UNSAT answer under assumptions logs the negated
+    assumption cube as its final addition.
 
-    def __init__(self, proof_path: str | None = None, **solver_kwargs) -> None:
-        #: Optional DRAT trace (see :mod:`repro.sat.drat`): every learned
-        #: clause and database deletion is logged, so an UNSAT answer ships
-        #: with an independently checkable derivation.
+    ``var_decay`` and ``clause_decay`` are the VSIDS and clause-activity
+    decay factors, ``restart_base`` the Luby restart unit (conflicts) and
+    ``learned_limit_base`` the learned-clause count that triggers the first
+    database reduction.  ``initial_phase`` is the polarity tried first for
+    a variable never assigned (``True`` makes the search constructive,
+    useful on exactly-one placement formulas; ``False`` is MiniSat's
+    default).  The search is deterministic.
+
+    ``stats`` holds the counters of the latest ``solve`` call.
+    """
+
+    def __init__(
+        self,
+        proof_path: str | None = None,
+        *,
+        proof: ProofLogger | None = None,
+        var_decay: float = 0.95,
+        clause_decay: float = 0.999,
+        restart_base: int = 100,
+        learned_limit_base: int = 4000,
+        initial_phase: bool = False,
+    ) -> None:
+        from repro.sat import native  # local import: see the module docstring
+
+        lib = native.load()
+        self._lib = lib
         self.proof_path = proof_path
-        self._proof = ProofLogger(proof_path) if proof_path is not None else None
-        self._solver = make_solver(proof=self._proof, **solver_kwargs)
-        self.stats = BackendStats()
+        self.proof = ProofLogger(proof_path) if proof_path is not None else proof
+        self.stats = SolverStats()
+        self._info = native.SolverInfo()
+        self._handle = lib.cdcl_new(
+            float(var_decay), float(clause_decay), int(restart_base),
+            int(learned_limit_base), int(bool(initial_phase)),
+            int(self.proof is not None),
+        )
+
+    def __del__(self) -> None:
+        handle = getattr(self, "_handle", None)
+        if handle:
+            self._handle = None
+            self._lib.cdcl_free(handle)
+
+    def __reduce__(self):
+        raise TypeError("a native solver cannot be pickled or copied")
 
     def close(self) -> None:
-        """Close the DRAT trace file, if one is being written."""
-        if self._proof is not None:
-            self._proof.close()
+        """Close the DRAT trace, if one is being written."""
+        if self.proof is not None:
+            self.proof.close()
 
     def proof_digest(self) -> str | None:
         """Running SHA-256 over the DRAT trace emitted so far."""
-        if self._proof is None or self._proof.additions == 0:
+        if self.proof is None or self.proof.additions == 0:
             return None
-        return self._proof.digest()
+        return self.proof.digest()
+
+    def _read_info(self):
+        # ctypes passes the structure by reference (its argtype is a
+        # pointer to it).
+        self._lib.cdcl_info_get(self._handle, self._info)
+        return self._info
 
     @property
     def num_vars(self) -> int:
-        """Number of variables allocated in the live solver."""
-        return self._solver.num_vars
+        """Number of variables known to the solver."""
+        return self._read_info().num_vars
+
+    @property
+    def num_learned(self) -> int:
+        """Learned clauses currently alive in the database."""
+        return self._read_info().num_learned
+
+    @property
+    def num_clauses(self) -> int:
+        """Problem clauses currently attached (excludes root units)."""
+        return self._read_info().num_clauses
+
+    @property
+    def arena_bytes(self) -> int:
+        """Nominal size of the flat clause stores (8 bytes per literal slot)."""
+        return self._read_info().arena_bytes
+
+    @property
+    def clauses_added(self) -> int:
+        """Lifetime count of clause submissions."""
+        return self._read_info().clauses_added
 
     def new_var(self) -> int:
-        """Allocate one fresh solver variable."""
-        self.stats.variables_added += 1
-        return self._solver.new_var()
+        """Allocate and return a fresh variable."""
+        return self.new_vars(1)[0]
 
     def new_vars(self, count: int) -> list[int]:
-        """Bulk variable allocation (one extend per per-variable array)."""
-        self.stats.variables_added += count
-        return self._solver.new_vars(count)
+        """Bulk-allocate ``count`` fresh variables."""
+        if count < 0:
+            raise ValueError(f"count must be non-negative, got {count}")
+        if count == 0:
+            return []
+        if self.num_vars + count >= MAX_VARS:
+            raise ValueError(f"variables must be below {MAX_VARS}")
+        first = self._lib.cdcl_new_vars(self._handle, count)
+        return list(range(first, first + count))
 
-    def add_clause(self, literals: Sequence[int]) -> None:
-        """Add one clause to the incremental solver."""
-        self.stats.clauses_added += 1
-        self._solver.add_clause(literals)
+    def ensure_vars(self, num_vars: int) -> None:
+        """Grow the variable universe so ``num_vars`` is a valid variable."""
+        current = self.num_vars
+        if num_vars > current:
+            self.new_vars(num_vars - current)
+
+    def add_clause(self, literals: Sequence[int]) -> bool:
+        """Add a clause to the persistent database.
+
+        The clause is simplified against the root-level assignment (MiniSat
+        style): literals already false at level 0 are dropped, and a clause
+        containing a root-true literal is discarded as satisfied.  Returns
+        ``False`` when the formula became unsatisfiable at level 0 (the
+        solver then answers ``UNSAT`` forever), ``True`` otherwise.
+        """
+        lits = _literals(literals)
+        done = self._lib.cdcl_add_clause(self._handle, _address(lits), len(lits))
+        if done < 0:
+            raise ValueError("literal 0 is not allowed in a clause")
+        return bool(done)
 
     def add_clauses(
         self,
@@ -187,170 +216,121 @@ class CDCLBackend:
         lengths: Sequence[int],
         guard: int | None = None,
         trusted: bool = False,
-    ) -> None:
-        """Bulk clause ingestion (single backtrack, batched propagation).
+    ) -> bool:
+        """Bulk :meth:`add_clause`: one backtrack, batched root propagation.
 
-        The batch is flat (see :func:`repro.sat.cnf.flatten`): clause ``i``
-        is the next ``lengths[i]`` entries of ``literals``.  ``guard`` names
-        the batch's shared selector-guard literal so guard-tailed ternary
-        clauses reach the solver's guard-aware implication lists;
-        ``trusted`` promises intra-clause hygiene (no zero/duplicate/
-        complementary literals) and lets the solver skip those checks.
+        The batch arrives flat (see :func:`repro.sat.cnf.flatten`): clause
+        ``i`` is the next ``lengths[i]`` entries of ``literals``.
+        ``array('i')`` buffers reach the core without a copy; the core vets
+        the lengths and the variable range before it ingests anything.
+        Root-level unit propagation is deferred until a later clause of the
+        batch needs an up-to-date assignment, so a batch of units costs
+        one propagation sweep.
+
+        ``trusted=True`` promises every clause is already clean (no zero,
+        duplicate or complementary literals within a clause; the encoder's
+        emitter builds only such clauses), which skips those checks.
+        Root-level truth filtering still runs.
+
+        ``guard`` names the selector guard literal (signed) shared by the
+        batch: a ternary clause whose tail literal is the guard is routed
+        to the guard-aware implication lists, which propagate with one
+        truth-value read per entry and are dismissed wholesale once the
+        guard is satisfied.
         """
-        before = self._solver.clauses_added
-        self._solver.add_clauses(literals, lengths, guard=guard, trusted=trusted)
-        self.stats.clauses_added += self._solver.clauses_added - before
-
-    def solve(
-        self,
-        assumptions: Sequence[int] = (),
-        conflict_limit: int | None = None,
-        time_limit: float | None = None,
-        model_vars: Iterable[int] | None = None,
-    ) -> SolverResult:
-        """Decide the formula under ``assumptions``, folding run stats."""
-        result = self._solver.solve(
-            assumptions=assumptions,
-            conflict_limit=conflict_limit,
-            time_limit=time_limit,
-            model_vars=model_vars,
+        lits, lens = _int_buffer(literals), _int_buffer(lengths)
+        if guard is not None and not -MAX_VARS < guard < MAX_VARS:
+            raise ValueError(f"variables must be below {MAX_VARS}")
+        lib, handle = self._lib, self._handle
+        checked = lib.cdcl_check_batch(
+            _address(lits), len(lits), _address(lens), len(lens), MAX_VARS,
         )
-        call = result.stats
-        self.stats.solve_calls += 1
-        self.stats.conflicts += call.conflicts
-        self.stats.decisions += call.decisions
-        self.stats.propagations += call.propagations
-        self.stats.learned_clauses += call.learned_clauses
-        self.stats.solve_time += call.solve_time
-        self.stats.learned_in_db = self._solver.num_learned
-        return result
-
-
-class DPLLBackend:
-    """Reference-oracle backend: accumulated CNF replayed through DPLL.
-
-    ``conflict_limit`` maps onto the DPLL decision budget and ``time_limit``
-    onto the solver's deadline check; exhausting either is reported as
-    ``"UNKNOWN"`` like the CDCL engine does.
-    """
-
-    name = "dpll"
-    #: The oracle reports decisions but no conflict/propagation counters,
-    #: so budget probing and rate metrics must not be derived from it.
-    instrumented = False
-
-    def __init__(self, random_seed: int | None = None, **_ignored) -> None:
-        # The oracle is deterministic; the seed is accepted (and ignored) so
-        # both backends can be built from the same mapper configuration.
-        self._cnf = CNF()
-        self.stats = BackendStats()
-
-    @property
-    def num_vars(self) -> int:
-        """Number of variables in the accumulated CNF."""
-        return self._cnf.num_vars
-
-    def new_var(self) -> int:
-        """Allocate one fresh CNF variable."""
-        self.stats.variables_added += 1
-        return self._cnf.new_var()
-
-    def new_vars(self, count: int) -> list[int]:
-        """Allocate ``count`` fresh CNF variables."""
-        self.stats.variables_added += count
-        return self._cnf.new_vars(count)
-
-    def add_clause(self, literals: Sequence[int]) -> None:
-        """Append one clause to the accumulated CNF."""
-        self.stats.clauses_added += 1
-        self._cnf.add_clause(literals)
-
-    def add_clauses(
-        self,
-        literals: Sequence[int],
-        lengths: Sequence[int],
-        guard: int | None = None,
-        trusted: bool = False,
-    ) -> None:
-        """Append a flat batch clause by clause.
-
-        ``guard``/``trusted`` are accepted for interface parity; the CNF
-        container's own (cheap) validation always runs.
-        """
-        for clause in clause_slices(literals, lengths):
-            self.add_clause(clause)
+        if checked == -1:
+            raise ValueError("clause lengths do not match the literal buffer")
+        if checked == -2:
+            raise ValueError(f"variables must be below {MAX_VARS}")
+        done = lib.cdcl_add_clauses(
+            handle, _address(lits), _address(lens), len(lens),
+            int(bool(trusted)), int(guard is not None), guard or 0,
+        )
+        if done < 0:
+            raise ValueError("literal 0 is not allowed in a clause")
+        return bool(done)
 
     def solve(
         self,
+        cnf: CNF | None = None,
         assumptions: Sequence[int] = (),
         conflict_limit: int | None = None,
         time_limit: float | None = None,
         model_vars: Iterable[int] | None = None,
     ) -> SolverResult:
-        """Replay the accumulated CNF through the DPLL oracle."""
+        """Decide satisfiability under optional ``assumptions``.
+
+        Without ``cnf`` this is an incremental call on the persistent clause
+        database (learned clauses, activities and phases are reused from
+        earlier calls).  Passing a ``cnf`` resets the solver and loads the
+        formula first.  ``conflict_limit`` and ``time_limit`` (seconds)
+        bound the search; when either budget is exhausted the status is
+        ``"UNKNOWN"``.  ``model_vars`` projects a SAT model onto just those
+        variables (the mapper decodes only placement literals).
+        """
         start = time.perf_counter()
-        solver = DPLLSolver(max_decisions=conflict_limit)
-        stats = SolverStats()
-        try:
-            model = solver.solve(
-                self._cnf, assumptions=assumptions, time_limit=time_limit
-            )
-        except RuntimeError:  # decision or time budget exhausted
-            status, model = "UNKNOWN", None
+        lib, handle = self._lib, self._handle
+        lib.cdcl_begin(handle)
+        if cnf is not None:
+            lib.cdcl_reset(handle)
+            self.ensure_vars(cnf.num_vars)
+            self.add_clauses(*flatten(cnf.clauses))
+        cube = _literals(assumptions)
+        if conflict_limit is None:
+            limit = -1
         else:
-            status = "SAT" if model is not None else "UNSAT"
-        if model is not None and model_vars is not None:
-            model = {var: model.get(var, False) for var in model_vars}
-        stats.decisions = solver.decisions
-        stats.solve_time = time.perf_counter() - start
-        self.stats.solve_calls += 1
-        self.stats.decisions += stats.decisions
-        self.stats.solve_time += stats.solve_time
-        return SolverResult(status, model, stats)
-
-
-BackendFactory = Callable[..., SolverBackend]
-
-_REGISTRY: dict[str, BackendFactory] = {}
-
-
-def register_backend(name: str, factory: BackendFactory) -> None:
-    """Register a backend factory under ``name`` (overwrites silently)."""
-    if not name:
-        raise ValueError("backend name must be non-empty")
-    _REGISTRY[name] = factory
-
-
-def available_backends() -> list[str]:
-    """Names of all registered backends, sorted."""
-    return sorted(_REGISTRY)
-
-
-def create_backend(name: str, **kwargs) -> SolverBackend:
-    """Instantiate a registered backend by name.
-
-    Raises :class:`ValueError` for unknown names.
-    """
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown solver backend {name!r}; available: {available_backends()}"
-        ) from None
-    return factory(**kwargs)
-
-
-def validate_backend(name: str) -> None:
-    """Eagerly check that ``name`` is a registered backend.
-
-    Raises the :class:`ValueError` :func:`create_backend` would, without
-    building a backend, so a typo fails as one clear line up front.
-    """
-    if name not in _REGISTRY:
-        raise ValueError(
-            f"unknown solver backend {name!r}; available: {available_backends()}"
+            limit = min(max(0, math.ceil(conflict_limit)), _MAX_CONFLICTS)
+        code = lib.cdcl_solve(
+            handle, _address(cube), len(cube), limit, int(time_limit is not None),
+            float(time_limit if time_limit is not None else 0.0), start,
         )
+        self._drain_proof()
+        info = self._read_info()
+        self.stats = SolverStats(
+            decisions=info.decisions,
+            propagations=info.propagations,
+            conflicts=info.conflicts,
+            restarts=info.restarts,
+            learned_clauses=info.learned_clauses,
+            deleted_clauses=info.deleted_clauses,
+            max_decision_level=info.max_decision_level,
+            solve_time=time.perf_counter() - start,
+            binary_propagations=info.binary_propagations,
+            blocker_skips=info.blocker_skips,
+            arena_bytes=info.arena_bytes,
+        )
+        status = _STATUS_NAMES[code]
+        if status != "SAT":
+            return SolverResult(status, None, self.stats)
+        num_vars = info.num_vars
+        raw = array("B", bytes(num_vars + 1))
+        lib.cdcl_model(handle, _address(raw))
+        if model_vars is not None:
+            model = {var: raw[var] == 1 for var in model_vars if 0 < var <= num_vars}
+        else:
+            model = {var: raw[var] == 1 for var in range(1, num_vars + 1)}
+        return SolverResult("SAT", model, self.stats)
 
+    def _drain_proof(self) -> None:
+        proof = self.proof
+        if proof is None:
+            return  # the core buffers events only for a solver with a logger
+        from repro.sat.native import proof_events  # loaded by ``__init__``
 
-register_backend("cdcl", CDCLBackend)
-register_backend("dpll", DPLLBackend)
+        events = proof_events(self._lib, self._handle)
+        index = 0
+        while index < len(events):
+            kind, size = events[index], events[index + 1]
+            lits = events[index + 2:index + 2 + size]
+            index += 2 + size
+            if kind == _PROOF_ADD:
+                proof.add(lits)
+            else:
+                proof.delete(lits)

@@ -133,7 +133,7 @@ class CNF:
         """Add a flat batch of clauses (see :func:`clause_slices`).
 
         ``guard`` and ``trusted`` are part of the shared bulk-ingestion
-        interface (see :class:`repro.sat.backend.SolverBackend`); the CNF
+        interface (see :meth:`repro.sat.backend.CDCLBackend.add_clauses`); the CNF
         container's own validation is cheap and always runs.
         """
         for clause in clause_slices(literals, lengths):
@@ -238,9 +238,10 @@ class CNF:
 def flatten(clauses: Iterable[Sequence[int]]) -> tuple[array, array]:
     """``clauses`` as the flat ``(literals, lengths)`` pair of ``add_clauses``.
 
-    Every clause sink — :class:`CNF`, the solvers and the solver backends —
-    ingests batches in this one form: the literals of all clauses back to
-    back in one ``array('i')``, and one length per clause in a second.
+    Both clause sinks, :class:`CNF` and the solver
+    (:class:`~repro.sat.backend.CDCLBackend`), ingest batches in this one
+    form: the literals of all clauses back to back in one ``array('i')``,
+    and one length per clause in a second.
     """
     literals = array("i")
     lengths = array("i")

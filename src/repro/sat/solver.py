@@ -1,30 +1,22 @@
-"""Result types, version tag and factory of the CDCL engine.
+"""Result and statistics types and the version tag of the CDCL engine.
 
-The engine itself is the native core in ``_cdcl.c``: an incremental
-MiniSat-style CDCL solver (two-watched-literal propagation with blocker
-literals, binary and ternary implication lists, first-UIP learning with
-clause minimisation, VSIDS, phase saving, Luby restarts, LBD-driven
-learned-clause reduction with arena compaction), driven from Python by
-:class:`repro.sat.native.NativeCDCLSolver`.  :func:`make_solver` is the
-one way to get one.
-
-The solver is **incremental**: the clause database, variable activities,
-saved phases and learned clauses all persist across ``solve`` calls, and
-each call takes a list of assumption literals replayed as pseudo-decisions
-below the real search (the MiniSat ``solve(assumps)`` interface).  This is
-what makes the mapper's iterative loop cheap: retiring one (II, slack)
-attempt and starting the next is an assumption flip, not a rebuild.
-Passing a :class:`repro.sat.cnf.CNF` to ``solve`` resets the solver and
-loads that formula first, the classic one-shot interface.
+The engine is :class:`repro.sat.backend.CDCLBackend`, which runs its search
+in the native core (``_cdcl.c``).  It is **incremental**: the clause
+database, variable activities, saved phases and learned clauses all persist
+across ``solve`` calls, and each call takes a list of assumption literals
+replayed as pseudo-decisions below the real search (the MiniSat
+``solve(assumps)`` interface).  The mapper uses that inside one (II, slack)
+attempt: its constraint group hangs off a selector literal that every call
+assumes, and a register-allocation retry adds one blocking clause and
+re-solves with everything learned so far.  Each attempt gets a fresh
+solver, as the paper builds a new formula for every II.  Passing a
+:class:`repro.sat.cnf.CNF` to ``solve`` resets the solver and loads that
+formula first, the classic one-shot interface.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from repro.sat.native import NativeCDCLSolver
 
 #: Version tag of the solving core.  The persistent mapping cache
 #: (:mod:`repro.search.cache`) folds it into every cache key, so entries
@@ -78,16 +70,3 @@ class SolverResult:
     @property
     def is_unsat(self) -> bool:
         return self.status == "UNSAT"
-
-
-def make_solver(**kwargs) -> NativeCDCLSolver:
-    """A fresh incremental CDCL solver running in the native core.
-
-    Takes :class:`repro.sat.native.NativeCDCLSolver`'s keyword arguments.
-    Builds the core on first use; raises
-    :class:`repro.sat.backend.BackendUnavailableError`, naming the compiler
-    and the reason, when it cannot be built or loaded.
-    """
-    from repro.sat import native  # local import: native imports this module
-
-    return native.NativeCDCLSolver(**kwargs)

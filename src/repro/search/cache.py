@@ -99,7 +99,6 @@ SEMANTIC_CONFIG_FIELDS: tuple[str, ...] = (
     "regalloc_retries",
     "amo_encoding",
     "amo_probe_conflicts",
-    "backend",
     "max_iteration_span",
     "enforce_output_register",
     "symmetry_breaking",
@@ -107,6 +106,11 @@ SEMANTIC_CONFIG_FIELDS: tuple[str, ...] = (
     "run_register_allocation",
     "solver_conflict_limit",
 )
+
+#: Fields ``MapperConfig`` no longer has, at the one value every run now
+#: uses.  Hashing them keeps every cache key written before they were
+#: removed.
+RETIRED_CONFIG_FIELDS: dict[str, object] = {"backend": "cdcl"}
 
 
 @dataclass
@@ -155,7 +159,7 @@ class CacheHit:
 
 def config_fingerprint(config: "MapperConfig") -> dict:
     """The semantic slice of a mapper configuration, as plain data."""
-    fingerprint: dict = {}
+    fingerprint: dict = dict(RETIRED_CONFIG_FIELDS)
     for name in SEMANTIC_CONFIG_FIELDS:
         value = getattr(config, name, None)
         if isinstance(value, enum.Enum):

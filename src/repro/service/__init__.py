@@ -1,7 +1,7 @@
 """Mapping-as-a-service: an async HTTP front end over the mapper core.
 
 The pieces of a service already existed — a content-addressed persistent
-mapping cache, a solver-backend registry, JSON-serializable
+mapping cache, the native solver, JSON-serializable
 DFG/CGRA/Mapping specs — and this package puts an HTTP surface on them:
 
 * :mod:`repro.service.protocol` — request/response wire formats: a JSON

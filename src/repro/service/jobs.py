@@ -63,7 +63,7 @@ from repro import procs
 from repro.cgra.capabilities import check_kernel_fits, effective_minimum_ii
 from repro.core.mapper import MapperConfig, SatMapItMapper
 from repro.exceptions import MappingError
-from repro.sat.backend import BackendUnavailableError, validate_backend
+from repro.sat.backend import BackendUnavailableError
 from repro.search.cache import (
     MappingCache,
     cache_key,
@@ -307,7 +307,6 @@ class JobManager:
         CLI's one-line error contract — and counts them as rejected.
         """
         try:
-            validate_backend(request.config.backend)
             request.dfg.validate()
             check_kernel_fits(request.dfg, request.cgra)
             first_ii = max(effective_minimum_ii(request.dfg, request.cgra), 1)

@@ -105,7 +105,6 @@ _CONFIG_FIELDS: dict[str, str] = {
     "regalloc_retries": "int",
     "amo_encoding": "amo",
     "amo_probe_conflicts": "int?",
-    "backend": "str",
     "max_iteration_span": "int?",
     "enforce_output_register": "bool",
     "symmetry_breaking": "bool",
@@ -372,7 +371,6 @@ def outcome_payload(outcome: MappingOutcome) -> dict:
         "attempts": len(outcome.attempts),
         "total_time_s": round(outcome.total_time, 4),
         "timed_out": outcome.timed_out,
-        "backend": outcome.backend_name,
         "cache_hit": outcome.cache_hit,
         "cache_key": outcome.cache_key,
         "mapping": outcome.mapping.to_dict() if outcome.mapping else None,
@@ -409,7 +407,6 @@ def hit_payload(
         ii=hit.ii,
         minimum_ii=hit.minimum_ii,
         total_time=total_time,
-        backend_name=request.config.backend,
         cache_hit=True,
         cache_key=hit.key,
         cache_stats=cache_stats,

@@ -11,27 +11,27 @@ one.  ``test_trajectory_golden.py`` pins the trajectories themselves.
 import weakref
 
 import repro.core.mapper as mapper_module
-import repro.sat.backend as backend_module
 from repro.cgra.architecture import CGRA
 from repro.core.mapper import MapperConfig, SatMapItMapper
 from repro.core.regalloc import RegisterAllocation
 from repro.dfg.graph import DFG, paper_running_example
 from repro.experiments.runner import SAT_MAPIT, ExperimentConfig, run_sweep
 from repro.kernels import get_kernel
-from repro.sat.backend import CDCLBackend, register_backend
+from repro.sat.backend import CDCLBackend
+from tests.sat.dpll_backend import DPLLBackend
 
 
 class TestSemanticEquivalence:
-    def test_dpll_backend_reaches_same_ii_on_tiny_instance(self):
+    def test_dpll_backend_reaches_same_ii_on_tiny_instance(self, monkeypatch):
         dfg = DFG.from_edge_list("tiny", 3, [(0, 1), (1, 2)])
         cgra = CGRA.square(2)
-        cdcl = SatMapItMapper(MapperConfig(timeout=60)).map(dfg, cgra)
-        dpll = SatMapItMapper(
-            MapperConfig(timeout=60, backend="dpll")
-        ).map(dfg, cgra)
+        # The oracle counts no conflicts, so the sequential probe is off.
+        config = MapperConfig(timeout=60, amo_probe_conflicts=None)
+        cdcl = SatMapItMapper(config).map(dfg, cgra)
+        monkeypatch.setattr(mapper_module, "CDCLBackend", DPLLBackend)
+        dpll = SatMapItMapper(config).map(dfg, cgra)
         assert cdcl.success and dpll.success
         assert cdcl.ii == dpll.ii
-        assert dpll.backend_name == "dpll"
 
 
 class TestIncrementalBookkeeping:
@@ -61,10 +61,8 @@ class TestIncrementalBookkeeping:
                 super().__init__(**kwargs)
                 alive.add(self)
 
-        monkeypatch.setattr(backend_module, "_REGISTRY",
-                            dict(backend_module._REGISTRY))
-        register_backend("tracked", TrackedBackend)
-        outcome = SatMapItMapper(MapperConfig(backend="tracked")).map(
+        monkeypatch.setattr(mapper_module, "CDCLBackend", TrackedBackend)
+        outcome = SatMapItMapper(MapperConfig()).map(
             get_kernel("gsm"), CGRA.square(4)
         )
         assert outcome.success

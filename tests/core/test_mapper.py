@@ -1,6 +1,5 @@
 """Tests for the iterative SAT-MapIt mapping driver."""
 
-import dataclasses
 import json
 import os
 import tempfile
@@ -242,7 +241,7 @@ class TestEscalatedAttemptCounters:
 
 
 class TestProofLogging:
-    """DRAT proof logging: only the CDCL backend writes proofs."""
+    """DRAT proof logging: one trace per solver, kept for UNSAT attempts."""
 
     @staticmethod
     def _map_gsm(tmp_path, monkeypatch, size=2, **extra):
@@ -338,17 +337,3 @@ class TestProofLogging:
                if key.startswith("2/")}
         assert len(ii2) == 2
         assert len(set(ii2.values())) == 2
-
-    def test_proof_requires_capable_solver(self):
-        with pytest.raises(ValueError, match="'dpll'"):
-            MapperConfig(proof=True, backend="dpll")
-        with pytest.raises(ValueError, match="'dpll'"):
-            dataclasses.replace(MapperConfig(proof=True), backend="dpll")
-        MapperConfig(proof=True)  # cdcl: fine
-        MapperConfig(backend="dpll")  # no proof: fine
-
-    def test_sweep_config_rejects_proof_on_non_cdcl_backend(self):
-        from repro.experiments.runner import ExperimentConfig
-
-        with pytest.raises(ValueError, match="'dpll'"):
-            ExperimentConfig(backend="dpll", proof=True)

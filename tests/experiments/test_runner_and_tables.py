@@ -242,7 +242,7 @@ class TestReport:
         sweep = synthetic_sweep()
         assert solver_reuse_totals(sweep) == 2
         text = render_markdown_report(sweep)
-        assert "## Solver reuse (incremental backend)" in text
+        assert "## Register-allocation retries" in text
         assert "retries served without re-encoding: **2**" in text
         assert "learned clauses carried" not in text
 

@@ -46,7 +46,6 @@ class TestDigest:
         base = sweep_config_digest(ExperimentConfig())
         assert sweep_config_digest(ExperimentConfig(timeout=1.0)) != base
         assert sweep_config_digest(ExperimentConfig(kernels=("srand",))) != base
-        assert sweep_config_digest(ExperimentConfig(backend="dpll")) != base
 
     def test_default_digest_is_pinned(self):
         # Journals written while ``lease_ttl`` and the retry cap still

@@ -12,9 +12,9 @@ import random
 
 import pytest
 
+from repro.sat.backend import CDCLBackend
 from repro.sat.cnf import CNF, flatten
 from repro.sat.dpll import DPLLSolver
-from repro.sat.solver import make_solver
 
 
 def _pigeonhole(pigeons: int, holes: int) -> CNF:
@@ -43,7 +43,7 @@ def _random_clauses(rng, num_vars, num_clauses, width=3):
 
 class TestBinaryImplicationLists:
     def test_binary_clause_propagates_without_watches(self):
-        solver = make_solver()
+        solver = CDCLBackend()
         solver.ensure_vars(2)
         solver.add_clause([1, 2])
         result = solver.solve(assumptions=[-1])
@@ -53,7 +53,7 @@ class TestBinaryImplicationLists:
         assert result.stats.binary_propagations >= 1
 
     def test_binary_conflict_detected(self):
-        solver = make_solver()
+        solver = CDCLBackend()
         solver.ensure_vars(3)
         solver.add_clause([1, 2])
         solver.add_clause([1, -2])
@@ -63,7 +63,7 @@ class TestBinaryImplicationLists:
     def test_binary_chain_needs_no_decisions(self):
         # 1 -> 2 -> 3 -> ... -> 10, with 1 forced: pure implication-list work.
         cnf = CNF(clauses=[[1]] + [[-i, i + 1] for i in range(1, 10)])
-        result = make_solver().solve(cnf)
+        result = CDCLBackend().solve(cnf)
         assert result.is_sat
         assert all(result.model[i] for i in range(1, 11))
         assert result.stats.decisions == 0
@@ -72,7 +72,7 @@ class TestBinaryImplicationLists:
 class TestTernaryImplicationLists:
     def test_ternary_unit_implication_both_orders(self):
         for assumptions in ([-1, -2], [-2, -1]):
-            solver = make_solver()
+            solver = CDCLBackend()
             solver.ensure_vars(3)
             solver.add_clause([1, 2, 3])
             result = solver.solve(assumptions=assumptions)
@@ -80,7 +80,7 @@ class TestTernaryImplicationLists:
             assert result.model[3] is True
 
     def test_ternary_conflict(self):
-        solver = make_solver()
+        solver = CDCLBackend()
         solver.ensure_vars(3)
         solver.add_clause([1, 2, 3])
         solver.add_clause([1, 2, -3])
@@ -93,13 +93,13 @@ class TestTernaryImplicationLists:
             [1, 2, 3], [1, 2, -3], [1, -2, 3], [1, -2, -3],
             [-1, 2, 3], [-1, 2, -3], [-1, -2, 3], [-1, -2, -3],
         ])
-        result = make_solver().solve(cnf)
+        result = CDCLBackend().solve(cnf)
         assert result.is_unsat
 
 
 class TestGuardedTernary:
     def test_guarded_batch_propagates_under_assumption(self):
-        solver = make_solver()
+        solver = CDCLBackend()
         selector = solver.new_var()
         a, b = solver.new_var(), solver.new_var()
         # (a | b | -selector): binary-effective while selector is assumed.
@@ -110,7 +110,7 @@ class TestGuardedTernary:
         assert result.model[b] is True
 
     def test_guarded_group_retires_cleanly(self):
-        solver = make_solver()
+        solver = CDCLBackend()
         selector = solver.new_var()
         a, b = solver.new_var(), solver.new_var()
         solver.add_clauses(
@@ -132,8 +132,8 @@ class TestGuardedTernary:
         for trial in range(30):
             num_vars = rng.randint(3, 8)
             clauses = _random_clauses(rng, num_vars, rng.randint(3, 20), width=2)
-            plain = make_solver()
-            guarded = make_solver()
+            plain = CDCLBackend()
+            guarded = CDCLBackend()
             selector = plain.new_var()
             assert guarded.new_var() == selector
             plain.ensure_vars(num_vars + 1)
@@ -155,13 +155,13 @@ class TestReductionAndCompaction:
     def test_detach_and_compaction_keep_the_verdict(self):
         # A tiny learned limit forces many _reduce_learned rounds (swap-
         # remove detach) and arena compactions during one hard solve.
-        solver = make_solver(learned_limit_base=30)
+        solver = CDCLBackend(learned_limit_base=30)
         result = solver.solve(_pigeonhole(7, 6))
         assert result.is_unsat
         assert result.stats.deleted_clauses > 0
 
     def test_compaction_preserves_verdicts_incrementally(self):
-        solver = make_solver(learned_limit_base=25)
+        solver = CDCLBackend(learned_limit_base=25)
         cnf = _pigeonhole(6, 5)
         solver.ensure_vars(cnf.num_vars)
         for clause in cnf.clauses:
@@ -178,10 +178,10 @@ class TestBulkAddClauses:
         for trial in range(40):
             num_vars = rng.randint(2, 9)
             clauses = _random_clauses(rng, num_vars, rng.randint(2, 25))
-            one = make_solver()
+            one = CDCLBackend()
             one.ensure_vars(num_vars)
             ok_one = all(one.add_clause(c) for c in clauses)
-            two = make_solver()
+            two = CDCLBackend()
             two.ensure_vars(num_vars)
             ok_two = two.add_clauses(*flatten(clauses))
             assert ok_one == ok_two, f"trial {trial}"
@@ -189,7 +189,7 @@ class TestBulkAddClauses:
                 assert one.solve().status == two.solve().status
 
     def test_unit_batch_single_propagation_sweep(self):
-        solver = make_solver()
+        solver = CDCLBackend()
         solver.ensure_vars(50)
         assert solver.add_clauses(*flatten([[-v] for v in range(1, 51)]))
         result = solver.solve()
@@ -197,7 +197,7 @@ class TestBulkAddClauses:
         assert all(result.model[v] is False for v in range(1, 51))
 
     def test_bulk_detects_root_conflict(self):
-        solver = make_solver()
+        solver = CDCLBackend()
         solver.ensure_vars(2)
         assert not solver.add_clauses(*flatten([[1], [2], [-1]]))
         assert solver.solve().is_unsat
@@ -207,10 +207,10 @@ class TestBulkAddClauses:
         for trial in range(30):
             num_vars = rng.randint(2, 9)
             clauses = _random_clauses(rng, num_vars, rng.randint(2, 25))
-            plain = make_solver()
+            plain = CDCLBackend()
             plain.ensure_vars(num_vars)
             ok_plain = plain.add_clauses(*flatten(clauses))
-            trusted = make_solver()
+            trusted = CDCLBackend()
             trusted.ensure_vars(num_vars)
             ok_trusted = trusted.add_clauses(*flatten(clauses), trusted=True)
             assert ok_plain == ok_trusted, f"trial {trial}"
@@ -218,7 +218,7 @@ class TestBulkAddClauses:
                 assert plain.solve().status == trusted.solve().status
 
     def test_clauses_added_counter(self):
-        solver = make_solver()
+        solver = CDCLBackend()
         solver.ensure_vars(3)
         solver.add_clauses(*flatten([[1, 2], [2, 3], [1, 2, 3]]))
         assert solver.clauses_added == 3
@@ -227,19 +227,19 @@ class TestBulkAddClauses:
 class TestModelProjection:
     def test_projection_subset_of_full_model(self):
         cnf = CNF(clauses=[[1, 2, 3], [-1, 4], [2, -4, 5]])
-        full = make_solver().solve(cnf)
-        projected = make_solver().solve(cnf, model_vars=[2, 4])
+        full = CDCLBackend().solve(cnf)
+        projected = CDCLBackend().solve(cnf, model_vars=[2, 4])
         assert projected.is_sat
         assert set(projected.model) == {2, 4}
         for var, value in projected.model.items():
             assert full.model[var] == value
 
     def test_projection_ignores_unknown_vars(self):
-        result = make_solver().solve(CNF(clauses=[[1]]), model_vars=[1, 99])
+        result = CDCLBackend().solve(CNF(clauses=[[1]]), model_vars=[1, 99])
         assert result.model == {1: True}
 
     def test_incremental_projection(self):
-        solver = make_solver()
+        solver = CDCLBackend()
         solver.ensure_vars(4)
         solver.add_clause([1, 2])
         result = solver.solve(assumptions=[-1], model_vars=[2])
@@ -248,7 +248,7 @@ class TestModelProjection:
 
 class TestStatsCounters:
     def test_blocker_skips_and_arena_bytes_populated(self):
-        solver = make_solver()
+        solver = CDCLBackend()
         result = solver.solve(_pigeonhole(6, 5))
         assert result.is_unsat
         assert result.stats.arena_bytes >= 0
@@ -262,7 +262,7 @@ class TestStatsCounters:
             for clause in _random_clauses(rng, num_vars, rng.randint(4, 30),
                                           width=5):
                 cnf.add_clause(clause)
-            arena = make_solver().solve(cnf)
+            arena = CDCLBackend().solve(cnf)
             oracle = DPLLSolver().solve(cnf)
             assert arena.is_sat == (oracle is not None), f"trial {trial}"
             if arena.is_sat:
@@ -277,7 +277,7 @@ class TestGuardedGroupLifecycle:
     def test_sequential_groups_match_dpll(self):
         rng = random.Random(42)
         for trial in range(15):
-            solver = make_solver()
+            solver = CDCLBackend()
             for group in range(3):
                 selector = solver.new_var()
                 num_vars = rng.randint(3, 6)
@@ -321,7 +321,7 @@ class TestGuardedGroupLifecycle:
 
 class TestRareBranches:
     def test_mixed_guard_falls_back_to_plain_ternary(self):
-        solver = make_solver()
+        solver = CDCLBackend()
         s1, s2 = solver.new_var(), solver.new_var()
         a, b, c = solver.new_var(), solver.new_var(), solver.new_var()
         solver.add_clauses(*flatten([[a, b, -s1]]), trusted=True, guard=-s1)
@@ -332,15 +332,8 @@ class TestRareBranches:
         assert result.is_sat
         assert result.model[b] is True and result.model[c] is True
 
-    def test_new_vars_with_hints(self):
-        solver = make_solver(activity_hints={2: 5.0}, phase_hints={1: True})
-        variables = solver.new_vars(3)
-        assert variables == [1, 2, 3]
-        # Unconstrained variables take their hinted (else default) phase.
-        assert solver.solve().model == {1: True, 2: False, 3: False}
-
     def test_bulk_resimplify_after_pending_units(self):
-        solver = make_solver()
+        solver = CDCLBackend()
         solver.ensure_vars(4)
         # The unit [1] is pending when [−1, 2, 3, 4] arrives: the batch
         # must flush propagation and re-simplify before attaching.
@@ -352,4 +345,4 @@ class TestRareBranches:
 
     def test_negative_new_vars_rejected(self):
         with pytest.raises(ValueError):
-            make_solver().new_vars(-1)
+            CDCLBackend().new_vars(-1)

@@ -1,29 +1,21 @@
-"""Tests for the pluggable incremental solver backends.
+"""The incremental CDCL solver cross-checked against the DPLL oracle.
 
-The heart of this module is the assumption cross-check: the incremental CDCL
-backend must agree with the DPLL reference oracle on random formulas under
-random assumption sets, including repeated ``solve`` calls on a growing
-clause set (SAT→UNSAT transitions, recovery after UNSAT-under-assumptions).
+The heart of this module is the assumption cross-check: :class:`CDCLBackend`
+must agree with the DPLL reference oracle on random formulas under random
+assumption sets, including repeated ``solve`` calls on a growing clause set
+(SAT→UNSAT transitions, recovery after UNSAT-under-assumptions).  The
+oracle answers both directly and through :class:`DPLLBackend`, the
+test-only adapter that gives it the solver's call set.
 """
 
 import random
 
 import pytest
 
-from repro.sat.backend import (
-    BackendStats,
-    BackendUnavailableError,
-    CDCLBackend,
-    DPLLBackend,
-    SolverBackend,
-    available_backends,
-    create_backend,
-    register_backend,
-    validate_backend,
-)
+from repro.sat.backend import CDCLBackend
 from repro.sat.cnf import CNF
 from repro.sat.dpll import DPLLSolver
-from repro.sat.solver import make_solver
+from tests.sat.dpll_backend import DPLLBackend
 
 
 def _random_clauses(rng, num_vars, num_clauses, width=3):
@@ -42,41 +34,10 @@ def _random_assumptions(rng, num_vars, max_count):
     return [rng.choice([1, -1]) * var for var in variables]
 
 
-class TestRegistry:
-    def test_builtin_backends_registered(self):
-        names = available_backends()
-        assert "cdcl" in names
-        assert "dpll" in names
-
-    def test_create_backend_by_name(self):
-        backend = create_backend("cdcl")
-        assert backend.name == "cdcl"
-        assert isinstance(backend, SolverBackend)
-        assert isinstance(create_backend("dpll"), DPLLBackend)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown solver backend"):
-            create_backend("z3")
-
-    def test_custom_backend_registration(self):
-        register_backend("custom-test", CDCLBackend)
-        try:
-            assert "custom-test" in available_backends()
-            assert isinstance(create_backend("custom-test"), CDCLBackend)
-        finally:
-            import repro.sat.backend as backend_module
-
-            del backend_module._REGISTRY["custom-test"]
-
-    def test_factory_kwargs_forwarded(self):
-        backend = create_backend("cdcl", random_seed=7)
-        assert backend._solver.random_seed == 7
-
-
-@pytest.mark.parametrize("name", ["cdcl", "dpll"])
-class TestProtocolBasics:
-    def test_grow_and_solve(self, name):
-        backend = create_backend(name)
+@pytest.mark.parametrize("solver", [CDCLBackend, DPLLBackend])
+class TestCallSet:
+    def test_grow_and_solve(self, solver):
+        backend = solver()
         a, b = backend.new_var(), backend.new_var()
         backend.add_clause([a, b])
         backend.add_clause([-a])
@@ -86,8 +47,8 @@ class TestProtocolBasics:
         assert result.model[b] is True
         assert backend.num_vars == 2
 
-    def test_assumptions_flip_answer(self, name):
-        backend = create_backend(name)
+    def test_assumptions_flip_answer(self, solver):
+        backend = solver()
         a = backend.new_var()
         b = backend.new_var()
         backend.add_clause([a, b])
@@ -96,8 +57,8 @@ class TestProtocolBasics:
         # The backend recovered: UNSAT under assumptions is not sticky.
         assert backend.solve().is_sat
 
-    def test_sat_to_unsat_transition(self, name):
-        backend = create_backend(name)
+    def test_sat_to_unsat_transition(self, solver):
+        backend = solver()
         a = backend.new_var()
         assert backend.solve().is_sat
         backend.add_clause([a])
@@ -108,21 +69,19 @@ class TestProtocolBasics:
         assert backend.solve().is_unsat
         assert backend.solve(assumptions=[a]).is_unsat
 
-    def test_stats_accumulate_across_calls(self, name):
-        backend = create_backend(name)
+    def test_counters_survive_repeated_solves(self, solver):
+        backend = solver()
         a = backend.new_var()
         backend.add_clause([a])
         backend.solve()
         backend.solve()
-        assert isinstance(backend.stats, BackendStats)
-        assert backend.stats.solve_calls == 2
-        assert backend.stats.variables_added == 1
-        assert backend.stats.clauses_added == 1
+        assert backend.num_vars == 1
+        assert backend.clauses_added == 1
 
 
 class TestIncrementalCDCL:
     def test_learned_clauses_persist_across_calls(self):
-        backend = create_backend("cdcl")
+        backend = CDCLBackend()
         # A selector-guarded pigeonhole 5-into-4 core: refuting it under the
         # selector assumption forces clause learning, and because the
         # contradiction is conditional the formula itself stays satisfiable.
@@ -141,18 +100,17 @@ class TestIncrementalCDCL:
         first = backend.solve(assumptions=[guard])
         assert first.is_unsat
         assert first.stats.conflicts > 0
-        carried = backend.stats.learned_in_db
+        carried = backend.num_learned
         assert carried > 0
-        # The backend is still usable and starts the next call with the
+        # The solver is still usable and starts the next call with the
         # learned clauses in the database.
         second = backend.solve()
         assert second.is_sat
-        assert backend.stats.solve_calls == 2
-        assert backend.stats.learned_in_db >= carried
+        assert backend.num_learned >= carried
 
     def test_selector_guarded_groups(self):
         """Constraint groups hang off selector literals, as the mapper's do."""
-        backend = create_backend("cdcl")
+        backend = CDCLBackend()
         s1, s2 = backend.new_var(), backend.new_var()
         x = backend.new_var()
         backend.add_clause([x, -s1])  # group 1 forces x
@@ -168,7 +126,7 @@ class TestIncrementalCDCL:
 
     def test_incremental_matches_oneshot_on_growing_formula(self):
         rng = random.Random(42)
-        backend = create_backend("cdcl")
+        backend = CDCLBackend()
         cnf = CNF(num_vars=8)
         for _ in range(8):
             backend.new_var()
@@ -177,7 +135,7 @@ class TestIncrementalCDCL:
                 backend.add_clause(clause)
                 cnf.add_clause(clause)
             incremental = backend.solve()
-            oneshot = make_solver().solve(cnf)
+            oneshot = CDCLBackend().solve(cnf)
             assert incremental.status == oneshot.status, f"round {round_index}"
             if incremental.is_sat:
                 assert cnf.evaluate(incremental.model)
@@ -193,7 +151,7 @@ class TestAssumptionCrossCheck:
         clauses = _random_clauses(rng, num_vars, 10 + 3 * (seed % 10))
         assumptions = _random_assumptions(rng, num_vars, 4)
 
-        backend = create_backend("cdcl")
+        backend = CDCLBackend()
         cnf = CNF(num_vars=num_vars)
         for _ in range(num_vars):
             backend.new_var()
@@ -214,7 +172,7 @@ class TestAssumptionCrossCheck:
         """One persistent backend, many (grow, assume, solve) rounds."""
         rng = random.Random(1000 + seed)
         num_vars = 6 + seed % 5
-        backend = create_backend("cdcl")
+        backend = CDCLBackend()
         cnf = CNF(num_vars=num_vars)
         for _ in range(num_vars):
             backend.new_var()
@@ -242,7 +200,7 @@ class TestAssumptionCrossCheck:
         rng = random.Random(2000 + seed)
         num_vars = 5 + seed
         clauses = _random_clauses(rng, num_vars, 12 + 2 * seed)
-        backends = [create_backend("cdcl"), create_backend("dpll")]
+        backends = [CDCLBackend(), DPLLBackend()]
         for backend in backends:
             for _ in range(num_vars):
                 backend.new_var()
@@ -255,7 +213,7 @@ class TestAssumptionCrossCheck:
 
 class TestDPLLBackend:
     def test_decision_budget_reports_unknown(self):
-        backend = create_backend("dpll")
+        backend = DPLLBackend()
         # Pigeonhole 7-into-6 needs far more than 2 decisions to refute.
         holes, pigeons = 6, 7
         var = {}
@@ -269,32 +227,3 @@ class TestDPLLBackend:
                 for p2 in range(p1 + 1, pigeons):
                     backend.add_clause([-var[(p1, h)], -var[(p2, h)]])
         assert backend.solve(conflict_limit=2).status == "UNKNOWN"
-
-
-def test_backend_classification():
-    shipped = set(available_backends())
-    assert {"cdcl", "dpll"} <= shipped
-    assert not {"subprocess", "kissat", "cadical", "minisat"} & shipped
-    # Only engines reporting conflict counts get the mapper's conflict
-    # budget probe.
-    assert CDCLBackend.instrumented
-    assert not DPLLBackend.instrumented
-    validate_backend("cdcl")  # must not raise
-    with pytest.raises(ValueError, match="unknown solver backend"):
-        validate_backend("external:/usr/bin/kissat")
-
-
-def test_missing_binary_raises_with_install_hint(monkeypatch):
-    """A registered engine whose binary is absent fails at creation with
-    the binary name and an install hint, not deep inside its first solve."""
-    import repro.sat.backend as backend_module
-
-    def unavailable(**_kwargs):
-        raise BackendUnavailableError("fakesat", "apt-get install fakesat")
-
-    monkeypatch.setitem(backend_module._REGISTRY, "fakesat", unavailable)
-    with pytest.raises(BackendUnavailableError) as excinfo:
-        create_backend("fakesat")
-    assert excinfo.value.binary == "fakesat"
-    assert excinfo.value.hint == "apt-get install fakesat"
-    assert "not found" in str(excinfo.value)

@@ -24,7 +24,6 @@ from repro.sat.drat import (
     proof_digest,
     run_drat_trim,
 )
-from repro.sat.solver import make_solver
 
 from tests.sat.test_differential import random_cnf
 
@@ -172,7 +171,7 @@ def test_proof_logger_single_empty_clause():
 def test_cdcl_refutation_proof_checks(tmp_path):
     path = tmp_path / "cdcl.drat"
     logger = ProofLogger(path)
-    solver = make_solver(proof=logger)
+    solver = CDCLBackend(proof=logger)
     result = solver.solve(_cnf(ALL_PATTERNS_3))
     logger.close()
     assert result.status == "UNSAT"
@@ -183,7 +182,7 @@ def test_cdcl_refutation_proof_checks(tmp_path):
 def test_cdcl_assumption_proof_checks():
     clauses = [(-1, 2), (-2, 3), (-1, -3)]
     logger = ProofLogger()
-    solver = make_solver(proof=logger)
+    solver = CDCLBackend(proof=logger)
     result = solver.solve(_cnf(clauses), assumptions=[1])
     assert result.status == "UNSAT"
     verdict = check_proof(clauses, logger.text(), assumptions=[1])
@@ -203,7 +202,7 @@ def test_cdcl_proofs_on_random_unsat_instances(block):
         rng = random.Random(seed)
         cnf = random_cnf(rng)
         logger = ProofLogger()
-        result = make_solver(random_seed=seed, proof=logger).solve(cnf)
+        result = CDCLBackend(proof=logger).solve(cnf)
         if result.status != "UNSAT":
             continue
         verdict = check_proof(cnf.clauses, logger.text())
@@ -231,7 +230,7 @@ def test_cdcl_backend_proof_digest(tmp_path):
 def test_drat_trim_agrees(tmp_path):
     path = tmp_path / "trim.drat"
     logger = ProofLogger(path)
-    result = make_solver(proof=logger).solve(_cnf(ALL_PATTERNS_3))
+    result = CDCLBackend(proof=logger).solve(_cnf(ALL_PATTERNS_3))
     logger.close()
     assert result.status == "UNSAT"
     ok, _output = run_drat_trim(ALL_PATTERNS_3, path)

@@ -25,11 +25,12 @@ from hypothesis import strategies as st
 from repro.cgra.architecture import CGRA
 from repro.core.mapper import MapperConfig, SatMapItMapper
 from repro.kernels import get_kernel
-from repro.sat import native
+from repro.sat import backend
+from repro.sat.backend import CDCLBackend
 from repro.sat.cnf import CNF, clause_slices, flatten
 from repro.sat.dpll import DPLLSolver
 from repro.sat.drat import ProofLogger, check_proof
-from repro.sat.solver import SOLVER_VERSION, make_solver
+from repro.sat.solver import SOLVER_VERSION
 
 
 def _stats(result) -> dict:
@@ -44,7 +45,7 @@ class _Differential:
 
     def __init__(self, **params) -> None:
         self.proof = ProofLogger()
-        self.solver = make_solver(proof=self.proof, **params)
+        self.solver = CDCLBackend(proof=self.proof, **params)
         self.cnf = CNF()
         self.verdicts: list[str] = []
 
@@ -232,17 +233,19 @@ _PINNED_STATS = {
         decisions=0, propagations=0, conflicts=0, restarts=0, learned_clauses=0,
         deleted_clauses=0, max_decision_level=0, binary_propagations=0,
         blocker_skips=0, arena_bytes=16168)),
-    "hinted-reset-0": ("SAT", dict(
-        decisions=27, propagations=187, conflicts=18, restarts=0,
-        learned_clauses=18, deleted_clauses=0, max_decision_level=7,
-        binary_propagations=204, blocker_skips=8, arena_bytes=3120)),
-    "hinted-reset-1": ("SAT", dict(
-        decisions=17, propagations=138, conflicts=12, restarts=0,
-        learned_clauses=12, deleted_clauses=0, max_decision_level=6,
-        binary_propagations=158, blocker_skips=4, arena_bytes=3152)),
-    "hinted-reset-2": ("SAT", dict(
-        decisions=9, propagations=34, conflicts=1, restarts=0, learned_clauses=1,
-        deleted_clauses=0, max_decision_level=8, binary_propagations=26,
+    # Recorded later, from the solver before its warm-start hints were
+    # deleted: an unhinted solver reset by each ``solve(cnf)``.
+    "reset-0": ("SAT", dict(
+        decisions=25, propagations=158, conflicts=16, restarts=0,
+        learned_clauses=16, deleted_clauses=0, max_decision_level=6,
+        binary_propagations=167, blocker_skips=9, arena_bytes=2984)),
+    "reset-1": ("SAT", dict(
+        decisions=9, propagations=31, conflicts=0, restarts=0,
+        learned_clauses=0, deleted_clauses=0, max_decision_level=9,
+        binary_propagations=22, blocker_skips=0, arena_bytes=2880)),
+    "reset-2": ("SAT", dict(
+        decisions=11, propagations=37, conflicts=1, restarts=0, learned_clauses=1,
+        deleted_clauses=0, max_decision_level=8, binary_propagations=27,
         blocker_skips=0, arena_bytes=3144)),
 }
 
@@ -256,7 +259,7 @@ _PINNED_STATS = {
 def test_pigeonhole_proof_checks(params):
     cnf = _pigeonhole(7, 6)
     proof = ProofLogger()
-    result = make_solver(proof=proof, **params).solve(cnf)
+    result = CDCLBackend(proof=proof, **params).solve(cnf)
     assert result.status == "UNSAT"
     assert result.stats.conflicts > 1000
     assert check_proof(cnf.clauses, proof.text()).ok
@@ -269,26 +272,24 @@ def _pinned_runs() -> dict:
                          ("pigeonhole-7-6-fast-decay",
                           {"learned_limit_base": 50, "var_decay": 0.5,
                            "clause_decay": 0.5})):
-        result = make_solver(**params).solve(_pigeonhole(7, 6))
+        result = CDCLBackend(**params).solve(_pigeonhole(7, 6))
         runs[name] = (result.status, _stats(result))
     for seed in (0, 3):
-        solver = make_solver(learned_limit_base=60, var_decay=0.8)
+        solver = CDCLBackend(learned_limit_base=60, var_decay=0.8)
         solver.add_clauses(*flatten(_hard_instance(seed)))
         for index, assumptions in enumerate(([1, -2], [], [3])):
             result = solver.solve(assumptions=assumptions)
             runs[f"random-{seed}-call-{index}"] = (result.status, _stats(result))
     rng = random.Random(7)
-    hints = {v: rng.random() for v in range(1, 30, 3)}
-    phases = {v: rng.random() < 0.5 for v in range(2, 30, 4)}
-    solver = make_solver(activity_hints=hints, phase_hints=phases)
+    solver = CDCLBackend()
     for round_ in range(3):
         cnf = CNF(num_vars=30 + round_)
         for _ in range(110 + 10 * round_):
             cnf.add_clause([v if rng.random() < 0.5 else -v
                             for v in rng.sample(range(1, 31), 3)])
-        # Passing a CNF resets the solver; the hints apply again.
+        # Passing a CNF resets the solver.
         result = solver.solve(cnf, assumptions=[2])
-        runs[f"hinted-reset-{round_}"] = (result.status, _stats(result))
+        runs[f"reset-{round_}"] = (result.status, _stats(result))
     return runs
 
 
@@ -297,7 +298,7 @@ def test_solver_counters_are_pinned():
 
 
 def test_zero_literal_rejected():
-    solver = make_solver()
+    solver = CDCLBackend()
     with pytest.raises(ValueError):
         solver.add_clauses(*flatten([[1, 2], [3, 0]]))
     with pytest.raises(ValueError):
@@ -309,7 +310,7 @@ def test_zero_literal_rejected():
 @pytest.mark.parametrize("guard", [None, -4])
 @pytest.mark.parametrize("lengths", [[2], [2, 2], [4, -1]])
 def test_flat_batch_lengths_are_checked_before_ingest(lengths, guard):
-    solver = make_solver()
+    solver = CDCLBackend()
     with pytest.raises(ValueError, match="lengths"):
         solver.add_clauses(array("i", [1, 2, -3]), array("i", lengths), guard=guard)
     assert solver.num_vars == 0
@@ -319,11 +320,11 @@ def test_flat_batch_lengths_are_checked_before_ingest(lengths, guard):
 def test_variables_beyond_the_core_range_are_rejected():
     # Ternary reason codes pack literals into 30 bits; the wrapper refuses
     # larger variables before any pointer reaches the core.
-    solver = make_solver()
-    for call in (lambda: solver.add_clause([1, native.MAX_VARS]),
-                 lambda: solver.add_clauses(*flatten([[-native.MAX_VARS]]),
+    solver = CDCLBackend()
+    for call in (lambda: solver.add_clause([1, backend.MAX_VARS]),
+                 lambda: solver.add_clauses(*flatten([[-backend.MAX_VARS]]),
                                             trusted=True),
-                 lambda: solver.solve(assumptions=[native.MAX_VARS])):
+                 lambda: solver.solve(assumptions=[backend.MAX_VARS])):
         with pytest.raises(ValueError):
             call()
     assert solver.num_vars == 0
@@ -332,10 +333,6 @@ def test_variables_beyond_the_core_range_are_rejected():
 def test_solver_version_unchanged():
     # Cached mappings made by earlier versions of the core stay valid.
     assert SOLVER_VERSION == "flat-arena-1"
-
-
-def test_factory_returns_native_core():
-    assert type(make_solver()) is native.NativeCDCLSolver
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,6 @@ import pytest
 
 from repro.sat import native
 from repro.sat.backend import BackendUnavailableError, CDCLBackend
-from repro.sat.solver import make_solver
 
 SRC = Path(native.__file__).resolve().parents[2]
 
@@ -43,7 +42,7 @@ def cold_loader(monkeypatch, tmp_path):
 def _refused(reason_part: str) -> BackendUnavailableError:
     """Check that every way in raises the loader's error; return it."""
     errors = []
-    for create in (make_solver, CDCLBackend, native.load):
+    for create in (CDCLBackend, native.load):
         with pytest.raises(BackendUnavailableError) as excinfo:
             create()
         errors.append(str(excinfo.value))

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sat.backend import CDCLBackend
 from repro.sat.cnf import CNF
 from repro.sat.dpll import DPLLSolver
-from repro.sat.solver import make_solver
 
 
 def _pigeonhole(pigeons: int, holes: int) -> CNF:
@@ -28,33 +28,33 @@ def _pigeonhole(pigeons: int, holes: int) -> CNF:
 
 class TestBasics:
     def test_empty_formula_sat(self):
-        result = make_solver().solve(CNF())
+        result = CDCLBackend().solve(CNF())
         assert result.is_sat
         assert result.model == {}
 
     def test_unit_clauses(self):
-        result = make_solver().solve(CNF(clauses=[[1], [-2]]))
+        result = CDCLBackend().solve(CNF(clauses=[[1], [-2]]))
         assert result.is_sat
         assert result.model == {1: True, 2: False}
 
     def test_empty_clause_unsat(self):
         cnf = CNF(clauses=[[1]])
         cnf.add_clause([])
-        assert make_solver().solve(cnf).is_unsat
+        assert CDCLBackend().solve(cnf).is_unsat
 
     def test_contradictory_units_unsat(self):
-        assert make_solver().solve(CNF(clauses=[[1], [-1]])).is_unsat
+        assert CDCLBackend().solve(CNF(clauses=[[1], [-1]])).is_unsat
 
     def test_model_satisfies_formula(self):
         cnf = CNF(clauses=[[1, 2, 3], [-1, -2], [-2, -3], [-1, -3], [2, 3]])
-        result = make_solver().solve(cnf)
+        result = CDCLBackend().solve(cnf)
         assert result.is_sat
         assert cnf.evaluate(result.model)
 
     def test_implication_chain(self):
         # 1 -> 2 -> 3 -> ... -> 10, with 1 forced.
         cnf = CNF(clauses=[[1]] + [[-i, i + 1] for i in range(1, 10)])
-        result = make_solver().solve(cnf)
+        result = CDCLBackend().solve(cnf)
         assert result.is_sat
         assert all(result.model[i] for i in range(1, 11))
         # The whole chain is derived by propagation, not decisions.
@@ -64,13 +64,13 @@ class TestBasics:
         cnf = CNF(clauses=[
             [1, 2], [1, -2], [-1, 3], [-1, -3],
         ])
-        result = make_solver().solve(cnf)
+        result = CDCLBackend().solve(cnf)
         assert result.is_unsat
 
     def test_result_flags(self):
-        sat = make_solver().solve(CNF(clauses=[[1]]))
+        sat = CDCLBackend().solve(CNF(clauses=[[1]]))
         assert sat.is_sat and not sat.is_unsat
-        unsat = make_solver().solve(CNF(clauses=[[1], [-1]]))
+        unsat = CDCLBackend().solve(CNF(clauses=[[1], [-1]]))
         assert unsat.is_unsat and not unsat.is_sat
 
 
@@ -82,11 +82,11 @@ class TestPigeonhole:
         (6, 5, "UNSAT"),
     ])
     def test_pigeonhole_instances(self, pigeons, holes, expected):
-        result = make_solver().solve(_pigeonhole(pigeons, holes))
+        result = CDCLBackend().solve(_pigeonhole(pigeons, holes))
         assert result.status == expected
 
     def test_stats_populated_on_hard_instance(self):
-        result = make_solver().solve(_pigeonhole(6, 5))
+        result = CDCLBackend().solve(_pigeonhole(6, 5))
         assert result.stats.conflicts > 0
         assert result.stats.decisions > 0
         assert result.stats.propagations > 0
@@ -96,42 +96,42 @@ class TestPigeonhole:
 class TestAssumptions:
     def test_assumptions_restrict_models(self):
         cnf = CNF(clauses=[[1, 2]])
-        result = make_solver().solve(cnf, assumptions=[-1])
+        result = CDCLBackend().solve(cnf, assumptions=[-1])
         assert result.is_sat
         assert result.model[1] is False
         assert result.model[2] is True
 
     def test_assumption_conflict(self):
         cnf = CNF(clauses=[[1]])
-        assert make_solver().solve(cnf, assumptions=[-1]).is_unsat
+        assert CDCLBackend().solve(cnf, assumptions=[-1]).is_unsat
 
     def test_multiple_assumptions(self):
         cnf = CNF(num_vars=4, clauses=[[1, 2, 3, 4]])
-        result = make_solver().solve(cnf, assumptions=[-1, -2, -3])
+        result = CDCLBackend().solve(cnf, assumptions=[-1, -2, -3])
         assert result.is_sat
         assert result.model[4] is True
 
 
 class TestBudgets:
     def test_conflict_limit_returns_unknown(self):
-        result = make_solver().solve(_pigeonhole(7, 6), conflict_limit=5)
+        result = CDCLBackend().solve(_pigeonhole(7, 6), conflict_limit=5)
         assert result.status == "UNKNOWN"
         assert result.model is None
 
     def test_time_limit_returns_unknown(self):
-        result = make_solver().solve(_pigeonhole(9, 8), time_limit=0.001)
+        result = CDCLBackend().solve(_pigeonhole(9, 8), time_limit=0.001)
         assert result.status in ("UNKNOWN", "UNSAT")
 
 
 class TestRestartsAndDeletion:
     def test_restarts_happen_on_hard_instances(self):
-        solver = make_solver(restart_base=10)
+        solver = CDCLBackend(restart_base=10)
         result = solver.solve(_pigeonhole(6, 5))
         assert result.is_unsat
         assert result.stats.restarts > 0
 
     def test_clause_deletion_triggers(self):
-        solver = make_solver(learned_limit_base=50)
+        solver = CDCLBackend(learned_limit_base=50)
         result = solver.solve(_pigeonhole(7, 6))
         assert result.is_unsat
         assert result.stats.learned_clauses > 50
@@ -153,7 +153,7 @@ class TestCrossCheck:
     @pytest.mark.parametrize("seed", range(25))
     def test_agrees_with_dpll_on_random_formulas(self, seed):
         cnf = _random_cnf(seed, num_vars=4 + seed % 8, num_clauses=10 + 3 * (seed % 10))
-        cdcl = make_solver().solve(cnf)
+        cdcl = CDCLBackend().solve(cnf)
         dpll = DPLLSolver().solve(cnf)
         assert cdcl.is_sat == (dpll is not None)
         if cdcl.is_sat:
@@ -182,7 +182,7 @@ def test_cdcl_matches_dpll_property(num_vars, clauses, signs):
             sign_index += 1
             literals.append(variable if positive else -variable)
         cnf.add_clause(literals)
-    cdcl = make_solver().solve(cnf)
+    cdcl = CDCLBackend().solve(cnf)
     dpll = DPLLSolver().solve(cnf)
     assert cdcl.is_sat == (dpll is not None)
     if cdcl.is_sat:

@@ -126,7 +126,7 @@ class TestRoutes:
         assert results["removed_strategy"][0] == 400
         assert "unknown config field" in results["removed_strategy"][1]["error"]
         assert results["removed_backend"][0] == 400
-        assert "unknown solver backend" in results["removed_backend"][1]["error"]
+        assert "unknown config field" in results["removed_backend"][1]["error"]
 
     def test_oversized_body_rejected(self):
         async def scenario():

@@ -182,16 +182,6 @@ class TestRejection:
         assert manager.stats.rejected == 1
         assert manager.stats.solves_started == 0
 
-    def test_unknown_backend_rejected(self):
-        async def scenario():
-            manager = JobManager(pool_size=1)
-            with pytest.raises(Exception):
-                manager.submit(request(backend="z3"))
-            return manager
-
-        manager = run(scenario())
-        assert manager.stats.rejected == 1
-
 
 class TestCancellation:
     def test_cancel_reaps_the_worker_process(self, monkeypatch):

@@ -188,5 +188,5 @@ class TestOutcomePayload:
         assert payload["dfg"] == "srand"
         assert payload["mapping"] is not None
         assert payload["attempts"] == len(outcome.attempts)
-        assert payload["backend"] == outcome.backend_name
+        assert "backend" not in payload
         assert "search_strategy" not in payload

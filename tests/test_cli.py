@@ -24,45 +24,33 @@ class TestParser:
         assert args.kernels == ["srand", "nw"]
         assert args.sizes == [2, 3]
         assert args.jobs == 1
-        assert args.backend == "cdcl"
         assert args.seed is None
         assert args.amo_encoding == "auto"
 
     def test_solver_flags_plumbed(self):
         args = build_parser().parse_args(
-            ["map", "--kernel", "srand", "--backend", "dpll", "--seed", "7",
+            ["map", "--kernel", "srand", "--seed", "7",
              "--amo-encoding", "pairwise"]
         )
-        assert args.backend == "dpll"
         assert args.seed == 7
         assert args.amo_encoding == "pairwise"
         args = build_parser().parse_args(
-            ["sweep", "--jobs", "4", "--backend", "cdcl", "--seed", "3",
+            ["sweep", "--jobs", "4", "--seed", "3",
              "--amo-encoding", "commander"]
         )
         assert args.jobs == 4
         assert args.seed == 3
         assert args.amo_encoding == "commander"
 
-    def test_unknown_backend_rejected(self, capsys):
-        # Backend names are validated in the command (the registry is open
-        # to engines registered at run time), not by argparse choices.
-        exit_code = main(["map", "--kernel", "srand", "--backend", "z3"])
-        captured = capsys.readouterr()
-        assert exit_code == 2
-        assert captured.err.startswith("error:")
-        assert "z3" in captured.err
-
     def test_missing_solver_binary_is_one_line_error(self, capsys, monkeypatch):
-        from repro.sat import backend as backend_module
+        import repro.core.mapper as mapper_module
+        from repro.sat.backend import BackendUnavailableError
 
         def unavailable(**_kwargs):
-            raise backend_module.BackendUnavailableError(
-                "fakesat", "apt-get install fakesat"
-            )
+            raise BackendUnavailableError("fakesat", "apt-get install fakesat")
 
-        monkeypatch.setitem(backend_module._REGISTRY, "fakesat", unavailable)
-        exit_code = main(["map", "--kernel", "srand", "--backend", "fakesat"])
+        monkeypatch.setattr(mapper_module, "CDCLBackend", unavailable)
+        exit_code = main(["map", "--kernel", "srand"])
         captured = capsys.readouterr()
         assert exit_code == 2
         assert captured.err.count("\n") == 1  # a single line, not a traceback
@@ -79,25 +67,12 @@ class TestParser:
     @pytest.mark.parametrize("argv", [
         [command, *flag]
         for command in ("map", "sweep")
-        for flag in (["--dimacs-dir", "d"], ["--reuse-dimacs"], ["--tuner", "t"])
+        for flag in (["--dimacs-dir", "d"], ["--reuse-dimacs"], ["--tuner", "t"],
+                     ["--backend", "cdcl"])
     ] + [["serve", "--tuner", "t"]])
     def test_removed_flags_rejected(self, argv):
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
-
-    @pytest.mark.parametrize("command", ["map", "sweep"])
-    def test_proof_with_non_cdcl_backend_is_one_line_error(
-        self, command, capsys
-    ):
-        argv = [command, "--backend", "dpll", "--proof"]
-        argv += ["--kernel", "srand"] if command == "map" else ["--kernels", "srand"]
-        exit_code = main(argv)
-        captured = capsys.readouterr()
-        assert exit_code == 2
-        assert captured.err.startswith("error:")
-        assert captured.err.count("\n") == 1
-        assert "'dpll'" in captured.err
-        assert "UNSAT attempt" not in captured.out
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(SystemExit):
@@ -257,10 +232,10 @@ class TestCommands:
         assert "mapping cache: 1/1" in second
         assert "[cache]" in second
 
-    def test_map_with_dpll_backend_and_seed(self, capsys):
+    def test_map_with_seed(self, capsys):
         exit_code = main([
             "map", "--kernel", "srand", "--rows", "2", "--cols", "2",
-            "--timeout", "30", "--backend", "dpll", "--seed", "1",
+            "--timeout", "30", "--seed", "1",
             "--amo-encoding", "pairwise",
         ])
         assert exit_code == 0
